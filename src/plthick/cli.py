@@ -208,7 +208,8 @@ def run_pipeline(config, X):
         except BudgetExceededError as exc:
             close_obj = {"mode": "local", "warning": str(exc)}
     if close_obj["mode"] in (None, "local"):
-        local = verify_closed_locally(P, cone_vertices=out.cone_vertices.values())
+        local = verify_closed_locally(P, cone_vertices=out.cone_vertices.values(),
+                                      report=rep.pseudomanifold)
         tags = {}
         for tau, (tag, cls) in local.classes.items():
             tags.setdefault(tag, {}).setdefault(cls.describe(), 0)
@@ -313,19 +314,6 @@ def _write_artifacts(artifacts, out_dir):
             fh.write(data)
 
 
-def _thread_count():
-    raw = os.environ.get("PLTHICK_THREADS")
-    if raw is None:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValidationError("PLTHICK_THREADS must be an integer")
-    if n < 1:
-        raise ValidationError("PLTHICK_THREADS must be >= 1")
-    return n
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="plthick",
@@ -365,7 +353,6 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _thread_count()
         return _dispatch(args)
     except ToolkitError as exc:
         _emit({"error": {"stage": exc.stage, "type": type(exc).__name__,

@@ -55,9 +55,6 @@ class Simplex:
             return []
         return [Simplex(vs[:i] + vs[i + 1:]) for i in range(len(vs))]
 
-    def is_face_of(self, other):
-        return set(self.vertices) <= set(other.vertices)
-
     def join(self, labels):
         return Simplex(tuple(sorted(set(self.vertices) | set(labels))))
 
@@ -189,9 +186,6 @@ class Complex:
         return "Complex(dim=%d, counts={%s})" % (self.dim, counts)
 
     # -- derived complexes ---------------------------------------------------
-
-    def skeleton(self, k):
-        return Complex(s for s in self.simplices if s.dim <= k)
 
     def is_subcomplex_of(self, other):
         return self.simplices <= other.simplices
@@ -545,7 +539,7 @@ def is_flag(X):
             common = set(adj[vs[0]])
             for v in vs[1:]:
                 common &= adj[v]
-            for v in common:
+            for v in sorted(common):
                 cand = tuple(sorted(vs + (v,)))
                 if cand in seen:
                     continue

@@ -63,7 +63,3 @@ def fixture(name):
     except KeyError:
         raise KeyError("unknown fixture %r (have: %s)" % (name, ", ".join(FIXTURE_NAMES)))
     return validate_complex(raw)
-
-
-def all_fixtures():
-    return {name: fixture(name) for name in FIXTURE_NAMES}

@@ -194,9 +194,6 @@ class GeometricMap:
             if len(p) != self.n:
                 raise ValidationError("vertex %r has wrong dimension" % v)
 
-    def point(self, label):
-        return self.points[label]
-
     def simplex_points(self, s):
         return [self.points[v] for v in s.vertices]
 
@@ -561,16 +558,6 @@ class SingularSet:
 
     def dim(self):
         return max((r.dim for r in self.records), default=-1)
-
-    def segments_in(self, s):
-        """Ambient segments recorded against the maximal simplex ``s``."""
-        out = []
-        for r in self.records:
-            if r.kind != "segment":
-                continue
-            if r.simplex_i == s or r.simplex_j == s:
-                out.append(r.ambient)
-        return out
 
     def ambient_polytopes(self):
         return [(r.kind, r.ambient) for r in self.records]

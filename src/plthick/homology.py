@@ -49,9 +49,6 @@ class HomologyResult:
     def euler(self):
         return sum((-1) ** k * b for k, b in enumerate(self.betti))
 
-    def nonzero_top(self):
-        return self.betti[-1] if self.betti else 0
-
     def agrees_with(self, other):
         """Group-by-group equality, padding the shorter result with zeros."""
         n = max(len(self.betti), len(other.betti))

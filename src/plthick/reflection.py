@@ -6,13 +6,13 @@ boundary triangulation; the materialized object is the quotient by the
 kernel of the sign map to (Z/2)^S, so chambers are indexed by bit vectors.
 That kernel is torsion free and of finite index, which makes the quotient a
 finite complex.  Large inputs are handled by the local link verifier, which
-follows the same gluing rule chamber by chamber around one vertex class at
-a time without building the whole quotient.
+reads the link of every vertex class of the quotient off the links of the
+chamber and builds only the two-chamber doubles of boundary cone-vertex
+links.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .complex_core import (
@@ -28,6 +28,7 @@ from .complex_core import (
 from .errors import BudgetExceededError, ConstructionError, ValidationError
 from .homology import homology_groups
 from .pseudomanifold import (
+    LinkClass,
     _facet_cofaces,
     check_isolated_singularities,
     check_pseudomanifold,
@@ -234,106 +235,76 @@ class LocalLinkReport:
                    for _, cls in self.classes.values())
 
 
-def _subdivided_link_of_barycenter(P, tau, star_tops):
-    """Link of the barycenter of tau in the subdivision of P, with canonical
-    labels: chains strictly through tau."""
-    lower = [Simplex(c) for k in range(1, len(tau.vertices))
-             for c in itertools.combinations(tau.vertices, k)]
-    upper = sorted({s for s in star_tops if len(s) > len(tau)})
-
-    def label(sigma):
-        return sigma.vertices[0] if sigma.dim == 0 else barycenter_label(sigma)
-
-    lower_chains = _chains_of(lower)
-    upper_chains = _chains_of(upper)
-    simplices = set()
-    for lc in lower_chains:
-        for uc in upper_chains:
-            if not lc and not uc:
-                continue
-            simplices.add(Simplex(tuple(sorted(label(s) for s in lc + uc))))
-    out = Complex(close_under_faces(simplices))
-    labels = {}
-    for sigma in lower + upper:
-        labels[label(sigma)] = sigma
-    return out, labels
+_SPHERE = LinkClass(kind="Sphere", dim=2, components=1, is_manifold=True,
+                    orientable=True, genus=0, boundary_components=0)
 
 
-def _chains_of(simplices):
-    """All chains (including the empty one) in the given poset slice."""
-    items = sorted(simplices, key=lambda s: (s.dim, s.vertices))
-    sups = {}
-    for a in items:
-        aset = set(a.vertices)
-        sups[a] = [b for b in items if aset < set(b.vertices)]
-    out = [()]
-
-    def extend(chain):
-        for t in sups[chain[-1]]:
-            longer = chain + (t,)
-            out.append(longer)
-            extend(longer)
-
-    for s in items:
-        out.append((s,))
-        extend((s,))
-    return out
+def _double_of_link(P, boundary, w):
+    """Classify the double of the subdivided link of w along its boundary:
+    the glued link of w's class when w lies on the boundary of P."""
+    sub = barycentric_subdivision(link_of(P, Simplex((w,))))
+    Y = sub.child
+    on_mirror = link_of(boundary, Simplex((w,))).simplices
+    sof = {y: frozenset((w,)) if sub.carrier_of_label(y) in on_mirror else frozenset()
+           for y in Y.vertices}
+    ms = MirrorStructure(
+        Y=Y, S=(w,), Sof=sof,
+        mirrors={w: full_subcomplex(Y, [y for y in Y.vertices if sof[y]])})
+    return classify_link(basic_construction(ms).complex)
 
 
-def verify_closed_locally(P, cone_vertices=()):
+def verify_closed_locally(P, cone_vertices=(), report=None):
     """Classify the link of every vertex class of the closed-up space
     without materializing it.
 
-    Interior classes keep their link; boundary classes get the local glued
-    union over the mirrors through them (at most 8 chambers).  Cone-vertex
-    classes must produce closed surfaces, everything else spheres.
+    The classes follow from the links of P (``report`` is P's
+    isolated-singularity report, computed when missing): interior vertices
+    keep their link, every other class is a sphere, except that a boundary
+    cone vertex's class has the double of its link along the boundary,
+    which is built and classified (two chambers).  Cone-vertex classes must
+    produce closed surfaces, everything else spheres.
     """
     if P.dim != 3:
         raise ValidationError("local closed-link verification expects dimension 3")
-    boundary = _boundary_complex(P)
+    if report is None or report.vertex_links is None:
+        report = check_isolated_singularities(P, report)
+    if not report.isolated_singularities:
+        raise ValidationError(
+            "local closed-link verification needs a pseudomanifold with "
+            "isolated singularities")
+    boundary = report.boundary
     flag, witness = is_flag(boundary)
     if not flag:
         raise ValidationError(
             "boundary is not flag (witness %s); subdivide first" % (witness,))
     cone_vertices = tuple(sorted(cone_vertices))
-    star_index = {}
-    for s in P.simplices:
-        for v in s.vertices:
-            star_index.setdefault(v, []).append(s)
 
     classes = {}
     for tau in sorted(P.simplices):
-        tset = set(tau.vertices)
-        star_tops = [s for s in star_index[tau.vertices[0]]
-                     if tset <= set(s.vertices)]
-        link, labels = _subdivided_link_of_barycenter(P, tau, star_tops)
-        if tau not in boundary.simplices:
-            cls = classify_link(link)
-            tag = "interior"
-            expect_sphere = True
+        v = tau.vertices[0]
+        on_boundary = tau in boundary.simplices
+        is_cone = on_boundary and tau.dim == 0 and v in cone_vertices
+        tag = "cone" if is_cone else "boundary" if on_boundary else "interior"
+        if tau.dim > 0:
+            # Glued link = reflected boundary of tau * lk_P(tau): a sphere, as
+            # positive_links_ok certifies circle/arc edge links and facet degrees.
+            cls = _SPHERE
+        elif is_cone:
+            cls = _double_of_link(P, boundary, v)
+        elif on_boundary:
+            # The double of a disc along its boundary circle is a sphere.
+            lk = report.vertex_links[v]
+            if not (lk.kind == "Disc" and lk.components == 1):
+                raise ConstructionError(
+                    "class %s should have a sphere link, got the double of %s"
+                    % (tau, lk.describe()))
+            cls = _SPHERE
         else:
-            sof = {}
-            for y in link.vertices:
-                sigma = labels[y]
-                if sigma in boundary.simplices:
-                    sof[y] = frozenset(sigma.vertices) & tset
-                else:
-                    sof[y] = frozenset()
-            ms = MirrorStructure(
-                Y=link, S=tuple(sorted(tset)),
-                mirrors={s: full_subcomplex(
-                    link, [y for y in link.vertices if s in sof[y]])
-                    for s in tset},
-                Sof=sof)
-            local = basic_construction(ms, budget=2_000_000)
-            cls = classify_link(local.complex)
-            is_cone = tau.dim == 0 and tau.vertices[0] in cone_vertices
-            tag = "cone" if is_cone else "boundary"
-            expect_sphere = not is_cone
+            cls = report.vertex_links[v]
         if not cls.is_manifold or cls.boundary_components:
             raise ConstructionError(
                 "class %s has a non-closed link: %s" % (tau, cls.describe()))
-        if expect_sphere and not (cls.kind == "Sphere" and cls.components == 1):
+        if not is_cone and not (cls.kind == "Sphere" and cls.components == 1):
             raise ConstructionError(
                 "class %s should have a sphere link, got %s" % (tau, cls.describe()))
         classes[tau] = (tag, cls)

@@ -93,7 +93,6 @@ class SheetData:
 
     pages_ccw: dict
     plus_side_ccw: dict
-    spine_edge_sheets: dict
     vertex_links: dict
     directions: dict
     axes: dict
@@ -112,7 +111,6 @@ def extract_sheet_data(se):
     pages_ccw = {}
     plus_side_ccw = {}
     axes = {}
-    spine_edge_sheets = {}
     for e in X.by_dim(1):
         pages = [t for t in X.by_dim(2) if set(e.vertices) <= set(t.vertices)]
         if not pages:
@@ -136,7 +134,6 @@ def extract_sheet_data(se):
             if sign == 0:
                 raise GeneralPositionError("degenerate side sign at %s in %s" % (e, t))
             plus_side_ccw[(e, t)] = sign > 0
-            spine_edge_sheets[(e, t)] = (t,)
 
     vertex_links = {}
     directions = {}
@@ -150,7 +147,6 @@ def extract_sheet_data(se):
             dirs[x] = vsub(se.nbhd.points[x], spine_points[u])
         directions[u] = dirs
     sd = SheetData(pages_ccw=pages_ccw, plus_side_ccw=plus_side_ccw,
-                   spine_edge_sheets=spine_edge_sheets,
                    vertex_links=vertex_links, directions=directions, axes=axes)
     _verify_sheet_data(sd, se, names)
     return sd
@@ -436,7 +432,8 @@ def build_spine_thickening(sd, se):
         tets.extend(s.join((center,)) for s in sphere)
     M = Complex(close_under_faces(tets))
 
-    L = _trace_collar(se, names)
+    # The collar copy inside the solid.
+    L = _split_strips((set(s.vertices) for s in se.nbhd.complex.simplices), se, names)
     if not L.is_subcomplex_of(M):
         missing = sorted(set(L.simplices) - set(M.simplices))[:4]
         raise ConstructionError("collar copy not inside the solid: %s" % (missing,))
@@ -492,20 +489,17 @@ def _spine_edge_pairs(se, names):
     return pairs
 
 
-def _trace_collar(se, names):
-    """The collar copy inside the solid: identical except each sheet strip
-    is split at the waist where the two balls meet."""
+def _split_strips(vertex_sets, se, names):
+    """Each sheet strip split at the waist where the two balls meet: a
+    simplex spanning an edge-ball centre and a triangle-ball centre becomes
+    its two halves through their waist vertex."""
     pairs = _spine_edge_pairs(se, names)
     out = set()
-    for s in se.nbhd.complex.simplices:
-        vs = set(s.vertices)
-        split = None
-        for (a, b), u in pairs.items():
-            if a in vs and b in vs:
-                split = (a, b, u)
-                break
+    for vs in vertex_sets:
+        split = next(((a, b, u) for (a, b), u in pairs.items()
+                      if a in vs and b in vs), None)
         if split is None:
-            out.add(s)
+            out.add(Simplex(tuple(sorted(vs))))
             continue
         a, b, u = split
         rest = vs - {a, b}
@@ -720,25 +714,11 @@ def expected_retract_copy(t):
     """The collar subdivision of the input, strip-split and relabeled: the
     retract copy must equal it simplex for simplex."""
     se = t.spine_embedding
-    names = t.names
-    pairs = _spine_edge_pairs(se, names)
     xverts = set(se.base.domain.vertices)
-    out = set()
-    for s in se.nbhd_sub.child.simplices:
-        vs = set("cone:%s" % x if x in xverts else x for x in s.vertices)
-        split = None
-        for (a, b), u in pairs.items():
-            if a in vs and b in vs:
-                split = (a, b, u)
-                break
-        if split is None:
-            out.add(Simplex(tuple(sorted(vs))))
-            continue
-        a, b, u = split
-        rest = vs - {a, b}
-        out.add(Simplex(tuple(sorted(rest | {a, u}))))
-        out.add(Simplex(tuple(sorted(rest | {u, b}))))
-    return Complex(close_under_faces(out))
+    return _split_strips(
+        ({"cone:%s" % x if x in xverts else x for x in s.vertices}
+         for s in se.nbhd_sub.child.simplices),
+        se, t.names)
 
 
 # -- verification ----------------------------------------------------------------------

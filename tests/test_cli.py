@@ -132,8 +132,11 @@ def test_close_budget_error(capsys, pipeline_cache):
         os.unlink(path)
 
 
-def test_thread_env_validation(capsys, monkeypatch):
-    monkeypatch.setenv("PLTHICK_THREADS", "0")
-    code, obj = run_cli(capsys, "validate", "fixture:single_edge")
-    assert code == 1
-    assert "PLTHICK_THREADS" in obj["error"]["message"]
+def test_close_local_only(capsys, pipeline_cache, tmp_path):
+    out, _ = pipeline_cache("single_triangle", 0)
+    path = tmp_path / "p_complex.json"
+    path.write_bytes(canonical_json(complex_to_obj(out.P)))
+    # No report is passed in and the cone vertices are found by label.
+    code, obj = run_cli(capsys, "close", str(path), "--local-only")
+    assert code == 0
+    assert obj == {"mode": "local", "classes": 2219, "all_closed_manifolds": True}

@@ -1,0 +1,40 @@
+"""Results must not depend on the interpreter's string hash seed: each test
+runs the same work in fresh processes under different PYTHONHASHSEED
+values and compares what they print or write."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import plthick
+
+SRC = str(Path(plthick.__file__).resolve().parent.parent)
+HASH_SEEDS = ("0", "2")
+
+
+def run_python(args, hash_seed):
+    path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=path)
+    return subprocess.run([sys.executable, *args], env=env, check=True,
+                          capture_output=True, text=True).stdout
+
+
+def test_is_flag_witness_ignores_hash_seed():
+    code = ("from plthick.complex_core import is_flag, validate_complex\n"
+            "X = validate_complex([['a', 'b'], ['a', 'c'], ['b', 'c'], "
+            "['a', 'd'], ['b', 'd']])\n"
+            "print(is_flag(X)[1].vertices)\n")
+    for hash_seed in HASH_SEEDS:
+        assert run_python(["-c", code], hash_seed).strip() == "('a', 'b', 'c')"
+
+
+def test_thicken_artifacts_are_byte_identical_across_processes(tmp_path):
+    names = ("p_complex.json", "provenance.json", "report.json")
+    runs = []
+    for hash_seed in HASH_SEEDS:
+        out = tmp_path / hash_seed
+        run_python(["-m", "plthick.cli", "thicken", "fixture:single_triangle",
+                    "--seed", "3", "--out", str(out)], hash_seed)
+        runs.append({name: (out / name).read_bytes() for name in names})
+    assert runs[0] == runs[1]

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from plthick.complex_core import cone_off, validate_complex
@@ -107,27 +109,36 @@ def test_identity_chamber_embeds():
 
 # -- local verification ---------------------------------------------------------------
 
+def _tag_counts(rep):
+    return Counter((tag, cls.describe()) for tag, cls in rep.classes.values())
+
+
 def test_local_classification_of_thickened_triangle(pipeline_cache):
-    out, _ = pipeline_cache("single_triangle", 0)
-    rep = verify_closed_locally(out.P, cone_vertices=out.cone_vertices.values())
+    out, thick = pipeline_cache("single_triangle", 0)
+    cones = out.cone_vertices.values()
+    rep = verify_closed_locally(out.P, cone_vertices=cones,
+                                report=thick.pseudomanifold)
     assert rep.all_closed_manifolds()
-    cones = [cls for tag, cls in rep.classes.values() if tag == "cone"]
-    assert len(cones) == 3
     # double of a disc is a sphere
-    assert all(cls.kind == "Sphere" for cls in cones)
-    others = [cls for tag, cls in rep.classes.values() if tag != "cone"]
-    assert all(cls.kind == "Sphere" and cls.components == 1 for cls in others)
+    assert _tag_counts(rep) == {("interior", "Sphere genus=0 orientable=True"): 1479,
+                                ("boundary", "Sphere genus=0 orientable=True"): 737,
+                                ("cone", "Sphere genus=0 orientable=True"): 3}
+    assert all(cls.components == 1 for _, cls in rep.classes.values())
+    assert verify_closed_locally(out.P, cone_vertices=cones) == rep
 
 
 def test_local_classification_of_thickened_sphere(pipeline_cache):
-    out, _ = pipeline_cache("boundary_delta3", 0)
-    rep = verify_closed_locally(out.P, cone_vertices=out.cone_vertices.values())
+    out, thick = pipeline_cache("boundary_delta3", 0)
+    cones = out.cone_vertices.values()
+    rep = verify_closed_locally(out.P, cone_vertices=cones,
+                                report=thick.pseudomanifold)
     assert rep.all_closed_manifolds()
-    cones = [cls for tag, cls in rep.classes.values() if tag == "cone"]
-    assert len(cones) == 4
     # double of an annulus is a torus
-    assert all(cls.kind == "ClosedSurface" and cls.genus == 1 and cls.orientable
-               for cls in cones)
+    assert _tag_counts(rep) == {
+        ("interior", "Sphere genus=0 orientable=True"): 4938,
+        ("boundary", "Sphere genus=0 orientable=True"): 2300,
+        ("cone", "ClosedSurface genus=1 orientable=True"): 4}
+    assert verify_closed_locally(out.P, cone_vertices=cones) == rep
 
 
 def test_local_and_global_classifications_agree_on_octahedron_ball():
@@ -139,3 +150,10 @@ def test_local_and_global_classifications_agree_on_octahedron_ball():
 def test_local_verifier_requires_dimension_three():
     with pytest.raises(ValidationError):
         verify_closed_locally(fixture("four_cycle_cone"))
+
+
+def test_local_verifier_requires_isolated_singularities():
+    # Two tetrahedra sharing only an edge: that edge's link is two arcs.
+    bowtie = validate_complex([["a", "b", "c", "d"], ["a", "b", "e", "f"]])
+    with pytest.raises(ValidationError, match="isolated singularities"):
+        verify_closed_locally(bowtie)
