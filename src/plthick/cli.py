@@ -12,11 +12,9 @@ import json
 import os
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import fixtures
 from .complex_core import (
-    Complex,
     Simplex,
     barycentric_subdivision,
     spine,
@@ -25,8 +23,6 @@ from .complex_core import (
 from .errors import BudgetExceededError, ToolkitError, ValidationError
 from .geometry import (
     GeometricMap,
-    choose_spine_barycenters,
-    epsilon_neighborhood_embedding,
     format_rational,
     parse_rational,
     sample_general_position_map,
@@ -42,7 +38,7 @@ from .pseudomanifold import (
     orient,
 )
 from .reflection import close_up, verify_closed_locally
-from .thicken3 import extract_sheet_data, thicken
+from .thicken3 import thicken
 
 
 # -- canonical serialization -----------------------------------------------------

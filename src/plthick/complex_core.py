@@ -345,6 +345,7 @@ def relative_barycentric_subdivision(X, K):
     xverts = set(X.vertices)
 
     bary = {}
+    owner = {}
     for s in X.simplices:
         if s.dim == 0:
             bary[s] = s.vertices[0]
@@ -353,6 +354,11 @@ def relative_barycentric_subdivision(X, K):
             if lab in xverts:
                 raise ValidationError(
                     "barycenter label %r collides with an existing vertex" % lab)
+            if lab in owner:
+                a, b = sorted((owner[lab], s))
+                raise ValidationError(
+                    "barycenter label %r is shared by simplices %s and %s" % (lab, a, b))
+            owner[lab] = s
             bary[s] = lab
 
     # Strict superset lists drive the chain enumeration.

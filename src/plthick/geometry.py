@@ -12,13 +12,12 @@ import hashlib
 import itertools
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .complex_core import (
     Complex,
     Simplex,
-    barycentric_subdivision,
     full_subcomplex,
     relative_barycentric_subdivision,
     simplicial_neighborhood,

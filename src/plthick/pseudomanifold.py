@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .complex_core import Complex, Simplex, boundary_and_free_faces, close_under_faces
+from .complex_core import Complex, Simplex, close_under_faces
 from .errors import ConstructionError, ValidationError
 from .homology import homology_groups
 
@@ -99,12 +99,22 @@ def _facet_cofaces(X):
     return table
 
 
+def _find(parent, x):
+    """Union-find root of x, halving the path on the way."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
 def check_pseudomanifold(X):
-    """Purity, facet degrees, boundary and gallery connectivity of X."""
+    """Purity, facet degrees, boundary and gallery connectivity of X.
+
+    A disconnected X is not an error: ``gallery_components`` counts its
+    pieces and ``gallery_connected`` is false.
+    """
     if X.dim < 1:
         raise ValidationError("pseudomanifold check needs dim >= 1")
-    if not X.is_connected():
-        raise ValidationError("complex is disconnected")
     d = X.dim
     is_pure = all(s.dim == d for s in X.maximal_simplices)
     cofaces = _facet_cofaces(X)
@@ -119,19 +129,12 @@ def check_pseudomanifold(X):
         f for f, tops in cofaces.items() if len(tops) == 1))
 
     parent = {s: s for s in X.by_dim(d)}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     for tops in cofaces.values():
         for other in tops[1:]:
-            ra, rb = find(tops[0]), find(other)
+            ra, rb = _find(parent, tops[0]), _find(parent, other)
             if ra != rb:
                 parent[rb] = ra
-    components = len({find(s) for s in X.by_dim(d)})
+    components = len({_find(parent, s) for s in X.by_dim(d)})
     return PseudomanifoldReport(
         dim=d,
         is_pure=is_pure,
@@ -207,32 +210,35 @@ def _classify_curves(L):
 
 
 def _classify_surface(L):
-    triangles = L.by_dim(2)
-    covered_edges = set()
-    covered_vertices = set()
-    for t in triangles:
-        covered_vertices.update(t.vertices)
-        covered_edges.update(t.facets())
-    for e in L.by_dim(1):
-        if e not in covered_edges:
-            return LinkClass(kind="NotManifold", dim=2, components=0,
-                             is_manifold=False, witness=e)
-    for v in L.by_dim(0):
-        if v.vertices[0] not in covered_vertices:
-            return LinkClass(kind="NotManifold", dim=2, components=0,
-                             is_manifold=False, witness=v)
+    def not_manifold(witness):
+        return LinkClass(kind="NotManifold", dim=2, components=0,
+                         is_manifold=False, witness=witness)
+
     edge_cofaces = _facet_cofaces(L)
     for e, tops in edge_cofaces.items():
-        if len(tops) > 2:
-            return LinkClass(kind="NotManifold", dim=2, components=0,
-                             is_manifold=False, witness=e)
-    # Local surface condition: each vertex link is a single circle or arc.
+        if not tops:
+            return not_manifold(e)
+    # Union-find over (vertex, triangle) pairs: the triangles around a vertex
+    # fall into fans, joined across edges that lie in two triangles.
+    fan = {(v, t): (v, t) for t in L.by_dim(2) for v in t.vertices}
+    covered_vertices = {v for v, _ in fan}
     for v in L.by_dim(0):
-        vlink = link_of(L, v)
-        cls = _classify_curves(vlink)
-        if not cls.is_manifold or cls.components != 1 or cls.kind == "Mixed":
-            return LinkClass(kind="NotManifold", dim=2, components=0,
-                             is_manifold=False, witness=v)
+        if v.vertices[0] not in covered_vertices:
+            return not_manifold(v)
+    for e, tops in edge_cofaces.items():
+        if len(tops) > 2:
+            return not_manifold(e)
+        if len(tops) == 2:
+            for v in e.vertices:
+                fan[_find(fan, (v, tops[1]))] = _find(fan, (v, tops[0]))
+    # With every edge in one or two triangles, each vertex link is a disjoint
+    # union of circles and arcs, one per fan; a surface needs a single one.
+    fans = {}
+    for v, t in list(fan):
+        fans.setdefault(v, set()).add(_find(fan, (v, t)))
+    for v in L.by_dim(0):
+        if len(fans[v.vertices[0]]) != 1:
+            return not_manifold(v)
 
     comps = L.connected_components()
     kinds = []
@@ -242,10 +248,10 @@ def _classify_surface(L):
     for comp in comps:
         piece = L.restrict_to_component(comp)
         chi = piece.euler_characteristic()
-        bd_edges = [e for e, tops in _facet_cofaces(piece).items() if len(tops) == 1]
-        bd = Complex(close_under_faces(bd_edges))
+        cofaces = {e: tops for e, tops in edge_cofaces.items() if e.vertices[0] in comp}
+        bd = Complex(close_under_faces(e for e, tops in cofaces.items() if len(tops) == 1))
         nb = len(bd.connected_components()) if len(bd) else 0
-        signs, _ = _propagate(piece.by_dim(2), _facet_cofaces(piece))
+        signs, _ = _propagate(piece.by_dim(2), cofaces)
         orientable = signs is not None
         orientable_all = orientable_all and orientable
         if nb == 0:
@@ -287,17 +293,11 @@ def check_isolated_singularities(X, report=None):
         raise ValidationError("isolated-singularity check implemented for dim <= 3")
     if not report.pseudomanifold_ok():
         return replace(report, isolated_singularities=False, positive_links_ok=False)
-    d = X.dim
     boundary = report.boundary
+    # Facet degrees need no re-check: with degrees 1 or 2, a facet lies in
+    # report.boundary exactly when it has one coface.
     positive_ok = True
-    cofaces = _facet_cofaces(X)
-    for f, tops in cofaces.items():
-        on_boundary = f in boundary
-        if on_boundary and len(tops) != 1:
-            positive_ok = False
-        if not on_boundary and len(tops) != 2:
-            positive_ok = False
-    if d == 3:
+    if X.dim == 3:
         for e in X.by_dim(1):
             elink = link_of(X, e)
             if elink.dim != 1:

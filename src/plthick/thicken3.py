@@ -22,7 +22,6 @@ from .complex_core import (
     Complex,
     Simplex,
     barycentric_subdivision,
-    boundary_and_free_faces,
     close_under_faces,
     full_subcomplex,
     greedy_collapse,
@@ -33,7 +32,6 @@ from .complex_core import (
 )
 from .errors import ConstructionError, GeneralPositionError, ValidationError
 from .geometry import (
-    GeometricMap,
     choose_spine_barycenters,
     epsilon_neighborhood_embedding,
     sample_general_position_map,
@@ -44,33 +42,12 @@ from .geometry import (
 )
 from .homology import homology_groups
 from .pseudomanifold import (
-    PseudomanifoldReport,
+    _facet_cofaces,
     check_isolated_singularities,
     check_pseudomanifold,
     classify_link,
-    link_of,
     orient,
 )
-
-
-def _check_solid_components(M):
-    """Pseudomanifold checks applied per connected component and merged:
-    the solid is disconnected exactly when the spine is."""
-    comps = M.connected_components()
-    if len(comps) == 1:
-        return check_pseudomanifold(M)
-    reports = [check_pseudomanifold(M.restrict_to_component(c)) for c in comps]
-    boundary = set()
-    for r in reports:
-        boundary |= r.boundary.simplices
-    return PseudomanifoldReport(
-        dim=M.dim,
-        is_pure=all(r.is_pure for r in reports),
-        facet_degrees_ok=all(r.facet_degrees_ok for r in reports),
-        boundary=Complex(boundary),
-        gallery_connected=len(reports) == 1 and reports[0].gallery_connected,
-        gallery_components=sum(r.gallery_components for r in reports),
-    )
 
 
 def _det3(a, b, c):
@@ -441,7 +418,7 @@ def build_spine_thickening(sd, se):
     if not ok:
         raise ConstructionError("collar copy not full in the solid (%s)" % (witness,))
 
-    report = _check_solid_components(M)
+    report = check_pseudomanifold(M)
     if not (report.is_pure and report.facet_degrees_ok):
         raise ConstructionError("solid fails pseudomanifold checks")
     report = check_isolated_singularities(M, report)
@@ -469,11 +446,7 @@ def build_spine_thickening(sd, se):
 
 def _assert_sphere(tris, what):
     sphere = Complex(close_under_faces(tris))
-    counts = {}
-    for s in tris:
-        for f in s.facets():
-            counts[f] = counts.get(f, 0) + 1
-    if any(c != 2 for c in counts.values()):
+    if any(len(tops) != 2 for tops in _facet_cofaces(sphere).values()):
         raise ConstructionError("%s: sphere triangulation has open edges" % what)
     if sphere.euler_characteristic() != 2 or not sphere.is_connected():
         raise ConstructionError("%s: not a 2-sphere (chi=%d)"
@@ -643,7 +616,7 @@ def cone_boundary_neighborhoods(partial):
             break
         sub = relative_barycentric_subdivision(M, L)
         M = sub.child
-        report = _check_solid_components(M)
+        report = check_pseudomanifold(M)
         surface = report.boundary
     else:
         raise ConstructionError("boundary neighborhoods still overlap after re-subdivision")
@@ -654,7 +627,7 @@ def cone_boundary_neighborhoods(partial):
         cls = classify_link(N)
         if not cls.is_manifold:
             raise ConstructionError("neighborhood of %s is not a surface" % v)
-        free_edges = [e for e, c in _edge_degrees(N).items() if c == 1]
+        free_edges = [e for e, tops in _facet_cofaces(N).items() if len(tops) == 1]
         rim = set(close_under_faces(free_edges))
         if rim & Lv[v].simplices:
             raise ConstructionError("frontier piece of %s touches its rim" % v)
@@ -691,14 +664,6 @@ def cone_boundary_neighborhoods(partial):
         spine=partial.spine, spine_embedding=partial.spine_embedding,
         sheet_data=partial.sheet_data, chi_by_component=partial.chi_by_component,
         names=partial.names)
-
-
-def _edge_degrees(S):
-    out = {}
-    for s in S.by_dim(2):
-        for f in s.facets():
-            out[f] = out.get(f, 0) + 1
-    return out
 
 
 def _assemble_retract_copy(partial, Lv, cone_vertices):

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from plthick.complex_core import (
@@ -38,10 +40,11 @@ def test_shared_vertex_wedge_report():
     assert len(r.boundary.by_dim(1)) == 6
 
 
-def test_disconnected_complex_rejected():
-    X = validate_complex([["a", "b", "c"], ["x", "y", "z"]])
-    with pytest.raises(ValidationError):
-        check_pseudomanifold(X)
+def test_disconnected_complex_report():
+    r = check_pseudomanifold(validate_complex([["a", "b", "c"], ["x", "y", "z"]]))
+    assert r.is_pure and r.facet_degrees_ok
+    assert not r.gallery_connected and r.gallery_components == 2
+    assert len(r.boundary.by_dim(1)) == 6
 
 
 def test_boundary_matches_free_face_boundary():
@@ -92,6 +95,54 @@ def test_classify_point_pair_and_arc():
 def test_classify_branching_curve_not_manifold():
     cls = classify_link(validate_complex([["c", "x"], ["c", "y"], ["c", "z"]]))
     assert not cls.is_manifold and cls.witness == simplex("c")
+
+
+def test_classify_disjoint_projective_plane_and_torus():
+    rp2 = [list(t.vertices) for t in fixture("projective_plane_6").by_dim(2)]
+    torus = [["t" + v for v in t.vertices] for t in fixture("torus_7").by_dim(2)]
+    cls = classify_link(validate_complex(rp2 + torus))
+    assert cls.kind == "ClosedSurface" and cls.components == 2
+    assert cls.orientable is False and cls.genus == 2 and cls.boundary_components == 0
+
+
+def _local_surface_oracle(L):
+    """Every edge in one or two triangles, every vertex and edge in a
+    triangle, and every vertex link one circle or arc."""
+    cofaces = {e: 0 for e in L.by_dim(1)}
+    for t in L.by_dim(2):
+        for e in t.facets():
+            cofaces[e] += 1
+    covered = {v for t in L.by_dim(2) for v in t.vertices}
+    if not all(c in (1, 2) for c in cofaces.values()):
+        return False
+    if not all(v.vertices[0] in covered for v in L.by_dim(0)):
+        return False
+    for v in L.by_dim(0):
+        cls = classify_link(link_of(L, v))
+        if cls.kind not in ("Circle", "Arc") or cls.components != 1:
+            return False
+    return True
+
+
+def test_classify_surface_matches_local_link_oracle():
+    rng = random.Random(20261018)
+    pools = [[list(t.vertices) for t in fixture(name).by_dim(2)]
+             for name in ("projective_plane_6", "torus_7")]
+    verdicts = []
+    for _ in range(600):
+        if rng.random() < 0.5:
+            pool = rng.choice(pools)
+            tris = rng.sample(pool, rng.randint(1, len(pool)))
+        else:
+            labels = ["v%d" % i for i in range(rng.randint(3, 9))]
+            tris = [rng.sample(labels, 3) for _ in range(rng.randint(1, 14))]
+        verts = sorted({v for t in tris for v in t})
+        strays = [rng.sample(verts + ["s"], 2) for _ in range(rng.choice((0, 0, 0, 1, 2)))]
+        L = validate_complex(tris + strays)
+        expect = _local_surface_oracle(L)
+        assert classify_link(L).is_manifold == expect, L
+        verdicts.append(expect)
+    assert 100 < sum(verdicts) < 500
 
 
 def test_classify_rejects_dim_three():

@@ -187,6 +187,13 @@ def test_disconnected_input_rejected():
         thicken(X, seed=0)
 
 
+def test_colliding_barycenter_labels_rejected():
+    # Both a|b,c and a,b,c would get the barycenter label (a|b|c).
+    X = validate_complex([["a|b", "c", "x"], ["a", "b", "c"]])
+    with pytest.raises(ValidationError, match=r"\(a\|b\|c\)"):
+        thicken(X, 0)
+
+
 def test_three_dimensional_input_rejected():
     with pytest.raises(ValidationError, match="dimension 2"):
         thicken(fixture("boundary_delta4"), seed=0)
