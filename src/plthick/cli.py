@@ -211,7 +211,7 @@ def run_pipeline(config, X):
             tags.setdefault(tag, {}).setdefault(cls.describe(), 0)
             tags[tag][cls.describe()] += 1
         close_obj.update({
-            "mode": "local" if close_obj["mode"] != "materialized" else "materialized",
+            "mode": "local",
             "classes": len(local.classes),
             "all_closed_manifolds": local.all_closed_manifolds(),
             "class_summary": tags,

@@ -471,7 +471,6 @@ class SpineBoundaryReport:
 
     passed: bool
     vertex_links: dict
-    neighborhood: Complex
     frontier: Complex
 
     def component_summary(self):
@@ -496,7 +495,7 @@ def spine_boundary_check(X):
     B2 = barycentric_subdivision(X1)
     X2 = B2.child
     K2 = full_subcomplex(X2, [B2.barycenter_table[s] for s in K.simplices])
-    N, Ndot = simplicial_neighborhood(X2, K2)
+    _, Ndot = simplicial_neighborhood(X2, K2)
 
     links = {}
     union = set()
@@ -509,7 +508,7 @@ def spine_boundary_check(X):
         union |= link.simplices
     equal = union == Ndot.simplices
     report = SpineBoundaryReport(
-        passed=equal and disjoint, vertex_links=links, neighborhood=N, frontier=Ndot)
+        passed=equal and disjoint, vertex_links=links, frontier=Ndot)
     if not report.passed:
         raise ConstructionError(
             "spine boundary identity failed (equal=%s disjoint=%s)" % (equal, disjoint))

@@ -553,7 +553,6 @@ class SingularSet:
     """All pairwise intersection data of a general-position map."""
 
     records: tuple
-    checked_pairs: int
 
     def dim(self):
         return max((r.dim for r in self.records), default=-1)
@@ -590,13 +589,11 @@ def singular_set(m):
     maximal = set(X.maximal_simplices)
     boxes = {s: _bbox(m.simplex_points(s)) for s in simplices}
     records = []
-    checked = 0
     global_bound = 2 * X.dim - n
     for s1, s2 in itertools.combinations(sorted(simplices), 2):
         v1, v2 = set(s1.vertices), set(s2.vertices)
         if v1 <= v2 or v2 <= v1:
             continue
-        checked += 1
         shared = v1 & v2
         d1, d2 = s1.dim, s2.dim
         d3 = len(shared) - 1
@@ -630,7 +627,7 @@ def singular_set(m):
         if s1 in maximal and s2 in maximal:
             records.append(SingularRecord(
                 simplex_i=s1, simplex_j=s2, kind=inter.kind, ambient=inter.points))
-    result = SingularSet(records=tuple(records), checked_pairs=checked)
+    result = SingularSet(records=tuple(records))
     if result.dim() > global_bound:
         raise GeneralPositionError("singular set exceeds the global dimension bound")
     return result
@@ -683,11 +680,9 @@ class SpineEmbedding:
     singular: SingularSet
     attempts: dict
     delta_sq: Fraction | None = None
-    delta: Fraction | None = None
     epsilon: Fraction | None = None
     nbhd: GeometricComplex | None = None
     nbhd_sub: object | None = None
-    nbhd_carriers: dict | None = None
     frontier: Complex | None = None
 
     def spine_point(self, label):
@@ -928,13 +923,11 @@ def epsilon_neighborhood_embedding(se):
 
     if delta_sq is None or lip_sq == 0:
         epsilon = Fraction(1, 4)
-        delta = None
     else:
         eps_sq = delta_sq / (16 * lip_sq)
         epsilon = min(Fraction(1, 4), floor_sqrt(eps_sq))
         if epsilon <= 0:
             raise ConstructionError("epsilon underflow")
-        delta = floor_sqrt(delta_sq)
 
     Y = se.subdivision.child
     K = se.spine
@@ -969,8 +962,8 @@ def epsilon_neighborhood_embedding(se):
 
     _verify_collar_injective(nbhd, carriers, m.n)
 
-    return replace(se, delta_sq=delta_sq, delta=delta, epsilon=epsilon,
-                   nbhd=nbhd, nbhd_sub=sub, nbhd_carriers=carriers, frontier=Ndot)
+    return replace(se, delta_sq=delta_sq, epsilon=epsilon,
+                   nbhd=nbhd, nbhd_sub=sub, frontier=Ndot)
 
 
 def _avg(pts):

@@ -10,6 +10,7 @@ where it is decidable by surface classification.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import combinations
 
 from .complex_core import Complex, Simplex, close_under_faces
 from .errors import ConstructionError, ValidationError
@@ -82,7 +83,6 @@ class PseudomanifoldReport:
     isolated_singularities: bool | None = None
     positive_links_ok: bool | None = None
     vertex_links: dict | None = None
-    orientable: bool | None = None
 
     def pseudomanifold_ok(self):
         return self.is_pure and self.facet_degrees_ok
@@ -107,6 +107,32 @@ def _find(parent, x):
     return x
 
 
+def _fans(X, cofaces, k):
+    """Fans of top simplices around every k-vertex face r of X.
+
+    A union-find over pairs (r, t), r a k-subset of the top simplex t, joins
+    the top simplices of each facet at every k-subset of that facet.  Returns
+    ``{r: set of roots}``, one root per fan.  With k = 0 the only face is
+    ``()`` and its fans are the galleries.  When every facet lies in one or
+    two top simplices, the link of a (d-2)-simplex is a disjoint union of
+    circles and arcs, one per fan (Rourke-Sanderson, ch. 2).
+    """
+    parent = {}
+    for t in X.by_dim(X.dim):
+        for r in combinations(t.vertices, k):
+            parent[(r, t)] = (r, t)
+    for f, tops in cofaces.items():
+        for r in combinations(f.vertices, k):
+            for other in tops[1:]:
+                ra, rb = _find(parent, (r, tops[0])), _find(parent, (r, other))
+                if ra != rb:
+                    parent[rb] = ra
+    fans = {}
+    for r, t in parent:
+        fans.setdefault(r, set()).add(_find(parent, (r, t)))
+    return fans
+
+
 def check_pseudomanifold(X):
     """Purity, facet degrees, boundary and gallery connectivity of X.
 
@@ -127,14 +153,7 @@ def check_pseudomanifold(X):
             break
     boundary = Complex(close_under_faces(
         f for f, tops in cofaces.items() if len(tops) == 1))
-
-    parent = {s: s for s in X.by_dim(d)}
-    for tops in cofaces.values():
-        for other in tops[1:]:
-            ra, rb = _find(parent, tops[0]), _find(parent, other)
-            if ra != rb:
-                parent[rb] = ra
-    components = len({_find(parent, s) for s in X.by_dim(d)})
+    components = len(_fans(X, cofaces, 0)[()])
     return PseudomanifoldReport(
         dim=d,
         is_pure=is_pure,
@@ -218,26 +237,17 @@ def _classify_surface(L):
     for e, tops in edge_cofaces.items():
         if not tops:
             return not_manifold(e)
-    # Union-find over (vertex, triangle) pairs: the triangles around a vertex
-    # fall into fans, joined across edges that lie in two triangles.
-    fan = {(v, t): (v, t) for t in L.by_dim(2) for v in t.vertices}
-    covered_vertices = {v for v, _ in fan}
+    fans = _fans(L, edge_cofaces, 1)
     for v in L.by_dim(0):
-        if v.vertices[0] not in covered_vertices:
+        if v.vertices not in fans:
             return not_manifold(v)
     for e, tops in edge_cofaces.items():
         if len(tops) > 2:
             return not_manifold(e)
-        if len(tops) == 2:
-            for v in e.vertices:
-                fan[_find(fan, (v, tops[1]))] = _find(fan, (v, tops[0]))
-    # With every edge in one or two triangles, each vertex link is a disjoint
-    # union of circles and arcs, one per fan; a surface needs a single one.
-    fans = {}
-    for v, t in list(fan):
-        fans.setdefault(v, set()).add(_find(fan, (v, t)))
+    # With every edge in one or two triangles, a vertex link is a single
+    # circle or arc exactly when its triangles form one fan.
     for v in L.by_dim(0):
-        if len(fans[v.vertices[0]]) != 1:
+        if len(fans[v.vertices]) != 1:
             return not_manifold(v)
 
     comps = L.connected_components()
@@ -285,7 +295,10 @@ def check_isolated_singularities(X, report=None):
     Positive-dimensional simplices must have the sphere/disc-type links of
     the matching dimension; vertex links must classify as combinatorial
     manifolds (possibly disconnected).  The two clauses are reported
-    separately.
+    separately.  Edge links of a 3-complex are decided by fans: with every
+    triangle in one or two tetrahedra, the link of an edge is one arc (edge
+    on the boundary) or one circle (interior edge) exactly when the
+    tetrahedra around it form a single fan.
     """
     if report is None:
         report = check_pseudomanifold(X)
@@ -293,23 +306,8 @@ def check_isolated_singularities(X, report=None):
         raise ValidationError("isolated-singularity check implemented for dim <= 3")
     if not report.pseudomanifold_ok():
         return replace(report, isolated_singularities=False, positive_links_ok=False)
-    boundary = report.boundary
-    # Facet degrees need no re-check: with degrees 1 or 2, a facet lies in
-    # report.boundary exactly when it has one coface.
-    positive_ok = True
-    if X.dim == 3:
-        for e in X.by_dim(1):
-            elink = link_of(X, e)
-            if elink.dim != 1:
-                positive_ok = False
-                continue
-            cls = _classify_curves(elink)
-            if e in boundary:
-                if not (cls.kind == "Arc" and cls.components == 1):
-                    positive_ok = False
-            else:
-                if not (cls.kind == "Circle" and cls.components == 1):
-                    positive_ok = False
+    positive_ok = X.dim != 3 or all(
+        len(roots) == 1 for roots in _fans(X, _facet_cofaces(X), 2).values())
 
     vertex_links = {}
     vertices_ok = True

@@ -47,7 +47,6 @@ class MirrorStructure:
     mirrors: dict
     Sof: dict  # Y-vertex label -> frozenset of indices
     chamber_source: Complex | None = None  # the pseudomanifold that was subdivided
-    boundary: Complex | None = None
 
     def __post_init__(self):
         for y in self.Y.vertices:
@@ -95,7 +94,7 @@ def boundary_mirror_structure(P):
         else:
             Sof[y] = frozenset()
     return MirrorStructure(Y=Y, S=tuple(S), mirrors=mirrors, Sof=Sof,
-                           chamber_source=P, boundary=boundary)
+                           chamber_source=P)
 
 
 def _boundary_complex(P):
@@ -110,7 +109,6 @@ class ChamberComplex:
 
     complex: Complex
     n_chambers: int
-    S: tuple
     mirror_structure: MirrorStructure
     masks: dict
 
@@ -168,7 +166,7 @@ def basic_construction(ms, budget=2_000_000):
             simplices.add(Simplex(tuple(sorted(
                 "%d#%s" % (w & ~masks[y], y) for y in s.vertices))))
     complex_ = Complex(close_under_faces(simplices))
-    cc = ChamberComplex(complex=complex_, n_chambers=2 ** k, S=tuple(ms.S),
+    cc = ChamberComplex(complex=complex_, n_chambers=2 ** k,
                         mirror_structure=ms, masks=masks)
     if complex_.euler_characteristic() != orbit_count_euler(ms):
         raise ConstructionError("orbit-count Euler characteristic mismatch")

@@ -324,7 +324,6 @@ class PartialThickening:
     spine_embedding: object
     sheet_data: SheetData
     names: _Namer
-    report: object
     chi_by_component: dict
 
 
@@ -440,7 +439,7 @@ def build_spine_thickening(sd, se):
 
     return PartialThickening(
         M=M, boundary_surface=boundary, L=L, Lv=Lv, spine=se.spine,
-        spine_embedding=se, sheet_data=sd, names=names, report=report,
+        spine_embedding=se, sheet_data=sd, names=names,
         chi_by_component=chi_by_component)
 
 

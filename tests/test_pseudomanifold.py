@@ -181,6 +181,56 @@ def test_cone_over_torus_is_singular_pseudomanifold():
     assert all(cls.kind == "Disc" for cls in others)
 
 
+def _two_spheres_sharing(shared):
+    """Two copies of the boundary of the 4-simplex, glued at the vertices
+    in ``shared``."""
+    tops = [list(t.vertices) for t in fixture("boundary_delta4").by_dim(3)]
+    return validate_complex(tops + [[v if v in shared else v + "2" for v in t] for t in tops])
+
+
+def test_spheres_glued_along_edge_are_singular_along_it():
+    r = check_isolated_singularities(_two_spheres_sharing({"a", "b"}))
+    assert r.is_pure and r.facet_degrees_ok
+    assert r.positive_links_ok is False and r.isolated_singularities is False
+
+
+def test_spheres_glued_at_vertex_have_isolated_singularity():
+    r = check_isolated_singularities(_two_spheres_sharing({"a"}))
+    assert r.positive_links_ok and r.isolated_singularities
+    assert r.vertex_links["a"].kind == "Sphere" and r.vertex_links["a"].components == 2
+
+
+def _edge_link_oracle(X, boundary):
+    """Every edge link is one arc (boundary edge) or one circle."""
+    for e in X.by_dim(1):
+        cls = classify_link(link_of(X, e))
+        if cls.kind != ("Arc" if e in boundary else "Circle") or cls.components != 1:
+            return False
+    return True
+
+
+def test_positive_links_match_edge_link_oracle():
+    rng = random.Random(20261019)
+    verdicts = []
+    for _ in range(300):
+        labels = ["v%d" % i for i in range(rng.randint(5, 9))]
+        tops, degree = set(), {}
+        for _ in range(rng.randint(1, 16)):
+            t = tuple(sorted(rng.sample(labels, 4)))
+            tris = [tuple(v for v in t if v != w) for w in t]
+            if t not in tops and all(degree.get(f, 0) < 2 for f in tris):
+                tops.add(t)
+                for f in tris:
+                    degree[f] = degree.get(f, 0) + 1
+        X = validate_complex([list(t) for t in sorted(tops)])
+        r = check_isolated_singularities(X)
+        assert r.is_pure and r.facet_degrees_ok
+        expect = _edge_link_oracle(X, r.boundary)
+        assert r.positive_links_ok == expect, sorted(tops)
+        verdicts.append(expect)
+    assert 50 < sum(verdicts) < 250, sum(verdicts)
+
+
 # -- orientation -----------------------------------------------------------------------
 
 def test_orient_sphere():
