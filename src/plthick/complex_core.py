@@ -14,6 +14,7 @@ import heapq
 import itertools
 import random
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from .errors import ConstructionError, ValidationError
 
@@ -37,6 +38,16 @@ class Simplex:
         self.vertices = vs
         self._hash = hash(vs)
 
+    @classmethod
+    def _of(cls, vs):
+        """Trusted constructor, no checks: ``vs`` must be a nonempty
+        sub-tuple of an existing simplex's vertices, hence strictly sorted
+        and valid by construction."""
+        s = object.__new__(cls)
+        s.vertices = vs
+        s._hash = hash(vs)
+        return s
+
     @property
     def dim(self):
         return len(self.vertices) - 1
@@ -44,16 +55,18 @@ class Simplex:
     def faces(self):
         """All nonempty proper faces."""
         vs = self.vertices
+        of = Simplex._of
         out = []
         for k in range(1, len(vs)):
-            out.extend(Simplex(c) for c in itertools.combinations(vs, k))
+            out.extend(of(c) for c in itertools.combinations(vs, k))
         return out
 
     def facets(self):
         vs = self.vertices
         if len(vs) == 1:
             return []
-        return [Simplex(vs[:i] + vs[i + 1:]) for i in range(len(vs))]
+        of = Simplex._of
+        return [of(vs[:i] + vs[i + 1:]) for i in range(len(vs))]
 
     def join(self, labels):
         return Simplex(tuple(sorted(set(self.vertices) | set(labels))))
@@ -82,6 +95,16 @@ def simplex(*labels):
     return Simplex(labels)
 
 
+class _FaceClosed:
+    """A set of simplices that is face-closed by construction (the output of
+    ``close_under_faces``); ``Complex`` takes it without re-checking."""
+
+    __slots__ = ("simplices",)
+
+    def __init__(self, simplices):
+        self.simplices = frozenset(simplices)
+
+
 class Complex:
     """A finite abstract simplicial complex, closed under taking faces.
 
@@ -89,40 +112,52 @@ class Complex:
     function, so complexes can be shared freely.
     """
 
-    __slots__ = ("simplices", "_by_dim", "_vertices", "_maximal", "_incident", "_adj")
+    __slots__ = ("simplices", "_by_dim", "_vertices", "_maximal", "_incident", "_adj",
+                 "_cofaces")
 
     def __init__(self, simplices):
-        ss = frozenset(simplices)
-        for s in ss:
-            if not isinstance(s, Simplex):
-                raise ValidationError("not a Simplex: %r" % (s,))
-        # Face closure is a structural invariant; check it on every build.
-        for s in ss:
-            for f in s.facets():
-                if f not in ss:
-                    raise ValidationError(
-                        "complex not closed under faces: %s misses facet %s"
-                        % (s, f))
+        if type(simplices) is _FaceClosed:
+            ss = simplices.simplices
+        else:
+            ss = frozenset(simplices)
+            for s in ss:
+                if not isinstance(s, Simplex):
+                    raise ValidationError("not a Simplex: %r" % (s,))
+            # Face closure is a structural invariant; check it on every
+            # build from an arbitrary set.
+            for s in ss:
+                for f in s.facets():
+                    if f not in ss:
+                        raise ValidationError(
+                            "complex not closed under faces: %s misses facet %s"
+                            % (s, f))
         self.simplices = ss
         self._by_dim = None
         self._vertices = None
         self._maximal = None
         self._incident = None
         self._adj = None
+        self._cofaces = None
 
     # -- basic accessors ---------------------------------------------------
 
-    @property
-    def dim(self):
-        return max((s.dim for s in self.simplices), default=-1)
-
-    def by_dim(self, k):
+    def _dim_table(self):
         if self._by_dim is None:
             table = {}
             for s in self.simplices:
-                table.setdefault(s.dim, []).append(s)
-            self._by_dim = {d: tuple(sorted(v)) for d, v in table.items()}
-        return self._by_dim.get(k, ())
+                table.setdefault(len(s.vertices) - 1, []).append(s)
+            # One length per dimension, so sorting by vertices is the
+            # Simplex order.
+            by_vertices = attrgetter("vertices")
+            self._by_dim = {d: tuple(sorted(v, key=by_vertices)) for d, v in table.items()}
+        return self._by_dim
+
+    @property
+    def dim(self):
+        return max(self._dim_table(), default=-1)
+
+    def by_dim(self, k):
+        return self._dim_table().get(k, ())
 
     @property
     def vertices(self):
@@ -132,20 +167,30 @@ class Complex:
 
     @property
     def maximal_simplices(self):
+        """The simplices that are no other simplex's facet (the set is
+        face-closed, so a proper coface implies a covering one)."""
         if self._maximal is None:
-            ss = self.simplices
-            maximal = []
-            for s in ss:
-                vs = set(s.vertices)
-                is_max = True
-                for v in self.incident(s.vertices[0]):
-                    if len(v) > len(s) and vs < set(v.vertices):
-                        is_max = False
-                        break
-                if is_max:
-                    maximal.append(s)
-            self._maximal = tuple(sorted(maximal))
+            covered = {s.vertices[:i] + s.vertices[i + 1:]
+                       for s in self.simplices for i in range(len(s.vertices))}
+            self._maximal = tuple(sorted(
+                (s for s in self.simplices if s.vertices not in covered),
+                key=lambda s: (len(s.vertices), s.vertices)))
         return self._maximal
+
+    def facet_cofaces(self):
+        """Map each (d-1)-simplex to the tuple of d-simplices containing it,
+        d = dim.  Built once per complex and shared: callers must not
+        mutate the table."""
+        if self._cofaces is None:
+            d = self.dim
+            table = {f: [] for f in self.by_dim(d - 1)}
+            of = Simplex._of
+            for s in self.by_dim(d) if d >= 1 else ():
+                vs = s.vertices
+                for i in range(len(vs)):
+                    table[of(vs[:i] + vs[i + 1:])].append(s)
+            self._cofaces = {f: tuple(tops) for f, tops in table.items()}
+        return self._cofaces
 
     def incident(self, label):
         """All simplices containing the given vertex label."""
@@ -232,6 +277,9 @@ def close_under_faces(simplices):
     """Face closure of an iterable of Simplex."""
     out = set()
     stack = list(simplices)
+    for s in stack:
+        if not isinstance(s, Simplex):
+            raise ValidationError("not a Simplex: %r" % (s,))
     while stack:
         s = stack.pop()
         if s in out:
@@ -242,7 +290,9 @@ def close_under_faces(simplices):
 
 
 def complex_from_maximal(maximal):
-    return Complex(close_under_faces(maximal))
+    """The complex of the given simplices and all their faces.  The closure
+    holds by construction, so it is not re-checked."""
+    return Complex(_FaceClosed(close_under_faces(maximal)))
 
 
 def full_subcomplex(X, labels):
@@ -271,7 +321,7 @@ def validate_complex(raw):
             if not isinstance(v, str) or not v:
                 raise ValidationError("vertex labels must be nonempty strings")
         simplices.append(Simplex(sorted(labels)))
-    return Complex(close_under_faces(simplices))
+    return complex_from_maximal(simplices)
 
 
 def star_link(X, s):
@@ -280,7 +330,7 @@ def star_link(X, s):
         raise ValidationError("simplex %s not in complex" % (s,))
     sset = set(s.vertices)
     carriers = [t for t in X.incident(s.vertices[0]) if sset <= set(t.vertices)]
-    star = Complex(close_under_faces(carriers))
+    star = complex_from_maximal(carriers)
     link = Complex(t for t in star.simplices if not (set(t.vertices) & sset))
     return star, link
 
@@ -292,7 +342,7 @@ def boundary_and_free_faces(X):
         for f in s.faces():
             count[f] = count.get(f, 0) + 1
     free = {f for f, c in count.items() if c == 1}
-    boundary = Complex(close_under_faces(free))
+    boundary = complex_from_maximal(free)
     return free, boundary
 
 
@@ -450,7 +500,7 @@ def simplicial_neighborhood(X, K):
     meeting = []
     for v in kverts:
         meeting.extend(X.incident(v))
-    N = Complex(close_under_faces(meeting))
+    N = complex_from_maximal(meeting)
     Ndot = Complex(s for s in N.simplices if not (set(s.vertices) & kverts))
     return N, Ndot
 

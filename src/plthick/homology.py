@@ -79,7 +79,7 @@ def boundary_matrices(X, rel=None):
             col = {}
             vs = s.vertices
             for i in range(len(vs)):
-                facet = Simplex(vs[:i] + vs[i + 1:])
+                facet = Simplex._of(vs[:i] + vs[i + 1:])
                 if facet in excluded:
                     continue
                 col[index[facet]] = 1 if i % 2 == 0 else -1

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from itertools import combinations
 
-from .complex_core import Complex, Simplex, close_under_faces
+from .complex_core import Complex, Simplex, complex_from_maximal
 from .errors import ConstructionError, ValidationError
 from .homology import homology_groups
 
@@ -88,17 +88,6 @@ class PseudomanifoldReport:
         return self.is_pure and self.facet_degrees_ok
 
 
-def _facet_cofaces(X):
-    """Map each (d-1)-simplex to the d-simplices containing it."""
-    d = X.dim
-    table = {f: [] for f in X.by_dim(d - 1)}
-    for s in X.by_dim(d):
-        vs = s.vertices
-        for i in range(len(vs)):
-            table[Simplex(vs[:i] + vs[i + 1:])].append(s)
-    return table
-
-
 def _find(parent, x):
     """Union-find root of x, halving the path on the way."""
     while parent[x] != x:
@@ -143,7 +132,7 @@ def check_pseudomanifold(X):
         raise ValidationError("pseudomanifold check needs dim >= 1")
     d = X.dim
     is_pure = all(s.dim == d for s in X.maximal_simplices)
-    cofaces = _facet_cofaces(X)
+    cofaces = X.facet_cofaces()
     witness = None
     facet_degrees_ok = True
     for f, tops in cofaces.items():
@@ -151,8 +140,8 @@ def check_pseudomanifold(X):
             facet_degrees_ok = False
             witness = f
             break
-    boundary = Complex(close_under_faces(
-        f for f, tops in cofaces.items() if len(tops) == 1))
+    boundary = complex_from_maximal(
+        f for f, tops in cofaces.items() if len(tops) == 1)
     components = len(_fans(X, cofaces, 0)[()])
     return PseudomanifoldReport(
         dim=d,
@@ -175,8 +164,8 @@ def link_of(X, s):
     for t in X.incident(s.vertices[0]):
         tset = set(t.vertices)
         if sset <= tset and len(tset) > len(sset):
-            out.add(Simplex(tuple(v for v in t.vertices if v not in sset)))
-    return Complex(close_under_faces(out))
+            out.add(Simplex._of(tuple(v for v in t.vertices if v not in sset)))
+    return complex_from_maximal(out)
 
 
 def classify_link(L):
@@ -233,7 +222,7 @@ def _classify_surface(L):
         return LinkClass(kind="NotManifold", dim=2, components=0,
                          is_manifold=False, witness=witness)
 
-    edge_cofaces = _facet_cofaces(L)
+    edge_cofaces = L.facet_cofaces()
     for e, tops in edge_cofaces.items():
         if not tops:
             return not_manifold(e)
@@ -259,7 +248,7 @@ def _classify_surface(L):
         piece = L.restrict_to_component(comp)
         chi = piece.euler_characteristic()
         cofaces = {e: tops for e, tops in edge_cofaces.items() if e.vertices[0] in comp}
-        bd = Complex(close_under_faces(e for e, tops in cofaces.items() if len(tops) == 1))
+        bd = complex_from_maximal(e for e, tops in cofaces.items() if len(tops) == 1)
         nb = len(bd.connected_components()) if len(bd) else 0
         signs, _ = _propagate(piece.by_dim(2), cofaces)
         orientable = signs is not None
@@ -307,7 +296,7 @@ def check_isolated_singularities(X, report=None):
     if not report.pseudomanifold_ok():
         return replace(report, isolated_singularities=False, positive_links_ok=False)
     positive_ok = X.dim != 3 or all(
-        len(roots) == 1 for roots in _fans(X, _facet_cofaces(X), 2).values())
+        len(roots) == 1 for roots in _fans(X, X.facet_cofaces(), 2).values())
 
     vertex_links = {}
     vertices_ok = True
@@ -401,7 +390,7 @@ def orient(X, cone_vertices=frozenset(), report=None, homology_oracle=True):
         report = check_pseudomanifold(X)
     if not report.facet_degrees_ok:
         raise ValidationError("facet degrees exceed 2; orientation undefined")
-    cofaces = _facet_cofaces(X)
+    cofaces = X.facet_cofaces()
     tops = X.by_dim(X.dim)
     signs, odd_cycle = _propagate(tops, cofaces)
 

@@ -20,7 +20,7 @@ from .complex_core import (
     Simplex,
     barycentric_subdivision,
     barycenter_label,
-    close_under_faces,
+    complex_from_maximal,
     full_subcomplex,
     is_flag,
     star_link,
@@ -29,7 +29,6 @@ from .errors import BudgetExceededError, ConstructionError, ValidationError
 from .homology import homology_groups
 from .pseudomanifold import (
     LinkClass,
-    _facet_cofaces,
     check_isolated_singularities,
     check_pseudomanifold,
     classify_link,
@@ -98,9 +97,8 @@ def boundary_mirror_structure(P):
 
 
 def _boundary_complex(P):
-    cofaces = _facet_cofaces(P)
-    return Complex(close_under_faces(
-        f for f, tops in cofaces.items() if len(tops) == 1))
+    return complex_from_maximal(
+        f for f, tops in P.facet_cofaces().items() if len(tops) == 1)
 
 
 @dataclass(frozen=True)
@@ -119,9 +117,9 @@ class ChamberComplex:
         return Simplex(tuple(sorted(self.chamber_vertex(w, y) for y in s.vertices)))
 
     def identity_chamber(self):
-        return Complex(close_under_faces(
+        return complex_from_maximal(
             self.chamber_simplex(0, s)
-            for s in self.mirror_structure.Y.maximal_simplices))
+            for s in self.mirror_structure.Y.maximal_simplices)
 
 
 def _mask_of(sset, sidx):
@@ -165,7 +163,7 @@ def basic_construction(ms, budget=2_000_000):
         for s in maximal:
             simplices.add(Simplex(tuple(sorted(
                 "%d#%s" % (w & ~masks[y], y) for y in s.vertices))))
-    complex_ = Complex(close_under_faces(simplices))
+    complex_ = complex_from_maximal(simplices)
     cc = ChamberComplex(complex=complex_, n_chambers=2 ** k,
                         mirror_structure=ms, masks=masks)
     if complex_.euler_characteristic() != orbit_count_euler(ms):

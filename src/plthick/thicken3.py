@@ -23,6 +23,7 @@ from .complex_core import (
     Simplex,
     barycentric_subdivision,
     close_under_faces,
+    complex_from_maximal,
     full_subcomplex,
     greedy_collapse,
     is_full_subcomplex,
@@ -42,7 +43,6 @@ from .geometry import (
 )
 from .homology import homology_groups
 from .pseudomanifold import (
-    _facet_cofaces,
     check_isolated_singularities,
     check_pseudomanifold,
     classify_link,
@@ -406,7 +406,7 @@ def build_spine_thickening(sd, se):
         _assert_sphere(sphere, "triangle ball %s" % (t,))
         center = names.vt[t]
         tets.extend(s.join((center,)) for s in sphere)
-    M = Complex(close_under_faces(tets))
+    M = complex_from_maximal(tets)
 
     # The collar copy inside the solid.
     L = _split_strips((set(s.vertices) for s in se.nbhd.complex.simplices), se, names)
@@ -444,8 +444,8 @@ def build_spine_thickening(sd, se):
 
 
 def _assert_sphere(tris, what):
-    sphere = Complex(close_under_faces(tris))
-    if any(len(tops) != 2 for tops in _facet_cofaces(sphere).values()):
+    sphere = complex_from_maximal(tris)
+    if any(len(tops) != 2 for tops in sphere.facet_cofaces().values()):
         raise ConstructionError("%s: sphere triangulation has open edges" % what)
     if sphere.euler_characteristic() != 2 or not sphere.is_connected():
         raise ConstructionError("%s: not a 2-sphere (chi=%d)"
@@ -477,7 +477,7 @@ def _split_strips(vertex_sets, se, names):
         rest = vs - {a, b}
         out.add(Simplex(tuple(sorted(rest | {a, u}))))
         out.add(Simplex(tuple(sorted(rest | {u, b}))))
-    return Complex(close_under_faces(out))
+    return complex_from_maximal(out)
 
 
 def _frontier_components(se, names):
@@ -626,7 +626,7 @@ def cone_boundary_neighborhoods(partial):
         cls = classify_link(N)
         if not cls.is_manifold:
             raise ConstructionError("neighborhood of %s is not a surface" % v)
-        free_edges = [e for e, tops in _facet_cofaces(N).items() if len(tops) == 1]
+        free_edges = [e for e, tops in N.facet_cofaces().items() if len(tops) == 1]
         rim = set(close_under_faces(free_edges))
         if rim & Lv[v].simplices:
             raise ConstructionError("frontier piece of %s touches its rim" % v)

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,6 +26,7 @@ from plthick.complex_core import (
     star_link,
     validate_complex,
 )
+from plthick.cli import complex_from_obj
 from plthick.errors import ValidationError
 from plthick.fixtures import FIXTURE_NAMES, fixture
 
@@ -61,6 +63,43 @@ def test_validate_three_cycle():
 def test_validate_duplicate_vertex_rejected():
     with pytest.raises(ValidationError):
         validate_complex([["a", "a", "b"]])
+
+
+# -- validation at the public constructors and loaders ------------------------
+
+def test_simplex_sorts_its_labels():
+    assert Simplex(("b", "a")).vertices == ("a", "b")
+    assert Simplex(("b", "a")) == simplex("a", "b")
+
+
+@pytest.mark.parametrize("labels", [(), ("a", "a"), ("b", "a", "b"), ("a", 1), (2,),
+                                    ("a", ""), (None, "a")])
+def test_simplex_rejects_invalid_labels(labels):
+    with pytest.raises(ValidationError):
+        Simplex(labels)
+
+
+def test_complex_rejects_missing_faces_and_non_simplices():
+    for simplices in ({simplex("a", "b")}, frozenset({simplex("a", "b")})):
+        with pytest.raises(ValidationError, match="not closed under faces"):
+            Complex(simplices)
+    with pytest.raises(ValidationError, match="not a Simplex"):
+        Complex([("a",)])
+    with pytest.raises(ValidationError, match="not a Simplex"):
+        complex_from_maximal([("a", "b")])
+
+
+MALFORMED_INPUTS = [[[]], [["a", "a"]], [["a", "b", "a"]], [["a", 1]], [["a", ""]],
+                    [["a", "b"], [None]]]
+
+
+@pytest.mark.parametrize("raw", MALFORMED_INPUTS, ids=repr)
+def test_loaders_reject_malformed_simplices(raw):
+    with pytest.raises(ValidationError):
+        validate_complex(raw)
+    declared = sorted({v for entry in raw for v in entry}, key=repr)
+    with pytest.raises(ValidationError):
+        complex_from_obj({"vertices": [{"id": v} for v in declared], "simplices": raw})
 
 
 # -- star and link ------------------------------------------------------------
@@ -426,3 +465,46 @@ def test_random_complex_spine_boundary_identity(X):
 def test_random_subdivision_is_flag(X):
     B = barycentric_subdivision(X)
     assert is_flag(B.child) == (True, None)
+
+
+# -- maximal simplices and the dimension table ---------------------------------
+
+
+def incidence_scan_maximal(X):
+    """The former definition: no simplex through the first vertex is a
+    strict superset."""
+    maximal = []
+    for s in X.simplices:
+        vs = set(s.vertices)
+        if not any(len(t) > len(s) and vs < set(t.vertices)
+                   for t in X.incident(s.vertices[0])):
+            maximal.append(s)
+    return tuple(sorted(maximal))
+
+
+def random_face_closed(rng):
+    """The face closure of random simplices of dimension <= 3, on one or two
+    disjoint vertex pools, so non-pure and disconnected complexes occur."""
+    pools = [["%s%d" % (tag, i) for i in range(rng.randint(1, 7))]
+             for tag in "uv"[:rng.randint(1, 2)]]
+    tops = []
+    for _ in range(rng.randint(1, 8)):
+        pool = rng.choice(pools)
+        tops.append(Simplex(rng.sample(pool, rng.randint(1, min(4, len(pool))))))
+    return complex_from_maximal(tops)
+
+
+def test_maximal_simplices_and_by_dim_match_oracles():
+    rng = random.Random(20261018)
+    impure = disconnected = 0
+    for _ in range(400):
+        X = random_face_closed(rng)
+        assert X.maximal_simplices == incidence_scan_maximal(X)
+        assert Complex(X.simplices).maximal_simplices == X.maximal_simplices
+        assert X.dim == max(s.dim for s in X.simplices)
+        for k in range(-1, 5):
+            assert X.by_dim(k) == tuple(sorted(s for s in X.simplices if s.dim == k))
+        impure += len({s.dim for s in X.maximal_simplices}) > 1
+        disconnected += not X.is_connected()
+    assert impure > 50 and disconnected > 50
+    assert EMPTY_COMPLEX.dim == -1 and EMPTY_COMPLEX.maximal_simplices == ()

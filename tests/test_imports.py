@@ -42,3 +42,47 @@ def test_every_dataclass_field_is_read():
                        for f in cls.body
                        if isinstance(f, ast.AnnAssign) and isinstance(f.target, ast.Name)}
     assert sorted(f for f in fields if f.split(".")[1] not in read) == []
+
+
+# The trusted constructors skip checks that hold by construction; each may be
+# referenced only in the functions where that holds, so every caller is here.
+TRUSTED = {
+    "Simplex._of": {"complex_core.Simplex.faces", "complex_core.Simplex.facets",
+                    "complex_core.Complex.facet_cofaces", "pseudomanifold.link_of",
+                    "homology.boundary_matrices"},
+    "_FaceClosed": {"complex_core.Complex.__init__", "complex_core.complex_from_maximal"},
+}
+
+
+def _references(path):
+    """(enclosing function qualified by module and class, node) pairs."""
+    out = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            scope = scope + (node.name,)
+        out.append((".".join(scope), node))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text()), (path.stem,))
+    return out
+
+
+def test_trusted_constructors_stay_in_their_callers():
+    found = {name: set() for name in TRUSTED}
+    rebuilt = []
+    for path in sorted(SRC.glob("*.py")):
+        for scope, node in _references(path):
+            if isinstance(node, ast.Attribute) and node.attr == "_of":
+                found["Simplex._of"].add(scope)
+            elif isinstance(node, ast.Name) and node.id == "_FaceClosed" \
+                    and isinstance(node.ctx, ast.Load):
+                found["_FaceClosed"].add(scope)
+            elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "Complex" \
+                    and node.args and isinstance(node.args[0], ast.Call) \
+                    and getattr(node.args[0].func, "id", None) == "close_under_faces":
+                rebuilt.append(scope)
+    assert found == TRUSTED
+    # A face closure is already closed: build it with complex_from_maximal.
+    assert rebuilt == []

@@ -1,8 +1,9 @@
+import functools
 from collections import Counter
 
 import pytest
 
-from plthick.complex_core import cone_off, validate_complex
+from plthick.complex_core import Complex, cone_off, validate_complex
 from plthick.errors import BudgetExceededError, ValidationError
 from plthick.fixtures import fixture
 from plthick.homology import homology_groups
@@ -89,15 +90,29 @@ def test_four_cycle_cone_closes_to_torus():
     assert res.Q.n_chambers == 16
 
 
-def test_octahedron_ball_closes_to_flat_three_manifold():
+@functools.cache
+def octahedron_ball_closure():
     ball = cone_off(octahedron_sphere(), octahedron_sphere(), "o")
-    res = close_up(ball, budget=2_000_000)
+    return close_up(ball, budget=2_000_000)
+
+
+def test_octahedron_ball_closes_to_flat_three_manifold():
+    res = octahedron_ball_closure()
     Q = res.Q.complex
     assert Q.euler_characteristic() == 0
     assert res.Q.n_chambers == 64
     assert len(res.report.boundary) == 0
     assert res.report.isolated_singularities
     assert res.orientation.success
+
+
+def test_closure_passes_the_checked_constructor():
+    """Q, its chamber and its boundary complexes are built by face closure
+    without the closure check; the checked constructor accepts them."""
+    res = octahedron_ball_closure()
+    ms = res.mirror_structure
+    for X in (res.Q.complex, res.Q.identity_chamber(), ms.Y, *ms.mirrors.values()):
+        assert Complex(X.simplices) == X
 
 
 def test_identity_chamber_embeds():

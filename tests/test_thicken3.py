@@ -1,8 +1,8 @@
 import pytest
 
-from plthick.complex_core import Simplex, simplex, validate_complex
+from plthick.complex_core import Complex, Simplex, simplex, validate_complex
 from plthick.errors import ValidationError
-from plthick.fixtures import fixture
+from plthick.fixtures import THICKENING_FIXTURES, fixture
 from plthick.geometry import (
     choose_spine_barycenters,
     epsilon_neighborhood_embedding,
@@ -125,6 +125,17 @@ def test_retract_copy_is_expected_subdivision(pipeline_cache):
     out, _ = pipeline_cache("boundary_delta3", 0)
     assert out.X_copy == expected_retract_copy(out)
     assert out.X_copy.is_subcomplex_of(out.P)
+
+
+@pytest.mark.parametrize("name", THICKENING_FIXTURES)
+def test_outputs_pass_the_checked_constructor(pipeline_cache, name):
+    """Complexes built by face closure skip the closure check; rebuilding
+    each output through the checked constructor must succeed unchanged."""
+    out, rep = pipeline_cache(name, 0)
+    built = [out.P, out.M, out.X_copy, out.L, out.boundary_surface,
+             rep.pseudomanifold.boundary, *out.Nv.values()]
+    for X in built:
+        assert Complex(X.simplices) == X
 
 
 def test_frontier_pieces_match_second_derived_links(pipeline_cache):
