@@ -57,10 +57,18 @@ def complex_to_obj(X):
 
 def complex_from_obj(obj):
     try:
-        declared = [v["id"] for v in obj["vertices"]]
-        raw = obj["simplices"]
+        vertices, raw = obj["vertices"], obj["simplices"]
     except (KeyError, TypeError) as exc:
         raise ValidationError("malformed complex JSON: %s" % exc)
+    if not isinstance(vertices, list) or not all(
+            isinstance(v, dict) and "id" in v for v in vertices):
+        raise ValidationError("vertices must be a list of objects with an id")
+    if not isinstance(raw, list) or not all(isinstance(entry, list) for entry in raw):
+        raise ValidationError("simplices must be a list of vertex-id lists")
+    declared = [v["id"] for v in vertices]
+    for v in declared + [v for entry in raw for v in entry]:
+        if not isinstance(v, str):
+            raise ValidationError("vertex ids must be strings: %r" % (v,))
     if len(set(declared)) != len(declared):
         raise ValidationError("duplicate vertex declaration")
     known = set(declared)

@@ -14,7 +14,7 @@ from itertools import combinations
 
 from .complex_core import Complex, Simplex, complex_from_maximal
 from .errors import ConstructionError, ValidationError
-from .homology import homology_groups
+from .homology import HomologyResult, homology_groups
 
 
 @dataclass(frozen=True)
@@ -69,6 +69,7 @@ class OrientResult:
     assignment: OrientationAssignment | None
     odd_cycle: list | None
     top_relative_rank: int
+    homology: HomologyResult | None = None  # the rank oracle's H_*(X, boundary)
 
 
 @dataclass(frozen=True)
@@ -239,38 +240,35 @@ def _classify_surface(L):
         if len(fans[v.vertices]) != 1:
             return not_manifold(v)
 
-    comps = L.connected_components()
-    kinds = []
-    orientable_all = True
-    genus_total = 0
-    boundary_total = 0
-    for comp in comps:
+    pieces = []
+    for comp in L.connected_components():
         piece = L.restrict_to_component(comp)
-        chi = piece.euler_characteristic()
         cofaces = {e: tops for e, tops in edge_cofaces.items() if e.vertices[0] in comp}
         bd = complex_from_maximal(e for e, tops in cofaces.items() if len(tops) == 1)
         nb = len(bd.connected_components()) if len(bd) else 0
         signs, _ = _propagate(piece.by_dim(2), cofaces)
-        orientable = signs is not None
-        orientable_all = orientable_all and orientable
+        pieces.append((piece.euler_characteristic(), nb, signs is not None))
+    return _surface_class(pieces)
+
+
+def _surface_class(pieces):
+    """LinkClass of a surface whose components are given as (Euler
+    characteristic, boundary circles, orientable), by the classification of
+    surfaces (Rourke-Sanderson, ch. 2)."""
+    kinds = []
+    genus_total = boundary_total = 0
+    orientable_all = True
+    for chi, nb, orientable in pieces:
         if nb == 0:
-            if orientable:
-                genus = (2 - chi) // 2
-                kinds.append("Sphere" if chi == 2 else "ClosedSurface")
-            else:
-                genus = 2 - chi
-                kinds.append("ClosedSurface")
+            kinds.append("Sphere" if orientable and chi == 2 else "ClosedSurface")
         else:
-            if orientable:
-                genus = (2 - chi - nb) // 2
-                kinds.append("Disc" if (chi == 1 and nb == 1) else "SurfaceWithBoundary")
-            else:
-                genus = 2 - chi - nb
-                kinds.append("SurfaceWithBoundary")
-        genus_total += genus
+            kinds.append("Disc" if orientable and chi == 1 and nb == 1
+                         else "SurfaceWithBoundary")
+        genus_total += (2 - chi - nb) // 2 if orientable else 2 - chi - nb
         boundary_total += nb
+        orientable_all = orientable_all and orientable
     kind = kinds[0] if len(set(kinds)) == 1 else "Mixed"
-    return LinkClass(kind=kind, dim=2, components=len(comps), is_manifold=True,
+    return LinkClass(kind=kind, dim=2, components=len(kinds), is_manifold=True,
                      orientable=orientable_all, genus=genus_total,
                      boundary_components=boundary_total)
 
@@ -283,11 +281,16 @@ def check_isolated_singularities(X, report=None):
 
     Positive-dimensional simplices must have the sphere/disc-type links of
     the matching dimension; vertex links must classify as combinatorial
-    manifolds (possibly disconnected).  The two clauses are reported
-    separately.  Edge links of a 3-complex are decided by fans: with every
-    triangle in one or two tetrahedra, the link of an edge is one arc (edge
-    on the boundary) or one circle (interior edge) exactly when the
-    tetrahedra around it form a single fan.
+    manifolds (possibly disconnected).  Edge links of a 3-complex are
+    decided by fans: with every triangle in one or two tetrahedra, the link
+    of an edge is one arc (edge on the boundary) or one circle (interior
+    edge) exactly when the tetrahedra around it form a single fan.
+
+    Once X is pure with every facet in one or two top simplices, every
+    vertex link is a manifold in dim 1 (one or two points) and dim 2
+    (curves), and in dim 3 it is a surface as soon as every edge link is
+    one arc or circle.  So the positive clause decides, and the vertex
+    links are kept for their classes.
     """
     if report is None:
         report = check_pseudomanifold(X)
@@ -297,20 +300,104 @@ def check_isolated_singularities(X, report=None):
         return replace(report, isolated_singularities=False, positive_links_ok=False)
     positive_ok = X.dim != 3 or all(
         len(roots) == 1 for roots in _fans(X, X.facet_cofaces(), 2).values())
-
-    vertex_links = {}
-    vertices_ok = True
-    for v in X.by_dim(0):
-        cls = classify_link(link_of(X, v))
-        vertex_links[v.vertices[0]] = cls
-        if not cls.is_manifold:
-            vertices_ok = False
+    if X.dim == 3 and positive_ok:
+        vertex_links = _surface_vertex_links(X, report.boundary)
+    else:
+        vertex_links = {v.vertices[0]: classify_link(link_of(X, v)) for v in X.by_dim(0)}
     return replace(
         report,
         positive_links_ok=positive_ok,
         vertex_links=vertex_links,
-        isolated_singularities=positive_ok and vertices_ok,
+        isolated_singularities=positive_ok,
     )
+
+
+def _opposite(t, f):
+    """Position in t of its one vertex outside the facet f."""
+    tv = t.vertices
+    for i, x in enumerate(f.vertices):
+        if tv[i] != x:
+            return i
+    return len(f.vertices)
+
+
+_EDGES = tuple(combinations(range(4), 2))
+
+
+def _surface_vertex_links(X, boundary):
+    """Every vertex link of a 3-pseudomanifold X whose edge links are single
+    arcs or circles, from one signed union-find; ``boundary`` is the
+    boundary complex of X.
+
+    Slot 4i+p is the vertex v = t[p] of the i-th tetrahedron t; it stands
+    for the link triangle t - v.  Across each interior triangle f = a & b
+    the slots of each vertex v of f are joined with the parity of
+    ``_relation(a - v, b - v, f - v)``, so the fans at v are the components
+    of lk(v), and a join that closes an odd cycle makes its fan
+    non-orientable.  The Euler characteristic of a fan counts the edges,
+    triangles and tetrahedra at v, each charged to the fan of one
+    tetrahedron containing it; its boundary circles are the fans of the
+    boundary at v, each charged through its triangle's unique tetrahedron.
+    """
+    tets = X.by_dim(3)
+    index = {t: 4 * i for i, t in enumerate(tets)}
+    n = 4 * len(tets)
+    parent = list(range(n))
+    parity = [0] * n
+
+    def find(x):
+        p = 0
+        while parent[x] != x:
+            up = parent[x]
+            parity[x] ^= parity[up]
+            parent[x] = parent[up]
+            p ^= parity[x]
+            x = parent[x]
+        return x, p
+
+    chi = [1] * n  # the slot's own tetrahedron
+    seen = set()
+    for t, base in index.items():
+        vs = t.vertices
+        for p, q in _EDGES:
+            if (vs[p], vs[q]) not in seen:
+                seen.add((vs[p], vs[q]))
+                chi[base + p] += 1
+                chi[base + q] += 1
+    odd = []
+    cofaces = X.facet_cofaces()
+    for f, tops in cofaces.items():
+        ia, ka = index[tops[0]], _opposite(tops[0], f)
+        for m in range(3):
+            chi[ia + m + (m >= ka)] -= 1
+        if len(tops) == 1:
+            continue
+        ib, kb = index[tops[1]], _opposite(tops[1], f)
+        for m in range(3):
+            # The opposite vertices sit at ka - (m < ka) and kb - (m < kb)
+            # of the link triangles, so _relation is -1 iff their sum is even.
+            flip = (ka - (m < ka) + kb - (m < kb)) % 2 == 0
+            ra, pa = find(ia + m + (m >= ka))
+            rb, pb = find(ib + m + (m >= kb))
+            if ra != rb:
+                parent[rb] = ra
+                parity[rb] = pa ^ pb ^ flip
+            elif pa ^ pb != flip:
+                odd.append(ra)
+    fans = {}  # root slot -> [Euler characteristic, boundary circles, orientable]
+    for s in range(n):
+        fans.setdefault(find(s)[0], [0, 0, True])[0] += chi[s]
+    if len(boundary):
+        for (v,), roots in _fans(boundary, boundary.facet_cofaces(), 1).items():
+            for _, tri in roots:
+                t = cofaces[tri][0]
+                fans[find(index[t] + t.vertices.index(v))[0]][1] += 1
+    for r in odd:
+        fans[find(r)[0]][2] = False
+    by_vertex = {}
+    for r, fan in fans.items():
+        by_vertex.setdefault(tets[r // 4].vertices[r % 4], []).append(fan)
+    return {v: _surface_class(by_vertex[v]) for v in X.vertices}
 
 
 # -- orientability -----------------------------------------------------------------
@@ -395,9 +482,11 @@ def orient(X, cone_vertices=frozenset(), report=None, homology_oracle=True):
     signs, odd_cycle = _propagate(tops, cofaces)
 
     rank = -1
+    H = None
     if homology_oracle:
         rel = report.boundary if len(report.boundary) else None
-        rank = homology_groups(X, rel=rel).betti[X.dim]
+        H = homology_groups(X, rel=rel)
+        rank = H.betti[X.dim]
         expected = report.gallery_components if signs is not None else None
         if signs is not None and rank != expected:
             raise ConstructionError(
@@ -409,7 +498,7 @@ def orient(X, cone_vertices=frozenset(), report=None, homology_oracle=True):
 
     if signs is None:
         return OrientResult(success=False, assignment=None,
-                            odd_cycle=odd_cycle, top_relative_rank=rank)
+                            odd_cycle=odd_cycle, top_relative_rank=rank, homology=H)
 
     for f, ts in cofaces.items():
         if len(ts) == 2:
@@ -421,7 +510,7 @@ def orient(X, cone_vertices=frozenset(), report=None, homology_oracle=True):
     if cone_vertices:
         _verify_cone_rule(X, signs, cofaces, cone_vertices)
     return OrientResult(success=True, assignment=OrientationAssignment(signs=signs),
-                        odd_cycle=None, top_relative_rank=rank)
+                        odd_cycle=None, top_relative_rank=rank, homology=H)
 
 
 def _verify_cone_rule(X, signs, cofaces, cone_vertices):

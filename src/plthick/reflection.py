@@ -26,7 +26,6 @@ from .complex_core import (
     star_link,
 )
 from .errors import BudgetExceededError, ConstructionError, ValidationError
-from .homology import homology_groups
 from .pseudomanifold import (
     LinkClass,
     check_isolated_singularities,
@@ -211,8 +210,8 @@ def close_up(P, budget=2_000_000):
     res = orient(Q, report=report)
     if not res.success:
         raise ConstructionError("glued complex is not orientable")
-    H = homology_groups(Q)
-    return CloseUpResult(Q=cc, report=report, orientation=res, homology=H,
+    # Q has no boundary, so the orientation's rank oracle computed H_*(Q).
+    return CloseUpResult(Q=cc, report=report, orientation=res, homology=res.homology,
                          mirror_structure=ms)
 
 

@@ -631,20 +631,19 @@ def cone_boundary_neighborhoods(partial):
         if rim & Lv[v].simplices:
             raise ConstructionError("frontier piece of %s touches its rim" % v)
 
-    P = M
     cone_vertices = {}
     provenance = {}
+    new = set(M.simplices)
     for v in sorted(Lv):
         N = neighborhoods[v]
         if len(N) == 0:
             continue
         w = "cone:%s" % v
         cone_vertices[v] = w
-        new = set(P.simplices)
         new.add(Simplex((w,)))
         for s in N.simplices:
             new.add(s.join((w,)))
-        P = Complex(new)
+    P = Complex(new)
     wset = set(cone_vertices.values())
     for s in P.simplices:
         tagged = [x for x in s.vertices if x in wset]

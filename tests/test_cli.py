@@ -1,5 +1,6 @@
 import json
 import os
+import random
 
 import pytest
 
@@ -49,6 +50,55 @@ def test_missing_vertex_reference_rejected():
     obj = {"vertices": [{"id": "a"}], "simplices": [["a", "b"]]}
     with pytest.raises(ValidationError):
         complex_from_obj(obj)
+
+
+@pytest.mark.parametrize("obj", [
+    {"vertices": [{"id": ["a"]}], "simplices": []},
+    {"vertices": [{"id": "a"}], "simplices": [5]},
+    {"vertices": [{"id": "a"}], "simplices": "a"},
+], ids=repr)
+def test_wrongly_shaped_complex_json_rejected(obj):
+    with pytest.raises(ValidationError):
+        complex_from_obj(obj)
+
+
+# Values of the wrong shape for each slot of a complex object.
+WRONG_SHAPES = {
+    "object": [None, 5, "a", [], [["a"]], {}],
+    "vertices": [None, 5, "", "ab", {"id": "a"}, [None], [5], ["a"], [[]], [{"name": "a"}]],
+    "id": [None, 5, True, ["a"], {"a": 1}, ""],
+    "simplices": [None, 5, "a", "ab", {"a": 1}, [5], [None], ["a"], ["ab"], [[["a"]]], [[]]],
+    "label": [None, 5, True, ["a"], {"a": "b"}, "", "z"],
+}
+
+
+def _malformed_complex_obj(rng):
+    """A valid complex object with one to three slots given a wrong shape,
+    the innermost slot first."""
+    obj = {"vertices": [{"id": "a"}, {"id": "b"}, {"id": "c"}],
+           "simplices": [["a", "b"], ["b", "c"]]}
+    slots = set(rng.sample(sorted(WRONG_SHAPES), rng.randint(1, 3)))
+    for slot in ("label", "id", "simplices", "vertices", "object"):
+        if slot not in slots:
+            continue
+        bad = rng.choice(WRONG_SHAPES[slot])
+        if slot == "label":
+            rng.choice(obj["simplices"])[rng.randrange(2)] = bad
+        elif slot == "id":
+            rng.choice(obj["vertices"])["id"] = bad
+        elif slot == "object":
+            obj = bad
+        else:
+            obj[slot] = bad
+    return obj
+
+
+def test_loader_fuzz_raises_only_validation_error():
+    rng = random.Random(20261021)
+    for _ in range(400):
+        obj = _malformed_complex_obj(rng)
+        with pytest.raises(ValidationError):
+            complex_from_obj(obj)
 
 
 # -- CLI surface ------------------------------------------------------------------

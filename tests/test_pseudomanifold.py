@@ -209,26 +209,59 @@ def _edge_link_oracle(X, boundary):
     return True
 
 
+def _random_three_pseudomanifold(rng):
+    """Up to 16 random tetrahedra on 5-9 vertices, each kept only while
+    every triangle stays in at most two of them."""
+    labels = ["v%d" % i for i in range(rng.randint(5, 9))]
+    tops, degree = set(), {}
+    for _ in range(rng.randint(1, 16)):
+        t = tuple(sorted(rng.sample(labels, 4)))
+        tris = [tuple(v for v in t if v != w) for w in t]
+        if t not in tops and all(degree.get(f, 0) < 2 for f in tris):
+            tops.add(t)
+            for f in tris:
+                degree[f] = degree.get(f, 0) + 1
+    return validate_complex([list(t) for t in sorted(tops)])
+
+
 def test_positive_links_match_edge_link_oracle():
     rng = random.Random(20261019)
     verdicts = []
     for _ in range(300):
-        labels = ["v%d" % i for i in range(rng.randint(5, 9))]
-        tops, degree = set(), {}
-        for _ in range(rng.randint(1, 16)):
-            t = tuple(sorted(rng.sample(labels, 4)))
-            tris = [tuple(v for v in t if v != w) for w in t]
-            if t not in tops and all(degree.get(f, 0) < 2 for f in tris):
-                tops.add(t)
-                for f in tris:
-                    degree[f] = degree.get(f, 0) + 1
-        X = validate_complex([list(t) for t in sorted(tops)])
+        X = _random_three_pseudomanifold(rng)
         r = check_isolated_singularities(X)
         assert r.is_pure and r.facet_degrees_ok
         expect = _edge_link_oracle(X, r.boundary)
-        assert r.positive_links_ok == expect, sorted(tops)
+        assert r.positive_links_ok == expect, X.maximal_simplices
         verdicts.append(expect)
     assert 50 < sum(verdicts) < 250, sum(verdicts)
+
+
+def _vertex_link_oracle(X):
+    """The per-vertex classification: one link complex per vertex."""
+    return {v.vertices[0]: classify_link(link_of(X, v)) for v in X.by_dim(0)}
+
+
+def test_one_pass_vertex_links_match_per_vertex_oracle():
+    rng = random.Random(20261020)
+    seen = {"non-orientable": 0, "several components": 0, "boundary": 0}
+    for _ in range(600):
+        X = _random_three_pseudomanifold(rng)
+        r = check_isolated_singularities(X)
+        if not r.positive_links_ok:
+            continue
+        expect = _vertex_link_oracle(X)
+        assert r.vertex_links == expect, X.maximal_simplices
+        links = expect.values()
+        seen["non-orientable"] += any(cls.orientable is False for cls in links)
+        seen["several components"] += any(cls.components > 1 for cls in links)
+        seen["boundary"] += any(cls.boundary_components for cls in links)
+    assert all(seen.values()), seen
+    cones = [cone_off(fixture(name), fixture(name), "w")
+             for name in ("projective_plane_6", "torus_7")]
+    for X in cones + [_two_spheres_sharing({"a"})]:
+        r = check_isolated_singularities(X)
+        assert r.positive_links_ok and r.vertex_links == _vertex_link_oracle(X)
 
 
 # -- orientation -----------------------------------------------------------------------

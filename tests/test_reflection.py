@@ -7,6 +7,7 @@ from plthick.complex_core import Complex, cone_off, validate_complex
 from plthick.errors import BudgetExceededError, ValidationError
 from plthick.fixtures import fixture
 from plthick.homology import homology_groups
+from plthick.pseudomanifold import classify_link, link_of
 from plthick.reflection import (
     MirrorStructure,
     basic_construction,
@@ -104,6 +105,16 @@ def test_octahedron_ball_closes_to_flat_three_manifold():
     assert len(res.report.boundary) == 0
     assert res.report.isolated_singularities
     assert res.orientation.success
+    assert res.homology is res.orientation.homology
+
+
+def test_closure_vertex_links_match_per_vertex_oracle():
+    """The one-pass vertex-link classification of the closed-up Q agrees
+    with classifying one link complex per vertex."""
+    res = octahedron_ball_closure()
+    Q = res.Q.complex
+    assert res.report.vertex_links == {
+        v.vertices[0]: classify_link(link_of(Q, v)) for v in Q.by_dim(0)}
 
 
 def test_closure_passes_the_checked_constructor():
