@@ -266,9 +266,6 @@ class Complex:
     def is_connected(self):
         return len(self.connected_components()) <= 1
 
-    def restrict_to_component(self, vertex_set):
-        return Complex(s for s in self.simplices if s.vertices[0] in vertex_set)
-
 
 EMPTY_COMPLEX = Complex(())
 

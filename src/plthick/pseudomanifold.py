@@ -1,6 +1,11 @@
 """Pseudomanifold verifiers: purity, facet degrees, boundary, gallery
 connectivity, link classification in link dimension <= 2, and orientability.
 
+Galleries, the edge links of a 3-complex, the components of a surface and
+the vertex links of a 3-pseudomanifold are all read off one signed fan
+forest (``_fans``): a union-find over integer (top simplex, k-subset) slots
+whose components around a k-vertex face are the components of its link.
+
 Orientability is decided by propagating orientations across interior facets
 and is independently cross-checked against top relative homology; the two
 must agree.  Link recognition is deliberately capped at link dimension 2,
@@ -9,8 +14,11 @@ where it is decidable by surface classification.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, replace
+from functools import cache
 from itertools import combinations
+from operator import itemgetter
 
 from .complex_core import Complex, Simplex, complex_from_maximal
 from .errors import ConstructionError, ValidationError
@@ -69,7 +77,7 @@ class OrientResult:
     assignment: OrientationAssignment | None
     odd_cycle: list | None
     top_relative_rank: int
-    homology: HomologyResult | None = None  # the rank oracle's H_*(X, boundary)
+    homology: HomologyResult  # the rank oracle's H_*(X, boundary)
 
 
 @dataclass(frozen=True)
@@ -89,38 +97,79 @@ class PseudomanifoldReport:
         return self.is_pure and self.facet_degrees_ok
 
 
-def _find(parent, x):
-    """Union-find root of x, halving the path on the way."""
-    while parent[x] != x:
-        parent[x] = parent[parent[x]]
-        x = parent[x]
-    return x
+@cache
+def _lifts(d, k):
+    """The k-subsets of positions in a top simplex of d + 1 vertices, and
+    for each position p how the k-subsets of the facet missing p lift into
+    the top: in ``combinations`` order, each one's index among the top's
+    k-subsets and the parity of p's position in the top without it."""
+    subsets = tuple(combinations(range(d + 1), k))
+    index = {r: j for j, r in enumerate(subsets)}
+    return subsets, tuple(
+        tuple((index[tuple(m + (m >= p) for m in r)], (p - sum(m < p for m in r)) % 2)
+              for r in combinations(range(d), k))
+        for p in range(d + 1))
 
 
-def _fans(X, cofaces, k):
-    """Fans of top simplices around every k-vertex face r of X.
+def _opposite(t, f):
+    """Position in t of its one vertex outside the facet f."""
+    tv = t.vertices
+    for i, x in enumerate(f.vertices):
+        if tv[i] != x:
+            return i
+    return len(f.vertices)
 
-    A union-find over pairs (r, t), r a k-subset of the top simplex t, joins
-    the top simplices of each facet at every k-subset of that facet.  Returns
-    ``{r: set of roots}``, one root per fan.  With k = 0 the only face is
-    ``()`` and its fans are the galleries.  When every facet lies in one or
-    two top simplices, the link of a (d-2)-simplex is a disjoint union of
-    circles and arcs, one per fan (Rourke-Sanderson, ch. 2).
+
+def _fans(X, k):
+    """Fans of top simplices around every k-vertex face of X, from one
+    signed union-find.
+
+    Slot w*i + j, w = C(d+1, k), is the j-th k-subset r of the i-th top
+    simplex t; it stands for the simplex t - r of lk(r).  Across each facet
+    f, ``tops[0]`` is joined with every other top at each k-subset r of f,
+    so with k = 0 the fans are the galleries.  A join is odd (a - r and
+    b - r need opposite signs) when the positions of the vertex opposite f
+    in a - r and in b - r add up to an even number, as in ``_relation``, and
+    a join that closes an odd cycle makes its fan non-orientable.  When
+    every facet lies in one or two top simplices, the fans around r are the
+    components of its link (Rourke-Sanderson, ch. 2).
+
+    Returns the root of every slot and the set of roots of non-orientable
+    fans.
     """
-    parent = {}
-    for t in X.by_dim(X.dim):
-        for r in combinations(t.vertices, k):
-            parent[(r, t)] = (r, t)
-    for f, tops in cofaces.items():
-        for r in combinations(f.vertices, k):
-            for other in tops[1:]:
-                ra, rb = _find(parent, (r, tops[0])), _find(parent, (r, other))
+    d = X.dim
+    subsets, lifts = _lifts(d, k)
+    w = len(subsets)
+    base = {t: w * i for i, t in enumerate(X.by_dim(d))}
+    parent = list(range(w * len(base)))
+    parity = [0] * len(parent)
+
+    def find(x):
+        p = 0
+        while parent[x] != x:
+            up = parent[x]
+            parity[x] ^= parity[up]
+            parent[x] = parent[up]
+            p ^= parity[x]
+            x = parent[x]
+        return x, p
+
+    odd = []
+    for f, tops in X.facet_cofaces().items():
+        for b in tops[1:]:
+            ia, la = base[tops[0]], lifts[_opposite(tops[0], f)]
+            ib, lb = base[b], lifts[_opposite(b, f)]
+            for (ja, pa), (jb, pb) in zip(la, lb):
+                flip = pa == pb
+                ra, qa = find(ia + ja)
+                rb, qb = find(ib + jb)
                 if ra != rb:
                     parent[rb] = ra
-    fans = {}
-    for r, t in parent:
-        fans.setdefault(r, set()).add(_find(parent, (r, t)))
-    return fans
+                    parity[rb] = qa ^ qb ^ flip
+                elif qa ^ qb != flip:
+                    odd.append(ra)
+    roots = [find(s)[0] for s in range(len(parent))]
+    return roots, {roots[r] for r in odd}
 
 
 def check_pseudomanifold(X):
@@ -134,20 +183,14 @@ def check_pseudomanifold(X):
     d = X.dim
     is_pure = all(s.dim == d for s in X.maximal_simplices)
     cofaces = X.facet_cofaces()
-    witness = None
-    facet_degrees_ok = True
-    for f, tops in cofaces.items():
-        if len(tops) > 2 or len(tops) == 0:
-            facet_degrees_ok = False
-            witness = f
-            break
+    witness = next((f for f, tops in cofaces.items() if not 0 < len(tops) <= 2), None)
     boundary = complex_from_maximal(
         f for f, tops in cofaces.items() if len(tops) == 1)
-    components = len(_fans(X, cofaces, 0)[()])
+    components = len(set(_fans(X, 0)[0]))
     return PseudomanifoldReport(
         dim=d,
         is_pure=is_pure,
-        facet_degrees_ok=facet_degrees_ok,
+        facet_degrees_ok=witness is None,
         boundary=boundary,
         gallery_connected=components <= 1,
         gallery_components=components,
@@ -227,9 +270,11 @@ def _classify_surface(L):
     for e, tops in edge_cofaces.items():
         if not tops:
             return not_manifold(e)
-    fans = _fans(L, edge_cofaces, 1)
+    # Slot 3i + p of the k = 1 forest is vertex p of the i-th triangle.
+    tris = L.by_dim(2)
+    fans = Counter(tris[r // 3].vertices[r % 3] for r in set(_fans(L, 1)[0]))
     for v in L.by_dim(0):
-        if v.vertices not in fans:
+        if v.vertices[0] not in fans:
             return not_manifold(v)
     for e, tops in edge_cofaces.items():
         if len(tops) > 2:
@@ -237,18 +282,10 @@ def _classify_surface(L):
     # With every edge in one or two triangles, a vertex link is a single
     # circle or arc exactly when its triangles form one fan.
     for v in L.by_dim(0):
-        if len(fans[v.vertices]) != 1:
+        if fans[v.vertices[0]] != 1:
             return not_manifold(v)
-
-    pieces = []
-    for comp in L.connected_components():
-        piece = L.restrict_to_component(comp)
-        cofaces = {e: tops for e, tops in edge_cofaces.items() if e.vertices[0] in comp}
-        bd = complex_from_maximal(e for e, tops in cofaces.items() if len(tops) == 1)
-        nb = len(bd.connected_components()) if len(bd) else 0
-        signs, _ = _propagate(piece.by_dim(2), cofaces)
-        pieces.append((piece.euler_characteristic(), nb, signs is not None))
-    return _surface_class(pieces)
+    boundary = complex_from_maximal(e for e, tops in edge_cofaces.items() if len(tops) == 1)
+    return _surface_fans(L, 0, boundary)[()]
 
 
 def _surface_class(pieces):
@@ -273,6 +310,59 @@ def _surface_class(pieces):
                      boundary_components=boundary_total)
 
 
+def _surface_fans(X, k, boundary):
+    """Link class of every k-vertex face r of X, for X of dimension k + 2
+    with every facet in one or two top simplices and one arc or circle as
+    the link of every (k+1)-face; ``boundary`` is the boundary complex of X.
+
+    Then lk(r) is a surface and its components are the fans of
+    ``_fans(X, k)`` around r.  Its triangles, edges and vertices are the
+    tops, facets and (k+1)-faces of X that contain r, so the Euler
+    characteristic of a fan is charged slot by slot: each top adds 1 to its
+    own slots, each (k+1)-face 1 once, through the first top that contains
+    it, and each facet -1 through ``tops[0]``.  The boundary circles of lk(r)
+    are the fans of ``boundary`` around r, each charged through its facet's
+    unique top.
+    """
+    d = k + 2
+    subsets, lifts = _lifts(d, k)
+    w = len(subsets)
+    index = {r: j for j, r in enumerate(subsets)}
+    tops = X.by_dim(d)
+    base = {t: w * i for i, t in enumerate(tops)}
+    roots, odd = _fans(X, k)
+    chi = [1] * len(roots)
+    ups = [(itemgetter(*u), [index[r] for r in combinations(u, k)])
+           for u in combinations(range(d + 1), k + 1)]
+    seen = set()
+    for t, i in base.items():
+        for get, js in ups:
+            u = get(t.vertices)
+            if u not in seen:
+                seen.add(u)
+                for j in js:
+                    chi[i + j] += 1
+    cofaces = X.facet_cofaces()
+    for f, ts in cofaces.items():
+        i = base[ts[0]]
+        for j, _ in lifts[_opposite(ts[0], f)]:
+            chi[i + j] -= 1
+    fans = {}  # root slot -> [Euler characteristic, boundary circles, orientable]
+    for s, r in enumerate(roots):
+        fans.setdefault(r, [0, 0, r not in odd])[0] += chi[s]
+    if len(boundary):
+        facets, wb = boundary.by_dim(d - 1), len(lifts[0])
+        for s in set(_fans(boundary, k)[0]):
+            f = facets[s // wb]
+            t = cofaces[f][0]
+            fans[roots[base[t] + lifts[_opposite(t, f)][s % wb][0]]][1] += 1
+    by_face = {}
+    for r, fan in fans.items():
+        vs = tops[r // w].vertices
+        by_face.setdefault(tuple(vs[p] for p in subsets[r % w]), []).append(fan)
+    return {face: _surface_class(by_face[face]) for face in sorted(by_face)}
+
+
 # -- isolated singularities -----------------------------------------------------
 
 
@@ -282,9 +372,12 @@ def check_isolated_singularities(X, report=None):
     Positive-dimensional simplices must have the sphere/disc-type links of
     the matching dimension; vertex links must classify as combinatorial
     manifolds (possibly disconnected).  Edge links of a 3-complex are
-    decided by fans: with every triangle in one or two tetrahedra, the link
-    of an edge is one arc (edge on the boundary) or one circle (interior
-    edge) exactly when the tetrahedra around it form a single fan.
+    decided by the fan forest with k = 2: with every triangle in one or two
+    tetrahedra, the link of an edge is one arc (edge on the boundary) or one
+    circle (interior edge) exactly when the tetrahedra around it form a
+    single fan.  The vertex links of a 3-pseudomanifold then come from the
+    forest with k = 1 (``_surface_fans``); 2-complexes and 3-complexes with
+    a bad edge link classify one ``link_of`` complex per vertex.
 
     Once X is pure with every facet in one or two top simplices, every
     vertex link is a manifold in dim 1 (one or two points) and dim 2
@@ -298,10 +391,10 @@ def check_isolated_singularities(X, report=None):
         raise ValidationError("isolated-singularity check implemented for dim <= 3")
     if not report.pseudomanifold_ok():
         return replace(report, isolated_singularities=False, positive_links_ok=False)
-    positive_ok = X.dim != 3 or all(
-        len(roots) == 1 for roots in _fans(X, X.facet_cofaces(), 2).values())
+    # X is pure, so every edge lies in at least one fan.
+    positive_ok = X.dim != 3 or len(set(_fans(X, 2)[0])) == len(X.by_dim(1))
     if X.dim == 3 and positive_ok:
-        vertex_links = _surface_vertex_links(X, report.boundary)
+        vertex_links = {v: cls for (v,), cls in _surface_fans(X, 1, report.boundary).items()}
     else:
         vertex_links = {v.vertices[0]: classify_link(link_of(X, v)) for v in X.by_dim(0)}
     return replace(
@@ -312,102 +405,12 @@ def check_isolated_singularities(X, report=None):
     )
 
 
-def _opposite(t, f):
-    """Position in t of its one vertex outside the facet f."""
-    tv = t.vertices
-    for i, x in enumerate(f.vertices):
-        if tv[i] != x:
-            return i
-    return len(f.vertices)
-
-
-_EDGES = tuple(combinations(range(4), 2))
-
-
-def _surface_vertex_links(X, boundary):
-    """Every vertex link of a 3-pseudomanifold X whose edge links are single
-    arcs or circles, from one signed union-find; ``boundary`` is the
-    boundary complex of X.
-
-    Slot 4i+p is the vertex v = t[p] of the i-th tetrahedron t; it stands
-    for the link triangle t - v.  Across each interior triangle f = a & b
-    the slots of each vertex v of f are joined with the parity of
-    ``_relation(a - v, b - v, f - v)``, so the fans at v are the components
-    of lk(v), and a join that closes an odd cycle makes its fan
-    non-orientable.  The Euler characteristic of a fan counts the edges,
-    triangles and tetrahedra at v, each charged to the fan of one
-    tetrahedron containing it; its boundary circles are the fans of the
-    boundary at v, each charged through its triangle's unique tetrahedron.
-    """
-    tets = X.by_dim(3)
-    index = {t: 4 * i for i, t in enumerate(tets)}
-    n = 4 * len(tets)
-    parent = list(range(n))
-    parity = [0] * n
-
-    def find(x):
-        p = 0
-        while parent[x] != x:
-            up = parent[x]
-            parity[x] ^= parity[up]
-            parent[x] = parent[up]
-            p ^= parity[x]
-            x = parent[x]
-        return x, p
-
-    chi = [1] * n  # the slot's own tetrahedron
-    seen = set()
-    for t, base in index.items():
-        vs = t.vertices
-        for p, q in _EDGES:
-            if (vs[p], vs[q]) not in seen:
-                seen.add((vs[p], vs[q]))
-                chi[base + p] += 1
-                chi[base + q] += 1
-    odd = []
-    cofaces = X.facet_cofaces()
-    for f, tops in cofaces.items():
-        ia, ka = index[tops[0]], _opposite(tops[0], f)
-        for m in range(3):
-            chi[ia + m + (m >= ka)] -= 1
-        if len(tops) == 1:
-            continue
-        ib, kb = index[tops[1]], _opposite(tops[1], f)
-        for m in range(3):
-            # The opposite vertices sit at ka - (m < ka) and kb - (m < kb)
-            # of the link triangles, so _relation is -1 iff their sum is even.
-            flip = (ka - (m < ka) + kb - (m < kb)) % 2 == 0
-            ra, pa = find(ia + m + (m >= ka))
-            rb, pb = find(ib + m + (m >= kb))
-            if ra != rb:
-                parent[rb] = ra
-                parity[rb] = pa ^ pb ^ flip
-            elif pa ^ pb != flip:
-                odd.append(ra)
-    fans = {}  # root slot -> [Euler characteristic, boundary circles, orientable]
-    for s in range(n):
-        fans.setdefault(find(s)[0], [0, 0, True])[0] += chi[s]
-    if len(boundary):
-        for (v,), roots in _fans(boundary, boundary.facet_cofaces(), 1).items():
-            for _, tri in roots:
-                t = cofaces[tri][0]
-                fans[find(index[t] + t.vertices.index(v))[0]][1] += 1
-    for r in odd:
-        fans[find(r)[0]][2] = False
-    by_vertex = {}
-    for r, fan in fans.items():
-        by_vertex.setdefault(tets[r // 4].vertices[r % 4], []).append(fan)
-    return {v: _surface_class(by_vertex[v]) for v in X.vertices}
-
-
 # -- orientability -----------------------------------------------------------------
 
 
 def _relation(sigma, tau, facet):
     """Required product sign(sigma)*sign(tau) across a shared facet."""
-    i = sigma.vertices.index(next(v for v in sigma.vertices if v not in facet.vertices))
-    j = tau.vertices.index(next(v for v in tau.vertices if v not in facet.vertices))
-    return -((-1) ** i) * ((-1) ** j)
+    return -((-1) ** (_opposite(sigma, facet) + _opposite(tau, facet)))
 
 
 def _propagate(tops, cofaces):
@@ -459,12 +462,10 @@ def _odd_cycle(parent, a, b):
 
 def induced_facet_sign(sigma, sign, facet):
     """Sign of the orientation induced on a facet, on its sorted vertices."""
-    missing = next(v for v in sigma.vertices if v not in facet.vertices)
-    i = sigma.vertices.index(missing)
-    return sign * ((-1) ** i)
+    return sign * ((-1) ** _opposite(sigma, facet))
 
 
-def orient(X, cone_vertices=frozenset(), report=None, homology_oracle=True):
+def orient(X, cone_vertices=frozenset(), report=None):
     """Orient the top simplices so induced orientations on interior facets
     are opposite.
 
@@ -481,20 +482,16 @@ def orient(X, cone_vertices=frozenset(), report=None, homology_oracle=True):
     tops = X.by_dim(X.dim)
     signs, odd_cycle = _propagate(tops, cofaces)
 
-    rank = -1
-    H = None
-    if homology_oracle:
-        rel = report.boundary if len(report.boundary) else None
-        H = homology_groups(X, rel=rel)
-        rank = H.betti[X.dim]
-        expected = report.gallery_components if signs is not None else None
-        if signs is not None and rank != expected:
-            raise ConstructionError(
-                "orientation propagation and homology disagree: rank %d vs %d"
-                % (rank, expected))
-        if signs is None and rank >= report.gallery_components:
-            raise ConstructionError(
-                "non-orientable propagation but full-rank top homology")
+    rel = report.boundary if len(report.boundary) else None
+    H = homology_groups(X, rel=rel)
+    rank = H.betti[X.dim]
+    if signs is not None and rank != report.gallery_components:
+        raise ConstructionError(
+            "orientation propagation and homology disagree: rank %d vs %d"
+            % (rank, report.gallery_components))
+    if signs is None and rank >= report.gallery_components:
+        raise ConstructionError(
+            "non-orientable propagation but full-rank top homology")
 
     if signs is None:
         return OrientResult(success=False, assignment=None,

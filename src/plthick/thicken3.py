@@ -700,7 +700,11 @@ class ThickeningReport:
     gallery_components: int
 
 
-def verify_thickening(t, X, collapse_seeds=(0, 1, 2)):
+# Greedy collapses of M from these seeds; one reaching a 1-complex suffices.
+_COLLAPSE_SEEDS = (0, 1, 2)
+
+
+def verify_thickening(t, X):
     """Run every decidable consequence of the construction and fail loudly
     on any mismatch."""
     P = t.P
@@ -731,7 +735,7 @@ def verify_thickening(t, X, collapse_seeds=(0, 1, 2)):
         raise ConstructionError("retract copy is not the expected subdivision copy")
 
     collapse_b1 = None
-    for seed in collapse_seeds:
+    for seed in _COLLAPSE_SEEDS:
         collapsed = greedy_collapse(t.M, seed=seed)
         if collapsed.dim <= 1:
             comps = len(collapsed.connected_components())

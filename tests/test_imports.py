@@ -1,6 +1,7 @@
 """Every name a plthick module imports is used in that module
-(``__init__.py`` is exempt: its imports are the package's re-exports), and
-every dataclass field is read somewhere."""
+(``__init__.py`` is exempt: its imports are the package's re-exports), every
+private module-level name is referenced in the package, and every dataclass
+field is read somewhere."""
 
 import ast
 import pathlib
@@ -20,6 +21,30 @@ def test_no_unused_imports(path):
                 and getattr(node, "module", None) != "__future__" for a in node.names}
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     assert sorted(imported - used) == []
+
+
+def test_every_private_module_name_is_referenced():
+    """A module-level ``_name`` def or assignment that no code in the
+    package references is a leftover."""
+    defined, referenced = set(), set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                names = []
+            defined |= {(path.stem, n) for n in names
+                        if n.startswith("_") and not n.startswith("__")}
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                referenced.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                referenced.add(n.attr)
+    assert sorted(d for d in defined if d[1] not in referenced) == []
 
 
 def _is_dataclass(cls):

@@ -13,6 +13,7 @@ from plthick.errors import ValidationError
 from plthick.fixtures import fixture
 from plthick.homology import homology_groups
 from plthick.pseudomanifold import (
+    LinkClass,
     check_isolated_singularities,
     check_pseudomanifold,
     classify_link,
@@ -31,6 +32,8 @@ def test_book_of_three_fails_facet_degrees():
     r = check_pseudomanifold(fixture("book_of_three"))
     assert not r.facet_degrees_ok
     assert r.facet_witness == simplex("a", "b")
+    # The three pages are one gallery through their common edge.
+    assert r.gallery_components == 1
 
 
 def test_shared_vertex_wedge_report():
@@ -124,11 +127,13 @@ def _local_surface_oracle(L):
     return True
 
 
-def test_classify_surface_matches_local_link_oracle():
+def _random_surfaces():
+    """600 random 2-complexes: subsets of the RP^2 and torus triangles or
+    random triangles on 3-9 vertices, some with stray edges."""
     rng = random.Random(20261018)
     pools = [[list(t.vertices) for t in fixture(name).by_dim(2)]
              for name in ("projective_plane_6", "torus_7")]
-    verdicts = []
+    out = []
     for _ in range(600):
         if rng.random() < 0.5:
             pool = rng.choice(pools)
@@ -138,11 +143,87 @@ def test_classify_surface_matches_local_link_oracle():
             tris = [rng.sample(labels, 3) for _ in range(rng.randint(1, 14))]
         verts = sorted({v for t in tris for v in t})
         strays = [rng.sample(verts + ["s"], 2) for _ in range(rng.choice((0, 0, 0, 1, 2)))]
-        L = validate_complex(tris + strays)
+        out.append(validate_complex(tris + strays))
+    return out
+
+
+def test_classify_surface_matches_local_link_oracle():
+    verdicts = []
+    for L in _random_surfaces():
         expect = _local_surface_oracle(L)
         assert classify_link(L).is_manifold == expect, L
         verdicts.append(expect)
     assert 100 < sum(verdicts) < 500
+
+
+def _surface_oracle(L):
+    """``classify_link`` of a 2-complex rebuilt from connected components,
+    Euler characteristics, edge-triangle tables and ``orient`` alone: the
+    NotManifold rules in their order, then the classification of surfaces
+    per component."""
+    def not_manifold(witness):
+        return LinkClass(kind="NotManifold", dim=2, components=0,
+                         is_manifold=False, witness=witness)
+
+    cofaces = L.facet_cofaces()
+    tris = [t.vertices for t in L.by_dim(2)]
+    for e, tops in cofaces.items():
+        if not tops:
+            return not_manifold(e)
+    for v in L.by_dim(0):
+        if not any(v.vertices[0] in t for t in tris):
+            return not_manifold(v)
+    for e, tops in cofaces.items():
+        if len(tops) > 2:
+            return not_manifold(e)
+    for v in L.by_dim(0):
+        x = v.vertices[0]
+        link = validate_complex([[w for w in t if w != x] for t in tris if x in t])
+        if len(link.connected_components()) != 1:
+            return not_manifold(v)
+    pieces = []
+    for comp in L.connected_components():
+        piece = validate_complex([t for t in tris if t[0] in comp])
+        rim = [e.vertices for e, tops in piece.facet_cofaces().items() if len(tops) == 1]
+        circles = len(validate_complex(rim).connected_components())
+        pieces.append((piece.euler_characteristic(), circles, orient(piece).success))
+    kinds = {("Disc" if o and chi == 1 and nb == 1 else "SurfaceWithBoundary") if nb
+             else ("Sphere" if o and chi == 2 else "ClosedSurface")
+             for chi, nb, o in pieces}
+    return LinkClass(
+        kind=kinds.pop() if len(kinds) == 1 else "Mixed", dim=2,
+        components=len(pieces), is_manifold=True,
+        orientable=all(o for _, _, o in pieces),
+        genus=sum((2 - chi - nb) // 2 if o else 2 - chi - nb for chi, nb, o in pieces),
+        boundary_components=sum(nb for _, nb, _ in pieces))
+
+
+def test_classify_surface_matches_independent_oracle():
+    surfaces = _random_surfaces()
+    unions = [validate_complex([s.vertices for s in a.maximal_simplices]
+                               + [["u" + v for v in s.vertices] for s in b.maximal_simplices])
+              for a, b in zip(surfaces[::2], surfaces[1::2])]
+    seen = {"non-orientable": 0, "several components": 0, "boundary": 0}
+    for L in surfaces + unions:
+        cls = classify_link(L)
+        assert cls == _surface_oracle(L), L.maximal_simplices
+        seen["non-orientable"] += cls.orientable is False
+        seen["several components"] += cls.components > 1
+        seen["boundary"] += bool(cls.boundary_components)
+    assert all(seen.values()), seen
+
+
+@pytest.mark.parametrize("L,witness", [
+    (validate_complex([["a", "b", "c"], ["c", "d"]]), ("c", "d")),
+    (validate_complex([["a", "b", "c"], ["d"]]), ("d",)),
+    (fixture("book_of_three"), ("a", "b")),
+    (fixture("two_triangles_shared_vertex"), ("a",)),
+], ids=["edge_in_no_triangle", "uncovered_vertex", "book_of_three",
+        "two_triangles_shared_vertex"])
+def test_classify_surface_not_manifold_witness(L, witness):
+    cls = classify_link(L)
+    assert cls.kind == "NotManifold" and not cls.is_manifold
+    assert cls.witness == simplex(*witness)
 
 
 def test_classify_rejects_dim_three():
