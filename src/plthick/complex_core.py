@@ -607,48 +607,54 @@ def is_flag(X):
 def greedy_collapse(X, seed=0):
     """Repeatedly remove a free face together with its unique coface.
 
-    The free face chosen at each step is the lexicographically smallest by
-    ``(dim, vertices)``; a nonzero seed perturbs the order (used by property
-    tests).  Deterministic given the seed.
+    The free face chosen at each step is the smallest by ``(dim,
+    vertices)``; a nonzero seed perturbs the order with one ``random()``
+    draw per simplex in that order (used by property tests and
+    ``verify_thickening``).  Deterministic given the seed.
+
+    The simplices are numbered in ``(dim, vertices)`` order and the
+    bookkeeping runs on those integers: ``faces[i]`` lists every proper
+    face, ``cover[i]`` the covering cofaces and ``count[i]`` the proper
+    cofaces still present.
     """
-    present = set(X.simplices)
-    cof_count = {s: 0 for s in present}
-    cover = {s: set() for s in present}
-    for s in present:
-        for f in s.faces():
-            cof_count[f] += 1
-        for f in s.facets():
-            cover[f].add(s)
+    order = [s for d in range(X.dim + 1) for s in X.by_dim(d)]
+    index = {s.vertices: i for i, s in enumerate(order)}
+    n = len(order)
+    faces = [None] * n
+    cover = [[] for _ in range(n)]
+    count = [0] * n
+    for i, s in enumerate(order):
+        vs = s.vertices
+        faces[i] = fs = [index[c] for k in range(1, len(vs))
+                         for c in itertools.combinations(vs, k)]
+        for f in fs:
+            count[f] += 1
+        for f in fs[len(fs) - len(vs):]:
+            cover[f].append(i)
 
     if seed:
         rng = random.Random(seed)
-        noise = {s: rng.random() for s in sorted(present)}
-        key = lambda s: (noise[s], len(s.vertices), s.vertices)
+        key = [rng.random() for _ in range(n)]
     else:
-        key = lambda s: (len(s.vertices), s.vertices)
-
-    heap = [(key(s), s) for s in present if cof_count[s] == 1]
+        key = range(n)
+    heap = [(key[i], i) for i in range(n) if count[i] == 1]
     heapq.heapify(heap)
+    present = [True] * n
 
     def remove(x):
-        present.discard(x)
-        for f in x.faces():
-            if f in cof_count:
-                cof_count[f] -= 1
-                if cof_count[f] == 1 and f in present:
-                    heapq.heappush(heap, (key(f), f))
-        for f in x.facets():
-            if f in cover:
-                cover[f].discard(x)
+        present[x] = False
+        for f in faces[x]:
+            count[f] -= 1
+            if count[f] == 1 and present[f]:
+                heapq.heappush(heap, (key[f], f))
 
     while heap:
         _, s = heapq.heappop(heap)
-        if s not in present or cof_count[s] != 1:
+        if not present[s] or count[s] != 1:
             continue
-        covers = cover[s]
+        covers = [u for u in cover[s] if present[u]]
         if len(covers) != 1:
-            raise ConstructionError("free face bookkeeping broken at %s" % (s,))
-        (u,) = covers
-        remove(u)
+            raise ConstructionError("free face bookkeeping broken at %s" % (order[s],))
+        remove(covers[0])
         remove(s)
-    return Complex(present)
+    return Complex(s for s, kept in zip(order, present) if kept)

@@ -84,12 +84,15 @@ def parse_rational(text):
     return Fraction(int(text))
 
 
-def floor_sqrt(x):
-    """A rational lower bound for sqrt(x), exact when x is a perfect square."""
+def dyadic_floor_sqrt(x):
+    """The largest ``2^-k`` with ``k >= 2`` and ``4^-k <= x``, for x > 0."""
     x = Fraction(x)
-    if x < 0:
-        raise ValidationError("negative radicand")
-    return Fraction(math.isqrt(x.numerator * x.denominator), x.denominator)
+    if x <= 0:
+        raise ValidationError("non-positive radicand")
+    k = 2
+    while x.numerator << (2 * k) < x.denominator:
+        k += 1
+    return Fraction(1, 1 << k)
 
 
 def derive_seed(seed, tag):
@@ -567,6 +570,18 @@ def _bbox(pts):
     return lo, hi
 
 
+def _bbox_sqdist(b1, b2):
+    """Exact squared distance between two boxes: a lower bound on the
+    squared distance between anything they contain."""
+    (lo1, hi1), (lo2, hi2) = b1, b2
+    acc = ZERO
+    for c in range(len(lo1)):
+        gap = max(lo2[c] - hi1[c], lo1[c] - hi2[c])
+        if gap > 0:
+            acc += gap * gap
+    return acc
+
+
 def _bbox_disjoint(b1, b2):
     (lo1, hi1), (lo2, hi2) = b1, b2
     return any(hi1[c] < lo2[c] or hi2[c] < lo1[c] for c in range(len(lo1)))
@@ -892,24 +907,39 @@ def _verify_spine_injective(se):
 
 def epsilon_neighborhood_embedding(se):
     """Fix delta and epsilon, build the collar neighborhood of the spine and
-    certify that the map embeds it, by exhaustive exact pair checks."""
+    certify that the map embeds it, by exhaustive exact pair checks.
+
+    ``delta_sq`` is the least squared distance between spine cells carried
+    by top simplices that share at most one vertex.  The cell pairs are
+    visited by the squared distance of their bounding boxes, a lower bound
+    on the pair's distance, and the search stops once that bound reaches
+    the least distance found, so the minimum is exact.  ``epsilon`` is the
+    largest ``2^-k <= 1/4`` with ``16 L^2 epsilon^2 <= delta_sq``, L^2 the
+    largest sum of squared edge vectors from a top's first vertex; a power
+    of two keeps the collar coordinates short.
+    """
     m = se.base
     X = m.domain
-    d = X.dim
     tops = [s for s in X.maximal_simplices]
 
-    delta_sq = None
     cells_cache = {s: se.spine_cells_in(s) for s in tops}
+    points = {c: se.cell_points(c) for cells in cells_cache.values() for c in cells}
+    boxes = {c: _bbox(pts) for c, pts in points.items()}
+    pairs = []
     for s1, s2 in itertools.combinations(sorted(tops), 2):
         if len(set(s1.vertices) & set(s2.vertices)) > 1:
             continue
-        cells1 = cells_cache[s1]
-        cells2 = cells_cache[s2]
-        for c1 in cells1:
-            for c2 in cells2:
-                val = simplex_pair_sqdist(se.cell_points(c1), se.cell_points(c2))
-                if val is not None and (delta_sq is None or val < delta_sq):
-                    delta_sq = val
+        for c1 in cells_cache[s1]:
+            for c2 in cells_cache[s2]:
+                pairs.append((_bbox_sqdist(boxes[c1], boxes[c2]), len(pairs), c1, c2))
+    pairs.sort()
+    delta_sq = None
+    for bound, _, c1, c2 in pairs:
+        if delta_sq is not None and bound >= delta_sq:
+            break
+        val = simplex_pair_sqdist(points[c1], points[c2])
+        if delta_sq is None or val < delta_sq:
+            delta_sq = val
     if delta_sq is not None and delta_sq == 0:
         raise ConstructionError("spine cones of far simplices touch (delta = 0)")
 
@@ -924,10 +954,7 @@ def epsilon_neighborhood_embedding(se):
     if delta_sq is None or lip_sq == 0:
         epsilon = Fraction(1, 4)
     else:
-        eps_sq = delta_sq / (16 * lip_sq)
-        epsilon = min(Fraction(1, 4), floor_sqrt(eps_sq))
-        if epsilon <= 0:
-            raise ConstructionError("epsilon underflow")
+        epsilon = dyadic_floor_sqrt(delta_sq / (16 * lip_sq))
 
     Y = se.subdivision.child
     K = se.spine

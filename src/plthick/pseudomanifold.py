@@ -67,9 +67,6 @@ class OrientationAssignment:
 
     signs: dict
 
-    def sign(self, s):
-        return self.signs[s]
-
 
 @dataclass(frozen=True)
 class OrientResult:

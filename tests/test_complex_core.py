@@ -1,3 +1,4 @@
+import heapq
 import itertools
 import random
 
@@ -27,7 +28,7 @@ from plthick.complex_core import (
     validate_complex,
 )
 from plthick.cli import complex_from_obj
-from plthick.errors import ValidationError
+from plthick.errors import ConstructionError, ValidationError
 from plthick.fixtures import FIXTURE_NAMES, fixture
 
 
@@ -424,6 +425,70 @@ def test_greedy_collapse_deterministic():
     assert greedy_collapse(B.child, seed=5) == greedy_collapse(B.child, seed=5)
 
 
+def simplex_keyed_greedy_collapse(X, seed=0):
+    """The former ``greedy_collapse``, keyed on ``Simplex`` objects: the
+    reference the integer-slot version must match."""
+    present = set(X.simplices)
+    cof_count = {s: 0 for s in present}
+    cover = {s: set() for s in present}
+    for s in present:
+        for f in s.faces():
+            cof_count[f] += 1
+        for f in s.facets():
+            cover[f].add(s)
+
+    if seed:
+        rng = random.Random(seed)
+        noise = {s: rng.random() for s in sorted(present)}
+        key = lambda s: (noise[s], len(s.vertices), s.vertices)
+    else:
+        key = lambda s: (len(s.vertices), s.vertices)
+
+    heap = [(key(s), s) for s in present if cof_count[s] == 1]
+    heapq.heapify(heap)
+
+    def remove(x):
+        present.discard(x)
+        for f in x.faces():
+            if f in cof_count:
+                cof_count[f] -= 1
+                if cof_count[f] == 1 and f in present:
+                    heapq.heappush(heap, (key(f), f))
+        for f in x.facets():
+            if f in cover:
+                cover[f].discard(x)
+
+    while heap:
+        _, s = heapq.heappop(heap)
+        if s not in present or cof_count[s] != 1:
+            continue
+        covers = cover[s]
+        if len(covers) != 1:
+            raise ConstructionError("free face bookkeeping broken at %s" % (s,))
+        (u,) = covers
+        remove(u)
+        remove(s)
+    return Complex(present)
+
+
+ORACLE_SEEDS = (0, 1, 2, 5)
+
+
+def assert_collapse_matches_oracle(X):
+    for seed in ORACLE_SEEDS:
+        assert greedy_collapse(X, seed=seed) == simplex_keyed_greedy_collapse(X, seed=seed)
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_greedy_collapse_matches_oracle_on_subdivided_fixtures(name):
+    assert_collapse_matches_oracle(barycentric_subdivision(fixture(name)).child)
+
+
+def test_greedy_collapse_matches_oracle_on_thickening(pipeline_cache):
+    out, _ = pipeline_cache("projective_plane_6", 0)
+    assert_collapse_matches_oracle(out.M)
+
+
 # -- random complexes --------------------------------------------------------------
 
 
@@ -465,6 +530,12 @@ def test_random_complex_spine_boundary_identity(X):
 def test_random_subdivision_is_flag(X):
     B = barycentric_subdivision(X)
     assert is_flag(B.child) == (True, None)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(small_complexes())
+def test_random_complex_collapse_matches_oracle(X):
+    assert_collapse_matches_oracle(X)
 
 
 # -- maximal simplices and the dimension table ---------------------------------

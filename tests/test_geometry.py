@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -15,8 +16,8 @@ from plthick.fixtures import fixture
 from plthick.geometry import (
     GeometricMap,
     choose_spine_barycenters,
+    dyadic_floor_sqrt,
     epsilon_neighborhood_embedding,
-    floor_sqrt,
     format_rational,
     parse_rational,
     point_on_segment,
@@ -50,11 +51,20 @@ def test_non_reduced_rational_rejected():
         parse_rational("3/1")
 
 
-def test_floor_sqrt_is_lower_bound():
-    for x in (F(2), F(9), F(1, 4), F(7, 3)):
-        r = floor_sqrt(x)
+def is_dyadic_at_most_quarter(r):
+    return r.numerator == 1 and r.denominator >= 4 and r.denominator & (r.denominator - 1) == 0
+
+
+def test_dyadic_floor_sqrt_is_largest_power_of_two_below():
+    for x in (F(2), F(9), F(1, 4), F(7, 3), F(1, 16), F(1, 17), F(1, 64), F(3, 10 ** 9)):
+        r = dyadic_floor_sqrt(x)
+        assert is_dyadic_at_most_quarter(r)
         assert r * r <= x
-        assert (r + F(1, x.denominator)) ** 2 > x or r * r == x
+        assert r == F(1, 4) or (2 * r) ** 2 > x
+    assert dyadic_floor_sqrt(F(1, 64)) == F(1, 8)
+    for x in (F(0), F(-1, 3)):
+        with pytest.raises(ValidationError):
+            dyadic_floor_sqrt(x)
 
 
 # -- general position ------------------------------------------------------------
@@ -301,6 +311,55 @@ def test_epsilon_neighborhood_counts_for_sphere():
     assert len(comps) == 4
     # 3 collar triangles per flag (vertex, edge, triangle) of the sphere.
     assert len(se.nbhd.complex.by_dim(2)) == 72
+
+
+def brute_force_delta_sq(se):
+    """Least squared distance over every spine-cell pair carried by two
+    top simplices that share at most one vertex, with no pruning."""
+    tops = sorted(se.base.domain.maximal_simplices)
+    vals = [simplex_pair_sqdist(se.cell_points(c1), se.cell_points(c2))
+            for s1, s2 in itertools.combinations(tops, 2)
+            if len(set(s1.vertices) & set(s2.vertices)) <= 1
+            for c1 in se.spine_cells_in(s1)
+            for c2 in se.spine_cells_in(s2)]
+    return min(vals, default=None)
+
+
+def lipschitz_sq(m):
+    out = F(0)
+    for s in m.domain.maximal_simplices:
+        pts = m.simplex_points(s)
+        out = max(out, sum(sum((a - b) ** 2 for a, b in zip(p, pts[0])) for p in pts[1:]))
+    return out
+
+
+# Thickening inputs on which delta exists.  On the last two the closest
+# pair is not the one with the closest boxes, so a search that stops too
+# early misses it.
+DELTA_CASES = [("two_triangles_shared_vertex", 0), ("two_triangles_shared_vertex", 3),
+               ("projective_plane_6", 0), ("two_triangles_shared_vertex", 7),
+               ("projective_plane_6", 1)]
+
+
+@pytest.mark.parametrize("name,seed", DELTA_CASES)
+def test_delta_is_exact_and_epsilon_is_largest_dyadic(pipeline_cache, name, seed):
+    se = pipeline_cache(name, seed)[0].spine_embedding
+    delta_sq = brute_force_delta_sq(se)
+    assert delta_sq is not None and delta_sq > 0
+    assert se.delta_sq == delta_sq
+    eps = se.epsilon
+    assert is_dyadic_at_most_quarter(eps)
+    bound = 16 * lipschitz_sq(se.base)
+    assert bound * eps ** 2 <= delta_sq
+    assert eps == F(1, 4) or bound * (2 * eps) ** 2 > delta_sq
+
+
+@pytest.mark.parametrize("name,seed", DELTA_CASES)
+def test_collar_coordinates_stay_short(pipeline_cache, name, seed):
+    se = pipeline_cache(name, seed)[0].spine_embedding
+    bits = max(max(x.numerator.bit_length(), x.denominator.bit_length())
+               for p in se.nbhd.points.values() for x in p)
+    assert bits <= 64
 
 
 def test_determinism_of_embedding():
