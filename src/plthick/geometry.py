@@ -150,30 +150,15 @@ def solve_affine(rows, rhs):
 
 
 def affine_rank(points):
-    """Affine rank (dimension of the affine hull) of rational points."""
+    """Affine rank (dimension of the affine hull) of rational points: the
+    number of difference vectors minus the dimension of their null space."""
     if not points:
         return -1
     base = points[0]
-    rows = [list(vsub(p, base)) for p in points[1:]]
-    # Gaussian elimination for rank.
-    rank = 0
-    ncols = len(base)
-    for c in range(ncols):
-        pr = None
-        for i in range(rank, len(rows)):
-            if rows[i][c] != 0:
-                pr = i
-                break
-        if pr is None:
-            continue
-        rows[rank], rows[pr] = rows[pr], rows[rank]
-        pv = rows[rank][c]
-        for i in range(len(rows)):
-            if i != rank and rows[i][c] != 0:
-                f = rows[i][c] / pv
-                rows[i] = [v - f * w for v, w in zip(rows[i], rows[rank])]
-        rank += 1
-    return rank
+    diffs = [vsub(p, base) for p in points[1:]]
+    _, null = solve_affine([[d[c] for d in diffs] for c in range(len(base))],
+                           [ZERO] * len(base))
+    return len(diffs) - len(null)
 
 
 # -- geometric maps ----------------------------------------------------------------
@@ -443,46 +428,6 @@ def point_in_simplex(pt, pts):
     return None
 
 
-def segment_pair_sqdist(a, b, c, d):
-    """Exact minimum squared distance between closed segments [a,b], [c,d]."""
-    u = vsub(b, a)
-    v = vsub(d, c)
-    w = vsub(a, c)
-    uu, vv, uv = vlensq(u), vlensq(v), vdot(u, v)
-    uw, vw = vdot(u, w), vdot(v, w)
-
-    def clamp(x):
-        return ZERO if x < 0 else (ONE if x > 1 else x)
-
-    candidates = set()
-    det = uu * vv - uv * uv
-    if det != 0:
-        s = (uv * vw - vv * uw) / det
-        t = (uu * vw - uv * uw) / det
-        if 0 <= s <= 1 and 0 <= t <= 1:
-            candidates.add((s, t))
-    if uu != 0:
-        candidates.add((clamp(-uw / uu), ZERO))
-        candidates.add((clamp((uv - uw) / uu), ONE))
-    else:
-        candidates.add((ZERO, ZERO))
-    if vv != 0:
-        candidates.add((ZERO, clamp(vw / vv)))
-        candidates.add((ONE, clamp((uv + vw) / vv)))
-    else:
-        candidates.add((ZERO, ZERO))
-    for s in (ZERO, ONE):
-        for t in (ZERO, ONE):
-            candidates.add((s, t))
-    best = None
-    for s, t in candidates:
-        diff = vadd(w, vsub(vscale(s, u), vscale(t, v)))
-        val = vlensq(diff)
-        if best is None or val < best:
-            best = val
-    return best
-
-
 def simplex_pair_sqdist(pts1, pts2):
     """Exact minimum squared distance between two closed simplices.
 
@@ -649,23 +594,9 @@ def singular_set(m):
 
 
 def _assert_face_intersection(m, s1, s2, shared, inter):
-    if not shared:
-        if inter.kind != "empty":
-            raise GeneralPositionError(
-                "disjoint simplices %s, %s with intersecting images" % (s1, s2))
-        return
-    expected = tuple(sorted(m.points[v] for v in shared))
-    if inter.kind == "empty":
-        raise GeneralPositionError("shared face of %s, %s not found in images" % (s1, s2))
-    got = tuple(sorted(inter.points))
-    want = expected if len(shared) > 1 else (expected[0],)
-    if len(shared) == 1:
-        okay = got == want
-    else:
-        okay = got == (expected[0], expected[-1]) if len(expected) == 2 else got == want
-    if not okay:
+    if tuple(sorted(inter.points)) != tuple(sorted(m.points[v] for v in shared)):
         raise GeneralPositionError(
-            "images of %s, %s meet beyond their shared face" % (s1, s2))
+            "images of %s, %s do not meet exactly in their shared face" % (s1, s2))
 
 
 # -- spine embedding ------------------------------------------------------------------
@@ -884,15 +815,7 @@ def _verify_spine_injective(se):
         if not shared and _bbox_disjoint(boxes[c1], boxes[c2]):
             continue
         inter = simplex_pair_intersection(pts[c1], pts[c2])
-        if not shared:
-            if inter.kind != "empty":
-                raise ConstructionError(
-                    "spine cells %s, %s intersect in the image" % (c1, c2))
-            continue
-        expected = tuple(sorted(se.spine_point(v) for v in shared))
-        got = tuple(sorted(inter.points))
-        if inter.kind == "empty" or got != (
-                expected if len(expected) > 1 else (expected[0],)):
+        if tuple(sorted(inter.points)) != tuple(sorted(se.spine_point(v) for v in shared)):
             raise ConstructionError(
                 "spine cells %s, %s do not meet exactly in their shared face"
                 % (c1, c2))

@@ -11,7 +11,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
-from .complex_core import Complex, Simplex
+from .complex_core import Simplex
 from .errors import ConstructionError, ValidationError
 
 
@@ -26,7 +26,6 @@ class ChainComplex:
 
     bases: dict
     matrices: dict
-    rel: Complex | None = None
 
     def rank(self, k):
         return len(self.bases.get(k, ()))
@@ -85,7 +84,7 @@ def boundary_matrices(X, rel=None):
                 col[index[facet]] = 1 if i % 2 == 0 else -1
             cols.append(col)
         matrices[k] = cols
-    cc = ChainComplex(bases=bases, matrices=matrices, rel=rel)
+    cc = ChainComplex(bases=bases, matrices=matrices)
     _assert_boundary_squared_zero(cc)
     return cc
 

@@ -6,10 +6,12 @@ the vertex links of a 3-pseudomanifold are all read off one signed fan
 forest (``_fans``): a union-find over integer (top simplex, k-subset) slots
 whose components around a k-vertex face are the components of its link.
 
-Orientability is decided by propagating orientations across interior facets
-and is independently cross-checked against top relative homology; the two
-must agree.  Link recognition is deliberately capped at link dimension 2,
-where it is decidable by surface classification.
+Orientability is read off the same forest with k = 0: a slot's parity
+relative to its root is its orientation sign, and a join that closes an odd
+cycle is the witness of a non-orientable gallery.  It is independently
+cross-checked against top relative homology; the two must agree.  Link
+recognition is deliberately capped at link dimension 2, where it is
+decidable by surface classification.
 """
 
 from __future__ import annotations
@@ -126,13 +128,14 @@ def _fans(X, k):
     f, ``tops[0]`` is joined with every other top at each k-subset r of f,
     so with k = 0 the fans are the galleries.  A join is odd (a - r and
     b - r need opposite signs) when the positions of the vertex opposite f
-    in a - r and in b - r add up to an even number, as in ``_relation``, and
-    a join that closes an odd cycle makes its fan non-orientable.  When
-    every facet lies in one or two top simplices, the fans around r are the
-    components of its link (Rourke-Sanderson, ch. 2).
+    in a - r and in b - r add up to an even number, and a join that closes
+    an odd cycle makes its fan non-orientable.  When every facet lies in
+    one or two top simplices, the fans around r are the components of its
+    link (Rourke-Sanderson, ch. 2).
 
-    Returns the root of every slot and the set of roots of non-orientable
-    fans.
+    Returns the root of every slot, its parity relative to the root, and
+    for each root of a non-orientable fan the two slots of the first join
+    that closed an odd cycle in it.
     """
     d = X.dim
     subsets, lifts = _lifts(d, k)
@@ -151,7 +154,7 @@ def _fans(X, k):
             x = parent[x]
         return x, p
 
-    odd = []
+    odd = {}
     for f, tops in X.facet_cofaces().items():
         for b in tops[1:]:
             ia, la = base[tops[0]], lifts[_opposite(tops[0], f)]
@@ -164,9 +167,13 @@ def _fans(X, k):
                     parent[rb] = ra
                     parity[rb] = qa ^ qb ^ flip
                 elif qa ^ qb != flip:
-                    odd.append(ra)
-    roots = [find(s)[0] for s in range(len(parent))]
-    return roots, {roots[r] for r in odd}
+                    odd.setdefault(ra, (ia + ja, ib + jb))
+    for s in range(len(parent)):
+        parent[s], parity[s] = find(s)
+    witnesses = {}
+    for r, join in odd.items():
+        witnesses.setdefault(parent[r], join)
+    return parent, parity, witnesses
 
 
 def check_pseudomanifold(X):
@@ -327,7 +334,7 @@ def _surface_fans(X, k, boundary):
     index = {r: j for j, r in enumerate(subsets)}
     tops = X.by_dim(d)
     base = {t: w * i for i, t in enumerate(tops)}
-    roots, odd = _fans(X, k)
+    roots, _, odd = _fans(X, k)
     chi = [1] * len(roots)
     ups = [(itemgetter(*u), [index[r] for r in combinations(u, k)])
            for u in combinations(range(d + 1), k + 1)]
@@ -405,56 +412,34 @@ def check_isolated_singularities(X, report=None):
 # -- orientability -----------------------------------------------------------------
 
 
-def _relation(sigma, tau, facet):
-    """Required product sign(sigma)*sign(tau) across a shared facet."""
-    return -((-1) ** (_opposite(sigma, facet) + _opposite(tau, facet)))
+def _witness_cycle(X, parity, a, b):
+    """Odd cycle [a, ..., b, a] through the odd join of the a-th and b-th top.
 
-
-def _propagate(tops, cofaces):
-    """BFS orientation propagation; returns (signs, None) or (None, odd_cycle)."""
-    neighbors = {}
-    for f, ts in cofaces.items():
+    The path from b to a crosses only interior facets where the parities of
+    the gallery forest agree with the sign relation; the spanning joins are
+    such facets, so the path exists, and closing it across the odd join
+    makes the product of the relations around the cycle -1.
+    """
+    tops = X.by_dim(X.dim)
+    a, b = tops[a], tops[b]
+    parity = dict(zip(tops, parity))
+    steps = {}
+    for f, ts in X.facet_cofaces().items():
         if len(ts) == 2:
-            a, b = ts
-            rel = _relation(a, b, f)
-            neighbors.setdefault(a, []).append((b, rel))
-            neighbors.setdefault(b, []).append((a, rel))
-    signs = {}
-    parent = {}
-    for seed in sorted(tops):
-        if seed in signs:
-            continue
-        signs[seed] = 1
-        parent[seed] = None
-        queue = [seed]
-        while queue:
-            cur = queue.pop()
-            for nxt, rel in neighbors.get(cur, ()):
-                want = rel * signs[cur]
-                if nxt not in signs:
-                    signs[nxt] = want
-                    parent[nxt] = cur
-                    queue.append(nxt)
-                elif signs[nxt] != want:
-                    return None, _odd_cycle(parent, cur, nxt)
-    return signs, None
-
-
-def _odd_cycle(parent, a, b):
-    anc_a = []
-    x = a
-    while x is not None:
-        anc_a.append(x)
-        x = parent[x]
-    aset = set(anc_a)
-    path_b = []
-    x = b
-    while x not in aset:
-        path_b.append(x)
-        x = parent[x]
-    lca = x
-    path_a = anc_a[:anc_a.index(lca) + 1]
-    return path_a + list(reversed(path_b)) + [a]
+            s, t = ts
+            if (parity[s] + parity[t] + _opposite(s, f) + _opposite(t, f)) % 2:
+                steps.setdefault(s, []).append(t)
+                steps.setdefault(t, []).append(s)
+    prev, queue = {b: None}, [b]
+    for x in queue:
+        for y in steps[x]:
+            if y not in prev:
+                prev[y] = x
+                queue.append(y)
+    cycle = [a]
+    while cycle[-1] != b:
+        cycle.append(prev[cycle[-1]])
+    return cycle + [a]
 
 
 def induced_facet_sign(sigma, sign, facet):
@@ -462,70 +447,49 @@ def induced_facet_sign(sigma, sign, facet):
     return sign * ((-1) ** _opposite(sigma, facet))
 
 
-def orient(X, cone_vertices=frozenset(), report=None):
+def orient(X, report=None):
     """Orient the top simplices so induced orientations on interior facets
     are opposite.
 
-    Simplices containing a cone vertex must carry the negation of the cone
-    vertex prepended to the orientation their base inherits; this is
-    verified explicitly.  Success is cross-checked against the rank of the
-    top relative homology group (one Z per gallery component).
+    The signs are the parities of the gallery forest ``_fans(X, 0)``, with
+    the first top of each gallery positive; a gallery with an odd join is
+    non-orientable and yields an odd cycle of tops.  Success is
+    cross-checked against the rank of the top relative homology group (one
+    Z per gallery component), and every interior facet is checked to
+    receive opposite induced orientations.  At the base facet of a cone
+    simplex that check is the cone rule: the simplex carries the negation
+    of the cone vertex prepended to the orientation its base inherits.
     """
     if report is None:
         report = check_pseudomanifold(X)
     if not report.facet_degrees_ok:
         raise ValidationError("facet degrees exceed 2; orientation undefined")
-    cofaces = X.facet_cofaces()
-    tops = X.by_dim(X.dim)
-    signs, odd_cycle = _propagate(tops, cofaces)
+    roots, parity, odd = _fans(X, 0)
 
     rel = report.boundary if len(report.boundary) else None
     H = homology_groups(X, rel=rel)
     rank = H.betti[X.dim]
-    if signs is not None and rank != report.gallery_components:
+    if not odd and rank != report.gallery_components:
         raise ConstructionError(
-            "orientation propagation and homology disagree: rank %d vs %d"
+            "gallery forest and homology disagree: rank %d vs %d"
             % (rank, report.gallery_components))
-    if signs is None and rank >= report.gallery_components:
+    if odd and rank >= report.gallery_components:
         raise ConstructionError(
-            "non-orientable propagation but full-rank top homology")
+            "odd gallery join but full-rank top homology")
 
-    if signs is None:
+    if odd:
+        a, b = next(iter(odd.values()))
         return OrientResult(success=False, assignment=None,
-                            odd_cycle=odd_cycle, top_relative_rank=rank, homology=H)
+                            odd_cycle=_witness_cycle(X, parity, a, b),
+                            top_relative_rank=rank, homology=H)
 
-    for f, ts in cofaces.items():
+    first = {}
+    signs = {t: 1 if first.setdefault(r, p) == p else -1
+             for t, r, p in zip(X.by_dim(X.dim), roots, parity)}
+    for f, ts in X.facet_cofaces().items():
         if len(ts) == 2:
             a, b = ts
             if induced_facet_sign(a, signs[a], f) != -induced_facet_sign(b, signs[b], f):
                 raise ConstructionError("induced orientations not opposite at %s" % (f,))
-
-    cone_vertices = set(cone_vertices)
-    if cone_vertices:
-        _verify_cone_rule(X, signs, cofaces, cone_vertices)
     return OrientResult(success=True, assignment=OrientationAssignment(signs=signs),
                         odd_cycle=None, top_relative_rank=rank, homology=H)
-
-
-def _verify_cone_rule(X, signs, cofaces, cone_vertices):
-    """Cone simplices carry -(w, base orientation inherited from the body)."""
-    for s in X.by_dim(X.dim):
-        ws = [v for v in s.vertices if v in cone_vertices]
-        if not ws:
-            continue
-        if len(ws) != 1:
-            raise ConstructionError("top simplex %s has several cone vertices" % (s,))
-        w = ws[0]
-        base = Simplex(tuple(v for v in s.vertices if v != w))
-        partners = [t for t in cofaces[base] if t != s]
-        body = [t for t in partners
-                if not any(v in cone_vertices for v in t.vertices)]
-        if not body:
-            continue
-        inherited = induced_facet_sign(body[0], signs[body[0]], base)
-        pos = s.vertices.index(w)
-        rule_sign = -(inherited * ((-1) ** pos))
-        if signs[s] != rule_sign:
-            raise ConstructionError(
-                "cone orientation rule violated at %s (got %d want %d)"
-                % (s, signs[s], rule_sign))

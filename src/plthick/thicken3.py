@@ -720,7 +720,7 @@ def verify_thickening(t, X):
     if not report.isolated_singularities:
         raise ConstructionError("output has non-isolated singularities")
 
-    res = orient(P, cone_vertices=set(t.cone_vertices.values()), report=report)
+    res = orient(P, report=report)
     if not res.success:
         raise ConstructionError("output is not orientable")
 

@@ -52,16 +52,20 @@ def _passed(number, name):
 
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("name", THICKENING_FIXTURES)
-def test_c01_pipeline(pipeline_cache, name, seed):
+def test_c01_pipeline(pipeline_cache, cone_rule, name, seed):
     out, rep = pipeline_cache(name, seed)
     report = rep.pseudomanifold
     assert report.is_pure
     assert report.facet_degrees_ok
     assert report.isolated_singularities
     assert all(cls.is_manifold for cls in report.vertex_links.values())
-    # Orientable via the cone rule (verified inside orient) and via the
-    # top relative homology rank: one Z per gallery component.
+    # Orientable via the cone rule, which orient enforces as the opposite
+    # induced orientations at each cone simplex's base facet and which is
+    # asserted here on its own, and via the top relative homology rank: one
+    # Z per gallery component.
     assert rep.orientation.success
+    cones = set(out.cone_vertices.values())
+    assert cone_rule(out.P, rep.orientation.assignment.signs, cones) > 0
     assert rep.orientation.top_relative_rank == rep.gallery_components
     if name in CONNECTED_SPINE_FIXTURES:
         assert report.gallery_connected

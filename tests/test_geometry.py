@@ -15,6 +15,7 @@ from plthick.errors import (
 from plthick.fixtures import fixture
 from plthick.geometry import (
     GeometricMap,
+    affine_rank,
     choose_spine_barycenters,
     dyadic_floor_sqrt,
     epsilon_neighborhood_embedding,
@@ -22,7 +23,6 @@ from plthick.geometry import (
     parse_rational,
     point_on_segment,
     sample_general_position_map,
-    segment_pair_sqdist,
     simplex_pair_intersection,
     simplex_pair_sqdist,
     singular_set,
@@ -105,6 +105,38 @@ def test_sampler_pigeonhole_failure():
         sample_general_position_map(X, 3, seed=1, denom_bound=1, max_attempts=20)
 
 
+def _det(m):
+    if not m:
+        return 1
+    return sum((-1) ** j * m[0][j] * _det([row[:j] + row[j + 1:] for row in m[1:]])
+               for j in range(len(m)))
+
+
+def _rank_by_minors(points):
+    """Largest r with a nonzero r x r minor of the difference vectors."""
+    diffs = [[x - y for x, y in zip(p, points[0])] for p in points[1:]]
+    n = len(points[0])
+    for r in range(min(len(diffs), n), 0, -1):
+        for rows in itertools.combinations(diffs, r):
+            for cols in itertools.combinations(range(n), r):
+                if _det([[row[c] for c in cols] for row in rows]) != 0:
+                    return r
+    return 0
+
+
+def test_affine_rank_matches_minors():
+    rng = random.Random(20261018)
+    ranks = []
+    for _ in range(1500):
+        n = rng.choice((2, 3))
+        pts = [tuple(F(rng.randint(0, 2), rng.choice((1, 2))) for _ in range(n))
+               for _ in range(rng.randint(1, 5))]
+        ranks.append(affine_rank(pts))
+        assert ranks[-1] == _rank_by_minors(pts), pts
+    assert set(ranks) == {0, 1, 2, 3}
+    assert affine_rank([]) == -1
+
+
 # -- pairwise intersections ---------------------------------------------------------
 
 def tri_pair_oracle(p, q):
@@ -155,15 +187,12 @@ def test_point_on_segment():
 
 def test_segment_distance_cases():
     # parallel
-    assert segment_pair_sqdist(pt(0, 0, 0), pt(1, 0, 0),
-                               pt(0, 1, 0), pt(1, 1, 0)) == 1
+    assert simplex_pair_sqdist([pt(0, 0, 0), pt(1, 0, 0)],
+                               [pt(0, 1, 0), pt(1, 1, 0)]) == 1
     # crossing closest at interior points
-    assert segment_pair_sqdist(pt(0, 0, 0), pt(2, 0, 0),
-                               pt(1, -1, 1), pt(1, 1, 1)) == 1
+    assert simplex_pair_sqdist([pt(0, 0, 0), pt(2, 0, 0)],
+                               [pt(1, -1, 1), pt(1, 1, 1)]) == 1
     # endpoint to endpoint
-    assert segment_pair_sqdist(pt(0, 0, 0), pt(1, 0, 0),
-                               pt(3, 0, 0), pt(4, 0, 0)) == 4
-    # matches the generic simplex distance
     assert simplex_pair_sqdist([pt(0, 0, 0), pt(1, 0, 0)],
                                [pt(3, 0, 0), pt(4, 0, 0)]) == 4
 

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from plthick.complex_core import (
+    Simplex,
     boundary_and_free_faces,
     cone_off,
     complex_from_maximal,
@@ -10,7 +11,7 @@ from plthick.complex_core import (
     validate_complex,
 )
 from plthick.errors import ValidationError
-from plthick.fixtures import fixture
+from plthick.fixtures import FIXTURE_NAMES, THICKENING_FIXTURES, fixture
 from plthick.homology import homology_groups
 from plthick.pseudomanifold import (
     LinkClass,
@@ -360,8 +361,7 @@ def test_orient_projective_plane_fails_with_odd_cycle():
     X = fixture("projective_plane_6")
     res = orient(X)
     assert not res.success
-    cycle = res.odd_cycle
-    assert cycle[0] == cycle[-1] and len(cycle) >= 4
+    _assert_odd_cycle(X, res.odd_cycle)
     assert res.top_relative_rank == 0
 
 
@@ -394,14 +394,131 @@ def test_orient_iff_top_relative_rank_per_component(name, expect):
         assert res.top_relative_rank < report.gallery_components
 
 
-def test_orient_cone_rule_on_cone_over_sphere():
+def test_orient_cone_rule_on_cone_over_sphere(cone_rule):
     """Coning a sphere: the fresh apex must obey the reflection of the
-    inherited facet orientations."""
+    inherited facet orientations.  The ball's base facets all lie on its
+    boundary, so the rule binds once the boundary is coned off again."""
     S = fixture("boundary_delta3")
-    ball = cone_off(S, S, "w")
+    ball = cone_off(S, S, "o")
     big = check_pseudomanifold(ball)
-    res = orient(ball, cone_vertices={"w"}, report=big)
+    res = orient(ball, report=big)
     assert res.success
+    assert cone_rule(ball, res.assignment.signs, {"o"}) == 0
+    sphere = cone_off(ball, S, "w")
+    res = orient(sphere)
+    assert res.success
+    assert cone_rule(sphere, res.assignment.signs, {"w"}) == 4
+
+
+# The breadth-first propagation that ``orient`` ran before it read its signs
+# off the gallery forest, kept verbatim as the sign oracle.
+
+
+def _opposite(t, f):
+    """Position in t of its one vertex outside the facet f."""
+    return next(i for i, v in enumerate(t.vertices) if v not in f.vertices)
+
+
+def _relation(sigma, tau, facet):
+    """Required product sign(sigma)*sign(tau) across a shared facet."""
+    return -((-1) ** (_opposite(sigma, facet) + _opposite(tau, facet)))
+
+
+def _propagate(tops, cofaces):
+    """BFS orientation propagation; returns (signs, None) or (None, odd_cycle)."""
+    neighbors = {}
+    for f, ts in cofaces.items():
+        if len(ts) == 2:
+            a, b = ts
+            rel = _relation(a, b, f)
+            neighbors.setdefault(a, []).append((b, rel))
+            neighbors.setdefault(b, []).append((a, rel))
+    signs = {}
+    parent = {}
+    for seed in sorted(tops):
+        if seed in signs:
+            continue
+        signs[seed] = 1
+        parent[seed] = None
+        queue = [seed]
+        while queue:
+            cur = queue.pop()
+            for nxt, rel in neighbors.get(cur, ()):
+                want = rel * signs[cur]
+                if nxt not in signs:
+                    signs[nxt] = want
+                    parent[nxt] = cur
+                    queue.append(nxt)
+                elif signs[nxt] != want:
+                    return None, _odd_cycle(parent, cur, nxt)
+    return signs, None
+
+
+def _odd_cycle(parent, a, b):
+    anc_a = []
+    x = a
+    while x is not None:
+        anc_a.append(x)
+        x = parent[x]
+    aset = set(anc_a)
+    path_b = []
+    x = b
+    while x not in aset:
+        path_b.append(x)
+        x = parent[x]
+    lca = x
+    path_a = anc_a[:anc_a.index(lca) + 1]
+    return path_a + list(reversed(path_b)) + [a]
+
+
+def _oracle_signs(X):
+    return _propagate(X.by_dim(X.dim), X.facet_cofaces())[0]
+
+
+def _assert_odd_cycle(X, cycle):
+    """A closed walk of top simplices, each step across a facet of two
+    cofaces, whose sign relations multiply to -1."""
+    cofaces = X.facet_cofaces()
+    assert cycle[0] == cycle[-1] and len(cycle) >= 4
+    product = 1
+    for s, t in zip(cycle, cycle[1:]):
+        f = Simplex(tuple(v for v in s.vertices if v in t.vertices))
+        assert f.dim == X.dim - 1 and sorted(cofaces[f]) == sorted((s, t)), (s, t)
+        product *= _relation(s, t, f)
+    assert product == -1, cycle
+
+
+def _orient_matches_oracle(X):
+    """``orient`` gives the oracle's signs, or an odd cycle where the oracle
+    finds none; returns whether X is orientable."""
+    res = orient(X)
+    assert (res.assignment.signs if res.success else None) == _oracle_signs(X)
+    if not res.success:
+        _assert_odd_cycle(X, res.odd_cycle)
+    return res.success
+
+
+def test_orient_signs_and_odd_cycles_match_propagation_oracle():
+    rng = random.Random(20261021)
+    candidates = [fixture(name) for name in FIXTURE_NAMES]
+    candidates += _random_surfaces()
+    candidates += [_random_three_pseudomanifold(rng) for _ in range(300)]
+    candidates += [cone_off(fixture(name), fixture(name), "w")
+                   for name in ("projective_plane_6", "torus_7")]
+    verdicts = [_orient_matches_oracle(X) for X in candidates
+                if check_pseudomanifold(X).facet_degrees_ok]
+    assert 100 < sum(verdicts) < len(verdicts) - 50, (sum(verdicts), len(verdicts))
+
+
+def test_orient_signs_on_closed_octahedral_ball_match_oracle(octahedral_closure):
+    Q = octahedral_closure.Q.complex
+    assert octahedral_closure.orientation.assignment.signs == _oracle_signs(Q)
+
+
+@pytest.mark.parametrize("name", THICKENING_FIXTURES)
+def test_orient_signs_on_thickenings_match_oracle(pipeline_cache, name):
+    out, rep = pipeline_cache(name, 0)
+    assert rep.orientation.assignment.signs == _oracle_signs(out.P)
 
 
 def test_link_of_edge_in_three_sphere_is_circle():

@@ -1,9 +1,8 @@
-import functools
 from collections import Counter
 
 import pytest
 
-from plthick.complex_core import Complex, cone_off, validate_complex
+from plthick.complex_core import Complex, validate_complex
 from plthick.errors import BudgetExceededError, ValidationError
 from plthick.fixtures import fixture
 from plthick.homology import homology_groups
@@ -17,11 +16,6 @@ from plthick.reflection import (
     orbit_count_euler,
     verify_closed_locally,
 )
-
-
-def octahedron_sphere():
-    return validate_complex([
-        [a, b, c] for a in ("x+", "x-") for b in ("y+", "y-") for c in ("z+", "z-")])
 
 
 # -- mirror structures ---------------------------------------------------------
@@ -91,14 +85,8 @@ def test_four_cycle_cone_closes_to_torus():
     assert res.Q.n_chambers == 16
 
 
-@functools.cache
-def octahedron_ball_closure():
-    ball = cone_off(octahedron_sphere(), octahedron_sphere(), "o")
-    return close_up(ball, budget=2_000_000)
-
-
-def test_octahedron_ball_closes_to_flat_three_manifold():
-    res = octahedron_ball_closure()
+def test_octahedron_ball_closes_to_flat_three_manifold(octahedral_closure):
+    res = octahedral_closure
     Q = res.Q.complex
     assert Q.euler_characteristic() == 0
     assert res.Q.n_chambers == 64
@@ -108,19 +96,19 @@ def test_octahedron_ball_closes_to_flat_three_manifold():
     assert res.homology is res.orientation.homology
 
 
-def test_closure_vertex_links_match_per_vertex_oracle():
+def test_closure_vertex_links_match_per_vertex_oracle(octahedral_closure):
     """The one-pass vertex-link classification of the closed-up Q agrees
     with classifying one link complex per vertex."""
-    res = octahedron_ball_closure()
+    res = octahedral_closure
     Q = res.Q.complex
     assert res.report.vertex_links == {
         v.vertices[0]: classify_link(link_of(Q, v)) for v in Q.by_dim(0)}
 
 
-def test_closure_passes_the_checked_constructor():
+def test_closure_passes_the_checked_constructor(octahedral_closure):
     """Q, its chamber and its boundary complexes are built by face closure
     without the closure check; the checked constructor accepts them."""
-    res = octahedron_ball_closure()
+    res = octahedral_closure
     ms = res.mirror_structure
     for X in (res.Q.complex, res.Q.identity_chamber(), ms.Y, *ms.mirrors.values()):
         assert Complex(X.simplices) == X
@@ -167,9 +155,8 @@ def test_local_classification_of_thickened_sphere(pipeline_cache):
     assert verify_closed_locally(out.P, cone_vertices=cones) == rep
 
 
-def test_local_and_global_classifications_agree_on_octahedron_ball():
-    ball = cone_off(octahedron_sphere(), octahedron_sphere(), "o")
-    result, mismatches = local_global_agreement(ball, budget=2_000_000)
+def test_local_and_global_classifications_agree_on_octahedron_ball(octahedral_ball):
+    result, mismatches = local_global_agreement(octahedral_ball, budget=2_000_000)
     assert mismatches == []
 
 
