@@ -4,14 +4,26 @@ All arithmetic is arbitrary-precision integer; torsion coefficients are
 exact.  The Smith normal form first exhausts unit pivots (chosen to limit
 fill), then finishes the usually tiny remainder with the classic
 smallest-pivot algorithm.
+
+The boundary maps are reduced from the top dimension down, with clearing
+(Chen-Kerber, "Persistent homology computation with a twist", 2011): a unit
+pivot at row sigma of a reduced column c of the (k+1)-th boundary map means
+that the boundary of c is +-sigma + sum a_i tau_i over rows tau_i not yet
+pivoted, so the boundary of sigma is -+sum a_i (boundary of tau_i).  Column
+sigma of the k-th map then lies in the integer span of the remaining
+columns, and by induction over the pivots, dropping every such column keeps
+the column lattice, hence the rank and the nonzero Smith invariants, of the
+k-th map (Kaczynski-Mischaikow-Mrozek, *Computational Homology*, 2004).
+Only unit pivots clear: a pivot d > 1 puts just d times a column in the span.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
+from itertools import combinations
 
-from .complex_core import Simplex
 from .errors import ConstructionError, ValidationError
 
 
@@ -65,25 +77,18 @@ def boundary_matrices(X, rel=None):
     if rel is not None and not rel.is_subcomplex_of(X):
         raise ValidationError("relative subcomplex is not contained in X")
     excluded = rel.simplices if rel is not None else frozenset()
-    bases = {}
-    index = {}
-    for k in range(X.dim + 1):
-        basis = tuple(s for s in X.by_dim(k) if s not in excluded)
-        bases[k] = basis
-        index.update({s: i for i, s in enumerate(basis)})
+    bases = {k: tuple(s for s in X.by_dim(k) if s not in excluded) for k in range(X.dim + 1)}
     matrices = {}
     for k in range(1, X.dim + 1):
-        cols = []
-        for s in bases[k]:
-            col = {}
-            vs = s.vertices
-            for i in range(len(vs)):
-                facet = Simplex._of(vs[:i] + vs[i + 1:])
-                if facet in excluded:
-                    continue
-                col[index[facet]] = 1 if i % 2 == 0 else -1
-            cols.append(col)
-        matrices[k] = cols
+        # Rows are keyed on vertex tuples; a facet of the relative
+        # subcomplex has no row and is skipped.
+        index = {s.vertices: i for i, s in enumerate(bases[k - 1])}
+        # combinations(vs, k) drops position k first, then k - 1, ..., 0.
+        signs = tuple((-1) ** (k - j) for j in range(k + 1))
+        matrices[k] = [
+            {r: sign for r, sign in zip(map(index.get, combinations(s.vertices, k)), signs)
+             if r is not None}
+            for s in bases[k]]
     cc = ChainComplex(bases=bases, matrices=matrices)
     _assert_boundary_squared_zero(cc)
     return cc
@@ -107,7 +112,7 @@ def _assert_boundary_squared_zero(cc):
 def smith_normal_form(matrix):
     """Diagonal of the Smith normal form and the rank.
 
-    ``matrix`` is a dense list of integer rows (possibly ragged-free).
+    ``matrix`` is a dense list of integer rows, all of the same length.
     Returns ``(diagonal, rank)`` with positive diagonal entries satisfying
     d1 | d2 | ... .
     """
@@ -121,12 +126,13 @@ def smith_normal_form(matrix):
             if v:
                 col[r] = v
         cols.append(col)
-    diag = _snf_diagonal_sparse(cols)
+    diag, _ = _snf_diagonal_sparse(cols)
     return diag, len(diag)
 
 
 def _snf_diagonal_sparse(cols):
-    """Smith diagonal of a sparse column collection (destructive)."""
+    """Smith diagonal of a sparse column collection (destructive), and the
+    set of rows used as unit pivots of its reduced columns."""
     live = {c: col for c, col in enumerate(cols) if col}
     row_cols = {}
     for c, col in live.items():
@@ -145,7 +151,7 @@ def _snf_diagonal_sparse(cols):
             if v in (1, -1):
                 heapq.heappush(heap, (score(r, c), r, c))
 
-    ones = 0
+    pivot_rows = set()
     while heap:
         sc, r, c = heapq.heappop(heap)
         col = live.get(c)
@@ -155,7 +161,7 @@ def _snf_diagonal_sparse(cols):
             heapq.heappush(heap, (score(r, c), r, c))
             continue
         pivot = col[r]
-        ones += 1
+        pivot_rows.add(r)
         piv_entries = list(col.items())
         for c2 in list(row_cols[r]):
             if c2 == c:
@@ -180,19 +186,21 @@ def _snf_diagonal_sparse(cols):
         del live[c]
         row_cols.pop(r, None)
 
+    ones = [1] * len(pivot_rows)
     if not live:
-        return [1] * ones
+        return ones, pivot_rows
 
-    # Dense fallback for the residue without unit entries.
+    # Dense fallback for the residue without unit entries.  No pivot here
+    # may clear a column: the row operations mix rows, so a diagonal entry
+    # names no single row, and a pivot d > 1 puts only d times a boundary
+    # in the span, so clearing there could invent or lose torsion.
     rows = sorted({r for col in live.values() for r in col})
     rindex = {r: i for i, r in enumerate(rows)}
     dense = [[0] * len(live) for _ in rows]
     for j, (c, col) in enumerate(sorted(live.items())):
         for r, v in col.items():
             dense[rindex[r]][j] = v
-    residue = _dense_snf(dense)
-    diag = [1] * ones + residue
-    return _normalize_divisibility(diag)
+    return _normalize_divisibility(ones + _dense_snf(dense)), pivot_rows
 
 
 def _dense_snf(m):
@@ -265,8 +273,6 @@ def _dense_snf(m):
 
 
 def _normalize_divisibility(diag):
-    import math
-
     diag = [abs(d) for d in diag if d]
     changed = True
     while changed:
@@ -280,28 +286,31 @@ def _normalize_divisibility(diag):
     return diag
 
 
-def _snf_of_matrix_k(cc, k):
-    cols = [dict(col) for col in cc.matrices.get(k, [])]
-    return _snf_diagonal_sparse(cols)
-
-
 def homology_groups(X, rel=None):
-    """Betti numbers and torsion coefficients of X (or of (X, rel))."""
+    """Betti numbers and torsion coefficients of X (or of (X, rel)).
+
+    The boundary maps are reduced top-down; the unit pivot rows of the
+    (k+1)-th map clear the matching columns of the k-th (module docstring).
+    """
     if X.dim < 0:
         return HomologyResult(betti=(), torsion=())
     cc = boundary_matrices(X, rel=rel)
     top = X.dim
-    snf = {k: _snf_of_matrix_k(cc, k) for k in range(1, top + 1)}
-    ranks = {k: len(snf.get(k, [])) for k in range(0, top + 2)}
+    snf = {}
+    cleared = set()
+    for k in range(top, 0, -1):
+        # cc is private to this call, so its columns are reduced in place.
+        cols = [col for j, col in enumerate(cc.matrices[k]) if j not in cleared]
+        snf[k], cleared = _snf_diagonal_sparse(cols)
     betti = []
     torsion = []
     for k in range(top + 1):
-        b = cc.rank(k) - ranks.get(k, 0) - ranks.get(k + 1, 0)
-        tor = tuple(d for d in snf.get(k + 1, []) if d > 1)
+        b = cc.rank(k) - len(snf.get(k, ())) - len(snf.get(k + 1, ()))
+        tor = tuple(d for d in snf.get(k + 1, ()) if d > 1)
         betti.append(b)
         torsion.append(tor)
     result = HomologyResult(betti=tuple(betti), torsion=tuple(torsion))
-    if rel is None:
-        if result.euler() != X.euler_characteristic():
-            raise ConstructionError("homology Euler characteristic mismatch")
+    chi = X.euler_characteristic() - (rel.euler_characteristic() if rel is not None else 0)
+    if result.euler() != chi:
+        raise ConstructionError("homology Euler characteristic mismatch")
     return result

@@ -17,7 +17,7 @@ decidable by surface classification.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cache
 from itertools import combinations
 from operator import itemgetter
@@ -87,6 +87,8 @@ class PseudomanifoldReport:
     boundary: Complex
     gallery_connected: bool
     gallery_components: int
+    # The gallery forest _fans(X, 0), (roots, parity, odd), kept for orient.
+    galleries: tuple = field(compare=False, repr=False)
     facet_witness: Simplex | None = None
     isolated_singularities: bool | None = None
     positive_links_ok: bool | None = None
@@ -190,7 +192,8 @@ def check_pseudomanifold(X):
     witness = next((f for f, tops in cofaces.items() if not 0 < len(tops) <= 2), None)
     boundary = complex_from_maximal(
         f for f, tops in cofaces.items() if len(tops) == 1)
-    components = len(set(_fans(X, 0)[0]))
+    galleries = _fans(X, 0)
+    components = len(set(galleries[0]))
     return PseudomanifoldReport(
         dim=d,
         is_pure=is_pure,
@@ -198,6 +201,7 @@ def check_pseudomanifold(X):
         boundary=boundary,
         gallery_connected=components <= 1,
         gallery_components=components,
+        galleries=galleries,
         facet_witness=witness,
     )
 
@@ -451,20 +455,21 @@ def orient(X, report=None):
     """Orient the top simplices so induced orientations on interior facets
     are opposite.
 
-    The signs are the parities of the gallery forest ``_fans(X, 0)``, with
-    the first top of each gallery positive; a gallery with an odd join is
-    non-orientable and yields an odd cycle of tops.  Success is
-    cross-checked against the rank of the top relative homology group (one
-    Z per gallery component), and every interior facet is checked to
-    receive opposite induced orientations.  At the base facet of a cone
-    simplex that check is the cone rule: the simplex carries the negation
-    of the cone vertex prepended to the orientation its base inherits.
+    The signs are the parities of the gallery forest ``_fans(X, 0)``, which
+    ``check_pseudomanifold`` keeps on the report, with the first top of
+    each gallery positive; a gallery with an odd join is non-orientable and
+    yields an odd cycle of tops.  Success is cross-checked against the rank
+    of the top relative homology group (one Z per gallery component), and
+    every interior facet is checked to receive opposite induced
+    orientations.  At the base facet of a cone simplex that check is the
+    cone rule: the simplex carries the negation of the cone vertex
+    prepended to the orientation its base inherits.
     """
     if report is None:
         report = check_pseudomanifold(X)
     if not report.facet_degrees_ok:
         raise ValidationError("facet degrees exceed 2; orientation undefined")
-    roots, parity, odd = _fans(X, 0)
+    roots, parity, odd = report.galleries
 
     rel = report.boundary if len(report.boundary) else None
     H = homology_groups(X, rel=rel)

@@ -1,17 +1,26 @@
-import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from plthick.complex_core import (
-    EMPTY_COMPLEX,
     barycentric_subdivision,
     boundary_and_free_faces,
     cone_off,
-    validate_complex,
 )
-from plthick.homology import boundary_matrices, homology_groups, smith_normal_form
-from plthick.fixtures import fixture
+from plthick.errors import ConstructionError
+from plthick.fixtures import FIXTURE_NAMES, THICKENING_FIXTURES, fixture
+from plthick.homology import (
+    ChainComplex,
+    HomologyResult,
+    _snf_diagonal_sparse,
+    boundary_matrices,
+    homology_groups,
+    smith_normal_form,
+)
+from plthick.pseudomanifold import check_pseudomanifold
+from test_complex_core import small_complexes
+from test_pseudomanifold import _random_three_pseudomanifold
 
 
 def snf_oracle(matrix):
@@ -182,3 +191,88 @@ def test_euler_characteristic_consistency(name):
     X = fixture(name)
     H = homology_groups(X)
     assert H.euler() == X.euler_characteristic()
+
+
+# -- cleared top-down reduction against the per-dimension one ---------------------------
+
+
+def homology_oracle(X, rel=None):
+    """The former per-dimension reduction: every boundary map on its own,
+    bottom-up, with no column cleared."""
+    if X.dim < 0:
+        return HomologyResult(betti=(), torsion=())
+    cc = boundary_matrices(X, rel=rel)
+    top = X.dim
+    snf = {k: _snf_diagonal_sparse([dict(col) for col in cc.matrices.get(k, [])])[0]
+           for k in range(1, top + 1)}
+    ranks = {k: len(snf.get(k, [])) for k in range(0, top + 2)}
+    betti = []
+    torsion = []
+    for k in range(top + 1):
+        b = cc.rank(k) - ranks.get(k, 0) - ranks.get(k + 1, 0)
+        tor = tuple(d for d in snf.get(k + 1, []) if d > 1)
+        betti.append(b)
+        torsion.append(tor)
+    return HomologyResult(betti=tuple(betti), torsion=tuple(torsion))
+
+
+def assert_matches_oracle(X, rel=None):
+    H = homology_groups(X, rel=rel)
+    assert H == homology_oracle(X, rel=rel), (X.maximal_simplices, rel)
+    return H
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_cleared_homology_matches_oracle_on_fixtures(name):
+    X = fixture(name)
+    assert_matches_oracle(X)
+    assert_matches_oracle(X, rel=boundary_and_free_faces(X)[1])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(small_complexes())
+def test_cleared_homology_matches_oracle_on_random_complexes(X):
+    assert_matches_oracle(X)
+    assert_matches_oracle(X, rel=boundary_and_free_faces(X)[1])
+
+
+def test_cleared_homology_matches_oracle_on_random_three_pseudomanifolds():
+    rng = random.Random(20261021)
+    for _ in range(200):
+        X = _random_three_pseudomanifold(rng)
+        assert_matches_oracle(X)
+        assert_matches_oracle(X, rel=check_pseudomanifold(X).boundary)
+
+
+@pytest.mark.parametrize("name", THICKENING_FIXTURES)
+def test_cleared_homology_matches_oracle_on_thickenings(pipeline_cache, name):
+    out, rep = pipeline_cache(name, 0)
+    assert assert_matches_oracle(out.P) == rep.homology_P
+    assert_matches_oracle(out.P, rel=rep.pseudomanifold.boundary)
+
+
+def test_cleared_homology_matches_oracle_on_closed_octahedral_ball(octahedral_closure):
+    H = assert_matches_oracle(octahedral_closure.Q.complex)
+    assert H == octahedral_closure.homology
+    assert H.betti == (1, 3, 3, 1)
+
+
+def test_suspension_of_projective_plane():
+    """H_2 = Z/2 comes from the Smith diagonal of the top boundary map,
+    whose unit pivots clear most columns of the next one down."""
+    RP2 = fixture("projective_plane_6")
+    suspension = cone_off(cone_off(RP2, RP2, "n"), RP2, "s")
+    H = assert_matches_oracle(suspension)
+    assert H.betti == (1, 0, 0, 0)
+    assert H.torsion == ((), (), (2,), ())
+
+
+def test_relative_euler_check_catches_a_wrong_betti(monkeypatch):
+    X = fixture("single_triangle")
+    _, boundary = boundary_and_free_faces(X)
+    assert homology_groups(X, rel=boundary).betti == (0, 0, 1)
+    # One triangle too many in the basis count: b_2 reads 2.
+    monkeypatch.setattr(ChainComplex, "rank",
+                        lambda self, k: len(self.bases.get(k, ())) + (k == 2))
+    with pytest.raises(ConstructionError, match="Euler"):
+        homology_groups(X, rel=boundary)
