@@ -91,11 +91,13 @@ def geometric_map_to_obj(m):
 def geometric_map_from_obj(obj):
     X = complex_from_obj(obj)
     n = obj.get("n")
+    if type(n) is not int or n < 1:
+        raise ValidationError("n must be a positive integer: %r" % (n,))
     points = {}
     for entry in obj["vertices"]:
         coords = entry.get("coords")
-        if coords is None:
-            raise ValidationError("vertex %r has no coords" % entry.get("id"))
+        if not isinstance(coords, list):
+            raise ValidationError("vertex %r needs a list of coords" % entry["id"])
         points[entry["id"]] = tuple(parse_rational(c) for c in coords)
     return GeometricMap(domain=X, n=n, points=points)
 
@@ -171,7 +173,7 @@ def run_pipeline(config, X):
     artifacts["provenance.json"] = canonical_json({
         "simplices": [
             {"simplex": list(s.vertices),
-             "origin": "M" if origin == "M" else "cone:%s" % origin[1]}
+             "origin": "M" if origin == "M" else out.cone_vertices[origin[1]]}
             for s, origin in sorted(out.provenance.items())
         ]})
 
@@ -318,38 +320,43 @@ def _write_artifacts(artifacts, out_dir):
             fh.write(data)
 
 
+_FLAGS = {
+    "--seed": dict(type=int, default=0),
+    "--denom-bound": dict(type=int, default=1000),
+    "--budget": dict(type=int, default=2_000_000),
+    "--rel": dict(choices=["boundary"], default=None),
+    "--export-off": dict(action="store_true"),
+    "--local-only": dict(action="store_true"),
+    "--out": dict(default="plthick_out"),
+}
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="plthick",
         description="Thicken 2-complexes into orientable 3-pseudomanifolds "
                     "and close them up by boundary reflections.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, help_):
+    # Each subcommand registers only the flags it reads.
+    for name, help_, flags in (
+            ("validate", "check and normalize a complex", ""),
+            ("subdivide", "barycentric subdivision", ""),
+            ("spine", "spine of the punctured complex", ""),
+            ("embed", "sample a general-position map and its singular set",
+             "--seed --denom-bound"),
+            ("check", "pseudomanifold report", ""),
+            ("orient", "orientation assignment or odd-cycle witness", ""),
+            ("homology", "integer homology, optionally relative to the boundary", "--rel"),
+            ("thicken", "build and verify the pseudomanifold thickening",
+             "--seed --denom-bound --budget --export-off --local-only --out"),
+            ("close", "close a pseudomanifold with boundary by reflections",
+             "--budget --local-only"),
+            ("links", "classify every vertex link", ""),
+    ):
         p = sub.add_parser(name, help=help_)
         p.add_argument("input", help="complex JSON path or fixture:NAME")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--denom-bound", type=int, default=1000)
-        p.add_argument("--budget", type=int, default=2_000_000)
-        p.add_argument("--rel", choices=["boundary"], default=None)
-        p.add_argument("--export-off", action="store_true")
-        p.add_argument("--local-only", action="store_true")
-        p.add_argument("--out", default="plthick_out")
-        return p
-
-    for name, help_ in (
-            ("validate", "check and normalize a complex"),
-            ("subdivide", "barycentric subdivision"),
-            ("spine", "spine of the punctured complex"),
-            ("embed", "sample a general-position map and its singular set"),
-            ("check", "pseudomanifold report"),
-            ("orient", "orientation assignment or odd-cycle witness"),
-            ("homology", "integer homology, optionally relative to the boundary"),
-            ("thicken", "build and verify the pseudomanifold thickening"),
-            ("close", "close a pseudomanifold with boundary by reflections"),
-            ("links", "classify every vertex link"),
-    ):
-        add(name, help_)
+        for flag in flags.split():
+            p.add_argument(flag, **_FLAGS[flag])
     return parser
 
 

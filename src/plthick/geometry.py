@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-import math
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -72,16 +71,17 @@ def format_rational(x):
 
 
 def parse_rational(text):
-    """Parse a canonical rational string; non-reduced forms are rejected."""
-    if "/" in text:
-        ps, qs = text.split("/", 1)
-        p, q = int(ps), int(qs)
-        if q < 2:
-            raise ValidationError("non-canonical rational %r" % text)
-        if math.gcd(p, q) != 1:
-            raise ValidationError("non-reduced rational %r" % text)
-        return Fraction(p, q)
-    return Fraction(int(text))
+    """Parse a rational in the canonical form ``format_rational`` writes:
+    an integer, or p/q in lowest terms with q >= 2.  Anything else,
+    including a value that is not a string, is a ``ValidationError``."""
+    if isinstance(text, str):
+        try:
+            x = Fraction(text)
+        except (ValueError, ZeroDivisionError):
+            x = None
+        if x is not None and format_rational(x) == text:
+            return x
+    raise ValidationError("non-canonical rational %r" % (text,))
 
 
 def dyadic_floor_sqrt(x):
@@ -658,7 +658,11 @@ def _sample_weights(rng, labels, denom=64):
     return {v: Fraction(a, total) for v, a in raw.items()}
 
 
-def choose_spine_barycenters(m, seed, budget=1000, candidate_hook=None):
+# Candidates tried per spine barycenter before a RejectionBudgetError.
+_BARYCENTER_ATTEMPTS = 1000
+
+
+def choose_spine_barycenters(m, seed, candidate_hook=None):
     """Pick interior barycenters so the map embeds the spine.
 
     Lower-dimensional barycenters avoid the recorded intersection
@@ -696,7 +700,7 @@ def choose_spine_barycenters(m, seed, budget=1000, candidate_hook=None):
     lower = sorted(s for s in X.simplices if 0 < s.dim < d)
     for s in lower:
         pts = m.simplex_points(s)
-        for attempt in range(1, budget + 1):
+        for attempt in range(1, _BARYCENTER_ATTEMPTS + 1):
             w = (candidate_hook(rng, s) if candidate_hook else None) or \
                 _sample_weights(rng, s.vertices)
             pt = _combine(pts, [w[v] for v in s.vertices])
@@ -716,7 +720,7 @@ def choose_spine_barycenters(m, seed, budget=1000, candidate_hook=None):
         my_records = [r for r in sing.records
                       if s in (r.simplex_i, r.simplex_j)]
         earlier = set(tops[:i])
-        for attempt in range(1, budget + 1):
+        for attempt in range(1, _BARYCENTER_ATTEMPTS + 1):
             w = (candidate_hook(rng, s) if candidate_hook else None) or \
                 _sample_weights(rng, s.vertices)
             apex = _combine(pts, [w[v] for v in s.vertices])

@@ -35,7 +35,9 @@ class LinkClass:
     Circle, Arc, PointPair, Point, Empty, Mixed, NotManifold.  ``genus`` is
     the orientable genus, or the crosscap number for non-orientable
     surfaces.  ``components`` counts connected components; a disconnected
-    link is still a manifold when every component is one.
+    link is still a manifold when every component is one.  A surface keeps
+    its components as ``pieces``, the sorted triples (Euler characteristic,
+    boundary circles, orientable).
     """
 
     kind: str
@@ -46,9 +48,22 @@ class LinkClass:
     genus: int | None = None
     boundary_components: int | None = None
     witness: Simplex | None = None
+    pieces: tuple | None = None
 
     def closed(self):
         return self.is_manifold and not self.boundary_components
+
+    def doubled(self):
+        """Class of this surface doubled along its whole boundary: each
+        component with boundary gives one closed surface of twice its Euler
+        characteristic, orientable exactly when the component is, and each
+        closed component gives two copies of itself."""
+        if self.pieces is None:
+            raise ValidationError("only a surface can be doubled, not %s" % self.describe())
+        doubles = []
+        for chi, nb, orientable in self.pieces:
+            doubles += [(2 * chi, 0, orientable)] if nb else [(chi, 0, orientable)] * 2
+        return _surface_class(doubles)
 
     def describe(self):
         bits = [self.kind]
@@ -315,7 +330,8 @@ def _surface_class(pieces):
     kind = kinds[0] if len(set(kinds)) == 1 else "Mixed"
     return LinkClass(kind=kind, dim=2, components=len(kinds), is_manifold=True,
                      orientable=orientable_all, genus=genus_total,
-                     boundary_components=boundary_total)
+                     boundary_components=boundary_total,
+                     pieces=tuple(sorted(map(tuple, pieces))))
 
 
 def _surface_fans(X, k, boundary):

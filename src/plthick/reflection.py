@@ -5,10 +5,11 @@ The group is the right-angled reflection group on the vertices of the flag
 boundary triangulation; the materialized object is the quotient by the
 kernel of the sign map to (Z/2)^S, so chambers are indexed by bit vectors.
 That kernel is torsion free and of finite index, which makes the quotient a
-finite complex.  Large inputs are handled by the local link verifier, which
-reads the link of every vertex class of the quotient off the links of the
-chamber and builds only the two-chamber doubles of boundary cone-vertex
-links.
+finite complex.  The one gluing rule is the table y -> S(y) of the mirrors
+through each chamber vertex (``chamber_label``).  Large inputs are handled
+by the local link verifier, which reads the link of every vertex class of
+the quotient off P's own vertex-link report: an interior vertex keeps its
+link and a boundary vertex gets the double of its link along the boundary.
 """
 
 from __future__ import annotations
@@ -21,9 +22,7 @@ from .complex_core import (
     barycentric_subdivision,
     barycenter_label,
     complex_from_maximal,
-    full_subcomplex,
     is_flag,
-    star_link,
 )
 from .errors import BudgetExceededError, ConstructionError, ValidationError
 from .pseudomanifold import (
@@ -38,24 +37,28 @@ from .pseudomanifold import (
 
 @dataclass(frozen=True)
 class MirrorStructure:
-    """A chamber complex with one mirror subcomplex per index in S."""
+    """A chamber complex Y with the set S of mirror indices and the table
+    ``Sof`` of the indices whose mirrors pass through each vertex of Y.
+
+    The mirror of s is the full subcomplex of Y on {y : s in Sof[y]}; the
+    table determines the whole gluing (Davis, The Geometry and Topology of
+    Coxeter Groups, ch. 5).
+    """
 
     Y: Complex
     S: tuple
-    mirrors: dict
     Sof: dict  # Y-vertex label -> frozenset of indices
     chamber_source: Complex | None = None  # the pseudomanifold that was subdivided
 
     def __post_init__(self):
+        indices = frozenset(self.S)
         for y in self.Y.vertices:
             if y not in self.Sof:
                 raise ValidationError("vertex %r missing from the mirror table" % y)
-        for s, mirror in self.mirrors.items():
-            if not mirror.is_subcomplex_of(self.Y):
-                raise ValidationError("mirror %r is not a subcomplex" % (s,))
-            for y in mirror.vertices:
-                if s not in self.Sof[y]:
-                    raise ConstructionError("mirror table disagrees at %r" % y)
+            if not self.Sof[y] <= indices:
+                raise ValidationError(
+                    "vertex %r lies on unknown mirrors %s"
+                    % (y, sorted(self.Sof[y] - indices)))
 
 
 def boundary_mirror_structure(P):
@@ -78,12 +81,6 @@ def boundary_mirror_structure(P):
                 "subdivided boundary still not flag (witness %s)" % (witness,))
     sub = barycentric_subdivision(P)
     Y = sub.child
-    S = boundary.vertices
-    bsub = barycentric_subdivision(boundary)
-    mirrors = {}
-    for s in S:
-        star, _ = star_link(bsub.child, Simplex((s,)))
-        mirrors[s] = star
     Sof = {}
     for y in Y.vertices:
         tau = sub.carrier_of_label(y)
@@ -91,8 +88,7 @@ def boundary_mirror_structure(P):
             Sof[y] = frozenset(tau.vertices)
         else:
             Sof[y] = frozenset()
-    return MirrorStructure(Y=Y, S=tuple(S), mirrors=mirrors, Sof=Sof,
-                           chamber_source=P)
+    return MirrorStructure(Y=Y, S=tuple(boundary.vertices), Sof=Sof, chamber_source=P)
 
 
 def _boundary_complex(P):
@@ -110,7 +106,7 @@ class ChamberComplex:
     masks: dict
 
     def chamber_vertex(self, w, y):
-        return "%d#%s" % (w & ~self.masks[y], y)
+        return chamber_label(w, self.masks[y], y)
 
     def chamber_simplex(self, w, s):
         return Simplex(tuple(sorted(self.chamber_vertex(w, y) for y in s.vertices)))
@@ -121,11 +117,11 @@ class ChamberComplex:
             for s in self.mirror_structure.Y.maximal_simplices)
 
 
-def _mask_of(sset, sidx):
-    mask = 0
-    for s in sset:
-        mask |= 1 << sidx[s]
-    return mask
+def chamber_label(w, mask, y):
+    """Label of the vertex y of chamber w, where ``mask`` has the bits of
+    the mirrors through y: chambers w and w' share y exactly when w xor w'
+    is supported on those mirrors."""
+    return "%d#%s" % (w & ~mask, y)
 
 
 def orbit_count_euler(ms):
@@ -155,13 +151,13 @@ def basic_construction(ms, budget=2_000_000):
         raise BudgetExceededError(
             "basic construction needs %d simplices > budget %d" % (total, budget))
     sidx = {s: i for i, s in enumerate(ms.S)}
-    masks = {y: _mask_of(ms.Sof[y], sidx) for y in ms.Y.vertices}
+    masks = {y: sum(1 << sidx[s] for s in ms.Sof[y]) for y in ms.Y.vertices}
     simplices = set()
     maximal = ms.Y.maximal_simplices
     for w in range(2 ** k):
+        label = {y: chamber_label(w, mask, y) for y, mask in masks.items()}
         for s in maximal:
-            simplices.add(Simplex(tuple(sorted(
-                "%d#%s" % (w & ~masks[y], y) for y in s.vertices))))
+            simplices.add(Simplex(tuple(sorted(label[y] for y in s.vertices))))
     complex_ = complex_from_maximal(simplices)
     cc = ChamberComplex(complex=complex_, n_chambers=2 ** k,
                         mirror_structure=ms, masks=masks)
@@ -226,26 +222,12 @@ class LocalLinkReport:
     cone_vertices: tuple
 
     def all_closed_manifolds(self):
-        return all(cls.is_manifold and not cls.boundary_components
-                   for _, cls in self.classes.values())
+        return all(cls.closed() for _, cls in self.classes.values())
 
 
 _SPHERE = LinkClass(kind="Sphere", dim=2, components=1, is_manifold=True,
-                    orientable=True, genus=0, boundary_components=0)
-
-
-def _double_of_link(P, boundary, w):
-    """Classify the double of the subdivided link of w along its boundary:
-    the glued link of w's class when w lies on the boundary of P."""
-    sub = barycentric_subdivision(link_of(P, Simplex((w,))))
-    Y = sub.child
-    on_mirror = link_of(boundary, Simplex((w,))).simplices
-    sof = {y: frozenset((w,)) if sub.carrier_of_label(y) in on_mirror else frozenset()
-           for y in Y.vertices}
-    ms = MirrorStructure(
-        Y=Y, S=(w,), Sof=sof,
-        mirrors={w: full_subcomplex(Y, [y for y in Y.vertices if sof[y]])})
-    return classify_link(basic_construction(ms).complex)
+                    orientable=True, genus=0, boundary_components=0,
+                    pieces=((2, 0, True),))
 
 
 def verify_closed_locally(P, cone_vertices=(), report=None):
@@ -253,11 +235,14 @@ def verify_closed_locally(P, cone_vertices=(), report=None):
     without materializing it.
 
     The classes follow from the links of P (``report`` is P's
-    isolated-singularity report, computed when missing): interior vertices
-    keep their link, every other class is a sphere, except that a boundary
-    cone vertex's class has the double of its link along the boundary,
-    which is built and classified (two chambers).  Cone-vertex classes must
-    produce closed surfaces, everything else spheres.
+    isolated-singularity report, computed when missing).  An interior
+    vertex keeps its link.  A boundary vertex v lies on its own mirror
+    only, Sof[v] = {v}, so its class has two copies of lk_P(v) glued along
+    lk_dP(v), which is the boundary of lk_P(v): the double of lk_P(v)
+    (``LinkClass.doubled``).  Every simplex of positive dimension has a
+    sphere link.  Cone-vertex classes must produce closed surfaces,
+    everything else single spheres; for a boundary vertex that is the
+    condition that its link is a single disc.
     """
     if P.dim != 3:
         raise ValidationError("local closed-link verification expects dimension 3")
@@ -284,19 +269,11 @@ def verify_closed_locally(P, cone_vertices=(), report=None):
             # Glued link = reflected boundary of tau * lk_P(tau): a sphere, as
             # positive_links_ok certifies circle/arc edge links and facet degrees.
             cls = _SPHERE
-        elif is_cone:
-            cls = _double_of_link(P, boundary, v)
         elif on_boundary:
-            # The double of a disc along its boundary circle is a sphere.
-            lk = report.vertex_links[v]
-            if not (lk.kind == "Disc" and lk.components == 1):
-                raise ConstructionError(
-                    "class %s should have a sphere link, got the double of %s"
-                    % (tau, lk.describe()))
-            cls = _SPHERE
+            cls = report.vertex_links[v].doubled()
         else:
             cls = report.vertex_links[v]
-        if not cls.is_manifold or cls.boundary_components:
+        if not cls.closed():
             raise ConstructionError(
                 "class %s has a non-closed link: %s" % (tau, cls.describe()))
         if not is_cone and not (cls.kind == "Sphere" and cls.components == 1):
@@ -306,27 +283,18 @@ def verify_closed_locally(P, cone_vertices=(), report=None):
     return LocalLinkReport(classes=classes, cone_vertices=cone_vertices)
 
 
-def local_global_agreement(P, budget=2_000_000):
-    """Build the closed-up space outright and compare every materialized
-    vertex link classification with the local computation."""
-    result = close_up(P, budget=budget)
+def local_global_agreement(P):
+    """Build the closed-up space outright and compare the class of every
+    materialized vertex link with the local computation (3-dimensional
+    chambers only)."""
+    result = close_up(P)
     cc = result.Q
-    ms = result.mirror_structure
-    Q = cc.complex
-    source = ms.chamber_source
+    source = result.mirror_structure.chamber_source
+    local = verify_closed_locally(source).classes if source.dim == 3 else {}
     mismatches = []
-    if source.dim == 3:
-        local = verify_closed_locally(source)
-    else:
-        local = None
-    for tau in sorted(source.simplices):
+    for tau, (_, cls_local) in sorted(local.items()):
         y = tau.vertices[0] if tau.dim == 0 else barycenter_label(tau)
-        image = Simplex((cc.chamber_vertex(0, y),))
-        cls_global = classify_link(link_of(Q, image))
-        if local is not None:
-            tag, cls_local = local.classes[tau]
-            if (cls_local.kind, cls_local.components, cls_local.genus,
-                    cls_local.orientable) != (cls_global.kind, cls_global.components,
-                                              cls_global.genus, cls_global.orientable):
-                mismatches.append((tau, cls_local, cls_global))
+        cls_global = classify_link(link_of(cc.complex, Simplex((cc.chamber_vertex(0, y),))))
+        if cls_local != cls_global:
+            mismatches.append((tau, cls_local, cls_global))
     return result, mismatches

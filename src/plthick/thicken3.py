@@ -585,6 +585,11 @@ class ThickeningOutput:
     names: _Namer = field(compare=False, default=None)
 
 
+def _cone_label(v):
+    """Label of the cone vertex over the frontier piece of input vertex v."""
+    return "cone:%s" % v
+
+
 def cone_boundary_neighborhoods(partial):
     """Thicken each frontier piece inside the boundary surface and cone it
     off with a fresh vertex; re-subdivide once if the neighborhoods touch."""
@@ -632,25 +637,17 @@ def cone_boundary_neighborhoods(partial):
             raise ConstructionError("frontier piece of %s touches its rim" % v)
 
     cone_vertices = {}
-    provenance = {}
-    new = set(M.simplices)
+    provenance = dict.fromkeys(M.simplices, "M")
     for v in sorted(Lv):
         N = neighborhoods[v]
         if len(N) == 0:
             continue
-        w = "cone:%s" % v
+        w = _cone_label(v)
         cone_vertices[v] = w
-        new.add(Simplex((w,)))
+        provenance[Simplex((w,))] = ("cone", v)
         for s in N.simplices:
-            new.add(s.join((w,)))
-    P = Complex(new)
-    wset = set(cone_vertices.values())
-    for s in P.simplices:
-        tagged = [x for x in s.vertices if x in wset]
-        if tagged:
-            provenance[s] = ("cone", tagged[0].split(":", 1)[1])
-        else:
-            provenance[s] = "M"
+            provenance[s.join((w,))] = ("cone", v)
+    P = Complex(provenance)
 
     X_copy = _assemble_retract_copy(partial, Lv, cone_vertices)
     if not X_copy.is_subcomplex_of(P):
@@ -679,7 +676,7 @@ def expected_retract_copy(t):
     se = t.spine_embedding
     xverts = set(se.base.domain.vertices)
     return _split_strips(
-        ({"cone:%s" % x if x in xverts else x for x in s.vertices}
+        ({_cone_label(x) if x in xverts else x for x in s.vertices}
          for s in se.nbhd_sub.child.simplices),
         se, t.names)
 

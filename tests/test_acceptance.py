@@ -183,7 +183,6 @@ def test_c07_reflection_trick_small():
     Y = validate_complex([["a", "b"]])
     ms = MirrorStructure(
         Y=Y, S=("sa", "sb"),
-        mirrors={"sa": validate_complex([["a"]]), "sb": validate_complex([["b"]])},
         Sof={"a": frozenset(["sa"]), "b": frozenset(["sb"])})
     circle = basic_construction(ms)
     assert len(circle.complex.by_dim(1)) == 4
@@ -222,7 +221,7 @@ def test_c08_local_closed_links(pipeline_cache):
     oct_sphere = validate_complex([
         [a, b, c] for a in ("x+", "x-") for b in ("y+", "y-") for c in ("z+", "z-")])
     ball = cone_off(oct_sphere, oct_sphere, "o")
-    _, mismatches = local_global_agreement(ball, budget=2_000_000)
+    _, mismatches = local_global_agreement(ball)
     assert mismatches == []
     _passed(8, "reflection links verified locally; local == global where materialized")
 

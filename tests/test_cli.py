@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import random
@@ -6,6 +7,7 @@ import pytest
 
 from plthick.cli import (
     PipelineConfig,
+    build_parser,
     canonical_json,
     complex_from_obj,
     complex_to_obj,
@@ -16,7 +18,7 @@ from plthick.cli import (
 )
 from plthick.errors import ValidationError
 from plthick.fixtures import FIXTURE_NAMES, fixture
-from plthick.geometry import sample_general_position_map
+from plthick.geometry import format_rational, parse_rational, sample_general_position_map
 
 
 # -- serialization ------------------------------------------------------------
@@ -101,12 +103,65 @@ def test_loader_fuzz_raises_only_validation_error():
             complex_from_obj(obj)
 
 
+# Values of the wrong shape or form for the slots of a one-vertex map object.
+WRONG_MAP_SHAPES = {
+    "n": [None, 0, -1, True, 1.0, "1", [1]],
+    "coords": [None, "1", 1, [1], [None], [], ["1", "2"], ["x"], ["+3"], [" 3"],
+               ["03"], ["1_0"], ["-0"], ["1/02"], ["2/4"], ["3/1"], ["1/0"],
+               ["1/-2"], ["1.5"], ["1e3"]],
+}
+
+
+def test_map_loader_fuzz_raises_only_validation_error():
+    rng = random.Random(20261018)
+    for _ in range(200):
+        obj = {"n": 1, "vertices": [{"id": "a", "coords": ["-1/2"]}],
+               "simplices": [["a"]]}
+        for slot in rng.sample(sorted(WRONG_MAP_SHAPES), rng.randint(1, 2)):
+            bad = rng.choice(WRONG_MAP_SHAPES[slot])
+            if slot == "n":
+                obj["n"] = bad
+            else:
+                obj["vertices"][0]["coords"] = bad
+        with pytest.raises(ValidationError):
+            geometric_map_from_obj(obj)
+    # Random text parses only when it is the canonical form of its value.
+    for _ in range(2000):
+        text = "".join(rng.choice("0123456789/+-_ .e") for _ in range(rng.randint(0, 5)))
+        try:
+            x = parse_rational(text)
+        except ValidationError:
+            continue
+        assert format_rational(x) == text
+
+
 # -- CLI surface ------------------------------------------------------------------
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, json.loads(out)
+
+
+def test_subcommands_register_only_the_flags_they_read(capsys):
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {name: sorted(o for a in p._actions for o in a.option_strings
+                          if o not in ("-h", "--help"))
+             for name, p in sub.choices.items()}
+    assert flags == {
+        "validate": [], "subdivide": [], "spine": [], "check": [], "orient": [],
+        "links": [],
+        "embed": ["--denom-bound", "--seed"],
+        "homology": ["--rel"],
+        "thicken": ["--budget", "--denom-bound", "--export-off", "--local-only",
+                    "--out", "--seed"],
+        "close": ["--budget", "--local-only"],
+    }
+    with pytest.raises(SystemExit) as exc:
+        main(["validate", "fixture:single_triangle", "--seed", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
 
 
 def test_validate_subcommand(capsys):

@@ -196,7 +196,8 @@ def _surface_oracle(L):
         components=len(pieces), is_manifold=True,
         orientable=all(o for _, _, o in pieces),
         genus=sum((2 - chi - nb) // 2 if o else 2 - chi - nb for chi, nb, o in pieces),
-        boundary_components=sum(nb for _, nb, _ in pieces))
+        boundary_components=sum(nb for _, nb, _ in pieces),
+        pieces=tuple(sorted(pieces)))
 
 
 def test_classify_surface_matches_independent_oracle():

@@ -2,11 +2,23 @@ from collections import Counter
 
 import pytest
 
-from plthick.complex_core import Complex, validate_complex
-from plthick.errors import BudgetExceededError, ValidationError
+from plthick.complex_core import (
+    Complex,
+    Simplex,
+    barycentric_subdivision,
+    full_subcomplex,
+    star_link,
+    validate_complex,
+)
+from plthick.errors import BudgetExceededError, ConstructionError, ValidationError
 from plthick.fixtures import fixture
 from plthick.homology import homology_groups
-from plthick.pseudomanifold import classify_link, link_of
+from plthick.pseudomanifold import (
+    check_isolated_singularities,
+    check_pseudomanifold,
+    classify_link,
+    link_of,
+)
 from plthick.reflection import (
     MirrorStructure,
     basic_construction,
@@ -20,6 +32,19 @@ from plthick.reflection import (
 
 # -- mirror structures ---------------------------------------------------------
 
+def _mirror(ms, s):
+    """The mirror of s: the full subcomplex of Y on the vertices whose
+    mirror table holds s."""
+    return full_subcomplex(ms.Y, [y for y in ms.Y.vertices if s in ms.Sof[y]])
+
+
+def _boundary_star(ms, s):
+    """The star of s in the subdivided boundary of the chamber source."""
+    boundary = check_pseudomanifold(ms.chamber_source).boundary
+    star, _ = star_link(barycentric_subdivision(boundary).child, Simplex((s,)))
+    return star
+
+
 def test_mirror_structure_of_triangle_disc():
     P = fixture("single_triangle")
     ms = boundary_mirror_structure(P)
@@ -27,7 +52,8 @@ def test_mirror_structure_of_triangle_disc():
     # six boundary vertices afterwards.
     assert len(ms.S) == 6
     for s in ms.S:
-        assert len(ms.mirrors[s]) > 0
+        assert len(_mirror(ms, s)) > 0
+        assert _mirror(ms, s) == _boundary_star(ms, s)
 
 
 def test_mirror_structure_of_four_cycle_cone():
@@ -36,7 +62,17 @@ def test_mirror_structure_of_four_cycle_cone():
     assert len(ms.S) == 4
     for s in ms.S:
         # star of a boundary vertex in the subdivided 4-cycle: two edges
-        assert len(ms.mirrors[s].by_dim(1)) == 2
+        assert len(_mirror(ms, s).by_dim(1)) == 2
+        assert _mirror(ms, s) == _boundary_star(ms, s)
+
+
+def test_mirror_table_rejects_unknown_indices():
+    Y = validate_complex([["a", "b"]])
+    with pytest.raises(ValidationError, match="unknown mirrors"):
+        MirrorStructure(Y=Y, S=("sa",),
+                        Sof={"a": frozenset(["sa"]), "b": frozenset(["sb"])})
+    with pytest.raises(ValidationError, match="missing"):
+        MirrorStructure(Y=Y, S=("sa",), Sof={"a": frozenset(["sa"])})
 
 
 def test_closed_input_rejected():
@@ -50,7 +86,6 @@ def test_interval_with_endpoint_mirrors_doubles_to_circle():
     Y = validate_complex([["a", "b"]])
     ms = MirrorStructure(
         Y=Y, S=("sa", "sb"),
-        mirrors={"sa": validate_complex([["a"]]), "sb": validate_complex([["b"]])},
         Sof={"a": frozenset(["sa"]), "b": frozenset(["sb"])})
     cc = basic_construction(ms)
     assert len(cc.complex.by_dim(0)) == 4 and len(cc.complex.by_dim(1)) == 4
@@ -59,8 +94,7 @@ def test_interval_with_endpoint_mirrors_doubles_to_circle():
 
 def test_empty_mirror_set_reproduces_chamber():
     Y = fixture("single_triangle")
-    ms = MirrorStructure(Y=Y, S=(), mirrors={},
-                         Sof={v: frozenset() for v in Y.vertices})
+    ms = MirrorStructure(Y=Y, S=(), Sof={v: frozenset() for v in Y.vertices})
     cc = basic_construction(ms)
     assert cc.n_chambers == 1
     assert len(cc.complex.simplices) == len(Y.simplices)
@@ -106,11 +140,11 @@ def test_closure_vertex_links_match_per_vertex_oracle(octahedral_closure):
 
 
 def test_closure_passes_the_checked_constructor(octahedral_closure):
-    """Q, its chamber and its boundary complexes are built by face closure
+    """Q and its chamber are built by face closure
     without the closure check; the checked constructor accepts them."""
     res = octahedral_closure
     ms = res.mirror_structure
-    for X in (res.Q.complex, res.Q.identity_chamber(), ms.Y, *ms.mirrors.values()):
+    for X in (res.Q.complex, res.Q.identity_chamber(), ms.Y):
         assert Complex(X.simplices) == X
 
 
@@ -156,7 +190,7 @@ def test_local_classification_of_thickened_sphere(pipeline_cache):
 
 
 def test_local_and_global_classifications_agree_on_octahedron_ball(octahedral_ball):
-    result, mismatches = local_global_agreement(octahedral_ball, budget=2_000_000)
+    result, mismatches = local_global_agreement(octahedral_ball)
     assert mismatches == []
 
 
@@ -170,3 +204,71 @@ def test_local_verifier_requires_isolated_singularities():
     bowtie = validate_complex([["a", "b", "c", "d"], ["a", "b", "e", "f"]])
     with pytest.raises(ValidationError, match="isolated singularities"):
         verify_closed_locally(bowtie)
+
+
+# -- doubles of boundary vertex links --------------------------------------------
+
+def _double_of_link(P, boundary, w):
+    """Oracle: classify the glued link of w's class for a boundary vertex w,
+    built outright as the two-chamber basic construction on the subdivided
+    link of w with the mirror lk_dP(w)."""
+    sub = barycentric_subdivision(link_of(P, Simplex((w,))))
+    Y = sub.child
+    on_mirror = link_of(boundary, Simplex((w,))).simplices
+    sof = {y: frozenset((w,)) if sub.carrier_of_label(y) in on_mirror else frozenset()
+           for y in Y.vertices}
+    return classify_link(basic_construction(MirrorStructure(Y=Y, S=(w,), Sof=sof)).complex)
+
+
+def _assert_doubles_match_oracle(P):
+    report = check_isolated_singularities(P)
+    boundary = report.boundary
+    for v in boundary.vertices:
+        assert report.vertex_links[v].doubled() == _double_of_link(P, boundary, v), v
+    return len(boundary.vertices)
+
+
+@pytest.mark.parametrize("name", ["single_triangle", "two_triangles_shared_vertex",
+                                  "two_triangles_shared_edge", "boundary_delta3",
+                                  "pinched_spheres"])
+def test_doubled_links_match_built_doubles(pipeline_cache, name):
+    out, _ = pipeline_cache(name, 0)
+    assert _assert_doubles_match_oracle(out.P) > 0
+
+
+def test_doubled_links_match_built_doubles_on_octahedron_ball(octahedral_ball):
+    assert _assert_doubles_match_oracle(octahedral_ball) == 6
+
+
+def test_doubled_link_with_a_closed_component():
+    # A tetrahedron and the boundary of a 4-simplex wedged at the boundary
+    # vertex a: lk(a) is a disc plus a sphere, whose double is two spheres.
+    wedge = validate_complex([["a", "b", "c", "d"]] + [
+        [v for v in "aefgh" if v != x] for x in "aefgh"])
+    assert _assert_doubles_match_oracle(wedge) == 4
+    double = check_isolated_singularities(wedge).vertex_links["a"].doubled()
+    assert (double.kind, double.components) == ("Sphere", 3)
+
+
+def test_doubled_link_of_a_non_orientable_link():
+    # The cone from v over the five-vertex Moebius strip: lk(v) is the
+    # strip, whose double is a Klein bottle.
+    strip = [[str(i), str((i + 1) % 5), str((i + 2) % 5)] for i in range(5)]
+    cone = validate_complex([t + ["v"] for t in strip])
+    assert _assert_doubles_match_oracle(cone) == 6
+    double = check_isolated_singularities(cone).vertex_links["v"].doubled()
+    assert (double.kind, double.orientable, double.genus) == ("ClosedSurface", False, 2)
+
+
+def test_doubled_needs_a_surface():
+    circle = classify_link(validate_complex([["a", "b"], ["b", "c"], ["a", "c"]]))
+    with pytest.raises(ValidationError, match="only a surface"):
+        circle.doubled()
+
+
+def test_local_verifier_rejects_a_non_sphere_boundary_class(pipeline_cache):
+    # Without its cone vertices declared, the thickened sphere's cone
+    # classes (doubles of annuli, tori) break the sphere rule.
+    out, _ = pipeline_cache("boundary_delta3", 0)
+    with pytest.raises(ConstructionError, match="should have a sphere link"):
+        verify_closed_locally(out.P)
