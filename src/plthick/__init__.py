@@ -16,12 +16,12 @@ from .complex_core import (
     greedy_collapse,
     is_flag,
     is_full_subcomplex,
+    link_of,
     regular_neighborhood,
     relative_barycentric_subdivision,
     simplicial_neighborhood,
     spine,
     spine_boundary_check,
-    star_link,
     validate_complex,
 )
 from .geometry import (
@@ -57,7 +57,7 @@ __all__ = [
     "Complex",
     "Simplex",
     "validate_complex",
-    "star_link",
+    "link_of",
     "boundary_and_free_faces",
     "is_full_subcomplex",
     "barycentric_subdivision",

@@ -17,6 +17,7 @@ from . import fixtures
 from .complex_core import (
     Simplex,
     barycentric_subdivision,
+    link_of,
     spine,
     validate_complex,
 )
@@ -34,7 +35,6 @@ from .pseudomanifold import (
     check_isolated_singularities,
     check_pseudomanifold,
     classify_link,
-    link_of,
     orient,
 )
 from .reflection import close_up, verify_closed_locally
@@ -303,10 +303,18 @@ def export_off_files(out):
 
 
 def _load_complex(path):
+    """The input complex; an unknown fixture, an unreadable file or text
+    that is not JSON is a ``ValidationError``."""
     if path.startswith("fixture:"):
         return fixtures.fixture(path.split(":", 1)[1])
-    with open(path, "rb") as fh:
-        return complex_from_obj(json.loads(fh.read().decode()))
+    try:
+        with open(path, "rb") as fh:
+            obj = json.loads(fh.read().decode())
+    except OSError as exc:
+        raise ValidationError("cannot read %s: %s" % (path, exc.strerror or exc))
+    except ValueError as exc:
+        raise ValidationError("%s is not JSON: %s" % (path, exc))
+    return complex_from_obj(obj)
 
 
 def _emit(obj):

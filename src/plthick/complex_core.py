@@ -321,15 +321,18 @@ def validate_complex(raw):
     return complex_from_maximal(simplices)
 
 
-def star_link(X, s):
-    """Closed star and link of the simplex ``s`` in ``X``."""
-    if s not in X:
+def link_of(X, s):
+    """Link of the simplex ``s`` in ``X``, built from the incidence index:
+    the simplices t - s for the simplices t of X properly containing s."""
+    if s not in X.simplices:
         raise ValidationError("simplex %s not in complex" % (s,))
     sset = set(s.vertices)
-    carriers = [t for t in X.incident(s.vertices[0]) if sset <= set(t.vertices)]
-    star = complex_from_maximal(carriers)
-    link = Complex(t for t in star.simplices if not (set(t.vertices) & sset))
-    return star, link
+    out = set()
+    for t in X.incident(s.vertices[0]):
+        tset = set(t.vertices)
+        if sset <= tset and len(tset) > len(sset):
+            out.add(Simplex._of(tuple(v for v in t.vertices if v not in sset)))
+    return complex_from_maximal(out)
 
 
 def boundary_and_free_faces(X):
@@ -548,8 +551,7 @@ def spine_boundary_check(X):
     union = set()
     disjoint = True
     for v in X.vertices:
-        _, link = star_link(X2, Simplex((v,)))
-        links[v] = link
+        links[v] = link = link_of(X2, Simplex((v,)))
         if union & link.simplices:
             disjoint = False
         union |= link.simplices

@@ -4,6 +4,7 @@ Every complex referenced by name in the test suite and docs lives here.
 """
 
 from .complex_core import validate_complex
+from .errors import ValidationError
 
 
 _RAW = {
@@ -58,8 +59,7 @@ THICKENING_FIXTURES = (
 
 
 def fixture(name):
-    try:
-        raw = _RAW[name]
-    except KeyError:
-        raise KeyError("unknown fixture %r (have: %s)" % (name, ", ".join(FIXTURE_NAMES)))
-    return validate_complex(raw)
+    if name not in _RAW:
+        raise ValidationError(
+            "unknown fixture %r (have: %s)" % (name, ", ".join(FIXTURE_NAMES)))
+    return validate_complex(_RAW[name])

@@ -22,7 +22,7 @@ from functools import cache
 from itertools import combinations
 from operator import itemgetter
 
-from .complex_core import Complex, Simplex, complex_from_maximal
+from .complex_core import Complex, Simplex, complex_from_maximal, link_of
 from .errors import ConstructionError, ValidationError
 from .homology import HomologyResult, homology_groups
 
@@ -222,17 +222,6 @@ def check_pseudomanifold(X):
 
 
 # -- link classification -------------------------------------------------------
-
-
-def link_of(X, s):
-    """Link of a simplex, built from the incidence index (no star closure)."""
-    sset = set(s.vertices)
-    out = set()
-    for t in X.incident(s.vertices[0]):
-        tset = set(t.vertices)
-        if sset <= tset and len(tset) > len(sset):
-            out.add(Simplex._of(tuple(v for v in t.vertices if v not in sset)))
-    return complex_from_maximal(out)
 
 
 def classify_link(L):

@@ -23,6 +23,7 @@ from .complex_core import (
     barycenter_label,
     complex_from_maximal,
     is_flag,
+    link_of,
 )
 from .errors import BudgetExceededError, ConstructionError, ValidationError
 from .pseudomanifold import (
@@ -30,7 +31,6 @@ from .pseudomanifold import (
     check_isolated_singularities,
     check_pseudomanifold,
     classify_link,
-    link_of,
     orient,
 )
 

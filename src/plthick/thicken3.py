@@ -21,15 +21,14 @@ from dataclasses import dataclass, field
 from .complex_core import (
     Complex,
     Simplex,
-    barycentric_subdivision,
     close_under_faces,
     complex_from_maximal,
-    full_subcomplex,
     greedy_collapse,
     is_full_subcomplex,
+    link_of,
     relative_barycentric_subdivision,
     simplicial_neighborhood,
-    star_link,
+    spine_boundary_check,
 )
 from .errors import ConstructionError, GeneralPositionError, ValidationError
 from .geometry import (
@@ -117,8 +116,7 @@ def extract_sheet_data(se):
     spine_points = {u: se.spine_point(u) for u in se.spine.vertices}
     N = se.nbhd.complex
     for u in se.spine.vertices:
-        _, link = star_link(N, Simplex((u,)))
-        vertex_links[u] = link
+        vertex_links[u] = link = link_of(N, Simplex((u,)))
         dirs = {}
         for x in link.vertices:
             dirs[x] = vsub(se.nbhd.points[x], spine_points[u])
@@ -391,21 +389,29 @@ def _triangle_ball_sphere(names, t):
 
 def build_spine_thickening(sd, se):
     """Assemble the solid, trace the collar copy through it and verify all
-    structural claims (manifoldness, boundary genus, frontier placement)."""
+    structural claims (manifoldness, boundary genus, frontier placement).
+
+    Each ball is the cone from its centre over its sphere triangles, so the
+    link of the centre in M is exactly that sphere: the balls are certified
+    by the centres' links in M's own vertex-link report.  The collar
+    frontier must be the frontier of ``spine_boundary_check(X)``, and the
+    frontier piece of each input vertex is read off that check as the
+    twice-subdivided link of the vertex.
+    """
     X = se.base.domain
     names = _Namer(se)
+    identity = spine_boundary_check(X)
+    if se.frontier != identity.frontier:
+        raise ConstructionError(
+            "collar frontier is not the union of the second-derived vertex links")
 
     tets = []
     for e in X.by_dim(1):
-        sphere = _edge_ball_sphere(names, sd, e)
-        _assert_sphere(sphere, "edge ball %s" % (e,))
         center = names.ve[e]
-        tets.extend(s.join((center,)) for s in sphere)
+        tets.extend(s.join((center,)) for s in _edge_ball_sphere(names, sd, e))
     for t in X.by_dim(2):
-        sphere = _triangle_ball_sphere(names, t)
-        _assert_sphere(sphere, "triangle ball %s" % (t,))
         center = names.vt[t]
-        tets.extend(s.join((center,)) for s in sphere)
+        tets.extend(s.join((center,)) for s in _triangle_ball_sphere(names, t))
     M = complex_from_maximal(tets)
 
     # The collar copy inside the solid.
@@ -425,15 +431,18 @@ def build_spine_thickening(sd, se):
         if not (cls.is_manifold and cls.components == 1 and cls.genus in (0, None)
                 and cls.kind in ("Sphere", "Disc")):
             raise ConstructionError("vertex %s has link %s" % (v, cls.describe()))
+    for c in itertools.chain(names.ve.values(), names.vt.values()):
+        if report.vertex_links[c].kind != "Sphere":
+            raise ConstructionError("ball around %s is bounded by %s, not a 2-sphere"
+                                    % (c, report.vertex_links[c].describe()))
     if not report.positive_links_ok:
         raise ConstructionError("edge or triangle links of the solid are wrong")
 
     boundary = report.boundary
-    Lv = _frontier_components(se, names)
+    Lv = identity.vertex_links
     for v, piece in Lv.items():
         if not piece.is_subcomplex_of(boundary):
             raise ConstructionError("frontier piece of %s not on the boundary" % v)
-        _assert_second_derived_link(se, names, v, piece)
 
     chi_by_component = _verify_handlebody_genus(M, boundary, se.spine)
 
@@ -441,15 +450,6 @@ def build_spine_thickening(sd, se):
         M=M, boundary_surface=boundary, L=L, Lv=Lv, spine=se.spine,
         spine_embedding=se, sheet_data=sd, names=names,
         chi_by_component=chi_by_component)
-
-
-def _assert_sphere(tris, what):
-    sphere = complex_from_maximal(tris)
-    if any(len(tops) != 2 for tops in sphere.facet_cofaces().values()):
-        raise ConstructionError("%s: sphere triangulation has open edges" % what)
-    if sphere.euler_characteristic() != 2 or not sphere.is_connected():
-        raise ConstructionError("%s: not a 2-sphere (chi=%d)"
-                                % (what, sphere.euler_characteristic()))
 
 
 def _spine_edge_pairs(se, names):
@@ -478,65 +478,6 @@ def _split_strips(vertex_sets, se, names):
         out.add(Simplex(tuple(sorted(rest | {a, u}))))
         out.add(Simplex(tuple(sorted(rest | {u, b}))))
     return complex_from_maximal(out)
-
-
-def _frontier_components(se, names):
-    """Group the collar frontier by the original vertex owning each piece."""
-    X = se.base.domain
-    xverts = set(X.vertices)
-    owner = {}
-    for label in se.frontier.vertices:
-        tau = se.nbhd_sub.carrier_of_label(label)
-        owners = [v for v in tau.vertices if v in xverts]
-        if len(owners) != 1:
-            raise ConstructionError("frontier vertex %s has no unique owner" % label)
-        owner[label] = owners[0]
-    out = {}
-    for v in X.vertices:
-        labels = [lab for lab, o in owner.items() if o == v]
-        out[v] = full_subcomplex(se.frontier, labels)
-    union = set()
-    for piece in out.values():
-        union |= piece.simplices
-    if union != se.frontier.simplices:
-        raise ConstructionError("frontier does not split along original vertices")
-    return out
-
-
-def _assert_second_derived_link(se, names, v, piece):
-    """The frontier piece of v must equal the twice-subdivided link of v,
-    vertex for vertex under canonical chain relabeling."""
-    X = se.base.domain
-    _, link = star_link(X, Simplex((v,)))
-    if link.dim < 0:
-        if len(piece) != 0:
-            raise ConstructionError("frontier piece of isolated vertex %s" % v)
-        return
-    b1 = barycentric_subdivision(link)
-    b2 = barycentric_subdivision(b1.child)
-    expected = b2.child
-
-    B = se.subdivision
-
-    def strip_label(label):
-        tau = se.nbhd_sub.carrier_of_label(label)
-        chain = sorted((B.carrier_of_label(x) for x in tau.vertices
-                        if x != v), key=lambda s: s.dim)
-        mapped = []
-        for sigma in chain:
-            reduced = tuple(x for x in sigma.vertices if x != v)
-            mapped.append(reduced[0] if len(reduced) == 1
-                          else "(" + "|".join(reduced) + ")")
-        if len(mapped) == 1:
-            return mapped[0]
-        return "(" + "|".join(sorted(mapped)) + ")"
-
-    relabeled = set()
-    for s in piece.simplices:
-        relabeled.add(Simplex(tuple(sorted(strip_label(x) for x in s.vertices))))
-    if relabeled != expected.simplices:
-        raise ConstructionError(
-            "frontier piece of %s is not the twice-subdivided link" % v)
 
 
 def _verify_handlebody_genus(M, boundary, spine):

@@ -217,6 +217,23 @@ def test_error_object_for_bad_input(capsys):
     assert "d >= 2 required" in obj["error"]["message"]
 
 
+@pytest.mark.parametrize("source, content", [
+    ("fixture:nope", None),
+    ("missing.json", None),
+    ("truncated.json", b'{"vertices": ['),
+    ("latin1.json", b"\xff\xfe"),
+], ids=["unknown-fixture", "missing-file", "malformed-json", "not-utf8"])
+def test_unloadable_input_is_an_error_object(capsys, tmp_path, source, content):
+    if not source.startswith("fixture:"):
+        if content is not None:
+            (tmp_path / source).write_bytes(content)
+        source = str(tmp_path / source)
+    code, obj = run_cli(capsys, "validate", source)
+    assert code == 1
+    assert obj["error"]["type"] == "ValidationError"
+    assert obj["error"]["stage"] == "validate"
+
+
 def test_subdivide_subcommand(capsys):
     code, obj = run_cli(capsys, "subdivide", "fixture:single_edge")
     assert code == 0

@@ -18,13 +18,13 @@ from plthick.complex_core import (
     greedy_collapse,
     is_flag,
     is_full_subcomplex,
+    link_of,
     regular_neighborhood,
     relative_barycentric_subdivision,
     simplicial_neighborhood,
     simplex,
     spine,
     spine_boundary_check,
-    star_link,
     validate_complex,
 )
 from plthick.cli import complex_from_obj
@@ -107,28 +107,28 @@ def test_loaders_reject_malformed_simplices(raw):
 
 def test_link_in_tetrahedron_boundary_is_cycle():
     X = fixture("boundary_delta3")
-    _, link = star_link(X, simplex("a"))
+    link = link_of(X, simplex("a"))
     assert counts(link) == (3, 3)
     assert all(len(link.adjacency()[v]) == 2 for v in link.vertices)
 
 
 def test_link_in_single_triangle():
     X = fixture("single_triangle")
-    star, link = star_link(X, simplex("a"))
+    link = link_of(X, simplex("a"))
     assert link == complex_from_maximal([simplex("b", "c")])
-    assert star == X
+    assert complex_from_maximal(X.incident("a")) == X
 
 
 def test_link_two_triangles_shared_vertex():
     X = fixture("two_triangles_shared_vertex")
-    _, link = star_link(X, simplex("a"))
+    link = link_of(X, simplex("a"))
     assert link == complex_from_maximal([simplex("b", "c"), simplex("d", "e")])
     assert len(link.connected_components()) == 2
 
 
-def test_star_link_missing_simplex_errors():
+def test_link_of_missing_simplex_errors():
     with pytest.raises(ValidationError):
-        star_link(fixture("single_triangle"), simplex("z"))
+        link_of(fixture("single_triangle"), simplex("z"))
 
 
 # -- boundary and free faces ---------------------------------------------------
@@ -261,8 +261,7 @@ def test_spine_is_union_of_links_of_original_vertices():
         B, K = spine(X)
         union = set()
         for v in X.vertices:
-            _, link = star_link(B.child, simplex(v))
-            union |= link.simplices
+            union |= link_of(B.child, simplex(v)).simplices
         assert union == K.simplices
 
 
@@ -311,8 +310,7 @@ def test_regular_neighborhood_of_vertex_in_sphere_is_circle():
     assert counts(Ndot) == (6, 6)
     assert all(len(Ndot.adjacency()[v]) == 2 for v in Ndot.vertices)
     # Same combinatorics as the subdivided link of the vertex.
-    _, link = star_link(X, simplex("a"))
-    BL = barycentric_subdivision(link)
+    BL = barycentric_subdivision(link_of(X, simplex("a")))
     assert counts(BL.child) == counts(Ndot)
 
 
@@ -514,8 +512,7 @@ def test_random_complex_face_closure_and_spine_identity(X):
     B, K = spine(X)
     union = set()
     for v in X.vertices:
-        _, link = star_link(B.child, simplex(v))
-        union |= link.simplices
+        union |= link_of(B.child, simplex(v)).simplices
     assert union == K.simplices
 
 

@@ -12,7 +12,7 @@ from plthick.errors import (
     RejectionBudgetError,
     ValidationError,
 )
-from plthick.fixtures import fixture
+from plthick.fixtures import THICKENING_FIXTURES, fixture
 from plthick.geometry import (
     GeometricMap,
     affine_rank,
@@ -235,6 +235,35 @@ def test_singular_records_in_r3_have_dim_at_most_one(name):
     assert S.dim() <= 1
     for r in S.records:
         assert r.dim <= r.simplex_i.dim + r.simplex_j.dim - 3
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_pairs_meet_as_general_position_predicts(n):
+    """Oracle for the pair logic of ``singular_set`` on twelve sampled maps
+    per ambient dimension (seeds 0-11, two per thickening fixture).  Every
+    pair of simplices with at most n+1 joint vertices meets exactly in its
+    shared face, and a pair of maximal simplices is recorded exactly when
+    the images meet outside that face."""
+    for seed in range(12):
+        X = fixture(THICKENING_FIXTURES[seed % len(THICKENING_FIXTURES)])
+        m = sample_general_position_map(X, n, seed=seed)
+        maximal = set(X.maximal_simplices)
+        expected = {}
+        for s1, s2 in itertools.combinations(sorted(s for s in X.simplices if s.dim >= 1), 2):
+            v1, v2 = set(s1.vertices), set(s2.vertices)
+            near = len(v1 | v2) <= n + 1
+            if v1 <= v2 or v2 <= v1 or not (near or {s1, s2} <= maximal):
+                continue
+            inter = simplex_pair_intersection(m.simplex_points(s1), m.simplex_points(s2))
+            got = tuple(sorted(inter.points))
+            face = tuple(sorted(m.points[v] for v in v1 & v2))
+            if near:
+                assert got == face, (s1, s2)
+            elif got != face:
+                expected[(s1, s2)] = got
+        records = singular_set(m).records
+        assert {(r.simplex_i, r.simplex_j): tuple(sorted(r.ambient))
+                for r in records} == expected
 
 
 # -- spine embedding -------------------------------------------------------------------

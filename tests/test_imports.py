@@ -73,7 +73,7 @@ def test_every_dataclass_field_is_read():
 # referenced only in the functions where that holds, so every caller is here.
 TRUSTED = {
     "Simplex._of": {"complex_core.Simplex.faces", "complex_core.Simplex.facets",
-                    "complex_core.Complex.facet_cofaces", "pseudomanifold.link_of"},
+                    "complex_core.Complex.facet_cofaces", "complex_core.link_of"},
     "_FaceClosed": {"complex_core.Complex.__init__", "complex_core.complex_from_maximal"},
 }
 

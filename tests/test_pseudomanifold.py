@@ -7,6 +7,7 @@ from plthick.complex_core import (
     boundary_and_free_faces,
     cone_off,
     complex_from_maximal,
+    link_of,
     simplex,
     validate_complex,
 )
@@ -18,7 +19,6 @@ from plthick.pseudomanifold import (
     check_isolated_singularities,
     check_pseudomanifold,
     classify_link,
-    link_of,
     orient,
 )
 

@@ -6,8 +6,9 @@ from plthick.complex_core import (
     Complex,
     Simplex,
     barycentric_subdivision,
+    complex_from_maximal,
     full_subcomplex,
-    star_link,
+    link_of,
     validate_complex,
 )
 from plthick.errors import BudgetExceededError, ConstructionError, ValidationError
@@ -17,7 +18,6 @@ from plthick.pseudomanifold import (
     check_isolated_singularities,
     check_pseudomanifold,
     classify_link,
-    link_of,
 )
 from plthick.reflection import (
     MirrorStructure,
@@ -41,8 +41,7 @@ def _mirror(ms, s):
 def _boundary_star(ms, s):
     """The star of s in the subdivided boundary of the chamber source."""
     boundary = check_pseudomanifold(ms.chamber_source).boundary
-    star, _ = star_link(barycentric_subdivision(boundary).child, Simplex((s,)))
-    return star
+    return complex_from_maximal(barycentric_subdivision(boundary).child.incident(s))
 
 
 def test_mirror_structure_of_triangle_disc():
