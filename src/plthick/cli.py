@@ -423,8 +423,8 @@ def _dispatch(args):
         res = orient(X)
         if res.success:
             _emit({"orientable": True,
-                   "signs": {"|".join(s.vertices): sign
-                             for s, sign in res.assignment.signs.items()},
+                   "signs": [{"simplex": list(s.vertices), "sign": sign}
+                             for s, sign in sorted(res.assignment.signs.items())],
                    "top_relative_rank": res.top_relative_rank})
         else:
             _emit({"orientable": False,

@@ -517,11 +517,9 @@ def regular_neighborhood(X, K):
 
 @dataclass(frozen=True)
 class SpineBoundaryReport:
-    """Outcome of the spine regular-neighborhood boundary identity."""
+    """The frontier pieces of the spine's regular neighborhood."""
 
-    passed: bool
     vertex_links: dict
-    frontier: Complex
 
     def component_summary(self):
         return {
@@ -534,34 +532,35 @@ class SpineBoundaryReport:
         }
 
 
+def frontier_pieces(Y, frontier, vertices):
+    """The links in Y of the given vertices, after checking that they are
+    pairwise disjoint and that their union is ``frontier``, simplex for
+    simplex; a ``ConstructionError`` otherwise."""
+    links = {v: link_of(Y, Simplex((v,))) for v in vertices}
+    union = set().union(*(link.simplices for link in links.values()))
+    disjoint = len(union) == sum(len(link) for link in links.values())
+    equal = union == frontier.simplices
+    if not (equal and disjoint):
+        raise ConstructionError(
+            "spine boundary identity failed (equal=%s disjoint=%s)" % (equal, disjoint))
+    return links
+
+
 def spine_boundary_check(X):
-    """Verify that the frontier of the spine's neighborhood in the second
-    subdivision equals the disjoint union of the second-derived links of the
-    original vertices, as chain-labeled simplex sets."""
+    """Verify that the frontier of the spine's regular neighborhood is the
+    disjoint union of the second-derived links of the original vertices.
+
+    The neighborhood is taken in sd(X1 rel K), X1 = sd X and K the spine,
+    as the collar's is.  There, as in the full sd(sd X) under the same
+    labels, the frontier is the set of chains s1 < .. < sk of X1-simplices
+    outside K whose bottom s1 has a K-vertex, and the link of an original
+    vertex v the set of chains of X1-simplices properly containing {v}.
+    """
     if X.dim < 1:
         raise ValidationError("spine_boundary_check needs dim >= 1")
     B1, K = spine(X)
-    X1 = B1.child
-    B2 = barycentric_subdivision(X1)
-    X2 = B2.child
-    K2 = full_subcomplex(X2, [B2.barycenter_table[s] for s in K.simplices])
-    _, Ndot = simplicial_neighborhood(X2, K2)
-
-    links = {}
-    union = set()
-    disjoint = True
-    for v in X.vertices:
-        links[v] = link = link_of(X2, Simplex((v,)))
-        if union & link.simplices:
-            disjoint = False
-        union |= link.simplices
-    equal = union == Ndot.simplices
-    report = SpineBoundaryReport(
-        passed=equal and disjoint, vertex_links=links, frontier=Ndot)
-    if not report.passed:
-        raise ConstructionError(
-            "spine boundary identity failed (equal=%s disjoint=%s)" % (equal, disjoint))
-    return report
+    _, Ndot, sub = regular_neighborhood(B1.child, K)
+    return SpineBoundaryReport(vertex_links=frontier_pieces(sub.child, Ndot, X.vertices))
 
 
 def cone_off(X, L, w):

@@ -601,8 +601,8 @@ class GeometricComplex:
 
 @dataclass(frozen=True)
 class SpineEmbedding:
-    """Chosen interior barycenters making the spine embedded, plus the
-    certified collar neighborhood once epsilon is fixed."""
+    """Chosen interior barycenters making the spine embedded, certified by
+    ``delta_sq``, plus the certified collar neighborhood once epsilon is fixed."""
 
     base: GeometricMap
     subdivision: object  # SubdivisionMap of the ambient first subdivision
@@ -638,25 +638,34 @@ class SpineEmbedding:
         return [self.spine_point(v) for v in s.vertices]
 
 
-def _sample_weights(rng, labels, denom=64):
-    raw = {v: rng.randint(1, denom) for v in labels}
-    total = sum(raw.values())
-    return {v: Fraction(a, total) for v, a in raw.items()}
-
-
 # Candidates tried per spine barycenter before a RejectionBudgetError.
 _BARYCENTER_ATTEMPTS = 1000
 
 
 def choose_spine_barycenters(m, seed, candidate_hook=None):
-    """Pick interior barycenters so the map embeds the spine.
+    """Pick interior barycenters so the map embeds the spine, and certify
+    the embedding by ``delta_sq``.
 
     Lower-dimensional barycenters avoid the recorded intersection
     polytopes; top-simplex barycenters are accepted only when the cone over
     the boundary spine meets every recorded segment transversely and
     misses the finitely many points whose images already lie on earlier
-    cones.  The final embedding is certified by exhaustive exact pairwise
-    checks.  ``candidate_hook`` lets tests inject adversarial candidates.
+    cones.
+
+    The embedding is certified pair by pair of maximal simplices s1, s2:
+
+    - sharing at least 2 vertices, they span at most 2d = n+1 vertices,
+      affinely independent by the general-position certificate, so f is an
+      affine injection on the simplex they span; their spine cells lie in
+      one derived subdivision of it with interior barycenters, so embed;
+    - sharing at most 1 vertex, their spine cells share no spine vertex (a
+      spine vertex's carrier has at least 2 vertices), and are disjoint
+      because ``delta_sq``, their exact least squared distance (None when
+      no such pair exists), is positive or a ``ConstructionError``.
+
+    ``candidate_hook`` lets tests inject adversarial candidates; weights
+    not all positive or not summing to 1 are a ``ValidationError``, since
+    the argument needs interior barycenters.
     """
     X = m.domain
     d = X.dim
@@ -687,8 +696,7 @@ def choose_spine_barycenters(m, seed, candidate_hook=None):
     for s in lower:
         pts = m.simplex_points(s)
         for attempt in range(1, _BARYCENTER_ATTEMPTS + 1):
-            w = (candidate_hook(rng, s) if candidate_hook else None) or \
-                _sample_weights(rng, s.vertices)
+            w = _candidate_weights(candidate_hook, rng, s)
             pt = _combine(pts, [w[v] for v in s.vertices])
             if not on_any_record(pt):
                 weights[s] = w
@@ -707,8 +715,7 @@ def choose_spine_barycenters(m, seed, candidate_hook=None):
                       if s in (r.simplex_i, r.simplex_j)]
         earlier = set(tops[:i])
         for attempt in range(1, _BARYCENTER_ATTEMPTS + 1):
-            w = (candidate_hook(rng, s) if candidate_hook else None) or \
-                _sample_weights(rng, s.vertices)
+            w = _candidate_weights(candidate_hook, rng, s)
             apex = _combine(pts, [w[v] for v in s.vertices])
             if on_any_record(apex):
                 continue
@@ -727,8 +734,51 @@ def choose_spine_barycenters(m, seed, candidate_hook=None):
     se = SpineEmbedding(
         base=m, subdivision=B, spine=K, weights=weights, barycenters=barycenters,
         singular=sing, attempts=attempts)
-    _verify_spine_injective(se)
-    return se
+    return replace(se, delta_sq=_far_cells_delta_sq(se))
+
+
+def _candidate_weights(candidate_hook, rng, s):
+    """Interior weights on s: the hook's candidate if it offers one, else a sample."""
+    w = candidate_hook(rng, s) if candidate_hook else None
+    if not w:
+        raw = {v: rng.randint(1, 64) for v in s.vertices}
+        total = sum(raw.values())
+        return {v: Fraction(a, total) for v, a in raw.items()}
+    if set(w) != set(s.vertices) or min(w.values()) <= 0 or sum(w.values()) != 1:
+        raise ValidationError("candidate weights %r for %s are not interior" % (w, s))
+    return w
+
+
+def _far_cells_delta_sq(se):
+    """Least squared distance between spine cells carried by maximal
+    simplices that share at most one vertex.
+
+    The cell pairs are visited by the squared distance of their bounding
+    boxes, a lower bound on the pair's distance, and the search stops once
+    that bound reaches the least distance found, so the minimum is exact.
+    """
+    tops = se.base.domain.maximal_simplices
+    cells = {s: se.spine_cells_in(s) for s in tops}
+    points = {c: se.cell_points(c) for cs in cells.values() for c in cs}
+    boxes = {c: _bbox(pts) for c, pts in points.items()}
+    pairs = []
+    for s1, s2 in itertools.combinations(sorted(tops), 2):
+        if len(set(s1.vertices) & set(s2.vertices)) > 1:
+            continue
+        for c1 in cells[s1]:
+            for c2 in cells[s2]:
+                pairs.append((_bbox_sqdist(boxes[c1], boxes[c2]), len(pairs), c1, c2))
+    pairs.sort()
+    delta_sq = None
+    for bound, _, c1, c2 in pairs:
+        if delta_sq is not None and bound >= delta_sq:
+            break
+        val = simplex_pair_sqdist(points[c1], points[c2])
+        if delta_sq is None or val < delta_sq:
+            delta_sq = val
+    if delta_sq == 0:
+        raise ConstructionError("spine cells of far simplices touch (delta = 0)")
+    return delta_sq
 
 
 def _boundary_spine_cells(B, K, top, barycenters, m):
@@ -795,79 +845,29 @@ def _check_cone_inner(apex, boundary_cells, my_records, top, earlier, old_crossi
     return True, crossings
 
 
-def _verify_spine_injective(se):
-    """Exact pairwise certification that f embeds the spine."""
-    cells = se.spine.maximal_simplices
-    pts = {c: se.cell_points(c) for c in cells}
-    boxes = {c: _bbox(pts[c]) for c in cells}
-    for c1, c2 in itertools.combinations(cells, 2):
-        shared = set(c1.vertices) & set(c2.vertices)
-        if not shared and _bbox_disjoint(boxes[c1], boxes[c2]):
-            continue
-        inter = simplex_pair_intersection(pts[c1], pts[c2])
-        if tuple(sorted(inter.points)) != tuple(sorted(se.spine_point(v) for v in shared)):
-            raise ConstructionError(
-                "spine cells %s, %s do not meet exactly in their shared face"
-                % (c1, c2))
-    # Distinct spine vertices must have distinct images.
-    seen = {}
-    for v in se.spine.vertices:
-        p = se.spine_point(v)
-        if p in seen:
-            raise ConstructionError("spine vertices %s, %s collide" % (seen[p], v))
-        seen[p] = v
-
-
 def epsilon_neighborhood_embedding(se):
-    """Fix delta and epsilon, build the collar neighborhood of the spine and
-    certify that the map embeds it, by exhaustive exact pair checks.
+    """Fix epsilon, build the collar neighborhood of the spine and certify
+    that the map embeds it, by exact checks on the far collar pairs.
 
-    ``delta_sq`` is the least squared distance between spine cells carried
-    by top simplices that share at most one vertex.  The cell pairs are
-    visited by the squared distance of their bounding boxes, a lower bound
-    on the pair's distance, and the search stops once that bound reaches
-    the least distance found, so the minimum is exact.  ``epsilon`` is the
-    largest ``2^-k <= 1/4`` with ``16 L^2 epsilon^2 <= delta_sq``, L^2 the
-    largest sum of squared edge vectors from a top's first vertex; a power
-    of two keeps the collar coordinates short.
+    ``epsilon`` is the largest ``2^-k <= 1/4`` with
+    ``16 L^2 epsilon^2 <= delta_sq``, where ``delta_sq`` is the spine
+    certificate of ``choose_spine_barycenters`` and L^2 the largest sum of
+    squared edge vectors from a top's first vertex; a power of two keeps the
+    collar coordinates short.
     """
     m = se.base
-    X = m.domain
-    tops = [s for s in X.maximal_simplices]
-
-    cells_cache = {s: se.spine_cells_in(s) for s in tops}
-    points = {c: se.cell_points(c) for cells in cells_cache.values() for c in cells}
-    boxes = {c: _bbox(pts) for c, pts in points.items()}
-    pairs = []
-    for s1, s2 in itertools.combinations(sorted(tops), 2):
-        if len(set(s1.vertices) & set(s2.vertices)) > 1:
-            continue
-        for c1 in cells_cache[s1]:
-            for c2 in cells_cache[s2]:
-                pairs.append((_bbox_sqdist(boxes[c1], boxes[c2]), len(pairs), c1, c2))
-    pairs.sort()
-    delta_sq = None
-    for bound, _, c1, c2 in pairs:
-        if delta_sq is not None and bound >= delta_sq:
-            break
-        val = simplex_pair_sqdist(points[c1], points[c2])
-        if delta_sq is None or val < delta_sq:
-            delta_sq = val
-    if delta_sq is not None and delta_sq == 0:
-        raise ConstructionError("spine cones of far simplices touch (delta = 0)")
-
     lip_sq = ZERO
-    for s in tops:
+    for s in m.domain.maximal_simplices:
         pts = m.simplex_points(s)
         base = pts[0]
         acc = sum((vlensq(vsub(p, base)) for p in pts[1:]), ZERO)
         if acc > lip_sq:
             lip_sq = acc
 
-    if delta_sq is None or lip_sq == 0:
+    if se.delta_sq is None or lip_sq == 0:
         epsilon = Fraction(1, 4)
     else:
-        epsilon = dyadic_floor_sqrt(delta_sq / (16 * lip_sq))
+        epsilon = dyadic_floor_sqrt(se.delta_sq / (16 * lip_sq))
 
     Y = se.subdivision.child
     K = se.spine
@@ -901,8 +901,7 @@ def epsilon_neighborhood_embedding(se):
 
     _verify_collar_injective(nbhd, carriers, m.n)
 
-    return replace(se, delta_sq=delta_sq, epsilon=epsilon,
-                   nbhd=nbhd, nbhd_sub=sub, frontier=Ndot)
+    return replace(se, epsilon=epsilon, nbhd=nbhd, nbhd_sub=sub, frontier=Ndot)
 
 
 def _avg(pts):

@@ -23,12 +23,12 @@ from .complex_core import (
     Simplex,
     close_under_faces,
     complex_from_maximal,
+    frontier_pieces,
     greedy_collapse,
     is_full_subcomplex,
     link_of,
     relative_barycentric_subdivision,
     simplicial_neighborhood,
-    spine_boundary_check,
 )
 from .errors import ConstructionError, GeneralPositionError, ValidationError
 from .geometry import (
@@ -44,7 +44,6 @@ from .homology import homology_groups
 from .pseudomanifold import (
     check_isolated_singularities,
     check_pseudomanifold,
-    classify_link,
     orient,
 )
 
@@ -393,17 +392,17 @@ def build_spine_thickening(sd, se):
 
     Each ball is the cone from its centre over its sphere triangles, so the
     link of the centre in M is exactly that sphere: the balls are certified
-    by the centres' links in M's own vertex-link report.  The collar
-    frontier must be the frontier of ``spine_boundary_check(X)``, and the
-    frontier piece of each input vertex is read off that check as the
-    twice-subdivided link of the vertex.
+    by the centres' links in M's own vertex-link report.  The frontier
+    piece of each input vertex is its link in the collar's own subdivision,
+    and ``frontier_pieces`` checks that these links partition the collar
+    frontier: the spine boundary identity of ``spine_boundary_check``.
+    M's own vertex links are checked here although P's are checked later,
+    since coning can hide a pinch: if lk_M(v) is two discs meeting at a
+    rim vertex of N_w, lk_P(v) is still a disc.
     """
     X = se.base.domain
     names = _Namer(se)
-    identity = spine_boundary_check(X)
-    if se.frontier != identity.frontier:
-        raise ConstructionError(
-            "collar frontier is not the union of the second-derived vertex links")
+    Lv = frontier_pieces(se.nbhd_sub.child, se.frontier, X.vertices)
 
     tets = []
     for e in X.by_dim(1):
@@ -439,7 +438,6 @@ def build_spine_thickening(sd, se):
         raise ConstructionError("edge or triangle links of the solid are wrong")
 
     boundary = report.boundary
-    Lv = identity.vertex_links
     for v, piece in Lv.items():
         if not piece.is_subcomplex_of(boundary):
             raise ConstructionError("frontier piece of %s not on the boundary" % v)
@@ -533,7 +531,13 @@ def _cone_label(v):
 
 def cone_boundary_neighborhoods(partial):
     """Thicken each frontier piece inside the boundary surface and cone it
-    off with a fresh vertex; re-subdivide once if the neighborhoods touch."""
+    off with a fresh vertex; re-subdivide once if the neighborhoods touch.
+
+    Each N_v must keep its frontier piece off its rim.  N_v is a surface
+    by ``verify_thickening``: the simplices of P containing the cone vertex
+    w are w and s + w for s in N_v, so lk_P(w) = N_v, and with isolated
+    singularities every vertex link of the 3-pseudomanifold P is a surface.
+    """
     M = partial.M
     surface = partial.boundary_surface
     L = partial.L
@@ -569,9 +573,6 @@ def cone_boundary_neighborhoods(partial):
     for v, N in neighborhoods.items():
         if len(N) == 0:
             continue
-        cls = classify_link(N)
-        if not cls.is_manifold:
-            raise ConstructionError("neighborhood of %s is not a surface" % v)
         free_edges = [e for e, tops in N.facet_cofaces().items() if len(tops) == 1]
         rim = set(close_under_faces(free_edges))
         if rim & Lv[v].simplices:

@@ -1,7 +1,9 @@
+import random
+
 import pytest
 
 from plthick.complex_core import Simplex, cone_off, validate_complex
-from plthick.fixtures import fixture
+from plthick.fixtures import FIXTURE_NAMES, fixture
 from plthick.reflection import close_up
 from plthick.thicken3 import thicken
 
@@ -20,6 +22,23 @@ def thickening_run(name, seed, denom_bound=1000):
 @pytest.fixture(scope="session")
 def pipeline_cache():
     return thickening_run
+
+
+def _random_complex(rng):
+    n = rng.randint(2, 8)
+    labels = ["v%d" % i for i in range(n)]
+    maximal = []
+    for _ in range(rng.randint(1, 8)):
+        size = rng.randint(2, min(4, n))
+        maximal.append(rng.sample(labels, size))
+    return validate_complex(maximal)
+
+
+@pytest.fixture(scope="session")
+def spine_identity_inputs():
+    """Every fixture, then 50 random complexes of dimension 1 to 3."""
+    rng = random.Random(20260810)
+    return [fixture(name) for name in FIXTURE_NAMES] + [_random_complex(rng) for _ in range(50)]
 
 
 def _position_outside(t, f):

@@ -10,7 +10,6 @@ solid component (same fixture, same reason).
 """
 
 import itertools
-import random
 
 import pytest
 
@@ -94,26 +93,9 @@ def test_c02_retract_homology(pipeline_cache, name, seed):
 
 # -- criterion 3: spine neighborhood boundary --------------------------------------------
 
-def _random_complex(rng):
-    n = rng.randint(2, 8)
-    labels = ["v%d" % i for i in range(n)]
-    maximal = []
-    for _ in range(rng.randint(1, 8)):
-        size = rng.randint(2, min(4, n))
-        maximal.append(rng.sample(labels, size))
-    return validate_complex(maximal)
-
-
-def test_c03_spine_boundary_identity():
-    for name in ("single_triangle", "single_edge", "three_cycle", "four_cycle",
-                 "four_cycle_cone", "boundary_delta3", "boundary_delta4",
-                 "pinched_spheres", "book_of_three", "projective_plane_6",
-                 "torus_7", "two_triangles_shared_vertex",
-                 "two_triangles_shared_edge"):
-        spine_boundary_check(fixture(name))
-    rng = random.Random(20260810)
-    for _ in range(50):
-        spine_boundary_check(_random_complex(rng))
+def test_c03_spine_boundary_identity(spine_identity_inputs):
+    for X in spine_identity_inputs:
+        spine_boundary_check(X)
     _passed(3, "spine regular-neighborhood boundary identity (fixtures + 50 random)")
 
 

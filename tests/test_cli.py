@@ -184,6 +184,22 @@ def test_orient_subcommand_witness(capsys):
     assert len(obj["odd_cycle"]) >= 4
 
 
+def test_orient_subcommand_keeps_one_sign_per_top(capsys, tmp_path):
+    # Both tops would join to "a|b|c|x" under a "|"-joined key.
+    path = tmp_path / "bars.json"
+    path.write_text(json.dumps({
+        "vertices": [{"id": v} for v in ("a", "a|b", "b", "b|c", "c", "x")],
+        "simplices": [["a|b", "c", "x"], ["a", "b|c", "x"]]}))
+    code, obj = run_cli(capsys, "orient", str(path))
+    assert code == 0
+    assert obj["orientable"] is True
+    signs = obj["signs"]
+    assert [r["simplex"] for r in signs] == [["a", "b|c", "x"], ["a|b", "c", "x"]]
+    # The tops share only x: two galleries, each led by a positive top.
+    assert [r["sign"] for r in signs] == [1, 1]
+    assert obj["top_relative_rank"] == 2
+
+
 def test_homology_subcommand_relative(capsys):
     code, obj = run_cli(capsys, "homology", "fixture:four_cycle_cone",
                         "--rel", "boundary")

@@ -340,6 +340,24 @@ def test_spine_boundary_check_sphere():
         assert all(len(link.adjacency()[v]) == 2 for v in link.vertices)
 
 
+def second_derived_frontier(X):
+    """The identity's construction in the full second subdivision X2: the
+    spine's image K2 and the frontier of its simplicial neighborhood."""
+    B1, K = spine(X)
+    B2 = barycentric_subdivision(B1.child)
+    K2 = full_subcomplex(B2.child, [B2.barycenter_table[s] for s in K.simplices])
+    _, Ndot = simplicial_neighborhood(B2.child, K2)
+    return B2.child, Ndot
+
+
+def test_spine_boundary_check_matches_second_derived_oracle(spine_identity_inputs):
+    for X in spine_identity_inputs:
+        X2, frontier = second_derived_frontier(X)
+        links = spine_boundary_check(X).vertex_links
+        assert links == {v: link_of(X2, simplex(v)) for v in X.vertices}
+        assert set().union(*(link.simplices for link in links.values())) == frontier.simplices
+
+
 def test_spine_boundary_check_edge():
     report = spine_boundary_check(fixture("single_edge"))
     for link in report.vertex_links.values():

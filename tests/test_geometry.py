@@ -341,6 +341,39 @@ def test_adversarial_candidate_is_rejected_and_resampled():
     assert any(se.attempts[s] > 1 for s in crafted)
 
 
+@pytest.mark.parametrize("first,total", [(F(0), 1), (F(-1), 1), (F(1, 2), 2)])
+def test_candidate_hook_weights_must_be_interior(first, total):
+    """The embedding argument needs strictly interior barycenters: a hook
+    weight <= 0, or weights not summing to 1, is rejected."""
+    m = sample_general_position_map(fixture("single_triangle"), 3, seed=0)
+
+    def hook(rng, s):
+        rest = (total - first) / (len(s) - 1)
+        return {v: first if i == 0 else rest for i, v in enumerate(s.vertices)}
+
+    with pytest.raises(ValidationError, match="not interior"):
+        choose_spine_barycenters(m, seed=0, candidate_hook=hook)
+
+
+def assert_spine_embedded(se):
+    """The exhaustive oracle for the delta certificate: every pair of
+    maximal spine cells meets exactly in the image of their shared
+    vertices, and distinct spine vertices have distinct images."""
+    cells = se.spine.maximal_simplices
+    for c1, c2 in itertools.combinations(cells, 2):
+        shared = set(c1.vertices) & set(c2.vertices)
+        inter = simplex_pair_intersection(se.cell_points(c1), se.cell_points(c2))
+        assert sorted(inter.points) == sorted(se.spine_point(v) for v in shared), (c1, c2)
+    images = [se.spine_point(v) for v in se.spine.vertices]
+    assert len(set(images)) == len(images)
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+@pytest.mark.parametrize("name", THICKENING_FIXTURES)
+def test_spine_embedding_matches_pairwise_oracle(pipeline_cache, name, seed):
+    assert_spine_embedded(pipeline_cache(name, seed)[0].spine_embedding)
+
+
 @pytest.mark.parametrize("name,seed", [
     ("single_triangle", 0),
     ("two_triangles_shared_edge", 1),

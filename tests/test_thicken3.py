@@ -1,6 +1,6 @@
 import pytest
 
-from plthick.complex_core import Complex, Simplex, simplex, validate_complex
+from plthick.complex_core import Complex, Simplex, link_of, simplex, validate_complex
 from plthick.errors import ValidationError
 from plthick.fixtures import THICKENING_FIXTURES, fixture
 from plthick.geometry import (
@@ -136,6 +136,16 @@ def test_outputs_pass_the_checked_constructor(pipeline_cache, name):
              rep.pseudomanifold.boundary, *out.Nv.values()]
     for X in built:
         assert Complex(X.simplices) == X
+
+
+@pytest.mark.parametrize("name", THICKENING_FIXTURES)
+def test_cone_vertex_link_is_its_neighborhood(pipeline_cache, name):
+    """lk_P(w) = N_v for the cone vertex w of v, so P's vertex-link report
+    certifies that each N_v is a surface."""
+    out, _ = pipeline_cache(name, 0)
+    assert out.cone_vertices
+    for v, w in out.cone_vertices.items():
+        assert link_of(out.P, Simplex((w,))) == out.Nv[v]
 
 
 def test_frontier_pieces_match_second_derived_links(pipeline_cache):
