@@ -1,15 +1,17 @@
 """Exact rational geometry: general-position maps, singular sets, and the
 embedded spine with its collar neighborhood.
 
-Every predicate is decided over exact rationals; floating point appears
-nowhere.  Sampling is seed-deterministic and every accepted sample is
-certified by exact checks, so genericity failures cannot ship.
+Every predicate is decided exactly: over rationals, or over integers
+after scaling by a common denominator; floating point appears nowhere.
+Sampling is seed-deterministic and every accepted sample is certified by
+exact checks, so genericity failures cannot ship.
 """
 
 from __future__ import annotations
 
 import hashlib
 import itertools
+import math
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -102,48 +104,65 @@ def derive_seed(seed, tag):
 # -- exact linear algebra -------------------------------------------------------
 
 
+def _content_free(row):
+    """An integer row divided by the gcd of its entries."""
+    g = math.gcd(*row)
+    return [v // g for v in row] if g > 1 else row
+
+
+def _integer_row(row):
+    """A row of rationals scaled to integers by the lcm of its denominators."""
+    scale = math.lcm(*(v.denominator for v in row))
+    return _content_free([v.numerator * (scale // v.denominator) for v in row])
+
+
 def solve_affine(rows, rhs):
     """Solve ``rows * x = rhs`` exactly.
 
-    Returns ``None`` if inconsistent, else ``(particular, null_basis)``.
+    Returns ``None`` if inconsistent, else ``(particular, null_basis)``:
+    the solution that is zero on the free columns, and per free column the
+    null vector that is 1 there and 0 on the other free columns.  Both are
+    read off the reduced row echelon form, which is unique, so any exact
+    elimination gives the same answer.
+
+    The elimination is fraction-free (integer-preserving, after Bareiss):
+    each row with its right-hand side is scaled to integers, rows are
+    combined Gauss-Jordan style by integer cross-multiplication and divided
+    by their content, and only the final entries, each a row entry over the
+    row's pivot, become ``Fraction``s.
     """
     m = len(rows)
     n = len(rows[0]) if m else 0
-    a = [[Fraction(v) for v in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
+    a = [_integer_row(list(row) + [b]) for row, b in zip(rows, rhs)]
     pivots = []
     r = 0
     for c in range(n):
-        pr = None
-        for i in range(r, m):
-            if a[i][c] != 0:
-                pr = i
-                break
+        pr = next((i for i in range(r, m) if a[i][c]), None)
         if pr is None:
             continue
         a[r], a[pr] = a[pr], a[r]
-        pv = a[r][c]
-        a[r] = [v / pv for v in a[r]]
+        prow = a[r]
+        pv = prow[c]
         for i in range(m):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [v - f * w for v, w in zip(a[i], a[r])]
+            f = a[i][c]
+            if i != r and f:
+                a[i] = _content_free([pv * v - f * w for v, w in zip(a[i], prow)])
         pivots.append(c)
         r += 1
         if r == m:
             break
-    for i in range(r, m):
-        if a[i][n] != 0:
-            return None
+    if any(a[i][n] for i in range(r, m)):
+        return None
     particular = [ZERO] * n
     for i, c in enumerate(pivots):
-        particular[c] = a[i][n]
+        particular[c] = Fraction(a[i][n], a[i][c])
     free = [c for c in range(n) if c not in pivots]
     basis = []
     for fc in free:
         vec = [ZERO] * n
         vec[fc] = ONE
         for i, c in enumerate(pivots):
-            vec[c] = -a[i][fc]
+            vec[c] = Fraction(-a[i][fc], a[i][c])
         basis.append(tuple(vec))
     return tuple(particular), basis
 
@@ -390,6 +409,47 @@ def triangle_triangle_intersection(p, q):
     if lo == hi:
         return PairIntersection(kind="point", points=(a,))
     return PairIntersection(kind="segment", points=(a, b))
+
+
+def _separated(axis, p, q):
+    """The projections of the closed triangles p and q onto ``axis`` are
+    disjoint intervals."""
+    a0, a1, a2 = axis
+    sp = [a0 * x + a1 * y + a2 * z for x, y, z in p]
+    sq = [a0 * x + a1 * y + a2 * z for x, y, z in q]
+    return max(sp) < min(sq) or max(sq) < min(sp)
+
+
+def _triangles_meet(p, q):
+    """Whether two closed triangles in R^3 with integer vertices meet,
+    decided by a separating-axis test on integers.
+
+    Agrees with ``triangle_triangle_intersection(p, q).kind != "empty"``,
+    errors included: a degenerate triangle, and a coplanar pair, raise
+    ``GeneralPositionError``; a pair in distinct parallel planes is
+    separated by their normal.
+
+    Otherwise the planes cross and the difference body p - q is a
+    3-polytope.  The triangles are disjoint exactly when 0 lies outside it,
+    and then one of its facets separates 0 strictly.  A facet of p - q is
+    a face of p minus a face of q; it is 2-dimensional only as a triangle
+    minus a point (normal n_p), a point minus a triangle (normal n_q), or
+    an edge e_i minus a non-parallel edge f_j (normal e_i x f_j).  So the
+    triangles are disjoint if and only if their projections onto one of
+    these 11 axes are disjoint intervals; zero axes are skipped.
+    """
+    ep = [vsub(p[1], p[0]), vsub(p[2], p[1]), vsub(p[0], p[2])]
+    eq = [vsub(q[1], q[0]), vsub(q[2], q[1]), vsub(q[0], q[2])]
+    np_ = vcross(ep[0], ep[1])
+    nq = vcross(eq[0], eq[1])
+    if is_zero_vec(np_) or is_zero_vec(nq):
+        raise GeneralPositionError("degenerate triangle")
+    if is_zero_vec(vcross(np_, nq)):
+        if _separated(np_, p, q):
+            return False
+        raise GeneralPositionError("coplanar triangle pair")
+    axes = [np_, nq] + [vcross(e, f) for e in ep for f in eq]
+    return not any(_separated(axis, p, q) for axis in axes if not is_zero_vec(axis))
 
 
 def point_on_segment(pt, a, b):
@@ -911,25 +971,64 @@ def _avg(pts):
     return vscale(Fraction(1, len(pts)), acc)
 
 
+def _box_overlaps(boxes):
+    """Index pairs ``i < j``, in lexicographic order, of the closed boxes
+    that meet.
+
+    Sweep and prune: with the boxes sorted by their lower first
+    coordinate, the boxes that follow box i in that order meet it in the
+    first coordinate exactly up to the first one starting beyond its upper
+    end, and only those are compared in the other coordinates.
+    """
+    order = sorted(range(len(boxes)), key=lambda i: boxes[i][0][0])
+    pairs = []
+    for a, i in enumerate(order):
+        lo1, hi1 = boxes[i]
+        for b in range(a + 1, len(order)):
+            j = order[b]
+            lo2, hi2 = boxes[j]
+            if lo2[0] > hi1[0]:
+                break
+            if all(lo2[c] <= hi1[c] and lo1[c] <= hi2[c] for c in range(1, len(lo1))):
+                pairs.append((i, j) if i < j else (j, i))
+    pairs.sort()
+    return pairs
+
+
+def _integer_points(points):
+    """The points scaled to integers by D, the lcm of all their coordinate
+    denominators."""
+    scale = math.lcm(*(x.denominator for p in points.values() for x in p))
+    return {v: tuple(x.numerator * (scale // x.denominator) for x in p)
+            for v, p in points.items()}
+
+
 def _verify_collar_injective(nbhd, carriers, n):
     """Far carrier pairs must have disjoint images; near pairs are embedded
-    jointly because their carrier union stays within general position."""
+    jointly because their carrier union stays within general position.
+
+    The points are scaled to integers by D, the lcm of their coordinate
+    denominators; D > 0 keeps every box overlap and every intersection.
+    Only pairs whose boxes meet can intersect: ``_box_overlaps`` finds them
+    and they are visited in the order of ``N.maximal_simplices``, so the
+    first failing pair is the one an all-pairs loop would report.  Triangle
+    pairs in R^3 are decided by ``_triangles_meet``.
+    """
     N = nbhd.complex
     maximal = N.maximal_simplices
-    pts = {s: nbhd.simplex_points(s) for s in maximal}
-    boxes = {s: _bbox(pts[s]) for s in maximal}
-    for s1, s2 in itertools.combinations(maximal, 2):
+    ipoints = _integer_points(nbhd.points)
+    pts = [[ipoints[v] for v in s.vertices] for s in maximal]
+    for i, j in _box_overlaps([_bbox(p) for p in pts]):
+        s1, s2 = maximal[i], maximal[j]
         c1, c2 = carriers[s1], carriers[s2]
         d3 = len(set(c1.vertices) & set(c2.vertices)) - 1
         if c1.dim + c2.dim - d3 <= n:
             continue
-        if _bbox_disjoint(boxes[s1], boxes[s2]):
-            continue
         if n == 3 and s1.dim == 2 and s2.dim == 2:
-            inter = triangle_triangle_intersection(pts[s1], pts[s2])
+            meet = _triangles_meet(pts[i], pts[j])
         else:
-            inter = simplex_pair_intersection(pts[s1], pts[s2])
-        if inter.kind != "empty":
+            meet = simplex_pair_intersection(pts[i], pts[j]).kind != "empty"
+        if meet:
             raise ConstructionError(
                 "collar simplices %s, %s intersect (carriers %s, %s)"
                 % (s1, s2, c1, c2))

@@ -130,9 +130,10 @@ def test_c04_singular_set_bounds():
 def test_c05_spine_embedding_certified(pipeline_cache, name, seed):
     out, _ = pipeline_cache(name, seed)
     se = out.spine_embedding
-    # choose_spine_barycenters and epsilon_neighborhood_embedding certify
-    # injectivity on the spine and the collar by exhaustive exact pair
-    # checks; reaching this point means both passed.
+    # choose_spine_barycenters certifies the spine embedding by delta > 0,
+    # and epsilon_neighborhood_embedding the collar by exact disjointness
+    # tests on every far pair whose boxes meet, found by a sweep; reaching
+    # this point means both passed.
     assert se.nbhd is not None and se.epsilon > 0
     assert max(se.attempts.values()) <= 1000
     if (name, seed) == (THICKENING_FIXTURES[-1], SEEDS[-1]):

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -12,9 +13,17 @@ from plthick.errors import (
     RejectionBudgetError,
     ValidationError,
 )
+from plthick import geometry
 from plthick.fixtures import THICKENING_FIXTURES, fixture
 from plthick.geometry import (
+    GeometricComplex,
     GeometricMap,
+    _bbox,
+    _bbox_disjoint,
+    _box_overlaps,
+    _integer_points,
+    _triangles_meet,
+    _verify_collar_injective,
     affine_rank,
     choose_spine_barycenters,
     dyadic_floor_sqrt,
@@ -26,6 +35,7 @@ from plthick.geometry import (
     simplex_pair_intersection,
     simplex_pair_sqdist,
     singular_set,
+    solve_affine,
     triangle_triangle_intersection,
     verify_general_position,
 )
@@ -469,3 +479,249 @@ def test_spine_embedding_rejects_wrong_codomain():
     m = sample_general_position_map(X, 5, seed=0)
     with pytest.raises(ValidationError):
         choose_spine_barycenters(m, seed=0)
+
+
+# -- integer kernels against their Fraction oracles --------------------------------------
+
+def fraction_solve_affine(rows, rhs):
+    """Gauss-Jordan elimination over Fractions: the oracle for the
+    fraction-free ``solve_affine``."""
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    a = [[F(v) for v in row] + [F(b)] for row, b in zip(rows, rhs)]
+    pivots = []
+    r = 0
+    for c in range(n):
+        pr = next((i for i in range(r, m) if a[i][c] != 0), None)
+        if pr is None:
+            continue
+        a[r], a[pr] = a[pr], a[r]
+        pv = a[r][c]
+        a[r] = [v / pv for v in a[r]]
+        for i in range(m):
+            if i != r and a[i][c] != 0:
+                f = a[i][c]
+                a[i] = [v - f * w for v, w in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+        if r == m:
+            break
+    if any(a[i][n] != 0 for i in range(r, m)):
+        return None
+    particular = [F(0)] * n
+    for i, c in enumerate(pivots):
+        particular[c] = a[i][n]
+    basis = []
+    for fc in (c for c in range(n) if c not in pivots):
+        vec = [F(0)] * n
+        vec[fc] = F(1)
+        for i, c in enumerate(pivots):
+            vec[c] = -a[i][fc]
+        basis.append(tuple(vec))
+    return tuple(particular), basis
+
+
+def assert_solves_like_oracle(rows, rhs):
+    got = solve_affine(rows, rhs)
+    assert got == fraction_solve_affine(rows, rhs)
+    if got is not None:
+        particular, basis = got
+        assert all(type(x) is F for vec in (particular, *basis) for x in vec)
+    return got
+
+
+def random_system(rng):
+    """A small system with rational entries: rows are often combinations of
+    a few base rows (rank-deficient, possibly zero), wide or tall."""
+    m, n = rng.randint(1, 6), rng.randint(1, 6)
+    base = [[F(rng.randint(-4, 4), rng.randint(1, 4)) for _ in range(n)]
+            for _ in range(rng.randint(0, min(m, n)))]
+    rows = []
+    for _ in range(m):
+        if base and rng.random() < 0.7:
+            coeffs = [rng.randint(-2, 2) for _ in base]
+            rows.append([sum(k * b[c] for k, b in zip(coeffs, base)) for c in range(n)])
+        else:
+            rows.append([F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)])
+    rhs = [F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(m)]
+    if rng.random() < 0.3:
+        # Consistent by construction: the right-hand side of a known point.
+        x = [F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)]
+        rhs = [sum(a * b for a, b in zip(row, x)) for row in rows]
+    return rows, rhs
+
+
+def test_solve_affine_matches_fraction_oracle_on_random_systems():
+    rng = random.Random(1401)
+    seen = Counter()
+    for _ in range(2000):
+        rows, rhs = random_system(rng)
+        got = assert_solves_like_oracle(rows, rhs)
+        m, n = len(rows), len(rows[0])
+        seen["inconsistent" if got is None else "consistent"] += 1
+        seen["rank-deficient"] += got is not None and len(got[1]) > max(0, n - m)
+        seen["zero row"] += any(all(v == 0 for v in row) for row in rows)
+        seen["wide" if n > m else "tall" if m > n else "square"] += 1
+    assert min(seen.values()) >= 100, seen
+
+
+def test_solve_affine_edge_cases_match_fraction_oracle():
+    for rows, rhs in [([], []), ([[0, 0]], [0]), ([[0, 0]], [1]), ([[2, 4], [1, 2]], [6, 3]),
+                      ([[2, 4], [1, 2]], [6, 4]), ([[F(1, 3)]], [F(2, 7)]),
+                      ([[0, 1, 0], [0, 0, 0], [0, 2, 0]], [5, 0, 10])]:
+        assert_solves_like_oracle(rows, rhs)
+
+
+@pytest.mark.parametrize("name", ["projective_plane_6", "torus_7"])
+def test_solve_affine_matches_fraction_oracle_on_thickening_calls(monkeypatch, name):
+    """Every system the geometry stages of ``thicken`` solve (they are the
+    only callers), recorded and solved again against the oracle."""
+    calls = []
+
+    def recording(rows, rhs):
+        calls.append((rows, rhs))
+        return solve_affine(rows, rhs)
+
+    monkeypatch.setattr(geometry, "solve_affine", recording)
+    m = sample_general_position_map(fixture(name), 3, seed=0)
+    epsilon_neighborhood_embedding(choose_spine_barycenters(m, seed=0))
+    assert len(calls) > 100
+    for rows, rhs in calls:
+        assert_solves_like_oracle(rows, rhs)
+
+
+def outcome(fn, *args):
+    """A predicate's value, or the type of the exception it raises."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # the type of any failure is part of the outcome
+        return type(exc)
+
+
+def as_fractions(tri):
+    return [tuple(F(x) for x in p) for p in tri]
+
+
+def triangles_meet_oracle(p, q):
+    return triangle_triangle_intersection(as_fractions(p), as_fractions(q)).kind != "empty"
+
+
+def random_triangle_pair(rng, mode):
+    """Small-integer triangles; ``mode`` forces a shared vertex, a shared
+    edge, a common plane or a plane one step away."""
+    k = rng.choice([1, 2, 3, 5])
+
+    def point():
+        return tuple(rng.randint(-k, k) for _ in range(3))
+
+    p = [point() for _ in range(3)]
+    q = [point() for _ in range(3)]
+    if mode == "vertex":
+        q[0] = rng.choice(p)
+    elif mode == "edge":
+        q[0], q[1] = rng.sample(p, 2)
+    elif mode in ("coplanar", "parallel"):
+        z = p[0][2]
+        p = [(x, y, z) for x, y, _ in p]
+        q = [(x, y, z + (mode == "parallel")) for x, y, _ in q]
+    rng.shuffle(q)
+    return p, q
+
+
+def test_triangles_meet_matches_intersection_on_random_pairs():
+    rng = random.Random(1402)
+    seen = Counter()
+    for t in range(3000):
+        mode = ("free", "vertex", "edge", "coplanar", "parallel")[t % 5]
+        p, q = random_triangle_pair(rng, mode)
+        expected = outcome(triangles_meet_oracle, p, q)
+        assert outcome(_triangles_meet, p, q) == expected, (p, q)
+        seen[mode, expected] += 1
+    assert seen["free", True] and seen["free", False] and seen["vertex", True]
+    assert seen["edge", True] and seen["parallel", False]
+    assert seen["free", GeneralPositionError] and seen["coplanar", GeneralPositionError]
+
+
+@pytest.mark.parametrize("name", THICKENING_FIXTURES)
+def test_triangles_meet_matches_intersection_on_collar_pairs(pipeline_cache, name):
+    """Every collar triangle pair whose boxes meet, near carriers included,
+    on the integer points the collar check uses."""
+    nbhd = pipeline_cache(name, 0)[0].spine_embedding.nbhd
+    maximal = nbhd.complex.maximal_simplices
+    assert all(s.dim == 2 for s in maximal)
+    ipoints = _integer_points(nbhd.points)
+    pts = [[ipoints[v] for v in s.vertices] for s in maximal]
+    pairs = _box_overlaps([_bbox(p) for p in pts])
+    assert pairs
+    for i, j in pairs:
+        expected = outcome(triangles_meet_oracle, pts[i], pts[j])
+        assert outcome(_triangles_meet, pts[i], pts[j]) == expected
+
+
+def all_pairs_overlaps(boxes):
+    return [(i, j) for i, j in itertools.combinations(range(len(boxes)), 2)
+            if not _bbox_disjoint(boxes[i], boxes[j])]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 5])
+def test_sweep_visits_exactly_the_overlapping_boxes(dim):
+    rng = random.Random(1403 + dim)
+    for _ in range(50):
+        boxes = []
+        for _ in range(rng.randint(0, 30)):
+            a = [rng.randint(0, 8) for _ in range(dim)]
+            b = [rng.randint(0, 8) for _ in range(dim)]
+            boxes.append((tuple(map(min, a, b)), tuple(map(max, a, b))))
+        assert _box_overlaps(boxes) == all_pairs_overlaps(boxes)
+
+
+@pytest.mark.parametrize("name", THICKENING_FIXTURES)
+def test_sweep_visits_exactly_the_overlapping_collar_boxes(pipeline_cache, name):
+    nbhd = pipeline_cache(name, 0)[0].spine_embedding.nbhd
+    boxes = [_bbox(nbhd.simplex_points(s)) for s in nbhd.complex.maximal_simplices]
+    assert _box_overlaps(boxes) == all_pairs_overlaps(boxes)
+
+
+# -- the collar check fires ----------------------------------------------------------------
+
+def two_triangle_collar(p, q):
+    """Collar triangles abc and def with far carriers: disjoint triangles of
+    the domain, so their images must be disjoint."""
+    N = validate_complex([["a", "b", "c"], ["d", "e", "f"]])
+    points = dict(zip("abcdef", as_fractions(p) + as_fractions(q)))
+    far = {"a": simplex("x0", "x1", "x2"), "d": simplex("y0", "y1", "y2")}
+    carriers = {s: far[s.vertices[0]] for s in N.maximal_simplices}
+    return GeometricComplex(complex=N, points=points), carriers
+
+
+P_TRI = [(0, 0, 0), (4, 0, 0), (0, 4, 0)]
+
+
+def test_collar_check_rejects_crossing_far_triangles():
+    nbhd, carriers = two_triangle_collar(P_TRI, [(1, 1, -1), (1, 1, 2), (3, 3, 1)])
+    with pytest.raises(ConstructionError) as err:
+        _verify_collar_injective(nbhd, carriers, 3)
+    assert all(str(s) in str(err.value) for s in nbhd.complex.maximal_simplices)
+
+
+def test_collar_check_rejects_touching_far_triangles():
+    # q touches p in the single point (2, 2, 0) on p's edge.
+    nbhd, carriers = two_triangle_collar(P_TRI, [(2, 2, 0), (3, 3, 1), (3, 2, 2)])
+    with pytest.raises(ConstructionError):
+        _verify_collar_injective(nbhd, carriers, 3)
+
+
+def test_collar_check_rejects_coplanar_far_triangles():
+    # Disjoint but coplanar, with meeting boxes.
+    nbhd, carriers = two_triangle_collar(P_TRI, [(3, 3, 0), (5, 3, 0), (3, 5, 0)])
+    with pytest.raises(GeneralPositionError):
+        _verify_collar_injective(nbhd, carriers, 3)
+
+
+def test_collar_check_accepts_skew_triangles_separated_by_an_edge_axis():
+    # Boxes meet and neither normal separates the pair; an edge-edge cross
+    # product does.
+    p, q = [(0, 3, 1), (3, 1, 0), (2, 2, 4)], [(2, 0, 3), (0, 4, 3), (0, 2, 4)]
+    assert triangles_meet_oracle(p, q) is False
+    nbhd, carriers = two_triangle_collar(p, q)
+    _verify_collar_injective(nbhd, carriers, 3)

@@ -110,3 +110,26 @@ def test_trusted_constructors_stay_in_their_callers():
     assert found == TRUSTED
     # A face closure is already closed: build it with complex_from_maximal.
     assert rebuilt == []
+
+
+# The integer kernels of geometry.py.  An integer ``/`` silently yields a
+# float, so none of them may divide with ``/`` or hold a float constant.
+INTEGER_KERNELS = ("_content_free", "_integer_row", "solve_affine", "_separated",
+                   "_triangles_meet", "_box_overlaps", "_integer_points",
+                   "_verify_collar_injective")
+
+
+def test_integer_kernels_have_no_true_division_or_float():
+    tree = ast.parse((SRC / "geometry.py").read_text())
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert set(INTEGER_KERNELS) <= set(functions)
+    found = [name for name in INTEGER_KERNELS for node in ast.walk(functions[name])
+             if isinstance(node, ast.Div)
+             or isinstance(node, ast.Constant) and isinstance(node.value, float)]
+    assert found == []
+
+
+def test_float_appears_only_in_the_viewer_export():
+    scopes = {scope for path in sorted(SRC.glob("*.py")) for scope, node in _references(path)
+              if isinstance(node, ast.Name) and node.id == "float"}
+    assert scopes == {"cli._float_positions"}
