@@ -38,7 +38,7 @@ from .pseudomanifold import (
     orient,
 )
 from .reflection import close_up, verify_closed_locally
-from .thicken3 import thicken
+from .thicken3 import _spine_edge_pairs, thicken
 
 
 # -- canonical serialization -----------------------------------------------------
@@ -246,7 +246,7 @@ def _float_positions(out):
         positions[v] = tuple(float(x) for x in p)
     names = out.names
     if names is not None:
-        for (a, b), u in _waist_pairs(out).items():
+        for (a, b), u in _spine_edge_pairs(se, names).items():
             pa, pb = positions.get(a), positions.get(b)
             if pa and pb:
                 positions[u] = tuple((x + y) / 2 for x, y in zip(pa, pb))
@@ -266,11 +266,6 @@ def _float_positions(out):
     for v in todo:
         positions[v] = (0.0, 0.0, 0.0)
     return positions
-
-
-def _waist_pairs(out):
-    from .thicken3 import _spine_edge_pairs
-    return _spine_edge_pairs(out.spine_embedding, out.names)
 
 
 def export_off_files(out):

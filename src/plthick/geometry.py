@@ -338,79 +338,6 @@ def _combine(pts, weights):
     return acc
 
 
-def triangle_triangle_intersection(p, q):
-    """Exact intersection of two triangles in R^3 by clipping the line of
-    their planes against both; endpoints are exact rationals."""
-    np_ = vcross(vsub(p[1], p[0]), vsub(p[2], p[0]))
-    nq = vcross(vsub(q[1], q[0]), vsub(q[2], q[0]))
-    if is_zero_vec(np_) or is_zero_vec(nq):
-        raise GeneralPositionError("degenerate triangle")
-    dp = [vdot(nq, vsub(x, q[0])) for x in p]
-    if all(v > 0 for v in dp) or all(v < 0 for v in dp):
-        return EMPTY_INTERSECTION
-    direction = vcross(np_, nq)
-    if is_zero_vec(direction):
-        raise GeneralPositionError("coplanar triangle pair")
-    # A point on the line: fix the coordinate with nonzero direction entry.
-    k = next(i for i in range(3) if direction[i] != 0)
-    idx = [i for i in range(3) if i != k]
-    a11, a12 = np_[idx[0]], np_[idx[1]]
-    a21, a22 = nq[idx[0]], nq[idx[1]]
-    b1 = vdot(np_, p[0])
-    b2 = vdot(nq, q[0])
-    det = a11 * a22 - a12 * a21
-    if det == 0:
-        raise GeneralPositionError("parallel plane degeneracy")
-    x1 = (b1 * a22 - b2 * a12) / det
-    x2 = (a11 * b2 - a21 * b1) / det
-    origin = [ZERO, ZERO, ZERO]
-    origin[idx[0]] = x1
-    origin[idx[1]] = x2
-    origin = tuple(origin)
-
-    def clip(tri, normal, lo, hi):
-        for i in range(3):
-            a, b = tri[i], tri[(i + 1) % 3]
-            c = tri[(i + 2) % 3]
-            inward = vcross(normal, vsub(b, a))
-            side_c = vdot(inward, vsub(c, a))
-            if side_c == 0:
-                raise GeneralPositionError("degenerate triangle edge")
-            if side_c < 0:
-                inward = vscale(Fraction(-1), inward)
-            val0 = vdot(inward, vsub(origin, a))
-            slope = vdot(inward, direction)
-            if slope == 0:
-                if val0 < 0:
-                    return None
-                continue
-            bound = -val0 / slope
-            if slope > 0:
-                lo = bound if lo is None else max(lo, bound)
-            else:
-                hi = bound if hi is None else min(hi, bound)
-            if lo is not None and hi is not None and lo > hi:
-                return None
-        return lo, hi
-
-    window = clip(p, np_, None, None)
-    if window is None:
-        return EMPTY_INTERSECTION
-    window = clip(q, nq, *window)
-    if window is None:
-        return EMPTY_INTERSECTION
-    lo, hi = window
-    if lo is None or hi is None:
-        raise GeneralPositionError("unclipped intersection line")
-    if lo > hi:
-        return EMPTY_INTERSECTION
-    a = vadd(origin, vscale(lo, direction))
-    b = vadd(origin, vscale(hi, direction))
-    if lo == hi:
-        return PairIntersection(kind="point", points=(a,))
-    return PairIntersection(kind="segment", points=(a, b))
-
-
 def _separated(axis, p, q):
     """The projections of the closed triangles p and q onto ``axis`` are
     disjoint intervals."""
@@ -424,10 +351,10 @@ def _triangles_meet(p, q):
     """Whether two closed triangles in R^3 with integer vertices meet,
     decided by a separating-axis test on integers.
 
-    Agrees with ``triangle_triangle_intersection(p, q).kind != "empty"``,
-    errors included: a degenerate triangle, and a coplanar pair, raise
-    ``GeneralPositionError``; a pair in distinct parallel planes is
-    separated by their normal.
+    Agrees with the tests' oracle, which clips the line of the two planes
+    against both triangles, errors included: a degenerate triangle, and a
+    coplanar pair, raise ``GeneralPositionError``; a pair in distinct
+    parallel planes is separated by their normal.
 
     Otherwise the planes cross and the difference body p - q is a
     3-polytope.  The triangles are disjoint exactly when 0 lies outside it,
@@ -450,23 +377,6 @@ def _triangles_meet(p, q):
         raise GeneralPositionError("coplanar triangle pair")
     axes = [np_, nq] + [vcross(e, f) for e in ep for f in eq]
     return not any(_separated(axis, p, q) for axis in axes if not is_zero_vec(axis))
-
-
-def point_on_segment(pt, a, b):
-    """Exact closed-segment membership."""
-    ab = vsub(b, a)
-    ap = vsub(pt, a)
-    if vlensq(ab) == 0:
-        return pt == a
-    # Collinearity: ap must be a multiple t*ab with 0 <= t <= 1.
-    t = None
-    for x, y in zip(ap, ab):
-        if y != 0:
-            t = x / y
-            break
-    if t is None or t < 0 or t > 1:
-        return False
-    return all(x == t * y for x, y in zip(ap, ab))
 
 
 def point_in_simplex(pt, pts):
@@ -547,7 +457,7 @@ class SingularRecord:
     simplex_i: Simplex
     simplex_j: Simplex
     kind: str  # "point" | "segment"
-    ambient: tuple  # 1 or 2 ambient points
+    ambient: tuple  # 1 or 2 ambient points, sorted
 
     @property
     def dim(self):
@@ -562,9 +472,6 @@ class SingularSet:
 
     def dim(self):
         return max((r.dim for r in self.records), default=-1)
-
-    def ambient_polytopes(self):
-        return [(r.kind, r.ambient) for r in self.records]
 
 
 def _bbox(pts):
@@ -585,11 +492,6 @@ def _bbox_sqdist(b1, b2):
     return acc
 
 
-def _bbox_disjoint(b1, b2):
-    (lo1, hi1), (lo2, hi2) = b1, b2
-    return any(hi1[c] < lo2[c] or hi2[c] < lo1[c] for c in range(len(lo1)))
-
-
 def singular_set(m):
     """Exact intersection records for every simplex pair, with the
     dimension bounds asserted pair by pair.
@@ -601,18 +503,22 @@ def singular_set(m):
     non-degenerate simplex and meet exactly in their shared face.  Such
     pairs are skipped; the others are intersected exactly.  Recorded
     intersections are those of maximal simplices whose open images overlap.
+
+    Only pairs whose bounding boxes meet can intersect, and pairs sharing a
+    vertex always do: ``_box_overlaps`` lists them in the order of the
+    sorted simplices, so they are visited as an all-pairs loop would.
     """
     ok, witness = verify_general_position(m)
     if not ok:
         raise GeneralPositionError("map not in general position (witness %s)" % (witness,))
     X = m.domain
     n = m.n
-    simplices = [s for s in X.simplices if s.dim >= 1]
+    simplices = sorted(s for s in X.simplices if s.dim >= 1)
     maximal = set(X.maximal_simplices)
-    boxes = {s: _bbox(m.simplex_points(s)) for s in simplices}
     records = []
     global_bound = 2 * X.dim - n
-    for s1, s2 in itertools.combinations(sorted(simplices), 2):
+    for i, j in _box_overlaps([_bbox(m.simplex_points(s)) for s in simplices]):
+        s1, s2 = simplices[i], simplices[j]
         v1, v2 = set(s1.vertices), set(s2.vertices)
         if v1 <= v2 or v2 <= v1:
             continue
@@ -620,13 +526,7 @@ def singular_set(m):
         d1, d2 = s1.dim, s2.dim
         if d1 + d2 - (len(shared) - 1) <= n:
             continue
-        if _bbox_disjoint(boxes[s1], boxes[s2]) and not shared:
-            continue
-        pts1, pts2 = m.simplex_points(s1), m.simplex_points(s2)
-        if n == 3 and d1 == 2 and d2 == 2:
-            inter = triangle_triangle_intersection(pts1, pts2)
-        else:
-            inter = simplex_pair_intersection(pts1, pts2)
+        inter = simplex_pair_intersection(m.simplex_points(s1), m.simplex_points(s2))
         if inter.dim > d1 + d2 - n:
             raise GeneralPositionError(
                 "intersection of %s and %s exceeds dimension bound" % (s1, s2))
@@ -638,7 +538,7 @@ def singular_set(m):
             continue  # pair meets exactly in the shared face
         if s1 in maximal and s2 in maximal:
             records.append(SingularRecord(
-                simplex_i=s1, simplex_j=s2, kind=inter.kind, ambient=inter.points))
+                simplex_i=s1, simplex_j=s2, kind=inter.kind, ambient=inter_points))
     result = SingularSet(records=tuple(records))
     if result.dim() > global_bound:
         raise GeneralPositionError("singular set exceeds the global dimension bound")
@@ -646,17 +546,6 @@ def singular_set(m):
 
 
 # -- spine embedding ------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GeometricComplex:
-    """A complex with exact coordinates on its vertices."""
-
-    complex: Complex
-    points: dict
-
-    def simplex_points(self, s):
-        return [self.points[v] for v in s.vertices]
 
 
 @dataclass(frozen=True)
@@ -673,7 +562,7 @@ class SpineEmbedding:
     attempts: dict
     delta_sq: Fraction | None = None
     epsilon: Fraction | None = None
-    nbhd: GeometricComplex | None = None
+    nbhd: GeometricMap | None = None
     nbhd_sub: object | None = None
     frontier: Complex | None = None
 
@@ -737,16 +626,8 @@ def choose_spine_barycenters(m, seed, candidate_hook=None):
     B, K = spine(X)
     rng = random.Random(derive_seed(seed, "spine-barycenters"))
 
-    ambient_polytopes = sing.ambient_polytopes()
-
     def on_any_record(pt):
-        for kind, amb in ambient_polytopes:
-            if kind == "point":
-                if pt == amb[0]:
-                    return True
-            elif point_on_segment(pt, amb[0], amb[1]):
-                return True
-        return False
+        return any(point_in_simplex(pt, r.ambient) is not None for r in sing.records)
 
     weights = {}
     barycenters = {}
@@ -952,14 +833,14 @@ def epsilon_neighborhood_embedding(se):
             coords[label] = _avg([ycoords[v] for v in tau.vertices])
 
     npoints = {v: coords[v] for v in N.vertices}
-    nbhd = GeometricComplex(complex=N, points=npoints)
+    nbhd = GeometricMap(domain=N, n=m.n, points=npoints)
 
     carriers = {}
     for s in N.simplices:
         tau = sub.carrier[s]
         carriers[s] = se.subdivision.carrier[tau]
 
-    _verify_collar_injective(nbhd, carriers, m.n)
+    _verify_collar_injective(nbhd, carriers)
 
     return replace(se, epsilon=epsilon, nbhd=nbhd, nbhd_sub=sub, frontier=Ndot)
 
@@ -1003,7 +884,7 @@ def _integer_points(points):
             for v, p in points.items()}
 
 
-def _verify_collar_injective(nbhd, carriers, n):
+def _verify_collar_injective(nbhd, carriers):
     """Far carrier pairs must have disjoint images; near pairs are embedded
     jointly because their carrier union stays within general position.
 
@@ -1014,7 +895,8 @@ def _verify_collar_injective(nbhd, carriers, n):
     first failing pair is the one an all-pairs loop would report.  Triangle
     pairs in R^3 are decided by ``_triangles_meet``.
     """
-    N = nbhd.complex
+    N = nbhd.domain
+    n = nbhd.n
     maximal = N.maximal_simplices
     ipoints = _integer_points(nbhd.points)
     pts = [[ipoints[v] for v in s.vertices] for s in maximal]

@@ -113,7 +113,7 @@ def extract_sheet_data(se):
     vertex_links = {}
     directions = {}
     spine_points = {u: se.spine_point(u) for u in se.spine.vertices}
-    N = se.nbhd.complex
+    N = se.nbhd.domain
     for u in se.spine.vertices:
         vertex_links[u] = link = link_of(N, Simplex((u,)))
         dirs = {}
@@ -414,7 +414,7 @@ def build_spine_thickening(sd, se):
     M = complex_from_maximal(tets)
 
     # The collar copy inside the solid.
-    L = _split_strips((set(s.vertices) for s in se.nbhd.complex.simplices), se, names)
+    L = _split_strips((set(s.vertices) for s in se.nbhd.domain.simplices), se, names)
     if not L.is_subcomplex_of(M):
         missing = sorted(set(L.simplices) - set(M.simplices))[:4]
         raise ConstructionError("collar copy not inside the solid: %s" % (missing,))

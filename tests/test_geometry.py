@@ -16,10 +16,10 @@ from plthick.errors import (
 from plthick import geometry
 from plthick.fixtures import THICKENING_FIXTURES, fixture
 from plthick.geometry import (
-    GeometricComplex,
+    EMPTY_INTERSECTION,
     GeometricMap,
+    PairIntersection,
     _bbox,
-    _bbox_disjoint,
     _box_overlaps,
     _integer_points,
     _triangles_meet,
@@ -29,14 +29,19 @@ from plthick.geometry import (
     dyadic_floor_sqrt,
     epsilon_neighborhood_embedding,
     format_rational,
+    is_zero_vec,
     parse_rational,
-    point_on_segment,
+    point_in_simplex,
     sample_general_position_map,
     simplex_pair_intersection,
     simplex_pair_sqdist,
     singular_set,
     solve_affine,
-    triangle_triangle_intersection,
+    vadd,
+    vcross,
+    vdot,
+    vscale,
+    vsub,
     verify_general_position,
 )
 
@@ -149,16 +154,84 @@ def test_affine_rank_matches_minors():
 
 # -- pairwise intersections ---------------------------------------------------------
 
-def tri_pair_oracle(p, q):
-    """Independent route: barycentric parameter-space solve."""
-    return simplex_pair_intersection(p, q)
+def clip_triangles(p, q):
+    """Exact intersection of two triangles in R^3 by clipping the line of
+    their planes against both: an independent route, the oracle for
+    ``simplex_pair_intersection`` on triangle pairs and for
+    ``_triangles_meet``.  It divides with ``/``, so it takes Fractions only."""
+    assert all(type(x) is F for v in p + q for x in v)
+    np_ = vcross(vsub(p[1], p[0]), vsub(p[2], p[0]))
+    nq = vcross(vsub(q[1], q[0]), vsub(q[2], q[0]))
+    if is_zero_vec(np_) or is_zero_vec(nq):
+        raise GeneralPositionError("degenerate triangle")
+    dp = [vdot(nq, vsub(x, q[0])) for x in p]
+    if all(v > 0 for v in dp) or all(v < 0 for v in dp):
+        return EMPTY_INTERSECTION
+    direction = vcross(np_, nq)
+    if is_zero_vec(direction):
+        raise GeneralPositionError("coplanar triangle pair")
+    # A point on the line: fix the coordinate with nonzero direction entry.
+    k = next(i for i in range(3) if direction[i] != 0)
+    idx = [i for i in range(3) if i != k]
+    a11, a12 = np_[idx[0]], np_[idx[1]]
+    a21, a22 = nq[idx[0]], nq[idx[1]]
+    b1 = vdot(np_, p[0])
+    b2 = vdot(nq, q[0])
+    det = a11 * a22 - a12 * a21
+    if det == 0:
+        raise GeneralPositionError("parallel plane degeneracy")
+    origin = [F(0)] * 3
+    origin[idx[0]] = (b1 * a22 - b2 * a12) / det
+    origin[idx[1]] = (a11 * b2 - a21 * b1) / det
+    origin = tuple(origin)
+
+    def clip(tri, normal, lo, hi):
+        for i in range(3):
+            a, b, c = tri[i], tri[(i + 1) % 3], tri[(i + 2) % 3]
+            inward = vcross(normal, vsub(b, a))
+            side_c = vdot(inward, vsub(c, a))
+            if side_c == 0:
+                raise GeneralPositionError("degenerate triangle edge")
+            if side_c < 0:
+                inward = vscale(F(-1), inward)
+            val0 = vdot(inward, vsub(origin, a))
+            slope = vdot(inward, direction)
+            if slope == 0:
+                if val0 < 0:
+                    return None
+                continue
+            bound = -val0 / slope
+            if slope > 0:
+                lo = bound if lo is None else max(lo, bound)
+            else:
+                hi = bound if hi is None else min(hi, bound)
+            if lo is not None and hi is not None and lo > hi:
+                return None
+        return lo, hi
+
+    window = clip(p, np_, None, None)
+    if window is None:
+        return EMPTY_INTERSECTION
+    window = clip(q, nq, *window)
+    if window is None:
+        return EMPTY_INTERSECTION
+    lo, hi = window
+    if lo is None or hi is None:
+        raise GeneralPositionError("unclipped intersection line")
+    if lo > hi:
+        return EMPTY_INTERSECTION
+    a = vadd(origin, vscale(lo, direction))
+    b = vadd(origin, vscale(hi, direction))
+    if lo == hi:
+        return PairIntersection(kind="point", points=(a,))
+    return PairIntersection(kind="segment", points=(a, b))
 
 
 def test_triangle_intersection_segment_case():
     p = [pt(0, 0, 0), pt(4, 0, 0), pt(0, 4, 0)]
     q = [pt(1, 1, -1), pt(1, 1, 2), pt(3, 3, 1)]
-    got = triangle_triangle_intersection(p, q)
-    oracle = tri_pair_oracle(p, q)
+    got = simplex_pair_intersection(p, q)
+    oracle = clip_triangles(p, q)
     assert got.kind == "segment" == oracle.kind
     assert sorted(got.points) == sorted(oracle.points)
 
@@ -166,8 +239,8 @@ def test_triangle_intersection_segment_case():
 def test_triangle_intersection_disjoint():
     p = [pt(0, 0, 0), pt(1, 0, 0), pt(0, 1, 0)]
     q = [pt(0, 0, 5), pt(1, 0, 5), pt(0, 1, 6)]
-    assert triangle_triangle_intersection(p, q).kind == "empty"
-    assert tri_pair_oracle(p, q).kind == "empty"
+    assert simplex_pair_intersection(p, q).kind == "empty"
+    assert clip_triangles(p, q).kind == "empty"
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -178,11 +251,11 @@ def test_triangle_intersection_matches_parameter_oracle(vals, denom):
     p = [tuple(coords[0:3]), tuple(coords[3:6]), tuple(coords[6:9])]
     q = [tuple(coords[9:12]), tuple(coords[12:15]), tuple(coords[15:18])]
     try:
-        got = triangle_triangle_intersection(p, q)
+        got = simplex_pair_intersection(p, q)
     except GeneralPositionError:
         return  # degenerate inputs are out of contract
     try:
-        oracle = tri_pair_oracle(p, q)
+        oracle = clip_triangles(p, q)
     except GeneralPositionError:
         return
     assert got.kind == oracle.kind
@@ -190,9 +263,19 @@ def test_triangle_intersection_matches_parameter_oracle(vals, denom):
 
 
 def test_point_on_segment():
-    assert point_on_segment(pt(1, 1, 1), pt(0, 0, 0), pt(2, 2, 2))
-    assert not point_on_segment(pt(1, 1, 2), pt(0, 0, 0), pt(2, 2, 2))
-    assert not point_on_segment(pt(3, 3, 3), pt(0, 0, 0), pt(2, 2, 2))
+    assert point_in_simplex(pt(1, 1, 1), [pt(0, 0, 0), pt(2, 2, 2)]) is not None
+    assert point_in_simplex(pt(1, 1, 2), [pt(0, 0, 0), pt(2, 2, 2)]) is None
+    assert point_in_simplex(pt(3, 3, 3), [pt(0, 0, 0), pt(2, 2, 2)]) is None
+
+
+def test_kernels_keep_integer_input_exact():
+    """Integer coordinates stay exact: a ``/`` on two ints would yield a
+    float and miss these incidences."""
+    got = simplex_pair_intersection([(-4, -1, -5), (1, 4, -1), (5, 2, -1)],
+                                    [(3, 2, 0), (5, 2, -1), (3, -3, 1)])
+    assert got == PairIntersection(kind="point", points=((5, 2, -1),))
+    assert all(type(x) is F for x in got.points[0])
+    assert point_in_simplex((1, 3, 7), [(0, 0, 0), (49, 147, 343)]) is not None
 
 
 def test_segment_distance_cases():
@@ -252,8 +335,9 @@ def test_pairs_meet_as_general_position_predicts(n):
     """Oracle for the pair logic of ``singular_set`` on twelve sampled maps
     per ambient dimension (seeds 0-11, two per thickening fixture).  Every
     pair of simplices with at most n+1 joint vertices meets exactly in its
-    shared face, and a pair of maximal simplices is recorded exactly when
-    the images meet outside that face."""
+    shared face, and a pair of maximal simplices is recorded, with sorted
+    endpoints, exactly when the images meet outside that face.  Triangle
+    pairs in R^3 are intersected by the clipping oracle."""
     for seed in range(12):
         X = fixture(THICKENING_FIXTURES[seed % len(THICKENING_FIXTURES)])
         m = sample_general_position_map(X, n, seed=seed)
@@ -264,16 +348,17 @@ def test_pairs_meet_as_general_position_predicts(n):
             near = len(v1 | v2) <= n + 1
             if v1 <= v2 or v2 <= v1 or not (near or {s1, s2} <= maximal):
                 continue
-            inter = simplex_pair_intersection(m.simplex_points(s1), m.simplex_points(s2))
-            got = tuple(sorted(inter.points))
+            kernel = clip_triangles if n == 3 and s1.dim == s2.dim == 2 \
+                else simplex_pair_intersection
+            got = tuple(sorted(kernel(m.simplex_points(s1), m.simplex_points(s2)).points))
             face = tuple(sorted(m.points[v] for v in v1 & v2))
             if near:
                 assert got == face, (s1, s2)
             elif got != face:
                 expected[(s1, s2)] = got
         records = singular_set(m).records
-        assert {(r.simplex_i, r.simplex_j): tuple(sorted(r.ambient))
-                for r in records} == expected
+        assert {(r.simplex_i, r.simplex_j): r.ambient for r in records} == expected
+        assert all(r.ambient == tuple(sorted(r.ambient)) for r in records)
 
 
 # -- spine embedding -------------------------------------------------------------------
@@ -337,7 +422,6 @@ def test_adversarial_candidate_is_rejected_and_resampled():
             # possible, otherwise fall back to a fixed degenerate-ish pick.
             sol = None
             try:
-                from plthick.geometry import point_in_simplex
                 sol = point_in_simplex(seg_mid, pts)
             except GeneralPositionError:
                 sol = None
@@ -411,7 +495,7 @@ def test_epsilon_neighborhood_counts_for_sphere():
     comps = se.frontier.connected_components()
     assert len(comps) == 4
     # 3 collar triangles per flag (vertex, edge, triangle) of the sphere.
-    assert len(se.nbhd.complex.by_dim(2)) == 72
+    assert len(se.nbhd.domain.by_dim(2)) == 72
 
 
 def brute_force_delta_sq(se):
@@ -603,7 +687,7 @@ def as_fractions(tri):
 
 
 def triangles_meet_oracle(p, q):
-    return triangle_triangle_intersection(as_fractions(p), as_fractions(q)).kind != "empty"
+    return clip_triangles(as_fractions(p), as_fractions(q)).kind != "empty"
 
 
 def random_triangle_pair(rng, mode):
@@ -647,7 +731,7 @@ def test_triangles_meet_matches_intersection_on_collar_pairs(pipeline_cache, nam
     """Every collar triangle pair whose boxes meet, near carriers included,
     on the integer points the collar check uses."""
     nbhd = pipeline_cache(name, 0)[0].spine_embedding.nbhd
-    maximal = nbhd.complex.maximal_simplices
+    maximal = nbhd.domain.maximal_simplices
     assert all(s.dim == 2 for s in maximal)
     ipoints = _integer_points(nbhd.points)
     pts = [[ipoints[v] for v in s.vertices] for s in maximal]
@@ -660,7 +744,7 @@ def test_triangles_meet_matches_intersection_on_collar_pairs(pipeline_cache, nam
 
 def all_pairs_overlaps(boxes):
     return [(i, j) for i, j in itertools.combinations(range(len(boxes)), 2)
-            if not _bbox_disjoint(boxes[i], boxes[j])]
+            if all(a <= d and c <= b for a, b, c, d in zip(*boxes[i], *boxes[j]))]
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 5])
@@ -678,7 +762,7 @@ def test_sweep_visits_exactly_the_overlapping_boxes(dim):
 @pytest.mark.parametrize("name", THICKENING_FIXTURES)
 def test_sweep_visits_exactly_the_overlapping_collar_boxes(pipeline_cache, name):
     nbhd = pipeline_cache(name, 0)[0].spine_embedding.nbhd
-    boxes = [_bbox(nbhd.simplex_points(s)) for s in nbhd.complex.maximal_simplices]
+    boxes = [_bbox(nbhd.simplex_points(s)) for s in nbhd.domain.maximal_simplices]
     assert _box_overlaps(boxes) == all_pairs_overlaps(boxes)
 
 
@@ -691,7 +775,7 @@ def two_triangle_collar(p, q):
     points = dict(zip("abcdef", as_fractions(p) + as_fractions(q)))
     far = {"a": simplex("x0", "x1", "x2"), "d": simplex("y0", "y1", "y2")}
     carriers = {s: far[s.vertices[0]] for s in N.maximal_simplices}
-    return GeometricComplex(complex=N, points=points), carriers
+    return GeometricMap(domain=N, n=3, points=points), carriers
 
 
 P_TRI = [(0, 0, 0), (4, 0, 0), (0, 4, 0)]
@@ -700,22 +784,22 @@ P_TRI = [(0, 0, 0), (4, 0, 0), (0, 4, 0)]
 def test_collar_check_rejects_crossing_far_triangles():
     nbhd, carriers = two_triangle_collar(P_TRI, [(1, 1, -1), (1, 1, 2), (3, 3, 1)])
     with pytest.raises(ConstructionError) as err:
-        _verify_collar_injective(nbhd, carriers, 3)
-    assert all(str(s) in str(err.value) for s in nbhd.complex.maximal_simplices)
+        _verify_collar_injective(nbhd, carriers)
+    assert all(str(s) in str(err.value) for s in nbhd.domain.maximal_simplices)
 
 
 def test_collar_check_rejects_touching_far_triangles():
     # q touches p in the single point (2, 2, 0) on p's edge.
     nbhd, carriers = two_triangle_collar(P_TRI, [(2, 2, 0), (3, 3, 1), (3, 2, 2)])
     with pytest.raises(ConstructionError):
-        _verify_collar_injective(nbhd, carriers, 3)
+        _verify_collar_injective(nbhd, carriers)
 
 
 def test_collar_check_rejects_coplanar_far_triangles():
     # Disjoint but coplanar, with meeting boxes.
     nbhd, carriers = two_triangle_collar(P_TRI, [(3, 3, 0), (5, 3, 0), (3, 5, 0)])
     with pytest.raises(GeneralPositionError):
-        _verify_collar_injective(nbhd, carriers, 3)
+        _verify_collar_injective(nbhd, carriers)
 
 
 def test_collar_check_accepts_skew_triangles_separated_by_an_edge_axis():
@@ -724,4 +808,4 @@ def test_collar_check_accepts_skew_triangles_separated_by_an_edge_axis():
     p, q = [(0, 3, 1), (3, 1, 0), (2, 2, 4)], [(2, 0, 3), (0, 4, 3), (0, 2, 4)]
     assert triangles_meet_oracle(p, q) is False
     nbhd, carriers = two_triangle_collar(p, q)
-    _verify_collar_injective(nbhd, carriers, 3)
+    _verify_collar_injective(nbhd, carriers)

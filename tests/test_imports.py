@@ -133,3 +133,16 @@ def test_float_appears_only_in_the_viewer_export():
     scopes = {scope for path in sorted(SRC.glob("*.py")) for scope, node in _references(path)
               if isinstance(node, ast.Name) and node.id == "float"}
     assert scopes == {"cli._float_positions"}
+
+
+# The functions of geometry.py whose ``/`` operands are always Fractions:
+# the parameter-space bounds of ``solve_affine``'s output, and epsilon's
+# radicand.  Every other predicate may see integer coordinates.
+FRACTION_DIVISIONS = {"geometry.simplex_pair_intersection",
+                      "geometry.epsilon_neighborhood_embedding"}
+
+
+def test_geometry_divides_only_fractions():
+    scopes = {scope for scope, node in _references(SRC / "geometry.py")
+              if isinstance(node, ast.Div)}
+    assert scopes == FRACTION_DIVISIONS
