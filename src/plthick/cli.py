@@ -186,6 +186,11 @@ def run_pipeline(config, X):
         "homology_X": homology_obj(rep.homology_X),
         "homology_copy": homology_obj(rep.homology_copy),
         "collapse_b1": rep.collapse_b1,
+        "collapse_certificate": {
+            "pairs": rep.certificate.pairs,
+            "reaches_copy": rep.certificate.reaches_copy,
+            "order_sha256": rep.certificate.order_sha256,
+        },
         "spine_b1": rep.spine_b1,
         "gallery_components": rep.gallery_components,
         "boundary_chi": {k: [c, b] for k, (c, b) in out.chi_by_component.items()},

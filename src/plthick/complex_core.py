@@ -605,57 +605,90 @@ def is_flag(X):
     return True, None
 
 
-def greedy_collapse(X, seed=0):
+@dataclass(frozen=True)
+class Collapse:
+    """A sequence of elementary collapses of a complex and what it leaves.
+
+    ``pairs`` lists each removed (free face, unique proper coface) pair of
+    simplices in the order removed; ``remainder`` is what survives.
+    """
+
+    remainder: Complex
+    pairs: tuple
+
+
+def greedy_collapse(X, seed=0, keep=None):
     """Repeatedly remove a free face together with its unique coface.
 
     The free face chosen at each step is the smallest by ``(dim,
     vertices)``; a nonzero seed perturbs the order with one ``random()``
     draw per simplex in that order (used by property tests and
-    ``verify_thickening``).  Deterministic given the seed.
+    ``verify_thickening``).  Deterministic given the seed.  No simplex of
+    the subcomplex ``keep`` is ever taken as a free face; since ``keep`` is
+    closed under faces, none is removed as a coface either, so the
+    remainder contains ``keep``.  The collapse stops when every free face
+    left lies in ``keep``.
 
     The simplices are numbered in ``(dim, vertices)`` order and the
-    bookkeeping runs on those integers: ``faces[i]`` lists every proper
-    face, ``cover[i]`` the covering cofaces and ``count[i]`` the proper
-    cofaces still present.
+    bookkeeping runs on those integers: ``facets[i]`` lists the facets,
+    ``cover[i]`` the covering cofaces and ``ncov[i]`` the covers still
+    present.  A simplex is free exactly when one cover is left and that
+    cover has none (a coface two dimensions up would give it two covers),
+    so it can become free only when its own count drops to 1 or its last
+    cover's drops to 0; it is queued then and checked when popped.
     """
     order = [s for d in range(X.dim + 1) for s in X.by_dim(d)]
     index = {s.vertices: i for i, s in enumerate(order)}
     n = len(order)
-    faces = [None] * n
+    facets = [()] * n
     cover = [[] for _ in range(n)]
-    count = [0] * n
     for i, s in enumerate(order):
         vs = s.vertices
-        faces[i] = fs = [index[c] for k in range(1, len(vs))
-                         for c in itertools.combinations(vs, k)]
-        for f in fs:
-            count[f] += 1
-        for f in fs[len(fs) - len(vs):]:
-            cover[f].append(i)
+        if len(vs) > 1:
+            facets[i] = fs = [index[vs[:j] + vs[j + 1:]] for j in range(len(vs))]
+            for f in fs:
+                cover[f].append(i)
+    ncov = [len(c) for c in cover]
+    kept = [False] * n
+    if keep is not None:
+        if not keep.is_subcomplex_of(X):
+            raise ValidationError("the kept subcomplex is not contained in the complex")
+        for s in keep.simplices:
+            kept[index[s.vertices]] = True
 
     if seed:
         rng = random.Random(seed)
         key = [rng.random() for _ in range(n)]
     else:
         key = range(n)
-    heap = [(key[i], i) for i in range(n) if count[i] == 1]
+    heap = [(key[i], i) for i in range(n) if ncov[i] == 1 and not kept[i]]
     heapq.heapify(heap)
     present = [True] * n
+    pairs = []
 
     def remove(x):
         present[x] = False
-        for f in faces[x]:
-            count[f] -= 1
-            if count[f] == 1 and present[f]:
-                heapq.heappush(heap, (key[f], f))
+        for f in facets[x]:
+            ncov[f] -= 1
+            if ncov[f] == 1:
+                if present[f] and not kept[f]:
+                    heapq.heappush(heap, (key[f], f))
+            elif ncov[f] == 0:
+                for h in facets[f]:
+                    if ncov[h] == 1 and not kept[h]:
+                        heapq.heappush(heap, (key[h], h))
 
     while heap:
         _, s = heapq.heappop(heap)
-        if not present[s] or count[s] != 1:
+        if not present[s] or ncov[s] != 1:
             continue
         covers = [u for u in cover[s] if present[u]]
         if len(covers) != 1:
             raise ConstructionError("free face bookkeeping broken at %s" % (order[s],))
+        if ncov[covers[0]]:
+            continue
+        pairs.append((order[s], order[covers[0]]))
         remove(covers[0])
         remove(s)
-    return Complex(s for s, kept in zip(order, present) if kept)
+    return Collapse(remainder=Complex(s for s, alive in zip(order, present) if alive),
+                    pairs=tuple(pairs))

@@ -60,16 +60,15 @@ class HomologyResult:
     def euler(self):
         return sum((-1) ** k * b for k, b in enumerate(self.betti))
 
+    def padded(self, n):
+        """The same groups listed up to dimension n - 1, zero above."""
+        return HomologyResult(betti=self.betti + (0,) * (n - len(self.betti)),
+                              torsion=self.torsion + ((),) * (n - len(self.torsion)))
+
     def agrees_with(self, other):
         """Group-by-group equality, padding the shorter result with zeros."""
         n = max(len(self.betti), len(other.betti))
-
-        def padded(res):
-            b = res.betti + (0,) * (n - len(res.betti))
-            t = res.torsion + ((),) * (n - len(res.torsion))
-            return b, t
-
-        return padded(self) == padded(other)
+        return self.padded(n) == other.padded(n)
 
 
 def boundary_matrices(X, rel=None):

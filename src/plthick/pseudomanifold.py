@@ -7,9 +7,9 @@ forest (``_fans``): a union-find over integer (top simplex, k-subset) slots
 whose components around a k-vertex face are the components of its link.
 
 Orientability is read off the same forest with k = 0: a slot's parity
-relative to its root is its orientation sign, and a join that closes an odd
-cycle is the witness of a non-orientable gallery.  It is independently
-cross-checked against top relative homology; the two must agree.  Link
+relative to its root is its orientation sign, a join that closes an odd
+cycle is the witness of a non-orientable gallery, and the rank of the top
+relative homology group is the number of orientable galleries.  Link
 recognition is deliberately capped at link dimension 2, where it is
 decidable by surface classification.
 """
@@ -24,7 +24,6 @@ from operator import itemgetter
 
 from .complex_core import Complex, Simplex, complex_from_maximal, link_of
 from .errors import ConstructionError, ValidationError
-from .homology import HomologyResult, homology_groups
 
 
 @dataclass(frozen=True)
@@ -90,8 +89,7 @@ class OrientResult:
     success: bool
     assignment: OrientationAssignment | None
     odd_cycle: list | None
-    top_relative_rank: int
-    homology: HomologyResult  # the rank oracle's H_*(X, boundary)
+    top_relative_rank: int  # rank of H_n(X, boundary; Z), from the gallery forest
 
 
 @dataclass(frozen=True)
@@ -463,35 +461,33 @@ def orient(X, report=None):
     The signs are the parities of the gallery forest ``_fans(X, 0)``, which
     ``check_pseudomanifold`` keeps on the report, with the first top of
     each gallery positive; a gallery with an odd join is non-orientable and
-    yields an odd cycle of tops.  Success is cross-checked against the rank
-    of the top relative homology group (one Z per gallery component), and
-    every interior facet is checked to receive opposite induced
-    orientations.  At the base facet of a cone simplex that check is the
-    cone rule: the simplex carries the negation of the cone vertex
-    prepended to the orientation its base inherits.
+    yields an odd cycle of tops.  On success every interior facet is
+    checked to receive opposite induced orientations.  At the base facet of
+    a cone simplex that check is the cone rule: the simplex carries the
+    negation of the cone vertex prepended to the orientation its base
+    inherits.
+
+    The rank of H_n(X, boundary; Z) is read off the same forest.  X has no
+    (n+1)-simplices, so that group is the group of relative n-cycles.  When
+    every facet lies in at most two tops, a relative cycle's coefficients
+    at the two tops of an interior facet must cancel there, so along a
+    gallery they agree up to the sign of the join: an orientable gallery
+    carries one Z (its orientation class) and a gallery with an odd join
+    carries none.  The group is free of rank ``gallery_components`` minus
+    the number of non-orientable galleries.
     """
     if report is None:
         report = check_pseudomanifold(X)
     if not report.facet_degrees_ok:
         raise ValidationError("facet degrees exceed 2; orientation undefined")
     roots, parity, odd = report.galleries
-
-    rel = report.boundary if len(report.boundary) else None
-    H = homology_groups(X, rel=rel)
-    rank = H.betti[X.dim]
-    if not odd and rank != report.gallery_components:
-        raise ConstructionError(
-            "gallery forest and homology disagree: rank %d vs %d"
-            % (rank, report.gallery_components))
-    if odd and rank >= report.gallery_components:
-        raise ConstructionError(
-            "odd gallery join but full-rank top homology")
+    rank = report.gallery_components - len(odd)
 
     if odd:
         a, b = next(iter(odd.values()))
         return OrientResult(success=False, assignment=None,
                             odd_cycle=_witness_cycle(X, parity, a, b),
-                            top_relative_rank=rank, homology=H)
+                            top_relative_rank=rank)
 
     first = {}
     signs = {t: 1 if first.setdefault(r, p) == p else -1
@@ -502,4 +498,4 @@ def orient(X, report=None):
             if induced_facet_sign(a, signs[a], f) != -induced_facet_sign(b, signs[b], f):
                 raise ConstructionError("induced orientations not opposite at %s" % (f,))
     return OrientResult(success=True, assignment=OrientationAssignment(signs=signs),
-                        odd_cycle=None, top_relative_rank=rank, homology=H)
+                        odd_cycle=None, top_relative_rank=rank)

@@ -26,6 +26,7 @@ from .complex_core import (
     link_of,
 )
 from .errors import BudgetExceededError, ConstructionError, ValidationError
+from .homology import homology_groups
 from .pseudomanifold import (
     LinkClass,
     check_isolated_singularities,
@@ -183,11 +184,12 @@ class CloseUpResult:
 def close_up(P, budget=2_000_000):
     """Close a pseudomanifold with boundary into a boundaryless one and
     verify closedness, isolated singularities and orientability."""
-    quick = _boundary_complex(P)
-    if len(quick) == 0:
+    boundary_vertices = {v for f, tops in P.facet_cofaces().items() if len(tops) == 1
+                         for v in f.vertices}
+    if not boundary_vertices:
         raise ValidationError("pseudomanifold is already closed")
     # |B(P)| >= |P|, so this lower bound lets huge inputs fail fast.
-    if (2 ** len(quick.vertices)) * len(P.simplices) > budget:
+    if (2 ** len(boundary_vertices)) * len(P.simplices) > budget:
         raise BudgetExceededError(
             "basic construction needs more than %d simplices "
             "(use the local verifier)" % budget)
@@ -206,8 +208,7 @@ def close_up(P, budget=2_000_000):
     res = orient(Q, report=report)
     if not res.success:
         raise ConstructionError("glued complex is not orientable")
-    # Q has no boundary, so the orientation's rank oracle computed H_*(Q).
-    return CloseUpResult(Q=cc, report=report, orientation=res, homology=res.homology,
+    return CloseUpResult(Q=cc, report=report, orientation=res, homology=homology_groups(Q),
                          mirror_structure=ms)
 
 

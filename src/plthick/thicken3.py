@@ -15,7 +15,9 @@ on the output rather than assumed.
 from __future__ import annotations
 
 import functools
+import hashlib
 import itertools
+import json
 from dataclasses import dataclass, field
 
 from .complex_core import (
@@ -627,6 +629,21 @@ def expected_retract_copy(t):
 
 
 @dataclass(frozen=True)
+class CollapseCertificate:
+    """The collapse P ↘ R verify_thickening runs with X_copy kept.
+
+    ``pairs`` counts its elementary collapses, ``reaches_copy`` says whether
+    R is X_copy itself, and ``order_sha256`` is the sha256 of the compact
+    JSON list ``[[free face vertices, coface vertices], ...]`` in the order
+    removed.
+    """
+
+    pairs: int
+    reaches_copy: bool
+    order_sha256: str
+
+
+@dataclass(frozen=True)
 class ThickeningReport:
     pseudomanifold: object
     orientation: object
@@ -637,15 +654,46 @@ class ThickeningReport:
     spine_b1: int
     chi_by_component: dict
     gallery_components: int
+    certificate: CollapseCertificate
 
 
 # Greedy collapses of M from these seeds; one reaching a 1-complex suffices.
 _COLLAPSE_SEEDS = (0, 1, 2)
 
 
+def homology_by_collapse(P, X_copy, H_copy):
+    """H_*(P) from a greedy collapse of P that keeps X_copy, whose homology
+    ``H_copy`` is given, and the certificate of that collapse.
+
+    The collapse leaves a remainder R with P ↘ R, so H_*(P) = H_*(R): that
+    is ``H_copy`` when R is X_copy and Smith normal form of R otherwise.
+    """
+    collapse = greedy_collapse(P, keep=X_copy)
+    R = collapse.remainder
+    reaches_copy = R == X_copy
+    H = H_copy if reaches_copy else homology_groups(R)
+    order = json.dumps([[list(f.vertices), list(c.vertices)] for f, c in collapse.pairs],
+                       separators=(",", ":"))
+    return H.padded(P.dim + 1), CollapseCertificate(
+        pairs=len(collapse.pairs), reaches_copy=reaches_copy,
+        order_sha256=hashlib.sha256(order.encode()).hexdigest())
+
+
 def verify_thickening(t, X):
     """Run every decidable consequence of the construction and fail loudly
-    on any mismatch."""
+    on any mismatch.
+
+    H_*(P) is read off a collapse certificate, not a Smith normal form of
+    P.  P is greedily collapsed with the retract copy X_copy kept, down to
+    a remainder R.  An elementary collapse removes a free face with its
+    unique coface, which is a deformation retraction, so the sequence is a
+    simple-homotopy equivalence P ↘ R (Whitehead) and H_*(P) = H_*(R),
+    torsion included.  When R is X_copy, whose homology is computed anyway,
+    that is H_*(P); otherwise the collapse got stuck (greedy collapses can,
+    even on collapsible complexes) and H_*(R) is computed on the smaller R.
+    Either way the result is exact.  The orientability check reads the top
+    relative rank off the gallery forest (``orient``).
+    """
     P = t.P
     report = check_pseudomanifold(P)
     if not (report.is_pure and report.facet_degrees_ok):
@@ -664,10 +712,10 @@ def verify_thickening(t, X):
         raise ConstructionError("output is not orientable")
 
     HX = homology_groups(X)
-    HP = homology_groups(P)
+    Hcopy = homology_groups(t.X_copy)
+    HP, certificate = homology_by_collapse(P, t.X_copy, Hcopy)
     if not HP.agrees_with(HX):
         raise ConstructionError("homology of the output differs from the input")
-    Hcopy = homology_groups(t.X_copy)
     if not Hcopy.agrees_with(HX):
         raise ConstructionError("homology of the retract copy differs from the input")
     if t.X_copy != expected_retract_copy(t):
@@ -675,7 +723,7 @@ def verify_thickening(t, X):
 
     collapse_b1 = None
     for seed in _COLLAPSE_SEEDS:
-        collapsed = greedy_collapse(t.M, seed=seed)
+        collapsed = greedy_collapse(t.M, seed=seed).remainder
         if collapsed.dim <= 1:
             comps = len(collapsed.connected_components())
             collapse_b1 = len(collapsed.by_dim(1)) - len(collapsed.vertices) + comps
@@ -691,7 +739,7 @@ def verify_thickening(t, X):
         pseudomanifold=report, orientation=res, homology_P=HP, homology_X=HX,
         homology_copy=Hcopy, collapse_b1=collapse_b1, spine_b1=spine_b1,
         chi_by_component=t.chi_by_component,
-        gallery_components=report.gallery_components)
+        gallery_components=report.gallery_components, certificate=certificate)
 
 
 # -- pipeline front door -----------------------------------------------------------------

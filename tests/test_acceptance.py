@@ -61,11 +61,13 @@ def test_c01_pipeline(pipeline_cache, cone_rule, name, seed):
     # Orientable via the cone rule, which orient enforces as the opposite
     # induced orientations at each cone simplex's base facet and which is
     # asserted here on its own, and via the top relative homology rank: one
-    # Z per gallery component.
+    # Z per gallery component, read off the gallery forest and checked here
+    # against Smith normal form.
     assert rep.orientation.success
     cones = set(out.cone_vertices.values())
     assert cone_rule(out.P, rep.orientation.assignment.signs, cones) > 0
-    assert rep.orientation.top_relative_rank == rep.gallery_components
+    rank = homology_groups(out.P, rel=report.boundary).betti[3]
+    assert rep.orientation.top_relative_rank == rank == rep.gallery_components
     if name in CONNECTED_SPINE_FIXTURES:
         assert report.gallery_connected
         assert rep.orientation.top_relative_rank == 1
@@ -82,6 +84,10 @@ def test_c01_pipeline(pipeline_cache, cone_rule, name, seed):
 def test_c02_retract_homology(pipeline_cache, name, seed):
     out, rep = pipeline_cache(name, seed)
     HX = homology_groups(fixture(name))
+    # H_*(P) comes from the collapse P onto X_copy; Smith normal form of P
+    # is the oracle.
+    assert rep.certificate.reaches_copy
+    assert homology_groups(out.P) == rep.homology_P
     assert rep.homology_P.agrees_with(HX)
     assert rep.homology_copy.agrees_with(HX)
     assert out.X_copy.is_subcomplex_of(out.P)

@@ -278,3 +278,47 @@ def test_close_local_only(capsys, pipeline_cache, tmp_path):
     code, obj = run_cli(capsys, "close", str(path), "--local-only")
     assert code == 0
     assert obj == {"mode": "local", "classes": 2219, "all_closed_manifolds": True}
+
+
+def parse_off(text):
+    """Header counts, vertex coordinates and faces (as index tuples) of an
+    OFF file."""
+    lines = text.splitlines()
+    assert lines[0] == "OFF"
+    nv, nf, ne = map(int, lines[1].split())
+    assert ne == 0 and len(lines) == 2 + nv + nf
+    coords = [tuple(map(float, line.split())) for line in lines[2:2 + nv]]
+    faces = []
+    for line in lines[2 + nv:]:
+        k, *idx = map(int, line.split())
+        assert k == len(idx) and all(0 <= i < nv for i in idx)
+        faces.append(tuple(idx))
+    return nv, nf, coords, faces
+
+
+def off_simplices(faces, labels):
+    return {tuple(sorted(labels[i] for i in f)) for f in faces}
+
+
+def test_thicken_export_off(capsys, pipeline_cache, tmp_path):
+    out, rep = pipeline_cache("single_triangle", 0)
+    code, obj = run_cli(capsys, "thicken", "fixture:single_triangle", "--local-only",
+                        "--export-off", "--out", str(tmp_path))
+    assert code == 0
+    assert obj["report"]["collapse_certificate"] == {
+        "pairs": rep.certificate.pairs, "reaches_copy": True,
+        "order_sha256": rep.certificate.order_sha256}
+    curves = ["link_curve_%d.off" % i for i in range(len(out.Lv))]
+    assert {"boundary.off", *curves} <= set(obj["artifacts"])
+
+    surface = out.boundary_surface
+    nv, nf, coords, faces = parse_off((tmp_path / "boundary.off").read_text())
+    assert (nv, nf) == (len(surface.vertices), len(surface.by_dim(2)))
+    assert all(len(p) == 3 for p in coords)
+    assert off_simplices(faces, sorted(surface.vertices)) == {
+        t.vertices for t in surface.by_dim(2)}
+    for name, (_, piece) in zip(curves, sorted(out.Lv.items())):
+        nv, nf, coords, faces = parse_off((tmp_path / name).read_text())
+        assert (nv, nf) == (len(piece.vertices), len(piece.by_dim(1)))
+        assert off_simplices(faces, sorted(piece.vertices)) == {
+            e.vertices for e in piece.by_dim(1)}

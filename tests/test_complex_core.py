@@ -30,6 +30,7 @@ from plthick.complex_core import (
 from plthick.cli import complex_from_obj
 from plthick.errors import ConstructionError, ValidationError
 from plthick.fixtures import FIXTURE_NAMES, fixture
+from plthick.homology import homology_groups
 
 
 def counts(X):
@@ -421,18 +422,18 @@ def test_barycentric_subdivisions_are_flag(name):
 # -- greedy collapse ---------------------------------------------------------------
 
 def test_triangle_collapses_to_point():
-    out = greedy_collapse(fixture("single_triangle"))
+    out = greedy_collapse(fixture("single_triangle")).remainder
     assert counts(out) == (1,)
 
 
 def test_sphere_has_no_free_faces():
     X = fixture("boundary_delta3")
-    assert greedy_collapse(X) == X
+    assert greedy_collapse(X).remainder == X
 
 
 def test_subdivided_triangle_collapses_to_point():
     B = barycentric_subdivision(fixture("single_triangle"))
-    out = greedy_collapse(B.child)
+    out = greedy_collapse(B.child).remainder
     assert counts(out) == (1,)
 
 
@@ -492,7 +493,7 @@ ORACLE_SEEDS = (0, 1, 2, 5)
 
 def assert_collapse_matches_oracle(X):
     for seed in ORACLE_SEEDS:
-        assert greedy_collapse(X, seed=seed) == simplex_keyed_greedy_collapse(X, seed=seed)
+        assert greedy_collapse(X, seed=seed).remainder == simplex_keyed_greedy_collapse(X, seed=seed)
 
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
@@ -503,6 +504,66 @@ def test_greedy_collapse_matches_oracle_on_subdivided_fixtures(name):
 def test_greedy_collapse_matches_oracle_on_thickening(pipeline_cache):
     out, _ = pipeline_cache("projective_plane_6", 0)
     assert_collapse_matches_oracle(out.M)
+
+
+def replay_collapse(X, pairs, keep=EMPTY_COMPLEX):
+    """Apply the elementary collapses ``pairs`` to X one by one, asserting
+    that each removes a free face outside ``keep`` with its unique proper
+    coface; returns what is left."""
+    present = set(X.simplices)
+    cofaces = {s: set() for s in present}
+    for s in present:
+        for f in s.faces():
+            cofaces[f].add(s)
+    for f, c in pairs:
+        assert f not in keep.simplices and c not in keep.simplices, (f, c)
+        assert f in present and cofaces[f] == {c} and c.dim == f.dim + 1, (f, c)
+        for x in (c, f):
+            present.remove(x)
+            for g in x.faces():
+                cofaces[g].discard(x)
+    return Complex(present)
+
+
+def assert_maximal_collapse(X, keep=EMPTY_COMPLEX, seed=0):
+    """The collapse is valid step by step, its remainder is what the steps
+    leave, it contains ``keep``, and no free face outside ``keep`` is left."""
+    collapse = greedy_collapse(X, seed=seed, keep=keep)
+    R = collapse.remainder
+    assert replay_collapse(X, collapse.pairs, keep) == R
+    assert keep.is_subcomplex_of(R)
+    free = boundary_and_free_faces(R)[0]
+    assert all(f in keep.simplices for f in free), free
+    return collapse
+
+
+def test_cone_collapses_onto_kept_base():
+    base = barycentric_subdivision(fixture("single_triangle")).child
+    ball = cone_off(base, base, "apex")
+    collapse = assert_maximal_collapse(ball, keep=base)
+    assert collapse.remainder == base
+    assert len(collapse.pairs) == (len(ball) - len(base)) // 2
+
+
+def test_sphere_with_kept_vertex_has_no_free_face():
+    X = fixture("boundary_delta3")
+    collapse = assert_maximal_collapse(X, keep=complex_from_maximal([simplex("a")]))
+    assert collapse.remainder == X and collapse.pairs == ()
+    assert homology_groups(collapse.remainder).betti == (1, 0, 1)
+
+
+def test_kept_subcomplex_must_lie_in_the_complex():
+    with pytest.raises(ValidationError):
+        greedy_collapse(fixture("single_triangle"), keep=fixture("boundary_delta3"))
+
+
+@pytest.mark.parametrize("seed", ORACLE_SEEDS)
+def test_collapse_of_thickening_onto_its_retract_copy(pipeline_cache, seed):
+    out, rep = pipeline_cache("two_triangles_shared_vertex", 0)
+    collapse = assert_maximal_collapse(out.P, keep=out.X_copy, seed=seed)
+    assert collapse.remainder == out.X_copy
+    if seed == 0:
+        assert len(collapse.pairs) == rep.certificate.pairs
 
 
 # -- random complexes --------------------------------------------------------------

@@ -349,13 +349,20 @@ def test_one_pass_vertex_links_match_per_vertex_oracle():
 
 # -- orientation -----------------------------------------------------------------------
 
+def top_relative_rank_oracle(X):
+    """Rank of H_n(X, boundary; Z) by Smith normal form: the reference for
+    the rank ``orient`` reads off the gallery forest."""
+    boundary = check_pseudomanifold(X).boundary
+    return homology_groups(X, rel=boundary if len(boundary) else None).betti[X.dim]
+
+
 def test_orient_sphere():
     X = fixture("boundary_delta3")
     res = orient(X)
     assert res.success
     assert sorted(res.assignment.signs.values()).count(1) + \
         sorted(res.assignment.signs.values()).count(-1) == 4
-    assert res.top_relative_rank == 1
+    assert res.top_relative_rank == 1 == top_relative_rank_oracle(X)
 
 
 def test_orient_projective_plane_fails_with_odd_cycle():
@@ -363,7 +370,7 @@ def test_orient_projective_plane_fails_with_odd_cycle():
     res = orient(X)
     assert not res.success
     _assert_odd_cycle(X, res.odd_cycle)
-    assert res.top_relative_rank == 0
+    assert res.top_relative_rank == 0 == top_relative_rank_oracle(X)
 
 
 def test_orient_disc_with_relative_homology():
@@ -389,6 +396,7 @@ def test_orient_iff_top_relative_rank_per_component(name, expect):
     report = check_pseudomanifold(X)
     res = orient(X, report=report)
     assert res.success is expect
+    assert res.top_relative_rank == top_relative_rank_oracle(X)
     if res.success:
         assert res.top_relative_rank == report.gallery_components
     else:

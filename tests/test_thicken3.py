@@ -1,6 +1,13 @@
 import pytest
 
-from plthick.complex_core import Complex, Simplex, link_of, simplex, validate_complex
+from plthick.complex_core import (
+    Complex,
+    Simplex,
+    complex_from_maximal,
+    link_of,
+    simplex,
+    validate_complex,
+)
 from plthick.errors import ValidationError
 from plthick.fixtures import THICKENING_FIXTURES, fixture
 from plthick.geometry import (
@@ -13,6 +20,7 @@ from plthick.pseudomanifold import check_pseudomanifold, classify_link
 from plthick.thicken3 import (
     expected_retract_copy,
     extract_sheet_data,
+    homology_by_collapse,
     thicken,
 )
 
@@ -119,6 +127,21 @@ def test_torus_input(pipeline_cache):
         cls = rep.pseudomanifold.vertex_links[w]
         assert cls.kind == "SurfaceWithBoundary"
         assert cls.boundary_components == 2 and cls.genus == 0
+
+
+def test_stuck_collapse_computes_homology_of_the_remainder(pipeline_cache):
+    """A hollow tetrahedron wedged onto X_copy at one vertex has no free
+    face, so the collapse stops short of X_copy and H_*(P) comes from the
+    remainder; Smith normal form of the whole P is the oracle."""
+    out, _ = pipeline_cache("single_triangle", 0)
+    v = out.X_copy.vertices[0]
+    sphere = [Simplex(s) for s in ([v, "h1", "h2"], [v, "h1", "h3"],
+                                   [v, "h2", "h3"], ["h1", "h2", "h3"])]
+    P = Complex(out.P.simplices | complex_from_maximal(sphere).simplices)
+    H, certificate = homology_by_collapse(P, out.X_copy, homology_groups(out.X_copy))
+    assert not certificate.reaches_copy
+    assert H == homology_groups(P)
+    assert H.betti == (1, 0, 1, 0)
 
 
 def test_retract_copy_is_expected_subdivision(pipeline_cache):
