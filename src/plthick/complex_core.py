@@ -71,6 +71,11 @@ class Simplex:
     def join(self, labels):
         return Simplex(tuple(sorted(set(self.vertices) | set(labels))))
 
+    def __reduce__(self):
+        # Rebuilt from its vertices, so the hash is that of the loading
+        # process: the string hash seed differs between processes.
+        return Simplex, (self.vertices,)
+
     def __eq__(self, other):
         return isinstance(other, Simplex) and self.vertices == other.vertices
 

@@ -19,7 +19,6 @@ from fractions import Fraction
 from .complex_core import (
     Complex,
     Simplex,
-    full_subcomplex,
     regular_neighborhood,
     spine,
 )
@@ -595,11 +594,9 @@ def choose_spine_barycenters(m, seed, candidate_hook=None):
     """Pick interior barycenters so the map embeds the spine, and certify
     the embedding by ``delta_sq``.
 
-    Lower-dimensional barycenters avoid the recorded intersection
-    polytopes; top-simplex barycenters are accepted only when the cone over
-    the boundary spine meets every recorded segment transversely and
-    misses the finitely many points whose images already lie on earlier
-    cones.
+    Every barycenter, lower-dimensional simplices first and each dimension
+    in sorted order, is sampled until it avoids the recorded intersection
+    polytopes.
 
     The embedding is certified pair by pair of maximal simplices s1, s2:
 
@@ -610,7 +607,20 @@ def choose_spine_barycenters(m, seed, candidate_hook=None):
     - sharing at most 1 vertex, their spine cells share no spine vertex (a
       spine vertex's carrier has at least 2 vertices), and are disjoint
       because ``delta_sq``, their exact least squared distance (None when
-      no such pair exists), is positive or a ``ConstructionError``.
+      no such pair exists), is positive.
+
+    When ``delta_sq`` is 0, the apex of the later of the two maximal
+    simplices carrying the closest cells is resampled and ``delta_sq``
+    recomputed, within the same ``_BARYCENTER_ATTEMPTS`` per simplex.  For
+    d = 2 this moves the touching point.  Cells avoid the original
+    vertices, so a point where far cells c1 in s1 and c2 in s2 touch lies
+    in f(s1) and f(s2) off the image of a shared vertex.  Then s1 and s2
+    span more than n+1 vertices (otherwise they meet only in that image),
+    so ``singular_set`` records their intersection, and the point lies on
+    a record.  Lower barycenters avoid every record, so it is no lower
+    barycenter.  For d = 2 every other point of a cell lies on a segment
+    from a top's barycenter, so both s1 and s2 are tops, and the point
+    moves with either apex.
 
     ``candidate_hook`` lets tests inject adversarial candidates; weights
     not all positive or not summing to 1 are a ``ValidationError``, since
@@ -633,49 +643,31 @@ def choose_spine_barycenters(m, seed, candidate_hook=None):
     barycenters = {}
     attempts = {}
 
-    lower = sorted(s for s in X.simplices if 0 < s.dim < d)
-    for s in lower:
+    def place(s):
         pts = m.simplex_points(s)
-        for attempt in range(1, _BARYCENTER_ATTEMPTS + 1):
+        for attempt in range(attempts.get(s, 0) + 1, _BARYCENTER_ATTEMPTS + 1):
             w = _candidate_weights(candidate_hook, rng, s)
             pt = _combine(pts, [w[v] for v in s.vertices])
             if not on_any_record(pt):
                 weights[s] = w
                 barycenters[s] = pt
                 attempts[s] = attempt
-                break
-        else:
-            raise RejectionBudgetError("no admissible barycenter for %s" % (s,))
+                return
+        raise RejectionBudgetError("no admissible barycenter for %s" % (s,))
 
-    tops = sorted(s for s in X.maximal_simplices if s.dim == d)
-    crossing_points = {}  # (top, other) -> list of ambient crossing points
-    for i, s in enumerate(tops):
-        pts = m.simplex_points(s)
-        boundary_cells = _boundary_spine_cells(B, K, s, barycenters, m)
-        my_records = [r for r in sing.records
-                      if s in (r.simplex_i, r.simplex_j)]
-        earlier = set(tops[:i])
-        for attempt in range(1, _BARYCENTER_ATTEMPTS + 1):
-            w = _candidate_weights(candidate_hook, rng, s)
-            apex = _combine(pts, [w[v] for v in s.vertices])
-            if on_any_record(apex):
-                continue
-            ok, crossings = _check_cone(apex, boundary_cells, my_records, s,
-                                        earlier, crossing_points)
-            if ok:
-                weights[s] = w
-                barycenters[s] = apex
-                attempts[s] = attempt
-                for key, pts_list in crossings.items():
-                    crossing_points[key] = pts_list
-                break
-        else:
-            raise RejectionBudgetError("no admissible barycenter for %s" % (s,))
+    # Sorted simplices ascend in dimension.
+    for s in sorted(s for s in X.simplices if s.dim > 0):
+        place(s)
 
+    # se reads the dicts that a resample updates.
     se = SpineEmbedding(
         base=m, subdivision=B, spine=K, weights=weights, barycenters=barycenters,
         singular=sing, attempts=attempts)
-    return replace(se, delta_sq=_far_cells_delta_sq(se))
+    while True:
+        delta_sq, carriers = _far_cells_delta_sq(se)
+        if delta_sq != 0:
+            return replace(se, delta_sq=delta_sq)
+        place(carriers[1])
 
 
 def _candidate_weights(candidate_hook, rng, s):
@@ -692,7 +684,9 @@ def _candidate_weights(candidate_hook, rng, s):
 
 def _far_cells_delta_sq(se):
     """Least squared distance between spine cells carried by maximal
-    simplices that share at most one vertex.
+    simplices that share at most one vertex, and the pair of maximal
+    simplices, in sorted order, carrying the closest cells (None, None when
+    there is no such pair).
 
     The cell pairs are visited by the squared distance of their bounding
     boxes, a lower bound on the pair's distance, and the search stops once
@@ -708,82 +702,16 @@ def _far_cells_delta_sq(se):
             continue
         for c1 in cells[s1]:
             for c2 in cells[s2]:
-                pairs.append((_bbox_sqdist(boxes[c1], boxes[c2]), len(pairs), c1, c2))
+                pairs.append((_bbox_sqdist(boxes[c1], boxes[c2]), len(pairs), c1, c2, s1, s2))
     pairs.sort()
-    delta_sq = None
-    for bound, _, c1, c2 in pairs:
+    delta_sq = carriers = None
+    for bound, _, c1, c2, s1, s2 in pairs:
         if delta_sq is not None and bound >= delta_sq:
             break
         val = simplex_pair_sqdist(points[c1], points[c2])
         if delta_sq is None or val < delta_sq:
-            delta_sq = val
-    if delta_sq == 0:
-        raise ConstructionError("spine cells of far simplices touch (delta = 0)")
-    return delta_sq
-
-
-def _boundary_spine_cells(B, K, top, barycenters, m):
-    """Maximal cells of the spine of the boundary of ``top``, as point lists."""
-    cells = []
-    proper = {f for f in top.faces() if f.dim >= 1}
-    labels = {B.barycenter_table[f] for f in proper}
-    sub = full_subcomplex(K, labels)
-    for s in sub.maximal_simplices:
-        pts = []
-        for v in s.vertices:
-            parent = B.carrier_of_label(v)
-            pts.append(barycenters[parent])
-        cells.append(pts)
-    return cells
-
-
-def _check_cone(apex, boundary_cells, my_records, top, earlier, old_crossings):
-    """Certify one candidate apex: transverse crossings only, none of them
-    already on an earlier cone's image."""
-    try:
-        return _check_cone_inner(apex, boundary_cells, my_records, top,
-                                 earlier, old_crossings)
-    except GeneralPositionError:
-        return False, None
-
-
-def _check_cone_inner(apex, boundary_cells, my_records, top, earlier, old_crossings):
-    crossings = {}
-    for r in my_records:
-        if r.kind != "segment":
-            # Point records: the cone must simply avoid the point.
-            for cell in boundary_cells:
-                cone = [apex] + cell
-                if point_in_simplex(r.ambient[0], cone) is not None:
-                    return False, None
-            continue
-        a, b = r.ambient
-        pts_here = []
-        for cell in boundary_cells:
-            cone = [apex] + cell
-            inter = simplex_pair_intersection(cone, [a, b])
-            if inter.kind == "empty":
-                continue
-            if inter.kind == "segment":
-                return False, None  # non-transverse: overlapping segment
-            pt = inter.points[0]
-            if pt == a or pt == b:
-                return False, None  # touches a record endpoint
-            bary = point_in_simplex(pt, cone)
-            if bary is None or any(x == 0 for x in bary):
-                return False, None  # crossing on the cone boundary
-            pts_here.append(pt)
-        other = r.simplex_j if r.simplex_i == top else r.simplex_i
-        key = (top, other)
-        crossings[key] = pts_here
-        if other in earlier:
-            # Images of the earlier cone's crossings must be avoided.
-            for q in old_crossings.get((other, top), ()):
-                for cell in boundary_cells:
-                    cone = [apex] + cell
-                    if point_in_simplex(q, cone) is not None:
-                        return False, None
-    return True, crossings
+            delta_sq, carriers = val, (s1, s2)
+    return delta_sq, carriers
 
 
 def epsilon_neighborhood_embedding(se):
@@ -795,6 +723,13 @@ def epsilon_neighborhood_embedding(se):
     certificate of ``choose_spine_barycenters`` and L^2 the largest sum of
     squared edge vectors from a top's first vertex; a power of two keeps the
     collar coordinates short.
+
+    The collar N is the simplicial neighborhood of the spine K in
+    sd(Y rel K), Y = sd X.  A vertex of N outside K is the barycenter of a
+    simplex tau of Y outside K that meets K, since N holds only simplices
+    meeting K; as K is full in Y, tau also has a vertex outside K.  So it
+    sits at (1 - epsilon) times the mean of tau's K-vertices plus epsilon
+    times the mean of its other vertices.
     """
     m = se.base
     lip_sq = ZERO
@@ -812,27 +747,18 @@ def epsilon_neighborhood_embedding(se):
 
     Y = se.subdivision.child
     K = se.spine
-
-    ycoords = {}
-    for v in Y.vertices:
-        ycoords[v] = se.spine_point(v) if v not in m.points else m.points[v]
-
+    ycoords = {v: se.spine_point(v) for v in Y.vertices}
     kverts = set(K.vertices)
     N, Ndot, sub = regular_neighborhood(Y, K)
-    coords = dict(ycoords)
-    for tau, label in sub.barycenter_table.items():
-        if tau.dim == 0 or label in coords:
+    npoints = {}
+    for v in N.vertices:
+        if v in kverts:
+            npoints[v] = ycoords[v]
             continue
-        kpart = [v for v in tau.vertices if v in kverts]
-        opart = [v for v in tau.vertices if v not in kverts]
-        if kpart and opart:
-            ka = _avg([ycoords[v] for v in kpart])
-            oa = _avg([ycoords[v] for v in opart])
-            coords[label] = vadd(vscale(1 - epsilon, ka), vscale(epsilon, oa))
-        else:
-            coords[label] = _avg([ycoords[v] for v in tau.vertices])
-
-    npoints = {v: coords[v] for v in N.vertices}
+        tau = sub.carrier_of_label(v).vertices
+        ka = _avg([ycoords[u] for u in tau if u in kverts])
+        oa = _avg([ycoords[u] for u in tau if u not in kverts])
+        npoints[v] = vadd(vscale(1 - epsilon, ka), vscale(epsilon, oa))
     nbhd = GeometricMap(domain=N, n=m.n, points=npoints)
 
     carriers = {}

@@ -29,7 +29,6 @@ from .complex_core import (
     greedy_collapse,
     is_full_subcomplex,
     link_of,
-    relative_barycentric_subdivision,
     simplicial_neighborhood,
 )
 from .errors import ConstructionError, GeneralPositionError, ValidationError
@@ -532,64 +531,67 @@ def _cone_label(v):
 
 
 def cone_boundary_neighborhoods(partial):
-    """Thicken each frontier piece inside the boundary surface and cone it
-    off with a fresh vertex; re-subdivide once if the neighborhoods touch.
+    """Thicken each frontier piece L_v inside the boundary surface to its
+    closed star N_v and cone it off with a fresh vertex.
 
     Each N_v must keep its frontier piece off its rim.  N_v is a surface
     by ``verify_thickening``: the simplices of P containing the cone vertex
     w are w and s + w for s in N_v, so lk_P(w) = N_v, and with isolated
     singularities every vertex link of the 3-pseudomanifold P is a surface.
-    """
-    M = partial.M
-    surface = partial.boundary_surface
-    L = partial.L
-    Lv = partial.Lv
 
-    for _ in range(2):
-        neighborhoods = {}
-        ok = True
-        for v, piece in Lv.items():
-            if len(piece) == 0:
-                neighborhoods[v] = Complex(())
-                continue
-            N, _ = simplicial_neighborhood(surface, piece)
-            neighborhoods[v] = N
-        seen = {}
-        for v, N in neighborhoods.items():
-            for lab in N.vertices:
-                if lab in seen and seen[lab] != v:
-                    ok = False
-                    break
-                seen[lab] = v
-            if not ok:
-                break
-        if ok:
-            break
-        sub = relative_barycentric_subdivision(M, L)
-        M = sub.child
-        report = check_pseudomanifold(M)
-        surface = report.boundary
-    else:
-        raise ConstructionError("boundary neighborhoods still overlap after re-subdivision")
+    The N_v are pairwise vertex-disjoint, which the overlap test below
+    asserts.  Every L_v is nonempty, the link of a vertex of a pure
+    2-complex.  A vertex of N_v is at most one edge from L_v, so two N_v
+    can share a vertex only if their pieces lie within two edges of each
+    other in the 1-skeleton of the boundary surface ∂M.  They lie at least
+    three edges apart:
+
+    - ∂M is the union of the lunes and caps of the ball spheres; each
+      octagon disc lies on two spheres, an edge ball's and a triangle
+      ball's, so it is interior.  A lune or cap is an annulus from its
+      boundary cycle to a ring of fresh vertices, plus a fan from a fresh
+      centre over the ring.  There a cycle vertex is adjacent, among cycle
+      vertices, only to its two cycle neighbours, and a ring vertex only to
+      two consecutive cycle vertices.  So cycle vertices within two edges
+      of each other in ∂M are within as many edges along the cycles, and
+      every piece vertex lies on the cycles.
+    - In the labels of ``_Namer``, L_v's vertices are a(v, e), a(v, t) and
+      c(v, e, t) for the edges e and triangles t at v.  Along the cycles
+      a(v, t) meets only c(v, e, t) vertices; c(v, e, t) meets a(v, e),
+      a(v, t) and h vertices of the octagon of (e, t); a(v, e) meets
+      c(v, e, t) vertices and, on an edge with a single page, a dummy z.
+      So a cycle path leaving L_v runs along an octagon side c h n h c,
+      four edges to the piece of e's other end w, or along the dummy
+      meridian a(v, e) z z a(w, e), three edges.
+
+    Hence the least distance between two pieces is three edges when some
+    edge has a single page and four otherwise, whatever the coordinates.
+    """
+    surface = partial.boundary_surface
+    Lv = partial.Lv
+    neighborhoods = {v: simplicial_neighborhood(surface, piece)[0]
+                     for v, piece in Lv.items()}
+    owner = {}
+    for v, N in neighborhoods.items():
+        for lab in N.vertices:
+            w = owner.setdefault(lab, v)
+            if w != v:
+                raise ConstructionError(
+                    "boundary neighborhoods of %s and %s share vertex %s" % (w, v, lab))
 
     for v, N in neighborhoods.items():
-        if len(N) == 0:
-            continue
         free_edges = [e for e, tops in N.facet_cofaces().items() if len(tops) == 1]
         rim = set(close_under_faces(free_edges))
         if rim & Lv[v].simplices:
             raise ConstructionError("frontier piece of %s touches its rim" % v)
 
     cone_vertices = {}
-    provenance = dict.fromkeys(M.simplices, "M")
+    provenance = dict.fromkeys(partial.M.simplices, "M")
     for v in sorted(Lv):
-        N = neighborhoods[v]
-        if len(N) == 0:
-            continue
         w = _cone_label(v)
         cone_vertices[v] = w
         provenance[Simplex((w,))] = ("cone", v)
-        for s in N.simplices:
+        for s in neighborhoods[v].simplices:
             provenance[s.join((w,))] = ("cone", v)
     P = Complex(provenance)
 
@@ -598,7 +600,7 @@ def cone_boundary_neighborhoods(partial):
         raise ConstructionError("retract copy is not a subcomplex of the output")
 
     return ThickeningOutput(
-        M=M, boundary_surface=surface, L=L, Lv=Lv, Nv=neighborhoods,
+        M=partial.M, boundary_surface=surface, L=partial.L, Lv=Lv, Nv=neighborhoods,
         cone_vertices=cone_vertices, P=P, X_copy=X_copy, provenance=provenance,
         spine=partial.spine, spine_embedding=partial.spine_embedding,
         sheet_data=partial.sheet_data, chi_by_component=partial.chi_by_component,

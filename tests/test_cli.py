@@ -1,10 +1,12 @@
 import argparse
+import hashlib
 import json
 import os
 import random
 
 import pytest
 
+from plthick import cli
 from plthick.cli import (
     PipelineConfig,
     build_parser,
@@ -322,3 +324,45 @@ def test_thicken_export_off(capsys, pipeline_cache, tmp_path):
         assert (nv, nf) == (len(piece.vertices), len(piece.by_dim(1)))
         assert off_simplices(faces, sorted(piece.vertices)) == {
             e.vertices for e in piece.by_dim(1)}
+
+
+# -- pinned regression oracle ------------------------------------------------------
+
+# sha256 of the canonical artifacts of `thicken --local-only`, as written by
+# commit 43f7a4d.  Same-run and cross-process comparisons cannot see a change
+# that moves every artifact consistently; these digests can.  A change that
+# moves them must say why, and update them.
+PINNED_DIGESTS = {
+    ("single_triangle", 3): {
+        "p_complex.json": "d2b2b7c665180614ed449df5f2489d10fb90596882c785250992bfe0f4a00d35",
+        "provenance.json": "f277641d179bfba801f3d412034de971dce969227ed045d817ad16365d1827f9",
+        "report.json": "f039e48cddb6b1b19cbf44d1a0bb43cdf598e03db942154108dd11187daa3f94",
+    },
+    ("torus_7", 0): {
+        "p_complex.json": "b988c67e8c86f32ea5e1d5bd7e9364720042501b4d9b74c903a6fcf245319656",
+        "provenance.json": "fe702d0df0505043ec88d917eaf9afce5479536d7d22e27103c3da5cbc85b0e0",
+        "report.json": "52b0368db51d25463e10ae7b0efd0ca657e1edafa5095327673edf3154438514",
+    },
+}
+
+
+def sha256_of(blobs):
+    return {name: hashlib.sha256(blob).hexdigest() for name, blob in blobs.items()}
+
+
+def test_thicken_cli_artifacts_match_pinned_digests(capsys, tmp_path):
+    code, _ = run_cli(capsys, "thicken", "fixture:single_triangle", "--seed", "3",
+                      "--local-only", "--out", str(tmp_path))
+    assert code == 0
+    want = PINNED_DIGESTS[("single_triangle", 3)]
+    assert sha256_of({name: (tmp_path / name).read_bytes() for name in want}) == want
+
+
+def test_cached_pipeline_artifacts_match_pinned_digests(monkeypatch, pipeline_cache):
+    """The same digests for torus_7 at seed 0, with the cached thickening
+    standing in for the CLI's own."""
+    monkeypatch.setattr(cli, "thicken", lambda X, seed, denom_bound: pipeline_cache(
+        "torus_7", seed, denom_bound))
+    artifacts = run_pipeline(PipelineConfig(seed=0, local_only=True), fixture("torus_7"))
+    want = PINNED_DIGESTS[("torus_7", 0)]
+    assert sha256_of({name: artifacts[name] for name in want}) == want

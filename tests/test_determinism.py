@@ -38,3 +38,24 @@ def test_thicken_artifacts_are_byte_identical_across_processes(tmp_path):
                     "--seed", "3", "--out", str(out)], hash_seed)
         runs.append({name: (out / name).read_bytes() for name in names})
     assert runs[0] == runs[1]
+
+
+def test_pickled_complex_loads_under_another_hash_seed(tmp_path):
+    """A Simplex is rebuilt from its vertices on loading, so a complex
+    pickled in one process is usable in a process with another hash seed."""
+    path = str(tmp_path / "complex.pickle")
+    dump = ("import pickle, sys\n"
+            "from plthick.fixtures import fixture\n"
+            "X = fixture('boundary_delta3')\n"
+            "X.facet_cofaces()\n"
+            "with open(sys.argv[1], 'wb') as fh:\n"
+            "    pickle.dump(X, fh)\n")
+    load = ("import pickle, sys\n"
+            "from plthick.complex_core import Complex, Simplex\n"
+            "with open(sys.argv[1], 'rb') as fh:\n"
+            "    X = pickle.load(fh)\n"
+            "Y = Complex(X.simplices)\n"
+            "edges = [Simplex(e) for e in (('a', 'b'), ('c', 'd'))]\n"
+            "print(Y == X, all(e in X and e in X.facet_cofaces() for e in edges))\n")
+    run_python(["-c", dump, path], HASH_SEEDS[0])
+    assert run_python(["-c", load, path], HASH_SEEDS[1]).split() == ["True", "True"]

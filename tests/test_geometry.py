@@ -435,6 +435,57 @@ def test_adversarial_candidate_is_rejected_and_resampled():
     assert any(se.attempts[s] > 1 for s in crafted)
 
 
+def test_touching_far_cells_resample_the_later_apex():
+    """Far spine cells meeting at a record crossing give delta = 0; the
+    apex of the later top is resampled until delta > 0."""
+    X = validate_complex([["a", "b", "c"], ["x", "y", "z"]])
+    m = GeometricMap(domain=X, n=3, points={
+        "a": pt(0, 0, 0), "b": pt(4, 0, 0), "c": pt(0, 4, 0),
+        "x": pt(1, 1, -1), "y": pt(F(5, 4), F(7, 6), 2), "z": pt(3, F(14, 5), 1),
+    })
+    (record,) = singular_set(m).records
+    first, later = sorted(X.by_dim(2))
+    centroid = {v: F(1, 3) for v in first.vertices}
+
+    def edge_weights(e):
+        return dict(zip(e.vertices, (F(2, 5), F(3, 5))))
+
+    def at(s, w):
+        return geometry._combine(m.simplex_points(s), [w[v] for v in s.vertices])
+
+    # With these edge barycenters and the first top's centroid, one leg of
+    # the first top's spine crosses the record at q.
+    apex1 = at(first, centroid)
+    (q,) = [x for e in first.facets() for x in simplex_pair_intersection(
+        [at(e, edge_weights(e)), apex1], record.ambient).points]
+    # The later top's first apex lies on the line from one of its edge
+    # barycenters through q, just beyond q, so that leg passes through q.
+    wq = dict(zip(later.vertices, point_in_simplex(q, m.simplex_points(later))))
+    t = F(11, 10)
+    crafted = next(w for e in later.facets()
+                   for w in [{v: (1 - t) * edge_weights(e).get(v, 0) + t * wq[v]
+                              for v in later.vertices}]
+                   if min(w.values()) > 0)
+    crafted_apex = at(later, crafted)
+    assert point_in_simplex(crafted_apex, record.ambient) is None
+    calls = Counter()
+
+    def hook(rng, s):
+        calls[s] += 1
+        if s.dim == 1:
+            return edge_weights(s)
+        if s == first:
+            return centroid
+        return crafted if calls[s] == 1 else None
+
+    se = choose_spine_barycenters(m, seed=2, candidate_hook=hook)
+    assert se.attempts[first] == 1
+    assert se.attempts[later] > 1
+    assert se.barycenters[later] != crafted_apex
+    assert se.delta_sq > 0
+    assert_spine_embedded(se)
+
+
 @pytest.mark.parametrize("first,total", [(F(0), 1), (F(-1), 1), (F(1, 2), 2)])
 def test_candidate_hook_weights_must_be_interior(first, total):
     """The embedding argument needs strictly interior barycenters: a hook

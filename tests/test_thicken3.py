@@ -1,14 +1,18 @@
+import itertools
+
 import pytest
 
 from plthick.complex_core import (
+    EMPTY_COMPLEX,
     Complex,
     Simplex,
     complex_from_maximal,
+    cone_off,
     link_of,
     simplex,
     validate_complex,
 )
-from plthick.errors import ValidationError
+from plthick.errors import ConstructionError, ValidationError
 from plthick.fixtures import THICKENING_FIXTURES, fixture
 from plthick.geometry import (
     choose_spine_barycenters,
@@ -18,6 +22,8 @@ from plthick.geometry import (
 from plthick.homology import homology_groups
 from plthick.pseudomanifold import check_pseudomanifold, classify_link
 from plthick.thicken3 import (
+    PartialThickening,
+    cone_boundary_neighborhoods,
     expected_retract_copy,
     extract_sheet_data,
     homology_by_collapse,
@@ -181,13 +187,53 @@ def test_frontier_pieces_match_second_derived_links(pipeline_cache):
         assert all(len(piece.adjacency()[x]) == 2 for x in piece.vertices)
 
 
+def piece_distance(adj, sources, targets):
+    """Least number of edges from a vertex of ``sources`` to one of
+    ``targets`` in the graph ``adj``; None when no path joins them."""
+    layer, seen, d = set(sources), set(sources), 0
+    while layer:
+        if layer & targets:
+            return d
+        layer = {y for x in layer for y in adj[x]} - seen
+        seen |= layer
+        d += 1
+    return None
+
+
 def test_neighborhoods_pairwise_disjoint(pipeline_cache):
-    out, _ = pipeline_cache("torus_7", 0)
-    seen = {}
-    for v, N in out.Nv.items():
-        for lab in N.vertices:
-            assert lab not in seen, "N_%s and N_%s share %s" % (seen.get(lab), v, lab)
-            seen[lab] = v
+    """The argument of ``cone_boundary_neighborhoods``, checked on every
+    thickening fixture at the acceptance seeds 0-4, whose runs the session
+    cache shares: in the boundary surface the least distance between
+    frontier pieces (on one component) is three edges when some edge has a
+    single page and four otherwise, so their closed stars N_v are
+    vertex-disjoint."""
+    for name in THICKENING_FIXTURES:
+        for seed in range(5):
+            out, _ = pipeline_cache(name, seed)
+            adj = out.boundary_surface.adjacency()
+            pieces = {v: set(L.vertices) for v, L in out.Lv.items()}
+            single_page = any(len(p) == 1 for p in out.sheet_data.pages_ccw.values())
+            gaps = [piece_distance(adj, a, b)
+                    for a, b in itertools.combinations(pieces.values(), 2)]
+            gap = min(g for g in gaps if g is not None)
+            assert gap == (3 if single_page else 4), (name, seed)
+            stars = {v: ps.union(*(adj[x] for x in ps)) for v, ps in pieces.items()}
+            assert {v: set(N.vertices) for v, N in out.Nv.items()} == stars
+            assert sum(map(len, stars.values())) == len(set().union(*stars.values()))
+
+
+def test_overlapping_neighborhoods_are_a_construction_error():
+    """Pieces one edge apart give closed stars that share a vertex."""
+    sphere = validate_complex([
+        [a, b, c] for a in ("x+", "x-") for b in ("y+", "y-") for c in ("z+", "z-")])
+    partial = PartialThickening(
+        M=cone_off(sphere, sphere, "o"), boundary_surface=sphere, L=EMPTY_COMPLEX,
+        Lv={"p": Complex([simplex("x+")]), "q": Complex([simplex("y+")])},
+        spine=None, spine_embedding=None, sheet_data=None, names=None,
+        chi_by_component={})
+    with pytest.raises(ConstructionError,
+                       match=r"neighborhoods of p and q share vertex (x\+|y\+|z[+-])$"):
+        cone_boundary_neighborhoods(partial)
 
 
 def test_interior_facets_have_degree_two(pipeline_cache):
