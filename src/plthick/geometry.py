@@ -819,7 +819,9 @@ def _verify_collar_injective(nbhd, carriers):
     Only pairs whose boxes meet can intersect: ``_box_overlaps`` finds them
     and they are visited in the order of ``N.maximal_simplices``, so the
     first failing pair is the one an all-pairs loop would report.  Triangle
-    pairs in R^3 are decided by ``_triangles_meet``.
+    pairs in R^3, the only pairs of a pure 2-dimensional input's collar,
+    are decided by ``_triangles_meet``; the tetrahedra of a 3-dimensional
+    input's collar in R^5 by ``simplex_pair_intersection``.
     """
     N = nbhd.domain
     n = nbhd.n

@@ -321,6 +321,9 @@ def _surface_class(pieces):
                      pieces=tuple(sorted(map(tuple, pieces))))
 
 
+SPHERE = _surface_class([(2, 0, True)])
+
+
 def _surface_fans(X, k, boundary):
     """Link class of every k-vertex face r of X, for X of dimension k + 2
     with every facet in one or two top simplices and one arc or circle as

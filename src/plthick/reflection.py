@@ -28,7 +28,7 @@ from .complex_core import (
 from .errors import BudgetExceededError, ConstructionError, ValidationError
 from .homology import homology_groups
 from .pseudomanifold import (
-    LinkClass,
+    SPHERE,
     check_isolated_singularities,
     check_pseudomanifold,
     classify_link,
@@ -226,11 +226,6 @@ class LocalLinkReport:
         return all(cls.closed() for _, cls in self.classes.values())
 
 
-_SPHERE = LinkClass(kind="Sphere", dim=2, components=1, is_manifold=True,
-                    orientable=True, genus=0, boundary_components=0,
-                    pieces=((2, 0, True),))
-
-
 def verify_closed_locally(P, cone_vertices=(), report=None):
     """Classify the link of every vertex class of the closed-up space
     without materializing it.
@@ -269,7 +264,7 @@ def verify_closed_locally(P, cone_vertices=(), report=None):
         if tau.dim > 0:
             # Glued link = reflected boundary of tau * lk_P(tau): a sphere, as
             # positive_links_ok certifies circle/arc edge links and facet degrees.
-            cls = _SPHERE
+            cls = SPHERE
         elif on_boundary:
             cls = report.vertex_links[v].doubled()
         else:

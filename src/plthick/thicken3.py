@@ -18,12 +18,11 @@ import functools
 import hashlib
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .complex_core import (
     Complex,
     Simplex,
-    close_under_faces,
     complex_from_maximal,
     frontier_pieces,
     greedy_collapse,
@@ -43,8 +42,12 @@ from .geometry import (
 )
 from .homology import homology_groups
 from .pseudomanifold import (
+    SPHERE,
+    PseudomanifoldReport,
+    _fans,
     check_isolated_singularities,
     check_pseudomanifold,
+    classify_link,
     orient,
 )
 
@@ -312,10 +315,12 @@ def _annulus(outer, inner):
 
 @dataclass(frozen=True)
 class PartialThickening:
-    """The solid with its traced collar, before coning."""
+    """The solid with its traced collar, before coning; ``report`` is M's
+    full pseudomanifold and vertex-link report, with the boundary surface
+    ∂M."""
 
     M: Complex
-    boundary_surface: Complex
+    report: PseudomanifoldReport
     L: Complex
     Lv: dict
     spine: Complex
@@ -397,9 +402,8 @@ def build_spine_thickening(sd, se):
     piece of each input vertex is its link in the collar's own subdivision,
     and ``frontier_pieces`` checks that these links partition the collar
     frontier: the spine boundary identity of ``spine_boundary_check``.
-    M's own vertex links are checked here although P's are checked later,
-    since coning can hide a pinch: if lk_M(v) is two discs meeting at a
-    rim vertex of N_w, lk_P(v) is still a disc.
+    This is the thickening's one full link pass: M's report, kept on the
+    result, is what ``cone_boundary_neighborhoods`` derives P's from.
     """
     X = se.base.domain
     names = _Namer(se)
@@ -446,7 +450,7 @@ def build_spine_thickening(sd, se):
     chi_by_component = _verify_handlebody_genus(M, boundary, se.spine)
 
     return PartialThickening(
-        M=M, boundary_surface=boundary, L=L, Lv=Lv, spine=se.spine,
+        M=M, report=report, L=L, Lv=Lv, spine=se.spine,
         spine_embedding=se, sheet_data=sd, names=names,
         chi_by_component=chi_by_component)
 
@@ -516,6 +520,7 @@ class ThickeningOutput:
     Nv: dict
     cone_vertices: dict
     P: Complex
+    report: PseudomanifoldReport  # P's, derived from M's
     X_copy: Complex
     provenance: dict
     spine: Complex
@@ -532,12 +537,10 @@ def _cone_label(v):
 
 def cone_boundary_neighborhoods(partial):
     """Thicken each frontier piece L_v inside the boundary surface to its
-    closed star N_v and cone it off with a fresh vertex.
+    closed star N_v, cone it off with a fresh vertex w_v, and derive P's
+    pseudomanifold report from M's.
 
-    Each N_v must keep its frontier piece off its rim.  N_v is a surface
-    by ``verify_thickening``: the simplices of P containing the cone vertex
-    w are w and s + w for s in N_v, so lk_P(w) = N_v, and with isolated
-    singularities every vertex link of the 3-pseudomanifold P is a surface.
+    Each N_v must keep its frontier piece off its rim.
 
     The N_v are pairwise vertex-disjoint, which the overlap test below
     asserts.  Every L_v is nonempty, the link of a vertex of a pure
@@ -566,8 +569,41 @@ def cone_boundary_neighborhoods(partial):
 
     Hence the least distance between two pieces is three edges when some
     edge has a single page and four otherwise, whatever the coordinates.
+
+    P's report is derived, not recomputed.  M's report makes M a
+    combinatorial 3-manifold: pure, every triangle in one or two
+    tetrahedra, every edge link one arc or circle, every vertex link a
+    sphere or a disc.  So ∂M is a closed surface, and for a vertex u of ∂M
+    the link lk_∂M(u) is the boundary circle of the disc lk_M(u).
+    ``classify_link(N_v)`` certifies each N_v a surface, one call per input
+    vertex.  The simplices of P containing w_v are w_v and s + w_v for s in
+    N_v, and the N_v are vertex-disjoint, so:
+
+    - lk_P(w_v) = N_v, and w_v gets N_v's class.
+    - A vertex u of M gains only the simplices s + w_v with u in s in N_v,
+      so lk_P(u) = lk_M(u) ∪ w_v * lk_N_v(u).  Outside every N_v, u keeps
+      its class.  In N_v, lk_N_v(u) lies in the circle lk_∂M(u): it is all
+      of that circle when u is interior to the surface N_v, and the cone on
+      it caps the disc lk_M(u) to a sphere; it is an arc when u is on N_v's
+      rim, and a disc glued to a disc along a boundary arc is a disc.
+    - A triangle of N_v lies on ∂M, in one tetrahedron of M, and gains one
+      cone; a triangle e + w_v lies in one tetrahedron per triangle of N_v
+      at e, two when e is interior to N_v and one on its rim.  So facet
+      degrees stay one or two, and P is pure as M and the surfaces N_v are.
+    - An edge e of N_v adds w_v * lk_N_v(e) to the arc lk_M(e), whose two
+      ends are the vertices opposite e in the two triangles of ∂M at e:
+      both ends for an interior edge, a circle, and one for a rim edge, an
+      arc.  The edge u + w_v has link lk_N_v(u), a circle or an arc.  Other
+      edges keep their links, so M's link flags carry over to P.
+    - The free triangles of P are those of ∂M outside every N_v, which
+      gained no tetrahedron, and the cones e + w_v over the rim edges e of
+      the N_v, so ∂P is the closure of these.
+
+    Only the gallery forest ``_fans(P, 0)``, which ``orient`` reads, is
+    computed on P itself.  ``check_isolated_singularities(P)`` stays in the
+    tests as the oracle of this derivation.
     """
-    surface = partial.boundary_surface
+    surface = partial.report.boundary
     Lv = partial.Lv
     neighborhoods = {v: simplicial_neighborhood(surface, piece)[0]
                      for v, piece in Lv.items()}
@@ -579,21 +615,39 @@ def cone_boundary_neighborhoods(partial):
                 raise ConstructionError(
                     "boundary neighborhoods of %s and %s share vertex %s" % (w, v, lab))
 
-    for v, N in neighborhoods.items():
-        free_edges = [e for e, tops in N.facet_cofaces().items() if len(tops) == 1]
-        rim = set(close_under_faces(free_edges))
-        if rim & Lv[v].simplices:
-            raise ConstructionError("frontier piece of %s touches its rim" % v)
-
+    links = dict(partial.report.vertex_links)
+    free = set(partial.report.boundary.by_dim(2))
     cone_vertices = {}
     provenance = dict.fromkeys(partial.M.simplices, "M")
     for v in sorted(Lv):
-        w = _cone_label(v)
-        cone_vertices[v] = w
+        N = neighborhoods[v]
+        w = cone_vertices[v] = _cone_label(v)
+        links[w] = cls = classify_link(N)
+        if cls.pieces is None:
+            raise ConstructionError(
+                "boundary neighborhood of %s is %s, not a surface" % (v, cls.describe()))
+        rim = [e for e, tops in N.facet_cofaces().items() if len(tops) == 1]
+        rim_vertices = {x for e in rim for x in e.vertices}
+        if not rim_vertices.isdisjoint(Lv[v].vertices):
+            raise ConstructionError("frontier piece of %s touches its rim" % v)
+        for x in N.vertices:
+            if links[x].kind != "Disc":
+                raise ConstructionError("boundary vertex %s has link %s in the solid"
+                                        % (x, links[x].describe()))
+            if x not in rim_vertices:
+                links[x] = SPHERE
+        free.difference_update(N.by_dim(2))
+        free.update(e.join((w,)) for e in rim)
         provenance[Simplex((w,))] = ("cone", v)
-        for s in neighborhoods[v].simplices:
+        for s in N.simplices:
             provenance[s.join((w,))] = ("cone", v)
     P = Complex(provenance)
+    galleries = _fans(P, 0)
+    components = len(set(galleries[0]))
+    report = replace(
+        partial.report, boundary=complex_from_maximal(free),
+        gallery_connected=components <= 1, gallery_components=components,
+        galleries=galleries, vertex_links=links)
 
     X_copy = _assemble_retract_copy(partial, Lv, cone_vertices)
     if not X_copy.is_subcomplex_of(P):
@@ -601,10 +655,10 @@ def cone_boundary_neighborhoods(partial):
 
     return ThickeningOutput(
         M=partial.M, boundary_surface=surface, L=partial.L, Lv=Lv, Nv=neighborhoods,
-        cone_vertices=cone_vertices, P=P, X_copy=X_copy, provenance=provenance,
-        spine=partial.spine, spine_embedding=partial.spine_embedding,
-        sheet_data=partial.sheet_data, chi_by_component=partial.chi_by_component,
-        names=partial.names)
+        cone_vertices=cone_vertices, P=P, report=report, X_copy=X_copy,
+        provenance=provenance, spine=partial.spine,
+        spine_embedding=partial.spine_embedding, sheet_data=partial.sheet_data,
+        chi_by_component=partial.chi_by_component, names=partial.names)
 
 
 def _assemble_retract_copy(partial, Lv, cone_vertices):
@@ -695,19 +749,19 @@ def verify_thickening(t, X):
     even on collapsible complexes) and H_*(R) is computed on the smaller R.
     Either way the result is exact.  The orientability check reads the top
     relative rank off the gallery forest (``orient``).
+
+    P's pseudomanifold and vertex-link report is the one
+    ``cone_boundary_neighborhoods`` derived from M's full pass, with N_v
+    certified a surface by its own classification; P gets no second link
+    pass.
     """
     P = t.P
-    report = check_pseudomanifold(P)
-    if not (report.is_pure and report.facet_degrees_ok):
-        raise ConstructionError("output fails pseudomanifold purity or degrees")
+    report = t.report
     spine_components = len(t.spine.connected_components())
     if report.gallery_components != spine_components:
         raise ConstructionError(
             "gallery components %d != spine components %d"
             % (report.gallery_components, spine_components))
-    report = check_isolated_singularities(P, report)
-    if not report.isolated_singularities:
-        raise ConstructionError("output has non-isolated singularities")
 
     res = orient(P, report=report)
     if not res.success:

@@ -30,14 +30,17 @@ def test_is_flag_witness_ignores_hash_seed():
 
 
 def test_thicken_artifacts_are_byte_identical_across_processes(tmp_path):
+    """On boundary_delta3 every N_v is an annulus, not a disc, so the
+    derived cone-vertex links of report.json are compared too."""
     names = ("p_complex.json", "provenance.json", "report.json")
-    runs = []
-    for hash_seed in HASH_SEEDS:
-        out = tmp_path / hash_seed
-        run_python(["-m", "plthick.cli", "thicken", "fixture:single_triangle",
-                    "--seed", "3", "--out", str(out)], hash_seed)
-        runs.append({name: (out / name).read_bytes() for name in names})
-    assert runs[0] == runs[1]
+    for fixture_name in ("single_triangle", "boundary_delta3"):
+        runs = []
+        for hash_seed in HASH_SEEDS:
+            out = tmp_path / fixture_name / hash_seed
+            run_python(["-m", "plthick.cli", "thicken", "fixture:" + fixture_name,
+                        "--seed", "3", "--out", str(out)], hash_seed)
+            runs.append({name: (out / name).read_bytes() for name in names})
+        assert runs[0] == runs[1], fixture_name
 
 
 def test_pickled_complex_loads_under_another_hash_seed(tmp_path):

@@ -1,3 +1,5 @@
+import functools
+import hashlib
 import itertools
 import random
 from collections import Counter
@@ -538,6 +540,37 @@ def test_epsilon_neighborhood_certified(name, seed):
         else len(comps) == len(X.vertices)
 
 
+def collar_points_sha256(points):
+    """sha256 of the lines "label x y z", in label order, of a collar's
+    exact vertex positions."""
+    text = "".join("%s %s\n" % (v, " ".join(format_rational(x) for x in p))
+                   for v, p in sorted(points.items()))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_collar_vertices_sit_at_weight_epsilon(pipeline_cache):
+    """No canonical artifact records the collar's coordinates, and the
+    topology of P does not depend on them, so they are pinned here: each
+    new vertex, the barycenter of a simplex tau of sd X meeting the spine,
+    sits at weight epsilon towards the mean of tau's non-spine vertices.
+    The digest was taken on two_triangles_shared_vertex at seed 0, where
+    epsilon is 1/32."""
+    se = pipeline_cache("two_triangles_shared_vertex", 0)[0].spine_embedding
+    assert se.epsilon == F(1, 32)
+    kverts = set(se.spine.vertices)
+    new = [v for v in se.nbhd.points if v not in kverts]
+    assert new
+    for v in new:
+        tau = se.nbhd_sub.carrier_of_label(v).vertices
+        ka = [se.spine_point(u) for u in tau if u in kverts]
+        oa = [se.spine_point(u) for u in tau if u not in kverts]
+        want = vadd(vscale((1 - se.epsilon) / len(ka), functools.reduce(vadd, ka)),
+                    vscale(se.epsilon / len(oa), functools.reduce(vadd, oa)))
+        assert se.nbhd.points[v] == want, v
+    assert collar_points_sha256(se.nbhd.points) == (
+        "641441f40f1171393ad15be4f00142e603a45c873da7489eca7110de2b30cac3")
+
+
 def test_epsilon_neighborhood_counts_for_sphere():
     X = fixture("boundary_delta3")
     m = sample_general_position_map(X, 3, seed=1)
@@ -851,6 +884,42 @@ def test_collar_check_rejects_coplanar_far_triangles():
     nbhd, carriers = two_triangle_collar(P_TRI, [(3, 3, 0), (5, 3, 0), (3, 5, 0)])
     with pytest.raises(GeneralPositionError):
         _verify_collar_injective(nbhd, carriers)
+
+
+def segment_triangle_collar(segment):
+    """Collar triangle abc and collar segment de with far carriers."""
+    N = validate_complex([["a", "b", "c"], ["d", "e"]])
+    points = dict(zip("abcde", as_fractions(P_TRI) + as_fractions(segment)))
+    far = {"a": simplex("x0", "x1", "x2"), "d": simplex("y0", "y1", "y2")}
+    carriers = {s: far[s.vertices[0]] for s in N.maximal_simplices}
+    return GeometricMap(domain=N, n=3, points=points), carriers
+
+
+def test_collar_check_decides_a_segment_pair_by_exact_intersection():
+    # Both segments have boxes meeting the triangle's; one pierces it at
+    # (1, 1, 0), the other passes (3, 3, 0), outside it.
+    nbhd, carriers = segment_triangle_collar([(1, 1, -1), (1, 1, 1)])
+    with pytest.raises(ConstructionError, match=r"Simplex\(d,e\)"):
+        _verify_collar_injective(nbhd, carriers)
+    nbhd, carriers = segment_triangle_collar([(3, 3, -1), (3, 3, 1)])
+    _verify_collar_injective(nbhd, carriers)
+
+
+def test_three_dimensional_collar_reaches_the_general_pair_test(monkeypatch):
+    """Two tetrahedra sharing a vertex, mapped to R^5: their far collar
+    pairs are tetrahedra, which the pure 2-dimensional thickening never
+    produces, and they are decided by the parameter-space intersection."""
+    X = validate_complex([["a", "b", "c", "d"], ["a", "e", "f", "g"]])
+    se = choose_spine_barycenters(sample_general_position_map(X, 5, seed=0), seed=0)
+    dims = Counter()
+
+    def recording(pts1, pts2):
+        dims[len(pts1) - 1, len(pts2) - 1] += 1
+        return simplex_pair_intersection(pts1, pts2)
+
+    monkeypatch.setattr(geometry, "simplex_pair_intersection", recording)
+    epsilon_neighborhood_embedding(se)
+    assert set(dims) == {(3, 3)}
 
 
 def test_collar_check_accepts_skew_triangles_separated_by_an_edge_axis():

@@ -20,7 +20,11 @@ from plthick.geometry import (
     sample_general_position_map,
 )
 from plthick.homology import homology_groups
-from plthick.pseudomanifold import check_pseudomanifold, classify_link
+from plthick.pseudomanifold import (
+    check_isolated_singularities,
+    check_pseudomanifold,
+    classify_link,
+)
 from plthick.thicken3 import (
     PartialThickening,
     cone_boundary_neighborhoods,
@@ -169,12 +173,29 @@ def test_outputs_pass_the_checked_constructor(pipeline_cache, name):
 
 @pytest.mark.parametrize("name", THICKENING_FIXTURES)
 def test_cone_vertex_link_is_its_neighborhood(pipeline_cache, name):
-    """lk_P(w) = N_v for the cone vertex w of v, so P's vertex-link report
-    certifies that each N_v is a surface."""
+    """lk_P(w) = N_v for the cone vertex w of v, so N_v's own class is w's
+    class in P's derived report."""
     out, _ = pipeline_cache(name, 0)
     assert out.cone_vertices
     for v, w in out.cone_vertices.items():
         assert link_of(out.P, Simplex((w,))) == out.Nv[v]
+
+
+REPORT_FIELDS = ("dim", "vertex_links", "boundary", "is_pure", "facet_degrees_ok",
+                 "facet_witness", "positive_links_ok", "isolated_singularities",
+                 "gallery_connected", "gallery_components")
+
+
+@pytest.mark.parametrize("name", THICKENING_FIXTURES)
+def test_derived_report_matches_the_full_pass_on_p(pipeline_cache, name):
+    """``cone_boundary_neighborhoods`` derives P's report from M's; the full
+    pseudomanifold and link pass on P is the oracle, field by field."""
+    for seed in range(5):
+        out, rep = pipeline_cache(name, seed)
+        assert rep.pseudomanifold is out.report
+        full = check_isolated_singularities(out.P, check_pseudomanifold(out.P))
+        for f in REPORT_FIELDS:
+            assert getattr(out.report, f) == getattr(full, f), (name, seed, f)
 
 
 def test_frontier_pieces_match_second_derived_links(pipeline_cache):
@@ -222,17 +243,38 @@ def test_neighborhoods_pairwise_disjoint(pipeline_cache):
             assert sum(map(len, stars.values())) == len(set().union(*stars.values()))
 
 
+def solid_cone_partial(sphere, Lv):
+    """The ball M = o * sphere, with the given frontier pieces on its
+    boundary sphere and no collar."""
+    M = cone_off(sphere, sphere, "o")
+    return PartialThickening(
+        M=M, report=check_isolated_singularities(M), L=EMPTY_COMPLEX, Lv=Lv,
+        spine=None, spine_embedding=None, sheet_data=None, names=None,
+        chi_by_component={})
+
+
 def test_overlapping_neighborhoods_are_a_construction_error():
     """Pieces one edge apart give closed stars that share a vertex."""
     sphere = validate_complex([
         [a, b, c] for a in ("x+", "x-") for b in ("y+", "y-") for c in ("z+", "z-")])
-    partial = PartialThickening(
-        M=cone_off(sphere, sphere, "o"), boundary_surface=sphere, L=EMPTY_COMPLEX,
-        Lv={"p": Complex([simplex("x+")]), "q": Complex([simplex("y+")])},
-        spine=None, spine_embedding=None, sheet_data=None, names=None,
-        chi_by_component={})
+    partial = solid_cone_partial(sphere, {"p": Complex([simplex("x+")]),
+                                          "q": Complex([simplex("y+")])})
     with pytest.raises(ConstructionError,
                        match=r"neighborhoods of p and q share vertex (x\+|y\+|z[+-])$"):
+        cone_boundary_neighborhoods(partial)
+
+
+def test_pinched_neighborhood_is_a_construction_error():
+    """On the hexagonal bipyramid the closed star of the equator vertices h0
+    and h3 is two discs that meet only at the poles, on its rim.  That N_v
+    is no surface; without its own classification the derived report would
+    give each pole a disc link in P."""
+    ring = ["h%d" % i for i in range(6)]
+    sphere = validate_complex([[pole, ring[i], ring[(i + 1) % 6]]
+                               for pole in ("n", "s") for i in range(6)])
+    partial = solid_cone_partial(sphere, {"p": Complex([simplex("h0"), simplex("h3")])})
+    with pytest.raises(ConstructionError,
+                       match=r"^boundary neighborhood of p is NotManifold"):
         cone_boundary_neighborhoods(partial)
 
 
