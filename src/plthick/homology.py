@@ -72,7 +72,16 @@ class HomologyResult:
 
 
 def boundary_matrices(X, rel=None):
-    """Chain complex of X, optionally relative to a subcomplex."""
+    """Chain complex of X, optionally relative to a subcomplex.
+
+    ∂∂ = 0 holds by construction.  The face that drops position i of a
+    k-simplex gets sign (-1)^i, so a (k-2)-face missing positions i < l is
+    reached twice, with signs (-1)^(i + l - 1) and (-1)^(l + i), which
+    cancel.  The relative subcomplex is closed under faces: a dropped
+    (k-1)-face has only dropped faces, so on the kept rows and columns the
+    product is the absolute ∂∂ restricted.  The tests compute ∂∂ as the
+    oracle.
+    """
     if rel is not None and not rel.is_subcomplex_of(X):
         raise ValidationError("relative subcomplex is not contained in X")
     excluded = rel.simplices if rel is not None else frozenset()
@@ -88,21 +97,7 @@ def boundary_matrices(X, rel=None):
             {r: sign for r, sign in zip(map(index.get, combinations(s.vertices, k)), signs)
              if r is not None}
             for s in bases[k]]
-    cc = ChainComplex(bases=bases, matrices=matrices)
-    _assert_boundary_squared_zero(cc)
-    return cc
-
-
-def _assert_boundary_squared_zero(cc):
-    for k in range(2, max(cc.matrices, default=1) + 1):
-        lower = cc.matrices[k - 1]
-        for col in cc.matrices[k]:
-            acc = {}
-            for row, coeff in col.items():
-                for row2, coeff2 in lower[row].items():
-                    acc[row2] = acc.get(row2, 0) + coeff * coeff2
-            if any(v != 0 for v in acc.values()):
-                raise ConstructionError("boundary squared is nonzero in dim %d" % k)
+    return ChainComplex(bases=bases, matrices=matrices)
 
 
 # -- Smith normal form -------------------------------------------------------

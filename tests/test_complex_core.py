@@ -95,6 +95,19 @@ MALFORMED_INPUTS = [[[]], [["a", "a"]], [["a", "b", "a"]], [["a", 1]], [["a", ""
                     [["a", "b"], [None]]]
 
 
+@pytest.mark.parametrize("raw, message", [
+    ([["a", "b"], "cd"], "simplex 'cd' is not a list of vertex labels"),
+    ("abc", "a complex is a list of simplices, not 'abc'"),
+    ([["a", "b"], 5], "simplex 5 is not a list of vertex labels"),
+], ids=["string-entry", "string-complex", "integer-entry"])
+def test_validate_complex_names_an_entry_that_is_no_list(raw, message):
+    """A string is not split into one-letter vertices, and a non-iterable
+    entry is a ValidationError, not a bare TypeError."""
+    with pytest.raises(ValidationError) as info:
+        validate_complex(raw)
+    assert str(info.value) == message
+
+
 @pytest.mark.parametrize("raw", MALFORMED_INPUTS, ids=repr)
 def test_loaders_reject_malformed_simplices(raw):
     with pytest.raises(ValidationError):
@@ -191,13 +204,26 @@ def test_subdivision_of_sphere_counts_match_chain_oracle():
     assert counts(B.child) == expected
 
 
+def carrier_violations(sub):
+    """The (facet, child) pairs of a subdivision whose facet's carrier is
+    not a face of the child's carrier: the oracle of the monotonicity that
+    ``relative_barycentric_subdivision`` has by construction."""
+    return [(f, s) for s in sub.child.simplices for f in s.facets()
+            if not set(sub.carrier[f].vertices) <= set(sub.carrier[s].vertices)]
+
+
 def test_subdivision_carrier_respects_inclusion():
-    X = fixture("two_triangles_shared_edge")
-    B = barycentric_subdivision(X)
-    for s in B.child.simplices:
-        car = set(B.carrier[s].vertices)
-        for f in s.facets():
-            assert set(B.carrier[f].vertices) <= car
+    """On every fixture: the plain subdivision sd X, and the collar's
+    subdivision sd(sd X rel spine) that ``regular_neighborhood`` builds."""
+    for name in FIXTURE_NAMES:
+        X = fixture(name)
+        subs = [barycentric_subdivision(X)]
+        if X.dim >= 1:
+            B1, K = spine(X)
+            subs.append(regular_neighborhood(B1.child, K)[2])
+        for sub in subs:
+            assert sub.carrier.keys() == sub.child.simplices, name
+            assert carrier_violations(sub) == [], name
 
 
 def test_original_vertices_keep_labels():

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from plthick.complex_core import (
     barycentric_subdivision,
     boundary_and_free_faces,
+    complex_from_maximal,
     cone_off,
 )
 from plthick.errors import ConstructionError
@@ -133,8 +134,41 @@ def test_relative_chain_complex_of_disc():
     assert cc.matrices[2][0] == {}
 
 
+def boundary_squared(cc):
+    """The nonzero entries (k, column, row) of ∂_{k-1} ∂_k, computed from the
+    sparse columns: the oracle of ∂∂ = 0, which ``boundary_matrices`` has by
+    construction."""
+    bad = []
+    for k in range(2, max(cc.matrices, default=1) + 1):
+        lower = cc.matrices[k - 1]
+        for j, col in enumerate(cc.matrices[k]):
+            acc = {}
+            for row, coeff in col.items():
+                for row2, coeff2 in lower[row].items():
+                    acc[row2] = acc.get(row2, 0) + coeff * coeff2
+            bad.extend((k, j, r) for r, v in acc.items() if v)
+    return bad
+
+
 def test_boundary_squared_zero_checked_on_build():
-    boundary_matrices(fixture("boundary_delta3"))
+    cc = boundary_matrices(fixture("boundary_delta3"))
+    assert boundary_squared(cc) == []
+    # The oracle sees a single flipped sign.
+    cc.matrices[2][0] = {r: -v if r == min(cc.matrices[2][0]) else v
+                         for r, v in cc.matrices[2][0].items()}
+    assert boundary_squared(cc) != []
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_boundary_squared_zero_on_every_fixture(name):
+    """Absolute chains, chains relative to the boundary (the closure of the
+    free faces), and chains relative to the closed star of the first
+    vertex."""
+    X = fixture(name)
+    _, boundary = boundary_and_free_faces(X)
+    star = complex_from_maximal(X.incident(X.vertices[0]))
+    for rel in (None, boundary, star):
+        assert boundary_squared(boundary_matrices(X, rel=rel)) == [], rel
 
 
 def test_homology_of_sphere():

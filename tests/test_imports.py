@@ -146,3 +146,12 @@ def test_geometry_divides_only_fractions():
     scopes = {scope for scope, node in _references(SRC / "geometry.py")
               if isinstance(node, ast.Div)}
     assert scopes == FRACTION_DIVISIONS
+
+
+def test_no_assert_in_the_package():
+    """``python -O`` strips ``assert`` statements, so a check in the package
+    must raise a typed error; a fact that holds by construction is proved
+    in a docstring and checked in the tests."""
+    found = ["%s:%d" % (path.name, node.lineno) for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Assert)]
+    assert found == []

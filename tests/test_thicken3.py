@@ -18,8 +18,11 @@ from plthick.geometry import (
     choose_spine_barycenters,
     epsilon_neighborhood_embedding,
     sample_general_position_map,
+    vcross,
+    vdot,
+    vsub,
 )
-from plthick.homology import homology_groups
+from plthick.homology import boundary_matrices, homology_groups
 from plthick.pseudomanifold import (
     check_isolated_singularities,
     check_pseudomanifold,
@@ -27,12 +30,14 @@ from plthick.pseudomanifold import (
 )
 from plthick.thicken3 import (
     PartialThickening,
+    _plane_normal,
     cone_boundary_neighborhoods,
-    expected_retract_copy,
     extract_sheet_data,
     homology_by_collapse,
     thicken,
 )
+from test_complex_core import carrier_violations
+from test_homology import boundary_squared
 
 
 def embedded(name, seed=0):
@@ -43,6 +48,11 @@ def embedded(name, seed=0):
 
 # -- sheet data ---------------------------------------------------------------
 
+def collar_link(se, u):
+    """The link of the spine vertex u in the collar."""
+    return link_of(se.nbhd.domain, Simplex((u,)))
+
+
 def test_sheet_data_single_triangle():
     se = embedded("single_triangle")
     sd = extract_sheet_data(se)
@@ -50,7 +60,7 @@ def test_sheet_data_single_triangle():
         assert len(pages) == 1
     # each edge-barycenter link graph is an arc (one page)
     for e in se.base.domain.by_dim(1):
-        link = sd.vertex_links["(%s|%s)" % e.vertices]
+        link = collar_link(se, "(%s|%s)" % e.vertices)
         assert len(link.vertices) == 5 and len(link.by_dim(1)) == 4
 
 
@@ -70,7 +80,7 @@ def test_sheet_data_shared_edge_has_two_pages_in_cyclic_order():
     e = simplex("a", "b")
     assert len(sd.pages_ccw[e]) == 2
     # the edge-barycenter sees a circle (two pages -> two meridians)
-    link = sd.vertex_links["(a|b)"]
+    link = collar_link(se, "(a|b)")
     assert all(len(link.adjacency()[v]) == 2 for v in link.vertices)
 
 
@@ -155,9 +165,85 @@ def test_stuck_collapse_computes_homology_of_the_remainder(pipeline_cache):
 
 
 def test_retract_copy_is_expected_subdivision(pipeline_cache):
-    out, _ = pipeline_cache("boundary_delta3", 0)
-    assert out.X_copy == expected_retract_copy(out)
-    assert out.X_copy.is_subcomplex_of(out.P)
+    """X_copy is built once, from sd(Y rel K); the union L ∪ w_v * L_v
+    assembled from the collar copy and the cones is the oracle."""
+    for name in THICKENING_FIXTURES:
+        for seed in range(5):
+            out, _ = pipeline_cache(name, seed)
+            assembled = set(out.L.simplices)
+            for v, w in out.cone_vertices.items():
+                assembled.add(Simplex((w,)))
+                assembled.update(s.join((w,)) for s in out.Lv[v].simplices)
+            assert Complex(assembled) == out.X_copy, (name, seed)
+            assert out.X_copy.is_subcomplex_of(out.P)
+
+
+def _cycle_order(link):
+    adj = link.adjacency()
+    cycle, prev = [min(adj)], None
+    while True:
+        nbrs = sorted(adj[cycle[-1]])
+        nxt = nbrs[0] if nbrs[0] != prev else nbrs[1]
+        if nxt == cycle[0]:
+            return cycle
+        prev = cycle[-1]
+        cycle.append(nxt)
+
+
+def sheet_geometry_faults(out):
+    """The collar geometry ``extract_sheet_data`` proves and no longer
+    checks: around each edge barycenter two poles on the edge axis and one
+    meridian per page in the page's plane; around each triangle barycenter a
+    12-cycle in the triangle's plane whose directions wind one way."""
+    se, names = out.spine_embedding, out.names
+    X, f = se.base.domain, se.base.points
+    faults = []
+
+    def directions(u):
+        link = collar_link(se, u)
+        return link, {x: vsub(se.nbhd.points[x], se.spine_point(u)) for x in link.vertices}
+
+    for e in X.by_dim(1):
+        v, w = e.vertices
+        link, dirs = directions(names.ve[e])
+        poles = {names.a[(v, e)], names.a[(w, e)]}
+        pages = out.sheet_data.pages_ccw[e]
+        meridians = {t: {names.c[(v, e, t)], names.c[(w, e, t)], names.vt[t]} for t in pages}
+        if set(link.vertices) != poles.union(*meridians.values()):
+            faults.append(("link", e))
+        axis = vsub(f[w], f[v])
+        faults += [("pole", x) for x in poles if any(vcross(dirs[x], axis))]
+        faults += [("meridian", x) for t in pages for x in meridians[t]
+                   if vdot(dirs[x], _plane_normal(f, t))]
+    for t in X.by_dim(2):
+        link, dirs = directions(names.vt[t])
+        if not (len(link.vertices) == 12 and len(link.by_dim(1)) == 12):
+            faults.append(("cycle", t))
+            continue
+        normal = _plane_normal(f, t)
+        faults += [("plane", x) for x in link.vertices if vdot(dirs[x], normal)]
+        cycle = _cycle_order(link)
+        turns = [vdot(normal, vcross(dirs[a], dirs[b]))
+                 for a, b in zip(cycle, cycle[1:] + cycle[:1])]
+        if not (all(d > 0 for d in turns) or all(d < 0 for d in turns)):
+            faults.append(("winding", t))
+    return faults
+
+
+@pytest.mark.parametrize("name", THICKENING_FIXTURES)
+def test_construction_facts_hold_on_every_run(pipeline_cache, name):
+    """The oracles of the facts the construction proves instead of checking,
+    at seeds 0-4: the collar's sheet geometry, monotone carriers of the spine
+    and collar subdivisions, and ∂∂ = 0 on the chains of X_copy and of P,
+    absolute and relative to ∂P."""
+    for seed in range(5):
+        out, rep = pipeline_cache(name, seed)
+        se = out.spine_embedding
+        assert sheet_geometry_faults(out) == [], (name, seed)
+        assert carrier_violations(se.subdivision) == []
+        assert carrier_violations(se.nbhd_sub) == []
+        for X, rel in ((out.X_copy, None), (out.P, None), (out.P, rep.pseudomanifold.boundary)):
+            assert boundary_squared(boundary_matrices(X, rel=rel)) == [], (name, seed)
 
 
 @pytest.mark.parametrize("name", THICKENING_FIXTURES)
