@@ -9,7 +9,6 @@ across a mirror structure on the boundary.  Combinatorial operators
 
 from .complex_core import (
     Complex,
-    Simplex,
     barycentric_subdivision,
     boundary_and_free_faces,
     cone_off,
@@ -19,6 +18,7 @@ from .complex_core import (
     link_of,
     regular_neighborhood,
     relative_barycentric_subdivision,
+    simplex,
     simplicial_neighborhood,
     spine,
     spine_boundary_check,
@@ -55,7 +55,7 @@ from .thicken3 import (
 
 __all__ = [
     "Complex",
-    "Simplex",
+    "simplex",
     "validate_complex",
     "link_of",
     "boundary_and_free_faces",

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 from . import fixtures
 from .complex_core import (
-    Simplex,
     barycentric_subdivision,
     link_of,
+    simplex_key,
     spine,
     validate_complex,
 )
@@ -50,7 +50,7 @@ def canonical_json(obj):
 def complex_to_obj(X):
     return {
         "vertices": [{"id": v} for v in X.vertices],
-        "simplices": [list(s.vertices) for s in X.maximal_simplices],
+        "simplices": [list(s) for s in X.maximal_simplices],
     }
 
 
@@ -83,7 +83,7 @@ def geometric_map_to_obj(m):
         "n": m.n,
         "vertices": [{"id": v, "coords": [format_rational(x) for x in m.points[v]]}
                      for v in m.domain.vertices],
-        "simplices": [list(s.vertices) for s in m.domain.maximal_simplices],
+        "simplices": [list(s) for s in m.domain.maximal_simplices],
     }
 
 
@@ -110,7 +110,7 @@ def link_class_obj(cls):
         "orientable": cls.orientable,
         "genus": cls.genus,
         "boundary_components": cls.boundary_components,
-        "witness": list(cls.witness.vertices) if cls.witness else None,
+        "witness": list(cls.witness) if cls.witness else None,
     }
 
 
@@ -128,7 +128,7 @@ def pseudomanifold_report_obj(r):
     if r.vertex_links is not None:
         obj["vertex_links"] = {v: link_class_obj(c) for v, c in r.vertex_links.items()}
     if r.facet_witness is not None:
-        obj["facet_witness"] = list(r.facet_witness.vertices)
+        obj["facet_witness"] = list(r.facet_witness)
     return obj
 
 
@@ -168,9 +168,10 @@ def run_pipeline(config, X):
     artifacts["p_complex.json"] = canonical_json(complex_to_obj(P))
     artifacts["provenance.json"] = canonical_json({
         "simplices": [
-            {"simplex": list(s.vertices),
+            {"simplex": list(s),
              "origin": "M" if origin == "M" else out.cone_vertices[origin[1]]}
-            for s, origin in sorted(out.provenance.items())
+            for s, origin in sorted(out.provenance.items(),
+                                    key=lambda item: simplex_key(item[0]))
         ]})
 
     se = out.spine_embedding
@@ -280,7 +281,7 @@ def export_off_files(out):
         p = positions.get(v, (0.0, 0.0, 0.0))
         lines.append("%.9g %.9g %.9g" % p)
     for t in surface.by_dim(2):
-        lines.append("3 %d %d %d" % tuple(index[v] for v in t.vertices))
+        lines.append("3 %d %d %d" % tuple(index[v] for v in t))
     files = {"boundary.off": ("\n".join(lines) + "\n").encode()}
     for i, (xv, piece) in enumerate(sorted(out.Lv.items())):
         pv = sorted(piece.vertices)
@@ -290,7 +291,7 @@ def export_off_files(out):
             p = positions.get(v, (0.0, 0.0, 0.0))
             plines.append("%.9g %.9g %.9g" % p)
         for e in piece.by_dim(1):
-            plines.append("2 %d %d" % tuple(pidx[v] for v in e.vertices))
+            plines.append("2 %d %d" % tuple(pidx[v] for v in e))
         files["link_curve_%d.off" % i] = ("\n".join(plines) + "\n").encode()
     return files
 
@@ -403,7 +404,7 @@ def _dispatch(args):
         _emit({"map": geometric_map_to_obj(m),
                "general_position": True,
                "singular_records": [
-                   {"pair": [list(r.simplex_i.vertices), list(r.simplex_j.vertices)],
+                   {"pair": [list(r.simplex_i), list(r.simplex_j)],
                     "kind": r.kind,
                     "points": [[format_rational(x) for x in p] for p in r.ambient]}
                    for r in S.records],
@@ -420,12 +421,12 @@ def _dispatch(args):
         res = orient(X)
         if res.success:
             _emit({"orientable": True,
-                   "signs": [{"simplex": list(s.vertices), "sign": sign}
+                   "signs": [{"simplex": list(s), "sign": sign}
                              for s, sign in sorted(res.assignment.signs.items())],
                    "top_relative_rank": res.top_relative_rank})
         else:
             _emit({"orientable": False,
-                   "odd_cycle": [list(s.vertices) for s in res.odd_cycle],
+                   "odd_cycle": [list(s) for s in res.odd_cycle],
                    "top_relative_rank": res.top_relative_rank})
         return 0
     if cmd == "homology":
@@ -437,7 +438,7 @@ def _dispatch(args):
     if cmd == "links":
         out = {}
         for v in X.vertices:
-            out[v] = link_class_obj(classify_link(link_of(X, Simplex((v,)))))
+            out[v] = link_class_obj(classify_link(link_of(X, (v,))))
         _emit(out)
         return 0
     if cmd == "thicken":

@@ -1,6 +1,12 @@
 """Abstract simplicial complexes and the purely combinatorial operations.
 
-Vertices are opaque string labels.  Barycenters created by subdivisions get
+Vertices are opaque string labels, and a simplex is the strictly sorted,
+nonempty tuple of its labels, so faces are sub-tuples and no wrapper sits
+between a simplex and its vertices.  ``simplex()``, ``validate_complex``
+and ``Complex`` built from an arbitrary iterable check that shape; what is
+derived from checked simplices is built without re-checking.  Within one
+dimension tuples sort by labels; across dimensions sorts use
+``simplex_key``, dimension first.  Barycenters created by subdivisions get
 canonical labels built from the sorted parent vertex tuple, e.g. the
 barycenter of ``{a, b}`` is ``(a|b)``.  Because the labels are canonical,
 statements like "the boundary of a regular neighborhood of the spine equals
@@ -14,90 +20,52 @@ import heapq
 import itertools
 import random
 from dataclasses import dataclass, field
-from operator import attrgetter
 
 from .errors import ConstructionError, ValidationError
 
 
-class Simplex:
-    """An abstract simplex: a strictly sorted, nonempty tuple of labels."""
+def simplex_key(s):
+    """Sort key of simplices of mixed dimensions: dimension, then labels."""
+    return len(s), s
 
-    __slots__ = ("vertices", "_hash")
 
-    def __init__(self, vertices):
-        vs = tuple(vertices)
-        if not vs:
-            raise ValidationError("a simplex needs at least one vertex")
-        if any(not isinstance(v, str) or not v for v in vs):
-            raise ValidationError("vertex labels must be nonempty strings: %r" % (vs,))
-        if any(vs[i] >= vs[i + 1] for i in range(len(vs) - 1)):
-            svs = tuple(sorted(set(vs)))
-            if len(svs) != len(vs):
-                raise ValidationError("duplicate vertex in simplex %r" % (vs,))
-            vs = svs
-        self.vertices = vs
-        self._hash = hash(vs)
-
-    @classmethod
-    def _of(cls, vs):
-        """Trusted constructor, no checks: ``vs`` must be a nonempty
-        sub-tuple of an existing simplex's vertices, hence strictly sorted
-        and valid by construction."""
-        s = object.__new__(cls)
-        s.vertices = vs
-        s._hash = hash(vs)
-        return s
-
-    @property
-    def dim(self):
-        return len(self.vertices) - 1
-
-    def faces(self):
-        """All nonempty proper faces."""
-        vs = self.vertices
-        of = Simplex._of
-        out = []
-        for k in range(1, len(vs)):
-            out.extend(of(c) for c in itertools.combinations(vs, k))
-        return out
-
-    def facets(self):
-        vs = self.vertices
-        if len(vs) == 1:
-            return []
-        of = Simplex._of
-        return [of(vs[:i] + vs[i + 1:]) for i in range(len(vs))]
-
-    def join(self, labels):
-        return Simplex(tuple(sorted(set(self.vertices) | set(labels))))
-
-    def __reduce__(self):
-        # Rebuilt from its vertices, so the hash is that of the loading
-        # process: the string hash seed differs between processes.
-        return Simplex, (self.vertices,)
-
-    def __eq__(self, other):
-        return isinstance(other, Simplex) and self.vertices == other.vertices
-
-    def __hash__(self):
-        return self._hash
-
-    def __lt__(self, other):
-        return (len(self.vertices), self.vertices) < (len(other.vertices), other.vertices)
-
-    def __iter__(self):
-        return iter(self.vertices)
-
-    def __len__(self):
-        return len(self.vertices)
-
-    def __repr__(self):
-        return "Simplex(%s)" % ",".join(self.vertices)
+def _is_simplex(s):
+    """Whether s is a simplex: a strictly sorted, nonempty tuple of
+    nonempty string labels."""
+    return (type(s) is tuple and len(s) > 0 and all(isinstance(v, str) and v for v in s)
+            and all(a < b for a, b in zip(s, s[1:])))
 
 
 def simplex(*labels):
-    """Convenience constructor: ``simplex("a", "b")``."""
-    return Simplex(labels)
+    """The simplex on the given labels: ``simplex("b", "a") == ("a", "b")``.
+
+    An empty simplex, a label that is not a nonempty string and a repeated
+    label are each a ``ValidationError``."""
+    if not labels:
+        raise ValidationError("a simplex needs at least one vertex")
+    if any(not isinstance(v, str) or not v for v in labels):
+        raise ValidationError("vertex labels must be nonempty strings: %r" % (labels,))
+    s = tuple(sorted(labels))
+    if len(set(s)) != len(s):
+        raise ValidationError("duplicate vertex in simplex %r" % (labels,))
+    return s
+
+
+def faces(s):
+    """All nonempty proper faces of the simplex s."""
+    return [c for k in range(1, len(s)) for c in itertools.combinations(s, k)]
+
+
+def facets(s):
+    """The faces of s of one dimension less; a vertex has none."""
+    if len(s) == 1:
+        return []
+    return [s[:i] + s[i + 1:] for i in range(len(s))]
+
+
+def join(s, labels):
+    """The simplex spanned by s and the given labels."""
+    return tuple(sorted(set(s).union(labels)))
 
 
 class _FaceClosed:
@@ -124,14 +92,19 @@ class Complex:
         if type(simplices) is _FaceClosed:
             ss = simplices.simplices
         else:
-            ss = frozenset(simplices)
+            try:
+                ss = frozenset(simplices)
+            except TypeError as exc:
+                raise ValidationError("not a set of simplices: %s" % exc) from None
             for s in ss:
-                if not isinstance(s, Simplex):
-                    raise ValidationError("not a Simplex: %r" % (s,))
+                if not _is_simplex(s):
+                    raise ValidationError(
+                        "not a simplex (a sorted tuple of distinct nonempty string "
+                        "labels): %r" % (s,))
             # Face closure is a structural invariant; check it on every
             # build from an arbitrary set.
             for s in ss:
-                for f in s.facets():
+                for f in facets(s):
                     if f not in ss:
                         raise ValidationError(
                             "complex not closed under faces: %s misses facet %s"
@@ -150,11 +123,8 @@ class Complex:
         if self._by_dim is None:
             table = {}
             for s in self.simplices:
-                table.setdefault(len(s.vertices) - 1, []).append(s)
-            # One length per dimension, so sorting by vertices is the
-            # Simplex order.
-            by_vertices = attrgetter("vertices")
-            self._by_dim = {d: tuple(sorted(v, key=by_vertices)) for d, v in table.items()}
+                table.setdefault(len(s) - 1, []).append(s)
+            self._by_dim = {d: tuple(sorted(v)) for d, v in table.items()}
         return self._by_dim
 
     @property
@@ -167,7 +137,7 @@ class Complex:
     @property
     def vertices(self):
         if self._vertices is None:
-            self._vertices = tuple(sorted(s.vertices[0] for s in self.by_dim(0)))
+            self._vertices = tuple(s[0] for s in self.by_dim(0))
         return self._vertices
 
     @property
@@ -175,11 +145,9 @@ class Complex:
         """The simplices that are no other simplex's facet (the set is
         face-closed, so a proper coface implies a covering one)."""
         if self._maximal is None:
-            covered = {s.vertices[:i] + s.vertices[i + 1:]
-                       for s in self.simplices for i in range(len(s.vertices))}
+            covered = {s[:i] + s[i + 1:] for s in self.simplices for i in range(len(s))}
             self._maximal = tuple(sorted(
-                (s for s in self.simplices if s.vertices not in covered),
-                key=lambda s: (len(s.vertices), s.vertices)))
+                (s for s in self.simplices if s not in covered), key=simplex_key))
         return self._maximal
 
     def facet_cofaces(self):
@@ -189,11 +157,9 @@ class Complex:
         if self._cofaces is None:
             d = self.dim
             table = {f: [] for f in self.by_dim(d - 1)}
-            of = Simplex._of
             for s in self.by_dim(d) if d >= 1 else ():
-                vs = s.vertices
-                for i in range(len(vs)):
-                    table[of(vs[:i] + vs[i + 1:])].append(s)
+                for i in range(len(s)):
+                    table[s[:i] + s[i + 1:]].append(s)
             self._cofaces = {f: tuple(tops) for f, tops in table.items()}
         return self._cofaces
 
@@ -202,7 +168,7 @@ class Complex:
         if self._incident is None:
             table = {}
             for s in self.simplices:
-                for v in s.vertices:
+                for v in s:
                     table.setdefault(v, []).append(s)
             self._incident = {v: tuple(ss) for v, ss in table.items()}
         return self._incident.get(label, ())
@@ -211,8 +177,7 @@ class Complex:
         """Vertex adjacency of the 1-skeleton."""
         if self._adj is None:
             adj = {v: set() for v in self.vertices}
-            for e in self.by_dim(1):
-                a, b = e.vertices
+            for a, b in self.by_dim(1):
                 adj[a].add(b)
                 adj[b].add(a)
             self._adj = adj
@@ -243,11 +208,12 @@ class Complex:
     def euler_characteristic(self):
         chi = 0
         for s in self.simplices:
-            chi += 1 if s.dim % 2 == 0 else -1
+            chi += 1 if len(s) % 2 else -1
         return chi
 
     def connected_components(self):
-        """Vertex sets of the connected components (simplices connect them)."""
+        """Vertex sets of the connected components.  Edges alone connect
+        them: by face closure a simplex's vertices are joined by its edges."""
         parent = {v: v for v in self.vertices}
 
         def find(x):
@@ -256,13 +222,10 @@ class Complex:
                 x = parent[x]
             return x
 
-        for s in self.simplices:
-            vs = s.vertices
-            r = find(vs[0])
-            for v in vs[1:]:
-                rv = find(v)
-                if rv != r:
-                    parent[rv] = r
+        for a, b in self.by_dim(1):
+            ra, rb = find(a), find(b)
+            if ra != rb:
+                parent[rb] = ra
         groups = {}
         for v in self.vertices:
             groups.setdefault(find(v), set()).add(v)
@@ -276,31 +239,29 @@ EMPTY_COMPLEX = Complex(())
 
 
 def close_under_faces(simplices):
-    """Face closure of an iterable of Simplex."""
+    """Face closure of an iterable of simplices."""
     out = set()
     stack = list(simplices)
-    for s in stack:
-        if not isinstance(s, Simplex):
-            raise ValidationError("not a Simplex: %r" % (s,))
     while stack:
         s = stack.pop()
         if s in out:
             continue
         out.add(s)
-        stack.extend(s.facets())
+        stack.extend(facets(s))
     return out
 
 
 def complex_from_maximal(maximal):
     """The complex of the given simplices and all their faces.  The closure
-    holds by construction, so it is not re-checked."""
+    holds by construction, so it is not re-checked; nor is the shape of the
+    given simplices, which callers build from checked ones."""
     return Complex(_FaceClosed(close_under_faces(maximal)))
 
 
 def full_subcomplex(X, labels):
     """The subcomplex of X on all simplices whose vertices lie in ``labels``."""
     labels = set(labels)
-    return Complex(s for s in X.simplices if set(s.vertices) <= labels)
+    return Complex(s for s in X.simplices if labels.issuperset(s))
 
 
 # -- operations -------------------------------------------------------------
@@ -309,8 +270,8 @@ def full_subcomplex(X, labels):
 def validate_complex(raw):
     """Build a Complex from a list of (maximal) simplices given as label lists.
 
-    Face closure is recomputed; duplicate vertices inside a simplex are an
-    error.  A string is no list: ``"ab"`` is not the edge {a, b}.
+    Face closure is recomputed; each entry is checked by ``simplex()``.  A
+    string is no list: ``"ab"`` is not the edge {a, b}.
     """
     if not isinstance(raw, (list, tuple)):
         raise ValidationError("a complex is a list of simplices, not %r" % (raw,))
@@ -318,15 +279,7 @@ def validate_complex(raw):
     for entry in raw:
         if not isinstance(entry, (list, tuple)):
             raise ValidationError("simplex %r is not a list of vertex labels" % (entry,))
-        labels = list(entry)
-        if not labels:
-            raise ValidationError("empty simplex in input")
-        if len(set(labels)) != len(labels):
-            raise ValidationError("duplicate vertex in simplex %r" % (labels,))
-        for v in labels:
-            if not isinstance(v, str) or not v:
-                raise ValidationError("vertex labels must be nonempty strings")
-        simplices.append(Simplex(sorted(labels)))
+        simplices.append(simplex(*entry))
     return complex_from_maximal(simplices)
 
 
@@ -335,12 +288,11 @@ def link_of(X, s):
     the simplices t - s for the simplices t of X properly containing s."""
     if s not in X.simplices:
         raise ValidationError("simplex %s not in complex" % (s,))
-    sset = set(s.vertices)
+    sset = set(s)
     out = set()
-    for t in X.incident(s.vertices[0]):
-        tset = set(t.vertices)
-        if sset <= tset and len(tset) > len(sset):
-            out.add(Simplex._of(tuple(v for v in t.vertices if v not in sset)))
+    for t in X.incident(s[0]):
+        if len(t) > len(s) and sset.issubset(t):
+            out.add(tuple(v for v in t if v not in sset))
     return complex_from_maximal(out)
 
 
@@ -348,7 +300,7 @@ def boundary_and_free_faces(X):
     """Free faces (proper faces of exactly one simplex) and their closure."""
     count = {}
     for s in X.simplices:
-        for f in s.faces():
+        for f in faces(s):
             count[f] = count.get(f, 0) + 1
     free = {f for f, c in count.items() if c == 1}
     boundary = complex_from_maximal(free)
@@ -364,14 +316,14 @@ def is_full_subcomplex(X, K):
         raise ValidationError("K is not a subcomplex of X")
     kverts = set(K.vertices)
     for s in X.simplices:
-        if set(s.vertices) <= kverts and s not in K:
+        if kverts.issuperset(s) and s not in K:
             return False, s
     return True, None
 
 
 def barycenter_label(s):
     """Canonical barycenter label of a positive-dimensional simplex."""
-    return "(" + "|".join(s.vertices) + ")"
+    return "(" + "|".join(s) + ")"
 
 
 @dataclass(frozen=True)
@@ -389,7 +341,7 @@ class SubdivisionMap:
 
     def carrier_of_label(self, label):
         """Parent simplex whose interior carries the given child vertex."""
-        return self.carrier[Simplex((label,))]
+        return self.carrier[(label,)]
 
 
 def relative_barycentric_subdivision(X, K):
@@ -412,15 +364,15 @@ def relative_barycentric_subdivision(X, K):
     bary = {}
     owner = {}
     for s in X.simplices:
-        if s.dim == 0:
-            bary[s] = s.vertices[0]
+        if len(s) == 1:
+            bary[s] = s[0]
         elif s not in K:
             lab = barycenter_label(s)
             if lab in xverts:
                 raise ValidationError(
                     "barycenter label %r collides with an existing vertex" % lab)
             if lab in owner:
-                a, b = sorted((owner[lab], s))
+                a, b = sorted((owner[lab], s), key=simplex_key)
                 raise ValidationError(
                     "barycenter label %r is shared by simplices %s and %s" % (lab, a, b))
             owner[lab] = s
@@ -430,7 +382,7 @@ def relative_barycentric_subdivision(X, K):
     outside_set = set(outside)
     sups = {s: [] for s in outside}
     for t in outside:
-        for f in t.faces():
+        for f in faces(t):
             if f in outside_set:
                 sups[f].append(t)
 
@@ -449,16 +401,15 @@ def relative_barycentric_subdivision(X, K):
     carrier = {s: s for s in K.simplices}
     for s in outside:
         kfaces = [()]
-        vs = s.vertices
-        for k in range(1, len(vs) + 1):
-            for comb in itertools.combinations(vs, k):
-                if Simplex(comb) in K.simplices:
+        for k in range(1, len(s) + 1):
+            for comb in itertools.combinations(s, k):
+                if comb in K.simplices:
                     kfaces.append(comb)
         for c in chains(s):
             top = c[-1]
             chain_labels = tuple(bary[t] for t in c)
             for tau in kfaces:
-                child = Simplex(tuple(sorted(tau + chain_labels)))
+                child = tuple(sorted(tau + chain_labels))
                 if child not in children:
                     children.add(child)
                     carrier[child] = top
@@ -481,7 +432,7 @@ def spine(X):
     if X.dim < 1:
         raise ValidationError("spine needs dim >= 1")
     B = barycentric_subdivision(X)
-    labels = [B.barycenter_table[s] for s in X.simplices if s.dim >= 1]
+    labels = [B.barycenter_table[s] for s in X.simplices if len(s) > 1]
     K = full_subcomplex(B.child, labels)
     if K.dim != X.dim - 1:
         raise ConstructionError("spine dimension %d != dim X - 1" % K.dim)
@@ -502,7 +453,7 @@ def simplicial_neighborhood(X, K):
     for v in kverts:
         meeting.extend(X.incident(v))
     N = complex_from_maximal(meeting)
-    Ndot = Complex(s for s in N.simplices if not (set(s.vertices) & kverts))
+    Ndot = Complex(s for s in N.simplices if kverts.isdisjoint(s))
     return N, Ndot
 
 
@@ -537,7 +488,7 @@ def frontier_pieces(Y, frontier, vertices):
     """The links in Y of the given vertices, after checking that they are
     pairwise disjoint and that their union is ``frontier``, simplex for
     simplex; a ``ConstructionError`` otherwise."""
-    links = {v: link_of(Y, Simplex((v,))) for v in vertices}
+    links = {v: link_of(Y, (v,)) for v in vertices}
     union = set().union(*(link.simplices for link in links.values()))
     disjoint = len(union) == sum(len(link) for link in links.values())
     equal = union == frontier.simplices
@@ -568,12 +519,13 @@ def cone_off(X, L, w):
     """Add a fresh vertex w and cone it over the subcomplex L of X."""
     if not L.is_subcomplex_of(X):
         raise ValidationError("L is not a subcomplex of X")
+    apex = simplex(w)
     if w in set(X.vertices):
         raise ValidationError("cone vertex %r already used" % w)
     new = set(X.simplices)
-    new.add(Simplex((w,)))
+    new.add(apex)
     for s in L.simplices:
-        new.add(s.join((w,)))
+        new.add(join(s, (w,)))
     return Complex(new)
 
 
@@ -589,20 +541,18 @@ def is_flag(X):
     # empty simplex, and lower-dimensional ones are found first.
     for k in range(1, X.dim + 1):
         for s in X.by_dim(k):
-            vs = s.vertices
-            common = set(adj[vs[0]])
-            for v in vs[1:]:
+            common = set(adj[s[0]])
+            for v in s[1:]:
                 common &= adj[v]
             for v in sorted(common):
-                cand = tuple(sorted(vs + (v,)))
+                cand = tuple(sorted(s + (v,)))
                 if cand in seen:
                     continue
                 seen.add(cand)
-                cs = Simplex(cand)
-                if cs in X.simplices:
+                if cand in X.simplices:
                     continue
-                if all(f in X.simplices for f in cs.facets()):
-                    return False, cs
+                if all(f in X.simplices for f in facets(cand)):
+                    return False, cand
     return True, None
 
 
@@ -621,8 +571,8 @@ class Collapse:
 def greedy_collapse(X, seed=0, keep=None):
     """Repeatedly remove a free face together with its unique coface.
 
-    The free face chosen at each step is the smallest by ``(dim,
-    vertices)``; a nonzero seed perturbs the order with one ``random()``
+    The free face chosen at each step is the smallest by ``simplex_key``;
+    a nonzero seed perturbs the order with one ``random()``
     draw per simplex in that order (used by property tests and
     ``verify_thickening``).  Deterministic given the seed.  No simplex of
     the subcomplex ``keep`` is ever taken as a free face; since ``keep`` is
@@ -630,8 +580,8 @@ def greedy_collapse(X, seed=0, keep=None):
     remainder contains ``keep``.  The collapse stops when every free face
     left lies in ``keep``.
 
-    The simplices are numbered in ``(dim, vertices)`` order and the
-    bookkeeping runs on those integers: ``facets[i]`` lists the facets,
+    The simplices are numbered in ``simplex_key`` order and the
+    bookkeeping runs on those integers: ``below[i]`` lists the facets,
     ``cover[i]`` the covering cofaces and ``ncov[i]`` the covers still
     present.  A simplex is free exactly when one cover is left and that
     cover has none (a coface two dimensions up would give it two covers),
@@ -639,14 +589,13 @@ def greedy_collapse(X, seed=0, keep=None):
     cover's drops to 0; it is queued then and checked when popped.
     """
     order = [s for d in range(X.dim + 1) for s in X.by_dim(d)]
-    index = {s.vertices: i for i, s in enumerate(order)}
+    index = {s: i for i, s in enumerate(order)}
     n = len(order)
-    facets = [()] * n
+    below = [()] * n
     cover = [[] for _ in range(n)]
     for i, s in enumerate(order):
-        vs = s.vertices
-        if len(vs) > 1:
-            facets[i] = fs = [index[vs[:j] + vs[j + 1:]] for j in range(len(vs))]
+        if len(s) > 1:
+            below[i] = fs = [index[s[:j] + s[j + 1:]] for j in range(len(s))]
             for f in fs:
                 cover[f].append(i)
     ncov = [len(c) for c in cover]
@@ -655,7 +604,7 @@ def greedy_collapse(X, seed=0, keep=None):
         if not keep.is_subcomplex_of(X):
             raise ValidationError("the kept subcomplex is not contained in the complex")
         for s in keep.simplices:
-            kept[index[s.vertices]] = True
+            kept[index[s]] = True
 
     if seed:
         rng = random.Random(seed)
@@ -669,13 +618,13 @@ def greedy_collapse(X, seed=0, keep=None):
 
     def remove(x):
         present[x] = False
-        for f in facets[x]:
+        for f in below[x]:
             ncov[f] -= 1
             if ncov[f] == 1:
                 if present[f] and not kept[f]:
                     heapq.heappush(heap, (key[f], f))
             elif ncov[f] == 0:
-                for h in facets[f]:
+                for h in below[f]:
                     if ncov[h] == 1 and not kept[h]:
                         heapq.heappush(heap, (key[h], h))
 

@@ -18,8 +18,8 @@ from fractions import Fraction
 
 from .complex_core import (
     Complex,
-    Simplex,
     regular_neighborhood,
+    simplex_key,
     spine,
 )
 from .errors import (
@@ -199,7 +199,7 @@ class GeometricMap:
                 raise ValidationError("vertex %r has wrong dimension" % v)
 
     def simplex_points(self, s):
-        return [self.points[v] for v in s.vertices]
+        return [self.points[v] for v in s]
 
     def bit_length_stats(self):
         num = den = 0
@@ -453,8 +453,8 @@ def _affine_face_sqdist(f1, f2):
 class SingularRecord:
     """One top-simplex pair whose open images intersect."""
 
-    simplex_i: Simplex
-    simplex_j: Simplex
+    simplex_i: tuple
+    simplex_j: tuple
     kind: str  # "point" | "segment"
     ambient: tuple  # 1 or 2 ambient points, sorted
 
@@ -512,17 +512,17 @@ def singular_set(m):
         raise GeneralPositionError("map not in general position (witness %s)" % (witness,))
     X = m.domain
     n = m.n
-    simplices = sorted(s for s in X.simplices if s.dim >= 1)
+    simplices = sorted((s for s in X.simplices if len(s) > 1), key=simplex_key)
     maximal = set(X.maximal_simplices)
     records = []
     global_bound = 2 * X.dim - n
     for i, j in _box_overlaps([_bbox(m.simplex_points(s)) for s in simplices]):
         s1, s2 = simplices[i], simplices[j]
-        v1, v2 = set(s1.vertices), set(s2.vertices)
+        v1, v2 = set(s1), set(s2)
         if v1 <= v2 or v2 <= v1:
             continue
         shared = v1 & v2
-        d1, d2 = s1.dim, s2.dim
+        d1, d2 = len(s1) - 1, len(s2) - 1
         if d1 + d2 - (len(shared) - 1) <= n:
             continue
         inter = simplex_pair_intersection(m.simplex_points(s1), m.simplex_points(s2))
@@ -574,16 +574,16 @@ class SpineEmbedding:
 
     def spine_cells_in(self, parent):
         """Maximal spine simplices carried by faces of the given simplex."""
-        pv = set(parent.vertices)
+        pv = set(parent)
         cells = []
         for s in self.spine.maximal_simplices:
-            carriers = [self.subdivision.carrier_of_label(v) for v in s.vertices]
-            if all(set(c.vertices) <= pv for c in carriers):
+            carriers = [self.subdivision.carrier_of_label(v) for v in s]
+            if all(pv.issuperset(c) for c in carriers):
                 cells.append(s)
         return cells
 
     def cell_points(self, s):
-        return [self.spine_point(v) for v in s.vertices]
+        return [self.spine_point(v) for v in s]
 
 
 # Candidates tried per spine barycenter before a RejectionBudgetError.
@@ -647,7 +647,7 @@ def choose_spine_barycenters(m, seed, candidate_hook=None):
         pts = m.simplex_points(s)
         for attempt in range(attempts.get(s, 0) + 1, _BARYCENTER_ATTEMPTS + 1):
             w = _candidate_weights(candidate_hook, rng, s)
-            pt = _combine(pts, [w[v] for v in s.vertices])
+            pt = _combine(pts, [w[v] for v in s])
             if not on_any_record(pt):
                 weights[s] = w
                 barycenters[s] = pt
@@ -655,8 +655,7 @@ def choose_spine_barycenters(m, seed, candidate_hook=None):
                 return
         raise RejectionBudgetError("no admissible barycenter for %s" % (s,))
 
-    # Sorted simplices ascend in dimension.
-    for s in sorted(s for s in X.simplices if s.dim > 0):
+    for s in sorted((s for s in X.simplices if len(s) > 1), key=simplex_key):
         place(s)
 
     # se reads the dicts that a resample updates.
@@ -674,10 +673,10 @@ def _candidate_weights(candidate_hook, rng, s):
     """Interior weights on s: the hook's candidate if it offers one, else a sample."""
     w = candidate_hook(rng, s) if candidate_hook else None
     if not w:
-        raw = {v: rng.randint(1, 64) for v in s.vertices}
+        raw = {v: rng.randint(1, 64) for v in s}
         total = sum(raw.values())
         return {v: Fraction(a, total) for v, a in raw.items()}
-    if set(w) != set(s.vertices) or min(w.values()) <= 0 or sum(w.values()) != 1:
+    if set(w) != set(s) or min(w.values()) <= 0 or sum(w.values()) != 1:
         raise ValidationError("candidate weights %r for %s are not interior" % (w, s))
     return w
 
@@ -697,8 +696,8 @@ def _far_cells_delta_sq(se):
     points = {c: se.cell_points(c) for cs in cells.values() for c in cs}
     boxes = {c: _bbox(pts) for c, pts in points.items()}
     pairs = []
-    for s1, s2 in itertools.combinations(sorted(tops), 2):
-        if len(set(s1.vertices) & set(s2.vertices)) > 1:
+    for s1, s2 in itertools.combinations(tops, 2):
+        if len(set(s1).intersection(s2)) > 1:
             continue
         for c1 in cells[s1]:
             for c2 in cells[s2]:
@@ -755,7 +754,7 @@ def epsilon_neighborhood_embedding(se):
         if v in kverts:
             npoints[v] = ycoords[v]
             continue
-        tau = sub.carrier_of_label(v).vertices
+        tau = sub.carrier_of_label(v)
         ka = _avg([ycoords[u] for u in tau if u in kverts])
         oa = _avg([ycoords[u] for u in tau if u not in kverts])
         npoints[v] = vadd(vscale(1 - epsilon, ka), vscale(epsilon, oa))
@@ -827,14 +826,14 @@ def _verify_collar_injective(nbhd, carriers):
     n = nbhd.n
     maximal = N.maximal_simplices
     ipoints = _integer_points(nbhd.points)
-    pts = [[ipoints[v] for v in s.vertices] for s in maximal]
+    pts = [[ipoints[v] for v in s] for s in maximal]
     for i, j in _box_overlaps([_bbox(p) for p in pts]):
         s1, s2 = maximal[i], maximal[j]
         c1, c2 = carriers[s1], carriers[s2]
-        d3 = len(set(c1.vertices) & set(c2.vertices)) - 1
-        if c1.dim + c2.dim - d3 <= n:
+        d3 = len(set(c1).intersection(c2)) - 1
+        if len(c1) + len(c2) - 2 - d3 <= n:
             continue
-        if n == 3 and s1.dim == 2 and s2.dim == 2:
+        if n == 3 and len(s1) == 3 and len(s2) == 3:
             meet = _triangles_meet(pts[i], pts[j])
         else:
             meet = simplex_pair_intersection(pts[i], pts[j]).kind != "empty"

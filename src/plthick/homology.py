@@ -88,13 +88,12 @@ def boundary_matrices(X, rel=None):
     bases = {k: tuple(s for s in X.by_dim(k) if s not in excluded) for k in range(X.dim + 1)}
     matrices = {}
     for k in range(1, X.dim + 1):
-        # Rows are keyed on vertex tuples; a facet of the relative
-        # subcomplex has no row and is skipped.
-        index = {s.vertices: i for i, s in enumerate(bases[k - 1])}
+        # A facet of the relative subcomplex has no row and is skipped.
+        index = {s: i for i, s in enumerate(bases[k - 1])}
         # combinations(vs, k) drops position k first, then k - 1, ..., 0.
         signs = tuple((-1) ** (k - j) for j in range(k + 1))
         matrices[k] = [
-            {r: sign for r, sign in zip(map(index.get, combinations(s.vertices, k)), signs)
+            {r: sign for r, sign in zip(map(index.get, combinations(s, k)), signs)
              if r is not None}
             for s in bases[k]]
     return ChainComplex(bases=bases, matrices=matrices)

@@ -22,7 +22,7 @@ from functools import cache
 from itertools import combinations
 from operator import itemgetter
 
-from .complex_core import Complex, Simplex, complex_from_maximal, link_of
+from .complex_core import Complex, complex_from_maximal, link_of
 from .errors import ConstructionError, ValidationError
 
 
@@ -46,7 +46,7 @@ class LinkClass:
     orientable: bool | None = None
     genus: int | None = None
     boundary_components: int | None = None
-    witness: Simplex | None = None
+    witness: tuple | None = None
     pieces: tuple | None = None
 
     def closed(self):
@@ -102,7 +102,7 @@ class PseudomanifoldReport:
     gallery_components: int
     # The gallery forest _fans(X, 0), (roots, parity, odd), kept for orient.
     galleries: tuple = field(compare=False, repr=False)
-    facet_witness: Simplex | None = None
+    facet_witness: tuple | None = None
     isolated_singularities: bool | None = None
     positive_links_ok: bool | None = None
     vertex_links: dict | None = None
@@ -127,11 +127,10 @@ def _lifts(d, k):
 
 def _opposite(t, f):
     """Position in t of its one vertex outside the facet f."""
-    tv = t.vertices
-    for i, x in enumerate(f.vertices):
-        if tv[i] != x:
+    for i, x in enumerate(f):
+        if t[i] != x:
             return i
-    return len(f.vertices)
+    return len(f)
 
 
 def _fans(X, k):
@@ -200,7 +199,7 @@ def check_pseudomanifold(X):
     if X.dim < 1:
         raise ValidationError("pseudomanifold check needs dim >= 1")
     d = X.dim
-    is_pure = all(s.dim == d for s in X.maximal_simplices)
+    is_pure = all(len(s) == d + 1 for s in X.maximal_simplices)
     cofaces = X.facet_cofaces()
     witness = next((f for f, tops in cofaces.items() if not 0 < len(tops) <= 2), None)
     boundary = complex_from_maximal(
@@ -246,14 +245,14 @@ def classify_link(L):
 
 def _classify_curves(L):
     for v in L.by_dim(0):
-        if not any(v.vertices[0] in e.vertices for e in L.by_dim(1)):
+        if not any(v[0] in e for e in L.by_dim(1)):
             return LinkClass(kind="NotManifold", dim=1, components=0,
                              is_manifold=False, witness=v)
     adj = L.adjacency()
     for v, nbrs in adj.items():
         if len(nbrs) > 2:
             return LinkClass(kind="NotManifold", dim=1, components=0,
-                             is_manifold=False, witness=Simplex((v,)))
+                             is_manifold=False, witness=(v,))
     comps = L.connected_components()
     cycles = paths = 0
     for comp in comps:
@@ -282,9 +281,9 @@ def _classify_surface(L):
             return not_manifold(e)
     # Slot 3i + p of the k = 1 forest is vertex p of the i-th triangle.
     tris = L.by_dim(2)
-    fans = Counter(tris[r // 3].vertices[r % 3] for r in set(_fans(L, 1)[0]))
+    fans = Counter(tris[r // 3][r % 3] for r in set(_fans(L, 1)[0]))
     for v in L.by_dim(0):
-        if v.vertices[0] not in fans:
+        if v[0] not in fans:
             return not_manifold(v)
     for e, tops in edge_cofaces.items():
         if len(tops) > 2:
@@ -292,7 +291,7 @@ def _classify_surface(L):
     # With every edge in one or two triangles, a vertex link is a single
     # circle or arc exactly when its triangles form one fan.
     for v in L.by_dim(0):
-        if fans[v.vertices[0]] != 1:
+        if fans[v[0]] != 1:
             return not_manifold(v)
     boundary = complex_from_maximal(e for e, tops in edge_cofaces.items() if len(tops) == 1)
     return _surface_fans(L, 0, boundary)[()]
@@ -351,7 +350,7 @@ def _surface_fans(X, k, boundary):
     seen = set()
     for t, i in base.items():
         for get, js in ups:
-            u = get(t.vertices)
+            u = get(t)
             if u not in seen:
                 seen.add(u)
                 for j in js:
@@ -372,8 +371,8 @@ def _surface_fans(X, k, boundary):
             fans[roots[base[t] + lifts[_opposite(t, f)][s % wb][0]]][1] += 1
     by_face = {}
     for r, fan in fans.items():
-        vs = tops[r // w].vertices
-        by_face.setdefault(tuple(vs[p] for p in subsets[r % w]), []).append(fan)
+        t = tops[r // w]
+        by_face.setdefault(tuple(t[p] for p in subsets[r % w]), []).append(fan)
     return {face: _surface_class(by_face[face]) for face in sorted(by_face)}
 
 
@@ -410,7 +409,7 @@ def check_isolated_singularities(X, report=None):
     if X.dim == 3 and positive_ok:
         vertex_links = {v: cls for (v,), cls in _surface_fans(X, 1, report.boundary).items()}
     else:
-        vertex_links = {v.vertices[0]: classify_link(link_of(X, v)) for v in X.by_dim(0)}
+        vertex_links = {v[0]: classify_link(link_of(X, v)) for v in X.by_dim(0)}
     return replace(
         report,
         positive_links_ok=positive_ok,

@@ -18,12 +18,12 @@ from dataclasses import dataclass
 
 from .complex_core import (
     Complex,
-    Simplex,
     barycentric_subdivision,
     barycenter_label,
     complex_from_maximal,
     is_flag,
     link_of,
+    simplex_key,
 )
 from .errors import BudgetExceededError, ConstructionError, ValidationError
 from .homology import homology_groups
@@ -86,7 +86,7 @@ def boundary_mirror_structure(P):
     for y in Y.vertices:
         tau = sub.carrier_of_label(y)
         if tau in boundary.simplices:
-            Sof[y] = frozenset(tau.vertices)
+            Sof[y] = frozenset(tau)
         else:
             Sof[y] = frozenset()
     return MirrorStructure(Y=Y, S=tuple(boundary.vertices), Sof=Sof, chamber_source=P)
@@ -110,7 +110,7 @@ class ChamberComplex:
         return chamber_label(w, self.masks[y], y)
 
     def chamber_simplex(self, w, s):
-        return Simplex(tuple(sorted(self.chamber_vertex(w, y) for y in s.vertices)))
+        return tuple(sorted(self.chamber_vertex(w, y) for y in s))
 
     def identity_chamber(self):
         return complex_from_maximal(
@@ -132,11 +132,11 @@ def orbit_count_euler(ms):
     chi = 0
     for s in ms.Y.simplices:
         stab = None
-        for y in s.vertices:
+        for y in s:
             sof = ms.Sof[y]
             stab = sof if stab is None else (stab & sof)
         copies = 2 ** (k - len(stab))
-        chi += copies if s.dim % 2 == 0 else -copies
+        chi += copies if len(s) % 2 else -copies
     return chi
 
 
@@ -158,7 +158,7 @@ def basic_construction(ms, budget=2_000_000):
     for w in range(2 ** k):
         label = {y: chamber_label(w, mask, y) for y, mask in masks.items()}
         for s in maximal:
-            simplices.add(Simplex(tuple(sorted(label[y] for y in s.vertices))))
+            simplices.add(tuple(sorted(label[y] for y in s)))
     complex_ = complex_from_maximal(simplices)
     cc = ChamberComplex(complex=complex_, n_chambers=2 ** k,
                         mirror_structure=ms, masks=masks)
@@ -185,7 +185,7 @@ def close_up(P, budget=2_000_000):
     """Close a pseudomanifold with boundary into a boundaryless one and
     verify closedness, isolated singularities and orientability."""
     boundary_vertices = {v for f, tops in P.facet_cofaces().items() if len(tops) == 1
-                         for v in f.vertices}
+                         for v in f}
     if not boundary_vertices:
         raise ValidationError("pseudomanifold is already closed")
     # |B(P)| >= |P|, so this lower bound lets huge inputs fail fast.
@@ -256,12 +256,12 @@ def verify_closed_locally(P, cone_vertices=(), report=None):
     cone_vertices = tuple(sorted(cone_vertices))
 
     classes = {}
-    for tau in sorted(P.simplices):
-        v = tau.vertices[0]
+    for tau in sorted(P.simplices, key=simplex_key):
+        v = tau[0]
         on_boundary = tau in boundary.simplices
-        is_cone = on_boundary and tau.dim == 0 and v in cone_vertices
+        is_cone = on_boundary and len(tau) == 1 and v in cone_vertices
         tag = "cone" if is_cone else "boundary" if on_boundary else "interior"
-        if tau.dim > 0:
+        if len(tau) > 1:
             # Glued link = reflected boundary of tau * lk_P(tau): a sphere, as
             # positive_links_ok certifies circle/arc edge links and facet degrees.
             cls = SPHERE
@@ -288,9 +288,10 @@ def local_global_agreement(P):
     source = result.mirror_structure.chamber_source
     local = verify_closed_locally(source).classes if source.dim == 3 else {}
     mismatches = []
-    for tau, (_, cls_local) in sorted(local.items()):
-        y = tau.vertices[0] if tau.dim == 0 else barycenter_label(tau)
-        cls_global = classify_link(link_of(cc.complex, Simplex((cc.chamber_vertex(0, y),))))
+    for tau in sorted(local, key=simplex_key):
+        cls_local = local[tau][1]
+        y = tau[0] if len(tau) == 1 else barycenter_label(tau)
+        cls_global = classify_link(link_of(cc.complex, (cc.chamber_vertex(0, y),)))
         if cls_local != cls_global:
             mismatches.append((tau, cls_local, cls_global))
     return result, mismatches

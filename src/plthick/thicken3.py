@@ -23,11 +23,13 @@ from dataclasses import dataclass, field, replace
 
 from .complex_core import (
     Complex,
-    Simplex,
+    _FaceClosed,
     complex_from_maximal,
     frontier_pieces,
     greedy_collapse,
     is_full_subcomplex,
+    join,
+    simplex_key,
     simplicial_neighborhood,
 )
 from .errors import ConstructionError, GeneralPositionError, ValidationError
@@ -106,11 +108,11 @@ def extract_sheet_data(se):
     pages_ccw = {}
     plus_side_ccw = {}
     for e in X.by_dim(1):
-        pages = [t for t in X.by_dim(2) if set(e.vertices) <= set(t.vertices)]
+        pages = [t for t in X.by_dim(2) if set(e) <= set(t)]
         if not pages:
             raise ValidationError(
                 "edge %s lies in no triangle; thickening needs a pure complex" % (e,))
-        v, w = e.vertices
+        v, w = e
         axis = vsub(f[w], f[v])
         base = f[v]
         rvecs = {}
@@ -131,7 +133,7 @@ def extract_sheet_data(se):
 
 
 def _plane_normal(f, t):
-    x, y, z = t.vertices
+    x, y, z = t
     return vcross(vsub(f[y], f[x]), vsub(f[z], f[x]))
 
 
@@ -178,18 +180,16 @@ class _Namer:
         self.a = {}
         self.c = {}
         for t in X.by_dim(2):
-            for v in t.vertices:
-                self.a[(v, t)] = sub.barycenter_table[
-                    Simplex(tuple(sorted((v, self.vt[t]))))]
+            for v in t:
+                self.a[(v, t)] = sub.barycenter_table[tuple(sorted((v, self.vt[t])))]
         for e in X.by_dim(1):
-            for v in e.vertices:
-                self.a[(v, e)] = sub.barycenter_table[
-                    Simplex(tuple(sorted((v, self.ve[e]))))]
+            for v in e:
+                self.a[(v, e)] = sub.barycenter_table[tuple(sorted((v, self.ve[e])))]
             for t in X.by_dim(2):
-                if set(e.vertices) <= set(t.vertices):
-                    for v in e.vertices:
+                if set(e) <= set(t):
+                    for v in e:
                         self.c[(v, e, t)] = sub.barycenter_table[
-                            Simplex(tuple(sorted((v, self.ve[e], self.vt[t]))))]
+                            tuple(sorted((v, self.ve[e], self.vt[t])))]
 
     def u_label(self, e, t):
         return "w:%s:%s" % (self.ve[e], self.vt[t])
@@ -202,7 +202,7 @@ class _Namer:
 
     def octagon(self, e, t):
         """Disc boundary in canonical cyclic order: c_lo h0 n+ h1 c_hi h2 n- h3."""
-        lo, hi = e.vertices
+        lo, hi = e
         return [
             self.c[(lo, e, t)], self.h_label(e, t, 0), self.side_label(e, t, True),
             self.h_label(e, t, 1), self.c[(hi, e, t)], self.h_label(e, t, 2),
@@ -217,7 +217,7 @@ class _Namer:
             path = octagon[0:5]
         else:
             path = [octagon[0], octagon[7], octagon[6], octagon[5], octagon[4]]
-        if start_vertex == e.vertices[1]:
+        if start_vertex == e[1]:
             path = list(reversed(path))
         return path
 
@@ -225,7 +225,7 @@ class _Namer:
 def _fan(center, cycle):
     out = []
     for i in range(len(cycle)):
-        out.append(Simplex(tuple(sorted((center, cycle[i], cycle[(i + 1) % len(cycle)])))))
+        out.append(tuple(sorted((center, cycle[i], cycle[(i + 1) % len(cycle)]))))
     return out
 
 
@@ -234,9 +234,8 @@ def _annulus(outer, inner):
     n = len(outer)
     tris = []
     for k in range(n):
-        tris.append(Simplex(tuple(sorted((outer[k], outer[(k + 1) % n], inner[k])))))
-        tris.append(Simplex(tuple(sorted((inner[k], outer[(k + 1) % n],
-                                          inner[(k + 1) % n])))))
+        tris.append(tuple(sorted((outer[k], outer[(k + 1) % n], inner[k]))))
+        tris.append(tuple(sorted((inner[k], outer[(k + 1) % n], inner[(k + 1) % n]))))
     return tris
 
 
@@ -264,7 +263,7 @@ def _edge_ball_sphere(names, sd, e):
     """Sphere triangles around an edge barycenter: one marked octagon disc
     per page, lunes with buffer rings in between; a single page gets a
     dummy meridian so each lune boundary is a simple cycle."""
-    v, w = e.vertices
+    v, w = e
     p_v, p_w = names.a[(v, e)], names.a[(w, e)]
     dummy = ["z1:%s" % names.ve[e], "z2:%s" % names.ve[e]]
     pages = list(sd.pages_ccw[e])
@@ -300,10 +299,8 @@ def _triangle_ball_sphere(names, t):
     A cap's cycle is one side path per octagon, joined through the a(u, t);
     ``side_path(e, t, u, plus)`` runs from c(u, e, t) to the c of e's other
     end by definition, so each piece starts where the last one stopped."""
-    x, y, z = t.vertices
-    e1 = Simplex((x, y))
-    e2 = Simplex((x, z))
-    e3 = Simplex((y, z))
+    x, y, z = t
+    e1, e2, e3 = (x, y), (x, z), (y, z)
     tris = []
     for e in (e1, e2, e3):
         tris.extend(_fan(names.u_label(e, t), names.octagon(e, t)))
@@ -341,16 +338,16 @@ def build_spine_thickening(sd, se):
     tets = []
     for e in X.by_dim(1):
         center = names.ve[e]
-        tets.extend(s.join((center,)) for s in _edge_ball_sphere(names, sd, e))
+        tets.extend(join(s, (center,)) for s in _edge_ball_sphere(names, sd, e))
     for t in X.by_dim(2):
         center = names.vt[t]
-        tets.extend(s.join((center,)) for s in _triangle_ball_sphere(names, t))
+        tets.extend(join(s, (center,)) for s in _triangle_ball_sphere(names, t))
     M = complex_from_maximal(tets)
 
     # The collar copy inside the solid.
-    L = _split_strips((set(s.vertices) for s in se.nbhd.domain.simplices), se, names)
+    L = _split_strips((set(s) for s in se.nbhd.domain.simplices), se, names)
     if not L.is_subcomplex_of(M):
-        missing = sorted(set(L.simplices) - set(M.simplices))[:4]
+        missing = sorted(L.simplices - M.simplices, key=simplex_key)[:4]
         raise ConstructionError("collar copy not inside the solid: %s" % (missing,))
     ok, witness = is_full_subcomplex(M, L)
     if not ok:
@@ -388,7 +385,7 @@ def _spine_edge_pairs(se, names):
     X = se.base.domain
     pairs = {}
     for t in X.by_dim(2):
-        for e in (Simplex(c) for c in itertools.combinations(t.vertices, 2)):
+        for e in itertools.combinations(t, 2):
             pairs[(names.ve[e], names.vt[t])] = names.u_label(e, t)
     return pairs
 
@@ -403,12 +400,12 @@ def _split_strips(vertex_sets, se, names):
         split = next(((a, b, u) for (a, b), u in pairs.items()
                       if a in vs and b in vs), None)
         if split is None:
-            out.add(Simplex(tuple(sorted(vs))))
+            out.add(tuple(sorted(vs)))
             continue
         a, b, u = split
         rest = vs - {a, b}
-        out.add(Simplex(tuple(sorted(rest | {a, u}))))
-        out.add(Simplex(tuple(sorted(rest | {u, b}))))
+        out.add(tuple(sorted(rest | {a, u})))
+        out.add(tuple(sorted(rest | {u, b})))
     return complex_from_maximal(out)
 
 
@@ -424,9 +421,9 @@ def _verify_handlebody_genus(M, boundary, spine):
         if len(spine_part) != 1:
             raise ConstructionError("solid component holds several spine parts")
         g = spine_part[0]
-        edges = [e for e in spine.by_dim(1) if set(e.vertices) <= g]
+        edges = [e for e in spine.by_dim(1) if g.issuperset(e)]
         b1 = len(edges) - len(g) + 1
-        bpart = Complex(s for s in boundary.simplices if s.vertices[0] in comp)
+        bpart = Complex(s for s in boundary.simplices if s[0] in comp)
         if not bpart.is_connected():
             raise ConstructionError("handlebody boundary is disconnected")
         chi = bpart.euler_characteristic()
@@ -528,6 +525,12 @@ def cone_boundary_neighborhoods(partial):
       gained no tetrahedron, and the cones e + w_v over the rim edges e of
       the N_v, so ∂P is the closure of these.
 
+    P is face-closed, so it is built without re-checking that.  M is
+    face-closed by its own build, and each N_v is a closed star in ∂M, a
+    subcomplex of M.  A face of the cone w_v * N_v is w_v, a simplex r of
+    N_v or r + w_v, since N_v is face-closed, so it lies in M or in the
+    cone.  The tests keep the checked build as the oracle.
+
     Only the gallery forest ``_fans(P, 0)``, which ``orient`` reads, is
     computed on P itself.  ``check_isolated_singularities(P)`` stays in the
     tests as the oracle of this derivation.
@@ -568,7 +571,7 @@ def cone_boundary_neighborhoods(partial):
             raise ConstructionError(
                 "boundary neighborhood of %s is %s, not a surface" % (v, cls.describe()))
         rim = [e for e, tops in N.facet_cofaces().items() if len(tops) == 1]
-        rim_vertices = {x for e in rim for x in e.vertices}
+        rim_vertices = {x for e in rim for x in e}
         if not rim_vertices.isdisjoint(Lv[v].vertices):
             raise ConstructionError("frontier piece of %s touches its rim" % v)
         for x in N.vertices:
@@ -578,11 +581,11 @@ def cone_boundary_neighborhoods(partial):
             if x not in rim_vertices:
                 links[x] = SPHERE
         free.difference_update(N.by_dim(2))
-        free.update(e.join((w,)) for e in rim)
-        provenance[Simplex((w,))] = ("cone", v)
+        free.update(join(e, (w,)) for e in rim)
+        provenance[(w,)] = ("cone", v)
         for s in N.simplices:
-            provenance[s.join((w,))] = ("cone", v)
-    P = Complex(provenance)
+            provenance[join(s, (w,))] = ("cone", v)
+    P = Complex(_FaceClosed(provenance))
     galleries = _fans(P, 0)
     components = len(set(galleries[0]))
     report = replace(
@@ -590,7 +593,7 @@ def cone_boundary_neighborhoods(partial):
         gallery_connected=components <= 1, gallery_components=components,
         galleries=galleries, vertex_links=links)
 
-    X_copy = _split_strips(({cone_vertices.get(x, x) for x in s.vertices}
+    X_copy = _split_strips(({cone_vertices.get(x, x) for x in s}
                             for s in partial.spine_embedding.nbhd_sub.child.simplices),
                            partial.spine_embedding, partial.names)
     if not X_copy.is_subcomplex_of(P):
@@ -651,7 +654,7 @@ def homology_by_collapse(P, X_copy, H_copy):
     R = collapse.remainder
     reaches_copy = R == X_copy
     H = H_copy if reaches_copy else homology_groups(R)
-    order = json.dumps([[list(f.vertices), list(c.vertices)] for f, c in collapse.pairs],
+    order = json.dumps([[list(f), list(c)] for f, c in collapse.pairs],
                        separators=(",", ":"))
     return H.padded(P.dim + 1), CollapseCertificate(
         pairs=len(collapse.pairs), reaches_copy=reaches_copy,
@@ -731,7 +734,7 @@ def thicken(X, seed, denom_bound=1000):
         raise ValidationError("thickening is implemented for dimension 2 inputs")
     if not X.is_connected():
         raise ValidationError("input must be connected")
-    if any(s.dim != 2 for s in X.maximal_simplices):
+    if any(len(s) != 3 for s in X.maximal_simplices):
         raise ValidationError("input must be pure 2-dimensional")
     m = sample_general_position_map(X, 3, seed=seed, denom_bound=denom_bound)
     se = choose_spine_barycenters(m, seed=seed)

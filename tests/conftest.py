@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from plthick.complex_core import Simplex, cone_off, validate_complex
+from plthick.complex_core import cone_off, validate_complex
 from plthick.fixtures import FIXTURE_NAMES, fixture
 from plthick.reflection import close_up
 from plthick.thicken3 import thicken
@@ -43,7 +43,7 @@ def spine_identity_inputs():
 
 def _position_outside(t, f):
     """Position in the top simplex t of its one vertex not in the facet f."""
-    return next(i for i, v in enumerate(t.vertices) if v not in f.vertices)
+    return next(i for i, v in enumerate(t) if v not in f)
 
 
 def cone_rule_checks(X, signs, cone_vertices):
@@ -58,13 +58,13 @@ def cone_rule_checks(X, signs, cone_vertices):
     cofaces = X.facet_cofaces()
     checked = 0
     for s in X.by_dim(X.dim):
-        ws = [v for v in s.vertices if v in cone_vertices]
+        ws = [v for v in s if v in cone_vertices]
         if not ws:
             continue
         assert len(ws) == 1, s
-        pos = s.vertices.index(ws[0])
-        base = Simplex(s.vertices[:pos] + s.vertices[pos + 1:])
-        body = [b for b in cofaces[base] if not set(b.vertices) & set(cone_vertices)]
+        pos = s.index(ws[0])
+        base = s[:pos] + s[pos + 1:]
+        body = [b for b in cofaces[base] if not set(b) & set(cone_vertices)]
         if body:
             b = body[0]
             inherited = signs[b] * (-1) ** _position_outside(b, base)

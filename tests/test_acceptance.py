@@ -14,7 +14,6 @@ import itertools
 import pytest
 
 from plthick.complex_core import (
-    Simplex,
     cone_off,
     is_flag,
     simplex,
@@ -122,8 +121,8 @@ def test_c04_singular_set_bounds():
         S3 = singular_set(m3)
         assert S3.dim() <= 1
         for r in S3.records:
-            d1, d2 = r.simplex_i.dim, r.simplex_j.dim
-            d3 = len(set(r.simplex_i.vertices) & set(r.simplex_j.vertices)) - 1
+            d1, d2 = len(r.simplex_i) - 1, len(r.simplex_j) - 1
+            d3 = len(set(r.simplex_i) & set(r.simplex_j)) - 1
             assert d1 + d2 - d3 >= 3
             assert r.dim <= d1 + d2 - 3
     _passed(4, "singular set bounds (100 maps into R5 and R3)")
@@ -156,7 +155,7 @@ def test_c06_handlebody_law(pipeline_cache, name, seed):
     comps = spine.connected_components()
     assert len(out.chi_by_component) == len(comps)
     for comp in comps:
-        edges = [e for e in spine.by_dim(1) if set(e.vertices) <= comp]
+        edges = [e for e in spine.by_dim(1) if set(e) <= comp]
         b1 = len(edges) - len(comp) + 1
         chi, b1_reported = out.chi_by_component[min(comp)]
         assert (chi, b1_reported) == (2 - 2 * b1, b1)

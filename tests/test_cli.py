@@ -317,13 +317,11 @@ def test_thicken_export_off(capsys, pipeline_cache, tmp_path):
     nv, nf, coords, faces = parse_off((tmp_path / "boundary.off").read_text())
     assert (nv, nf) == (len(surface.vertices), len(surface.by_dim(2)))
     assert all(len(p) == 3 for p in coords)
-    assert off_simplices(faces, sorted(surface.vertices)) == {
-        t.vertices for t in surface.by_dim(2)}
+    assert off_simplices(faces, sorted(surface.vertices)) == set(surface.by_dim(2))
     for name, (_, piece) in zip(curves, sorted(out.Lv.items())):
         nv, nf, coords, faces = parse_off((tmp_path / name).read_text())
         assert (nv, nf) == (len(piece.vertices), len(piece.by_dim(1)))
-        assert off_simplices(faces, sorted(piece.vertices)) == {
-            e.vertices for e in piece.by_dim(1)}
+        assert off_simplices(faces, sorted(piece.vertices)) == set(piece.by_dim(1))
 
 
 # -- pinned regression oracle ------------------------------------------------------

@@ -8,12 +8,13 @@ from hypothesis import given, settings, strategies as st
 from plthick.complex_core import (
     EMPTY_COMPLEX,
     Complex,
-    Simplex,
     barycentric_subdivision,
     barycenter_label,
     boundary_and_free_faces,
     complex_from_maximal,
     cone_off,
+    faces,
+    facets,
     full_subcomplex,
     greedy_collapse,
     is_flag,
@@ -23,6 +24,7 @@ from plthick.complex_core import (
     relative_barycentric_subdivision,
     simplicial_neighborhood,
     simplex,
+    simplex_key,
     spine,
     spine_boundary_check,
     validate_complex,
@@ -43,8 +45,8 @@ def chain_count_oracle(X, length):
     simplices = sorted(X.simplices)
     total = 0
     for combo in itertools.combinations(simplices, length):
-        ordered = sorted(combo, key=lambda s: len(s.vertices))
-        if all(set(ordered[i].vertices) < set(ordered[i + 1].vertices)
+        ordered = sorted(combo, key=len)
+        if all(set(ordered[i]) < set(ordered[i + 1])
                for i in range(length - 1)):
             total += 1
     return total
@@ -70,29 +72,32 @@ def test_validate_duplicate_vertex_rejected():
 # -- validation at the public constructors and loaders ------------------------
 
 def test_simplex_sorts_its_labels():
-    assert Simplex(("b", "a")).vertices == ("a", "b")
-    assert Simplex(("b", "a")) == simplex("a", "b")
+    assert simplex("b", "a") == ("a", "b")
+    assert complex_from_maximal([("a", "b")]) == validate_complex([["b", "a"]])
 
 
 @pytest.mark.parametrize("labels", [(), ("a", "a"), ("b", "a", "b"), ("a", 1), (2,),
-                                    ("a", ""), (None, "a")])
+                                    ("a", ""), (None, "a"), ("",)])
 def test_simplex_rejects_invalid_labels(labels):
     with pytest.raises(ValidationError):
-        Simplex(labels)
+        simplex(*labels)
 
 
 def test_complex_rejects_missing_faces_and_non_simplices():
     for simplices in ({simplex("a", "b")}, frozenset({simplex("a", "b")})):
         with pytest.raises(ValidationError, match="not closed under faces"):
             Complex(simplices)
-    with pytest.raises(ValidationError, match="not a Simplex"):
-        Complex([("a",)])
-    with pytest.raises(ValidationError, match="not a Simplex"):
-        complex_from_maximal([("a", "b")])
+    # An unsorted tuple, a list, the letters of a string, a bare label.
+    for simplices in ([("b", "a"), ("a",), ("b",)], [["a"]], "ab", [("a",), "b"]):
+        with pytest.raises(ValidationError, match="not a simplex|not a set of simplices"):
+            Complex(simplices)
+    with pytest.raises(ValidationError, match="not a set of simplices"):
+        Complex(5)
 
 
+# The last entry of each input is malformed.
 MALFORMED_INPUTS = [[[]], [["a", "a"]], [["a", "b", "a"]], [["a", 1]], [["a", ""]],
-                    [["a", "b"], [None]]]
+                    [["a", "b"], [None]], [[""]]]
 
 
 @pytest.mark.parametrize("raw, message", [
@@ -110,6 +115,12 @@ def test_validate_complex_names_an_entry_that_is_no_list(raw, message):
 
 @pytest.mark.parametrize("raw", MALFORMED_INPUTS, ids=repr)
 def test_loaders_reject_malformed_simplices(raw):
+    """Every entry point rejects the malformed simplex: ``simplex()``,
+    ``Complex`` on label tuples, and both loaders."""
+    with pytest.raises(ValidationError):
+        simplex(*raw[-1])
+    with pytest.raises(ValidationError):
+        Complex(tuple(entry) for entry in raw)
     with pytest.raises(ValidationError):
         validate_complex(raw)
     declared = sorted({v for entry in raw for v in entry}, key=repr)
@@ -208,8 +219,8 @@ def carrier_violations(sub):
     """The (facet, child) pairs of a subdivision whose facet's carrier is
     not a face of the child's carrier: the oracle of the monotonicity that
     ``relative_barycentric_subdivision`` has by construction."""
-    return [(f, s) for s in sub.child.simplices for f in s.facets()
-            if not set(sub.carrier[f].vertices) <= set(sub.carrier[s].vertices)]
+    return [(f, s) for s in sub.child.simplices for f in facets(s)
+            if not set(sub.carrier[f]) <= set(sub.carrier[s])]
 
 
 def test_subdivision_carrier_respects_inclusion():
@@ -415,9 +426,11 @@ def test_cone_over_empty_adds_isolated_vertex():
 
 
 def test_cone_vertex_collision():
+    """A used label is rejected, and so is a malformed one."""
     X = fixture("single_triangle")
-    with pytest.raises(ValidationError):
-        cone_off(X, X, "a")
+    for w in ("a", "", ["w"]):
+        with pytest.raises(ValidationError):
+            cone_off(X, X, w)
 
 
 # -- flag test --------------------------------------------------------------------
@@ -469,35 +482,35 @@ def test_greedy_collapse_deterministic():
 
 
 def simplex_keyed_greedy_collapse(X, seed=0):
-    """The former ``greedy_collapse``, keyed on ``Simplex`` objects: the
-    reference the integer-slot version must match."""
+    """The former ``greedy_collapse``, keyed on the simplices themselves:
+    the reference the integer-slot version must match."""
     present = set(X.simplices)
     cof_count = {s: 0 for s in present}
     cover = {s: set() for s in present}
     for s in present:
-        for f in s.faces():
+        for f in faces(s):
             cof_count[f] += 1
-        for f in s.facets():
+        for f in facets(s):
             cover[f].add(s)
 
     if seed:
         rng = random.Random(seed)
-        noise = {s: rng.random() for s in sorted(present)}
-        key = lambda s: (noise[s], len(s.vertices), s.vertices)
+        noise = {s: rng.random() for s in sorted(present, key=simplex_key)}
+        key = lambda s: (noise[s], len(s), s)
     else:
-        key = lambda s: (len(s.vertices), s.vertices)
+        key = simplex_key
 
     heap = [(key(s), s) for s in present if cof_count[s] == 1]
     heapq.heapify(heap)
 
     def remove(x):
         present.discard(x)
-        for f in x.faces():
+        for f in faces(x):
             if f in cof_count:
                 cof_count[f] -= 1
                 if cof_count[f] == 1 and f in present:
                     heapq.heappush(heap, (key(f), f))
-        for f in x.facets():
+        for f in facets(x):
             if f in cover:
                 cover[f].discard(x)
 
@@ -539,14 +552,14 @@ def replay_collapse(X, pairs, keep=EMPTY_COMPLEX):
     present = set(X.simplices)
     cofaces = {s: set() for s in present}
     for s in present:
-        for f in s.faces():
+        for f in faces(s):
             cofaces[f].add(s)
     for f, c in pairs:
         assert f not in keep.simplices and c not in keep.simplices, (f, c)
-        assert f in present and cofaces[f] == {c} and c.dim == f.dim + 1, (f, c)
+        assert f in present and cofaces[f] == {c} and len(c) == len(f) + 1, (f, c)
         for x in (c, f):
             present.remove(x)
-            for g in x.faces():
+            for g in faces(x):
                 cofaces[g].discard(x)
     return Complex(present)
 
@@ -612,7 +625,7 @@ def small_complexes(draw):
 @given(small_complexes())
 def test_random_complex_face_closure_and_spine_identity(X):
     for s in X.simplices:
-        for f in s.facets():
+        for f in facets(s):
             assert f in X.simplices
     B, K = spine(X)
     union = set()
@@ -648,11 +661,10 @@ def incidence_scan_maximal(X):
     strict superset."""
     maximal = []
     for s in X.simplices:
-        vs = set(s.vertices)
-        if not any(len(t) > len(s) and vs < set(t.vertices)
-                   for t in X.incident(s.vertices[0])):
+        vs = set(s)
+        if not any(len(t) > len(s) and vs < set(t) for t in X.incident(s[0])):
             maximal.append(s)
-    return tuple(sorted(maximal))
+    return tuple(sorted(maximal, key=simplex_key))
 
 
 def random_face_closed(rng):
@@ -663,7 +675,7 @@ def random_face_closed(rng):
     tops = []
     for _ in range(rng.randint(1, 8)):
         pool = rng.choice(pools)
-        tops.append(Simplex(rng.sample(pool, rng.randint(1, min(4, len(pool))))))
+        tops.append(simplex(*rng.sample(pool, rng.randint(1, min(4, len(pool))))))
     return complex_from_maximal(tops)
 
 
@@ -674,10 +686,10 @@ def test_maximal_simplices_and_by_dim_match_oracles():
         X = random_face_closed(rng)
         assert X.maximal_simplices == incidence_scan_maximal(X)
         assert Complex(X.simplices).maximal_simplices == X.maximal_simplices
-        assert X.dim == max(s.dim for s in X.simplices)
+        assert X.dim == max(len(s) - 1 for s in X.simplices)
         for k in range(-1, 5):
-            assert X.by_dim(k) == tuple(sorted(s for s in X.simplices if s.dim == k))
-        impure += len({s.dim for s in X.maximal_simplices}) > 1
+            assert X.by_dim(k) == tuple(sorted(s for s in X.simplices if len(s) == k + 1))
+        impure += len({len(s) for s in X.maximal_simplices}) > 1
         disconnected += not X.is_connected()
     assert impure > 50 and disconnected > 50
     assert EMPTY_COMPLEX.dim == -1 and EMPTY_COMPLEX.maximal_simplices == ()

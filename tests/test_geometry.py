@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from plthick.complex_core import simplex, validate_complex
+from plthick.complex_core import facets, simplex, simplex_key, validate_complex
 from plthick.errors import (
     ConstructionError,
     GeneralPositionError,
@@ -329,7 +329,7 @@ def test_singular_records_in_r3_have_dim_at_most_one(name):
     S = singular_set(m)
     assert S.dim() <= 1
     for r in S.records:
-        assert r.dim <= r.simplex_i.dim + r.simplex_j.dim - 3
+        assert r.dim <= len(r.simplex_i) + len(r.simplex_j) - 5
 
 
 @pytest.mark.parametrize("n", [3, 5])
@@ -345,12 +345,13 @@ def test_pairs_meet_as_general_position_predicts(n):
         m = sample_general_position_map(X, n, seed=seed)
         maximal = set(X.maximal_simplices)
         expected = {}
-        for s1, s2 in itertools.combinations(sorted(s for s in X.simplices if s.dim >= 1), 2):
-            v1, v2 = set(s1.vertices), set(s2.vertices)
+        simplices = sorted((s for s in X.simplices if len(s) > 1), key=simplex_key)
+        for s1, s2 in itertools.combinations(simplices, 2):
+            v1, v2 = set(s1), set(s2)
             near = len(v1 | v2) <= n + 1
             if v1 <= v2 or v2 <= v1 or not (near or {s1, s2} <= maximal):
                 continue
-            kernel = clip_triangles if n == 3 and s1.dim == s2.dim == 2 \
+            kernel = clip_triangles if n == 3 and len(s1) == len(s2) == 3 \
                 else simplex_pair_intersection
             got = tuple(sorted(kernel(m.simplex_points(s1), m.simplex_points(s2)).points))
             face = tuple(sorted(m.points[v] for v in v1 & v2))
@@ -417,7 +418,7 @@ def test_adversarial_candidate_is_rejected_and_resampled():
 
     def hook(rng, s):
         pts = m.simplex_points(s)
-        if s.dim == 2 and s not in bad:
+        if len(s) == 3 and s not in bad:
             bad[s] = True
             # First candidate: apex whose cone would pass through the
             # record; craft weights so f(apex) sits on the segment when
@@ -428,7 +429,7 @@ def test_adversarial_candidate_is_rejected_and_resampled():
             except GeneralPositionError:
                 sol = None
             if sol is not None and all(x > 0 for x in sol):
-                return dict(zip(s.vertices, sol))
+                return dict(zip(s, sol))
         return None
 
     se = choose_spine_barycenters(m, seed=2, candidate_hook=hook)
@@ -447,26 +448,26 @@ def test_touching_far_cells_resample_the_later_apex():
     })
     (record,) = singular_set(m).records
     first, later = sorted(X.by_dim(2))
-    centroid = {v: F(1, 3) for v in first.vertices}
+    centroid = {v: F(1, 3) for v in first}
 
     def edge_weights(e):
-        return dict(zip(e.vertices, (F(2, 5), F(3, 5))))
+        return dict(zip(e, (F(2, 5), F(3, 5))))
 
     def at(s, w):
-        return geometry._combine(m.simplex_points(s), [w[v] for v in s.vertices])
+        return geometry._combine(m.simplex_points(s), [w[v] for v in s])
 
     # With these edge barycenters and the first top's centroid, one leg of
     # the first top's spine crosses the record at q.
     apex1 = at(first, centroid)
-    (q,) = [x for e in first.facets() for x in simplex_pair_intersection(
+    (q,) = [x for e in facets(first) for x in simplex_pair_intersection(
         [at(e, edge_weights(e)), apex1], record.ambient).points]
     # The later top's first apex lies on the line from one of its edge
     # barycenters through q, just beyond q, so that leg passes through q.
-    wq = dict(zip(later.vertices, point_in_simplex(q, m.simplex_points(later))))
+    wq = dict(zip(later, point_in_simplex(q, m.simplex_points(later))))
     t = F(11, 10)
-    crafted = next(w for e in later.facets()
+    crafted = next(w for e in facets(later)
                    for w in [{v: (1 - t) * edge_weights(e).get(v, 0) + t * wq[v]
-                              for v in later.vertices}]
+                              for v in later}]
                    if min(w.values()) > 0)
     crafted_apex = at(later, crafted)
     assert point_in_simplex(crafted_apex, record.ambient) is None
@@ -474,7 +475,7 @@ def test_touching_far_cells_resample_the_later_apex():
 
     def hook(rng, s):
         calls[s] += 1
-        if s.dim == 1:
+        if len(s) == 2:
             return edge_weights(s)
         if s == first:
             return centroid
@@ -496,7 +497,7 @@ def test_candidate_hook_weights_must_be_interior(first, total):
 
     def hook(rng, s):
         rest = (total - first) / (len(s) - 1)
-        return {v: first if i == 0 else rest for i, v in enumerate(s.vertices)}
+        return {v: first if i == 0 else rest for i, v in enumerate(s)}
 
     with pytest.raises(ValidationError, match="not interior"):
         choose_spine_barycenters(m, seed=0, candidate_hook=hook)
@@ -508,7 +509,7 @@ def assert_spine_embedded(se):
     vertices, and distinct spine vertices have distinct images."""
     cells = se.spine.maximal_simplices
     for c1, c2 in itertools.combinations(cells, 2):
-        shared = set(c1.vertices) & set(c2.vertices)
+        shared = set(c1) & set(c2)
         inter = simplex_pair_intersection(se.cell_points(c1), se.cell_points(c2))
         assert sorted(inter.points) == sorted(se.spine_point(v) for v in shared), (c1, c2)
     images = [se.spine_point(v) for v in se.spine.vertices]
@@ -561,7 +562,7 @@ def test_collar_vertices_sit_at_weight_epsilon(pipeline_cache):
     new = [v for v in se.nbhd.points if v not in kverts]
     assert new
     for v in new:
-        tau = se.nbhd_sub.carrier_of_label(v).vertices
+        tau = se.nbhd_sub.carrier_of_label(v)
         ka = [se.spine_point(u) for u in tau if u in kverts]
         oa = [se.spine_point(u) for u in tau if u not in kverts]
         want = vadd(vscale((1 - se.epsilon) / len(ka), functools.reduce(vadd, ka)),
@@ -585,10 +586,10 @@ def test_epsilon_neighborhood_counts_for_sphere():
 def brute_force_delta_sq(se):
     """Least squared distance over every spine-cell pair carried by two
     top simplices that share at most one vertex, with no pruning."""
-    tops = sorted(se.base.domain.maximal_simplices)
+    tops = se.base.domain.maximal_simplices
     vals = [simplex_pair_sqdist(se.cell_points(c1), se.cell_points(c2))
             for s1, s2 in itertools.combinations(tops, 2)
-            if len(set(s1.vertices) & set(s2.vertices)) <= 1
+            if len(set(s1) & set(s2)) <= 1
             for c1 in se.spine_cells_in(s1)
             for c2 in se.spine_cells_in(s2)]
     return min(vals, default=None)
@@ -816,9 +817,9 @@ def test_triangles_meet_matches_intersection_on_collar_pairs(pipeline_cache, nam
     on the integer points the collar check uses."""
     nbhd = pipeline_cache(name, 0)[0].spine_embedding.nbhd
     maximal = nbhd.domain.maximal_simplices
-    assert all(s.dim == 2 for s in maximal)
+    assert all(len(s) == 3 for s in maximal)
     ipoints = _integer_points(nbhd.points)
-    pts = [[ipoints[v] for v in s.vertices] for s in maximal]
+    pts = [[ipoints[v] for v in s] for s in maximal]
     pairs = _box_overlaps([_bbox(p) for p in pts])
     assert pairs
     for i, j in pairs:
@@ -858,7 +859,7 @@ def two_triangle_collar(p, q):
     N = validate_complex([["a", "b", "c"], ["d", "e", "f"]])
     points = dict(zip("abcdef", as_fractions(p) + as_fractions(q)))
     far = {"a": simplex("x0", "x1", "x2"), "d": simplex("y0", "y1", "y2")}
-    carriers = {s: far[s.vertices[0]] for s in N.maximal_simplices}
+    carriers = {s: far[s[0]] for s in N.maximal_simplices}
     return GeometricMap(domain=N, n=3, points=points), carriers
 
 
@@ -891,7 +892,7 @@ def segment_triangle_collar(segment):
     N = validate_complex([["a", "b", "c"], ["d", "e"]])
     points = dict(zip("abcde", as_fractions(P_TRI) + as_fractions(segment)))
     far = {"a": simplex("x0", "x1", "x2"), "d": simplex("y0", "y1", "y2")}
-    carriers = {s: far[s.vertices[0]] for s in N.maximal_simplices}
+    carriers = {s: far[s[0]] for s in N.maximal_simplices}
     return GeometricMap(domain=N, n=3, points=points), carriers
 
 
@@ -899,7 +900,7 @@ def test_collar_check_decides_a_segment_pair_by_exact_intersection():
     # Both segments have boxes meeting the triangle's; one pierces it at
     # (1, 1, 0), the other passes (3, 3, 0), outside it.
     nbhd, carriers = segment_triangle_collar([(1, 1, -1), (1, 1, 1)])
-    with pytest.raises(ConstructionError, match=r"Simplex\(d,e\)"):
+    with pytest.raises(ConstructionError, match=r"\('d', 'e'\)"):
         _verify_collar_injective(nbhd, carriers)
     nbhd, carriers = segment_triangle_collar([(3, 3, -1), (3, 3, 1)])
     _verify_collar_injective(nbhd, carriers)

@@ -72,9 +72,8 @@ def test_every_dataclass_field_is_read():
 # The trusted constructors skip checks that hold by construction; each may be
 # referenced only in the functions where that holds, so every caller is here.
 TRUSTED = {
-    "Simplex._of": {"complex_core.Simplex.faces", "complex_core.Simplex.facets",
-                    "complex_core.Complex.facet_cofaces", "complex_core.link_of"},
-    "_FaceClosed": {"complex_core.Complex.__init__", "complex_core.complex_from_maximal"},
+    "_FaceClosed": {"complex_core.Complex.__init__", "complex_core.complex_from_maximal",
+                    "thicken3.cone_boundary_neighborhoods"},
 }
 
 
@@ -98,9 +97,7 @@ def test_trusted_constructors_stay_in_their_callers():
     rebuilt = []
     for path in sorted(SRC.glob("*.py")):
         for scope, node in _references(path):
-            if isinstance(node, ast.Attribute) and node.attr == "_of":
-                found["Simplex._of"].add(scope)
-            elif isinstance(node, ast.Name) and node.id == "_FaceClosed" \
+            if isinstance(node, ast.Name) and node.id == "_FaceClosed" \
                     and isinstance(node.ctx, ast.Load):
                 found["_FaceClosed"].add(scope)
             elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "Complex" \

@@ -3,10 +3,10 @@ import random
 import pytest
 
 from plthick.complex_core import (
-    Simplex,
     boundary_and_free_faces,
     cone_off,
     complex_from_maximal,
+    facets,
     link_of,
     simplex,
     validate_complex,
@@ -57,7 +57,7 @@ def test_boundary_matches_free_face_boundary():
         r = check_pseudomanifold(X)
         _, bd = boundary_and_free_faces(X)
         d = X.dim
-        top_free = [s for s in bd.simplices if s.dim == d - 1]
+        top_free = [s for s in bd.simplices if len(s) == d]
         assert set(r.boundary.by_dim(d - 1)) == set(top_free)
 
 
@@ -102,8 +102,8 @@ def test_classify_branching_curve_not_manifold():
 
 
 def test_classify_disjoint_projective_plane_and_torus():
-    rp2 = [list(t.vertices) for t in fixture("projective_plane_6").by_dim(2)]
-    torus = [["t" + v for v in t.vertices] for t in fixture("torus_7").by_dim(2)]
+    rp2 = list(fixture("projective_plane_6").by_dim(2))
+    torus = [["t" + v for v in t] for t in fixture("torus_7").by_dim(2)]
     cls = classify_link(validate_complex(rp2 + torus))
     assert cls.kind == "ClosedSurface" and cls.components == 2
     assert cls.orientable is False and cls.genus == 2 and cls.boundary_components == 0
@@ -114,12 +114,12 @@ def _local_surface_oracle(L):
     triangle, and every vertex link one circle or arc."""
     cofaces = {e: 0 for e in L.by_dim(1)}
     for t in L.by_dim(2):
-        for e in t.facets():
+        for e in facets(t):
             cofaces[e] += 1
-    covered = {v for t in L.by_dim(2) for v in t.vertices}
+    covered = {v for t in L.by_dim(2) for v in t}
     if not all(c in (1, 2) for c in cofaces.values()):
         return False
-    if not all(v.vertices[0] in covered for v in L.by_dim(0)):
+    if not all(v[0] in covered for v in L.by_dim(0)):
         return False
     for v in L.by_dim(0):
         cls = classify_link(link_of(L, v))
@@ -132,7 +132,7 @@ def _random_surfaces():
     """600 random 2-complexes: subsets of the RP^2 and torus triangles or
     random triangles on 3-9 vertices, some with stray edges."""
     rng = random.Random(20261018)
-    pools = [[list(t.vertices) for t in fixture(name).by_dim(2)]
+    pools = [list(fixture(name).by_dim(2))
              for name in ("projective_plane_6", "torus_7")]
     out = []
     for _ in range(600):
@@ -167,25 +167,25 @@ def _surface_oracle(L):
                          is_manifold=False, witness=witness)
 
     cofaces = L.facet_cofaces()
-    tris = [t.vertices for t in L.by_dim(2)]
+    tris = L.by_dim(2)
     for e, tops in cofaces.items():
         if not tops:
             return not_manifold(e)
     for v in L.by_dim(0):
-        if not any(v.vertices[0] in t for t in tris):
+        if not any(v[0] in t for t in tris):
             return not_manifold(v)
     for e, tops in cofaces.items():
         if len(tops) > 2:
             return not_manifold(e)
     for v in L.by_dim(0):
-        x = v.vertices[0]
+        x = v[0]
         link = validate_complex([[w for w in t if w != x] for t in tris if x in t])
         if len(link.connected_components()) != 1:
             return not_manifold(v)
     pieces = []
     for comp in L.connected_components():
         piece = validate_complex([t for t in tris if t[0] in comp])
-        rim = [e.vertices for e, tops in piece.facet_cofaces().items() if len(tops) == 1]
+        rim = [e for e, tops in piece.facet_cofaces().items() if len(tops) == 1]
         circles = len(validate_complex(rim).connected_components())
         pieces.append((piece.euler_characteristic(), circles, orient(piece).success))
     kinds = {("Disc" if o and chi == 1 and nb == 1 else "SurfaceWithBoundary") if nb
@@ -202,8 +202,8 @@ def _surface_oracle(L):
 
 def test_classify_surface_matches_independent_oracle():
     surfaces = _random_surfaces()
-    unions = [validate_complex([s.vertices for s in a.maximal_simplices]
-                               + [["u" + v for v in s.vertices] for s in b.maximal_simplices])
+    unions = [validate_complex(list(a.maximal_simplices)
+                               + [["u" + v for v in s] for s in b.maximal_simplices])
               for a, b in zip(surfaces[::2], surfaces[1::2])]
     seen = {"non-orientable": 0, "several components": 0, "boundary": 0}
     for L in surfaces + unions:
@@ -267,7 +267,7 @@ def test_cone_over_torus_is_singular_pseudomanifold():
 def _two_spheres_sharing(shared):
     """Two copies of the boundary of the 4-simplex, glued at the vertices
     in ``shared``."""
-    tops = [list(t.vertices) for t in fixture("boundary_delta4").by_dim(3)]
+    tops = list(fixture("boundary_delta4").by_dim(3))
     return validate_complex(tops + [[v if v in shared else v + "2" for v in t] for t in tops])
 
 
@@ -322,7 +322,7 @@ def test_positive_links_match_edge_link_oracle():
 
 def _vertex_link_oracle(X):
     """The per-vertex classification: one link complex per vertex."""
-    return {v.vertices[0]: classify_link(link_of(X, v)) for v in X.by_dim(0)}
+    return {v[0]: classify_link(link_of(X, v)) for v in X.by_dim(0)}
 
 
 def test_one_pass_vertex_links_match_per_vertex_oracle():
@@ -425,7 +425,7 @@ def test_orient_cone_rule_on_cone_over_sphere(cone_rule):
 
 def _opposite(t, f):
     """Position in t of its one vertex outside the facet f."""
-    return next(i for i, v in enumerate(t.vertices) if v not in f.vertices)
+    return next(i for i, v in enumerate(t) if v not in f)
 
 
 def _relation(sigma, tau, facet):
@@ -491,8 +491,8 @@ def _assert_odd_cycle(X, cycle):
     assert cycle[0] == cycle[-1] and len(cycle) >= 4
     product = 1
     for s, t in zip(cycle, cycle[1:]):
-        f = Simplex(tuple(v for v in s.vertices if v in t.vertices))
-        assert f.dim == X.dim - 1 and sorted(cofaces[f]) == sorted((s, t)), (s, t)
+        f = tuple(v for v in s if v in t)
+        assert len(f) == X.dim and sorted(cofaces[f]) == sorted((s, t)), (s, t)
         product *= _relation(s, t, f)
     assert product == -1, cycle
 

@@ -4,7 +4,6 @@ import pytest
 
 from plthick.complex_core import (
     Complex,
-    Simplex,
     barycentric_subdivision,
     complex_from_maximal,
     full_subcomplex,
@@ -135,7 +134,7 @@ def test_closure_vertex_links_match_per_vertex_oracle(octahedral_closure):
     res = octahedral_closure
     Q = res.Q.complex
     assert res.report.vertex_links == {
-        v.vertices[0]: classify_link(link_of(Q, v)) for v in Q.by_dim(0)}
+        v[0]: classify_link(link_of(Q, v)) for v in Q.by_dim(0)}
 
 
 def test_closure_passes_the_checked_constructor(octahedral_closure):
@@ -211,9 +210,9 @@ def _double_of_link(P, boundary, w):
     """Oracle: classify the glued link of w's class for a boundary vertex w,
     built outright as the two-chamber basic construction on the subdivided
     link of w with the mirror lk_dP(w)."""
-    sub = barycentric_subdivision(link_of(P, Simplex((w,))))
+    sub = barycentric_subdivision(link_of(P, (w,)))
     Y = sub.child
-    on_mirror = link_of(boundary, Simplex((w,))).simplices
+    on_mirror = link_of(boundary, (w,)).simplices
     sof = {y: frozenset((w,)) if sub.carrier_of_label(y) in on_mirror else frozenset()
            for y in Y.vertices}
     return classify_link(basic_construction(MirrorStructure(Y=Y, S=(w,), Sof=sof)).complex)

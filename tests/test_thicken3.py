@@ -5,9 +5,10 @@ import pytest
 from plthick.complex_core import (
     EMPTY_COMPLEX,
     Complex,
-    Simplex,
     complex_from_maximal,
     cone_off,
+    facets,
+    join,
     link_of,
     simplex,
     validate_complex,
@@ -50,7 +51,7 @@ def embedded(name, seed=0):
 
 def collar_link(se, u):
     """The link of the spine vertex u in the collar."""
-    return link_of(se.nbhd.domain, Simplex((u,)))
+    return link_of(se.nbhd.domain, (u,))
 
 
 def test_sheet_data_single_triangle():
@@ -60,7 +61,7 @@ def test_sheet_data_single_triangle():
         assert len(pages) == 1
     # each edge-barycenter link graph is an arc (one page)
     for e in se.base.domain.by_dim(1):
-        link = collar_link(se, "(%s|%s)" % e.vertices)
+        link = collar_link(se, "(%s|%s)" % e)
         assert len(link.vertices) == 5 and len(link.by_dim(1)) == 4
 
 
@@ -69,7 +70,7 @@ def test_sheet_data_sphere_counts_match_incidence():
     sd = extract_sheet_data(se)
     X = se.base.domain
     for e in X.by_dim(1):
-        incident = [t for t in X.by_dim(2) if set(e.vertices) <= set(t.vertices)]
+        incident = [t for t in X.by_dim(2) if set(e) <= set(t)]
         assert sorted(sd.pages_ccw[e]) == sorted(incident)
         assert len(sd.pages_ccw[e]) == 2
 
@@ -155,8 +156,8 @@ def test_stuck_collapse_computes_homology_of_the_remainder(pipeline_cache):
     remainder; Smith normal form of the whole P is the oracle."""
     out, _ = pipeline_cache("single_triangle", 0)
     v = out.X_copy.vertices[0]
-    sphere = [Simplex(s) for s in ([v, "h1", "h2"], [v, "h1", "h3"],
-                                   [v, "h2", "h3"], ["h1", "h2", "h3"])]
+    sphere = [simplex(*s) for s in ([v, "h1", "h2"], [v, "h1", "h3"],
+                                    [v, "h2", "h3"], ["h1", "h2", "h3"])]
     P = Complex(out.P.simplices | complex_from_maximal(sphere).simplices)
     H, certificate = homology_by_collapse(P, out.X_copy, homology_groups(out.X_copy))
     assert not certificate.reaches_copy
@@ -172,8 +173,8 @@ def test_retract_copy_is_expected_subdivision(pipeline_cache):
             out, _ = pipeline_cache(name, seed)
             assembled = set(out.L.simplices)
             for v, w in out.cone_vertices.items():
-                assembled.add(Simplex((w,)))
-                assembled.update(s.join((w,)) for s in out.Lv[v].simplices)
+                assembled.add((w,))
+                assembled.update(join(s, (w,)) for s in out.Lv[v].simplices)
             assert Complex(assembled) == out.X_copy, (name, seed)
             assert out.X_copy.is_subcomplex_of(out.P)
 
@@ -204,7 +205,7 @@ def sheet_geometry_faults(out):
         return link, {x: vsub(se.nbhd.points[x], se.spine_point(u)) for x in link.vertices}
 
     for e in X.by_dim(1):
-        v, w = e.vertices
+        v, w = e
         link, dirs = directions(names.ve[e])
         poles = {names.a[(v, e)], names.a[(w, e)]}
         pages = out.sheet_data.pages_ccw[e]
@@ -248,8 +249,9 @@ def test_construction_facts_hold_on_every_run(pipeline_cache, name):
 
 @pytest.mark.parametrize("name", THICKENING_FIXTURES)
 def test_outputs_pass_the_checked_constructor(pipeline_cache, name):
-    """Complexes built by face closure skip the closure check; rebuilding
-    each output through the checked constructor must succeed unchanged."""
+    """Complexes built by face closure, and P built as the union of M and
+    the cones, skip the closure check; rebuilding each output through the
+    checked constructor must succeed unchanged."""
     out, rep = pipeline_cache(name, 0)
     built = [out.P, out.M, out.X_copy, out.L, out.boundary_surface,
              rep.pseudomanifold.boundary, *out.Nv.values()]
@@ -264,7 +266,7 @@ def test_cone_vertex_link_is_its_neighborhood(pipeline_cache, name):
     out, _ = pipeline_cache(name, 0)
     assert out.cone_vertices
     for v, w in out.cone_vertices.items():
-        assert link_of(out.P, Simplex((w,))) == out.Nv[v]
+        assert link_of(out.P, (w,)) == out.Nv[v]
 
 
 REPORT_FIELDS = ("dim", "vertex_links", "boundary", "is_pure", "facet_degrees_ok",
@@ -370,7 +372,7 @@ def test_interior_facets_have_degree_two(pipeline_cache):
     report = check_pseudomanifold(P)
     counts = {}
     for t in P.by_dim(3):
-        for f in t.facets():
+        for f in facets(t):
             counts[f] = counts.get(f, 0) + 1
     for f, c in counts.items():
         assert c == (1 if f in report.boundary else 2)
@@ -382,7 +384,7 @@ def test_provenance_tags(pipeline_cache):
     assert "M" in tags
     assert any(isinstance(t, tuple) and t[0] == "cone" for t in tags)
     for s, origin in out.provenance.items():
-        if any(x.startswith("cone:") for x in s.vertices):
+        if any(x.startswith("cone:") for x in s):
             assert origin != "M"
 
 
