@@ -86,7 +86,7 @@ class Complex:
     """
 
     __slots__ = ("simplices", "_by_dim", "_vertices", "_maximal", "_incident", "_adj",
-                 "_cofaces")
+                 "_cofaces", "_opposites")
 
     def __init__(self, simplices):
         if type(simplices) is _FaceClosed:
@@ -116,6 +116,7 @@ class Complex:
         self._incident = None
         self._adj = None
         self._cofaces = None
+        self._opposites = None
 
     # -- basic accessors ---------------------------------------------------
 
@@ -155,13 +156,31 @@ class Complex:
         d = dim.  Built once per complex and shared: callers must not
         mutate the table."""
         if self._cofaces is None:
-            d = self.dim
-            table = {f: [] for f in self.by_dim(d - 1)}
-            for s in self.by_dim(d) if d >= 1 else ():
-                for i in range(len(s)):
-                    table[s[:i] + s[i + 1:]].append(s)
-            self._cofaces = {f: tuple(tops) for f, tops in table.items()}
+            self._facet_tables()
         return self._cofaces
+
+    def facet_opposites(self):
+        """For the i-th facet f of ``facet_cofaces()``, in its order, the
+        positions of the one vertex outside f in each top of
+        ``facet_cofaces()[f]``.  Built together with that table; equal
+        position tuples are shared, so the table costs one reference per
+        facet."""
+        if self._opposites is None:
+            self._facet_tables()
+        return self._opposites
+
+    def _facet_tables(self):
+        d = self.dim
+        table = {f: [] for f in self.by_dim(d - 1)}
+        for s in self.by_dim(d) if d >= 1 else ():
+            for i in range(len(s)):
+                table[s[:i] + s[i + 1:]] += (s, i)
+        self._cofaces, opposites, shared = {}, [], {}
+        for f, e in table.items():
+            self._cofaces[f] = tuple(e[::2])
+            p = tuple(e[1::2])
+            opposites.append(shared.setdefault(p, p))
+        self._opposites = tuple(opposites)
 
     def incident(self, label):
         """All simplices containing the given vertex label."""

@@ -415,8 +415,16 @@ def simplex_pair_sqdist(pts1, pts2):
 
 
 def _affine_face_sqdist(f1, f2):
-    # Minimize |sum λ_i p_i - sum μ_j q_j|^2 subject to affine constraints;
-    # stationarity gives a linear system in the barycentric unknowns.
+    """Squared distance between the affine hulls of two faces when their
+    closest points lie in both faces, else None.
+
+    Minimizes |w + D c|^2 over the barycentric unknowns c, where the columns
+    of D are the edge directions of f1 and the negated ones of f2.  The
+    stationarity system D^T D c = -D^T w is a set of normal equations, and
+    it is always consistent: D^T w lies in the column space of D^T, which
+    is that of the Gram matrix D^T D.  So ``solve_affine`` never returns
+    None here.
+    """
     k1, k2 = len(f1), len(f2)
     if k1 == 1 and k2 == 1:
         return vlensq(vsub(f1[0], f2[0]))
@@ -428,12 +436,9 @@ def _affine_face_sqdist(f1, f2):
     m = len(dirs)
     rows = [[vdot(dirs[i], dirs[j]) for j in range(m)] for i in range(m)]
     rhs = [-vdot(dirs[i], w) for i in range(m)]
-    sol = solve_affine(rows, rhs)
-    if sol is None:
-        return None
     # Flat directions leave the minimum value unchanged: take the
     # particular solution.
-    coeffs, _ = sol
+    coeffs, _ = solve_affine(rows, rhs)
     c1 = coeffs[:k1 - 1]
     c2 = coeffs[k1 - 1:]
     if any(x < 0 for x in c1) or sum(c1) > 1 or any(x < 0 for x in c2) or sum(c2) > 1:

@@ -1,26 +1,50 @@
-"""Integer simplicial homology via Smith normal form.
+"""Integer simplicial homology: coreduction, then a Smith normal form.
 
 All arithmetic is arbitrary-precision integer; torsion coefficients are
-exact.  The Smith normal form first exhausts unit pivots (chosen to limit
-fill), then finishes the usually tiny remainder with the classic
-smallest-pivot algorithm.
+exact.
 
-The boundary maps are reduced from the top dimension down, with clearing
-(Chen-Kerber, "Persistent homology computation with a twist", 2011): a unit
-pivot at row sigma of a reduced column c of the (k+1)-th boundary map means
-that the boundary of c is +-sigma + sum a_i tau_i over rows tau_i not yet
-pivoted, so the boundary of sigma is -+sum a_i (boundary of tau_i).  Column
-sigma of the k-th map then lies in the integer span of the remaining
-columns, and by induction over the pivots, dropping every such column keeps
-the column lattice, hence the rank and the nonzero Smith invariants, of the
-k-th map (Kaczynski-Mischaikow-Mrozek, *Computational Homology*, 2004).
-Only unit pivots clear: a pivot d > 1 puts just d times a column in the span.
+Coreduction (Mrozek-Batko, "Coreduction homology algorithm", DCG 2009)
+first shrinks the chain complex without any arithmetic.  A coreduction
+pair is a live cell b whose boundary, restricted to the live cells, is
+one face: ∂b = ±a.  Deleting a and b keeps the homology, and the boundary
+of what is left is the old one restricted.  This is the elementary
+reduction of Kaczynski-Mischaikow-Mrozek (*Computational Homology*, 2004):
+write ∂_{k+1} in blocks, with row a and column b first,
+
+    ∂_{k+1} = [[e, β], [γ, δ]],  e = ±1,
+
+then the chain complex without a and b, with ∂_{k+1} replaced by
+δ - γ e β, ∂_{k+2} restricted to the rows other than b and ∂_k to the
+columns other than a, is chain homotopy equivalent to the old one.  For a
+coreduction pair γ = 0, so every map is a restriction.  By induction each
+remainder is the original complex restricted to its cells, and its
+boundary columns are built directly, with no fill.
+
+In the absolute case one vertex v goes first.  ∂v = 0, so ⟨v⟩ is a
+subcomplex.  The augmentation sends [v] to 1, so Z[v] is a direct summand
+of H_0(X), and the long exact sequence of 0 -> ⟨v⟩ -> C -> C/⟨v⟩ -> 0
+gives H_*(X) = H_*(C/⟨v⟩) plus one Z in dimension 0.  A relative complex
+loses no vertex: [v] may vanish in H_0(X, A), and then H_0(⟨v⟩) ->
+H_0(X, A) is not injective.
+
+The Smith normal form of the remainder first exhausts unit pivots (chosen
+to limit fill), then finishes the usually tiny rest with the classic
+smallest-pivot algorithm.  The boundary maps are reduced from the top
+dimension down, with clearing (Chen-Kerber, "Persistent homology
+computation with a twist", 2011): a unit pivot at row sigma of a reduced
+column c of the (k+1)-th boundary map means that the boundary of c is
++-sigma + sum a_i tau_i over rows tau_i not yet pivoted, so the boundary of
+sigma is -+sum a_i (boundary of tau_i).  Column sigma of the k-th map then
+lies in the integer span of the remaining columns, and by induction over
+the pivots, dropping every such column keeps the column lattice, hence the
+rank and the nonzero Smith invariants, of the k-th map
+(Kaczynski-Mischaikow-Mrozek).  Only unit pivots clear: a pivot d > 1 puts
+just d times a column in the span.
 """
 
 from __future__ import annotations
 
 import heapq
-import math
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -82,13 +106,23 @@ def boundary_matrices(X, rel=None):
     product is the absolute ∂∂ restricted.  The tests compute ∂∂ as the
     oracle.
     """
+    excluded = _excluded(X, rel)
+    bases = {k: tuple(s for s in X.by_dim(k) if s not in excluded) for k in range(X.dim + 1)}
+    return ChainComplex(bases=bases, matrices=_columns(bases))
+
+
+def _excluded(X, rel):
     if rel is not None and not rel.is_subcomplex_of(X):
         raise ValidationError("relative subcomplex is not contained in X")
-    excluded = rel.simplices if rel is not None else frozenset()
-    bases = {k: tuple(s for s in X.by_dim(k) if s not in excluded) for k in range(X.dim + 1)}
+    return rel.simplices if rel is not None else frozenset()
+
+
+def _columns(bases):
+    """Boundary columns over the bases: every face missing from the
+    (k-1)-basis is dropped, so a subset of cells gets the restricted map."""
     matrices = {}
-    for k in range(1, X.dim + 1):
-        # A facet of the relative subcomplex has no row and is skipped.
+    for k in range(1, len(bases)):
+        # A face outside the (k-1)-basis has no row and is skipped.
         index = {s: i for i, s in enumerate(bases[k - 1])}
         # combinations(vs, k) drops position k first, then k - 1, ..., 0.
         signs = tuple((-1) ** (k - j) for j in range(k + 1))
@@ -96,7 +130,60 @@ def boundary_matrices(X, rel=None):
             {r: sign for r, sign in zip(map(index.get, combinations(s, k)), signs)
              if r is not None}
             for s in bases[k]]
-    return ChainComplex(bases=bases, matrices=matrices)
+    return matrices
+
+
+def coreduce(X, rel=None):
+    """Coreduce the chain complex of X (or of (X, rel)) and return the
+    remainder with the number of vertices removed (module docstring).
+
+    Cells sit on integer slots in basis order.  Each keeps its count of
+    live faces and its coface list; a cell whose count drops to 1 joins a
+    FIFO queue, so the pairs, and the remainder, depend on slot order only.
+    Returns ``(cc, removed)``: cc is the original chain complex restricted
+    to the cells left, and ``removed`` is 1 when a vertex was taken out of
+    an absolute complex (it adds 1 to b_0), else 0.
+    """
+    excluded = _excluded(X, rel)
+    cells, faces, index = [], [], {}
+    for k in range(X.dim + 1):
+        lower, index = index, {}
+        for s in X.by_dim(k):
+            if s not in excluded:
+                index[s] = len(cells)
+                cells.append(s)
+                faces.append([r for r in map(lower.get, combinations(s, k)) if r is not None])
+    cofaces = [[] for _ in cells]
+    for c, fs in enumerate(faces):
+        for f in fs:
+            cofaces[f].append(c)
+    alive = [True] * len(cells)
+    count = [len(fs) for fs in faces]
+    queue = [c for c, n in enumerate(count) if n == 1]
+
+    def remove(x):
+        alive[x] = False
+        for c in cofaces[x]:
+            count[c] -= 1
+            if count[c] == 1 and alive[c]:
+                queue.append(c)
+
+    removed = 0
+    if cells and not excluded:
+        # (X, ∅) is absolute; a relative complex never loses a vertex.
+        # Slot 0 is the first vertex.
+        remove(0)
+        removed = 1
+    for b in queue:
+        if alive[b] and count[b] == 1:
+            remove(next(a for a in faces[b] if alive[a]))
+            remove(b)
+    bases = {k: [] for k in range(X.dim + 1)}
+    for s, live in zip(cells, alive):
+        if live:
+            bases[len(s) - 1].append(s)
+    bases = {k: tuple(b) for k, b in bases.items()}
+    return ChainComplex(bases=bases, matrices=_columns(bases)), removed
 
 
 # -- Smith normal form -------------------------------------------------------
@@ -193,11 +280,17 @@ def _snf_diagonal_sparse(cols):
     for j, (c, col) in enumerate(sorted(live.items())):
         for r, v in col.items():
             dense[rindex[r]][j] = v
-    return _normalize_divisibility(ones + _dense_snf(dense)), pivot_rows
+    return ones + _dense_snf(dense), pivot_rows
 
 
 def _dense_snf(m):
-    """Classic Smith normal form on a small dense matrix; returns diagonal."""
+    """Classic Smith normal form on a small dense matrix; returns diagonal.
+
+    The diagonal is a divisibility chain as it comes out: the repair loop
+    leaves the pivot d_t dividing every entry right of and below it, later
+    steps only add integer multiples of those entries to each other, so
+    every later pivot is a multiple of d_t.
+    """
     m = [row[:] for row in m]
     nr = len(m)
     nc = len(m[0]) if nr else 0
@@ -265,29 +358,16 @@ def _dense_snf(m):
     return diag
 
 
-def _normalize_divisibility(diag):
-    diag = [abs(d) for d in diag if d]
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(diag) - 1):
-            a, b = diag[i], diag[i + 1]
-            if b % a:
-                g = math.gcd(a, b)
-                diag[i], diag[i + 1] = g, a * b // g
-                changed = True
-    return diag
-
-
 def homology_groups(X, rel=None):
     """Betti numbers and torsion coefficients of X (or of (X, rel)).
 
-    The boundary maps are reduced top-down; the unit pivot rows of the
-    (k+1)-th map clear the matching columns of the k-th (module docstring).
+    The chain complex is coreduced first; the boundary maps of the
+    remainder are reduced top-down, and the unit pivot rows of the (k+1)-th
+    map clear the matching columns of the k-th (module docstring).
     """
     if X.dim < 0:
         return HomologyResult(betti=(), torsion=())
-    cc = boundary_matrices(X, rel=rel)
+    cc, removed = coreduce(X, rel=rel)
     top = X.dim
     snf = {}
     cleared = set()
@@ -302,6 +382,7 @@ def homology_groups(X, rel=None):
         tor = tuple(d for d in snf.get(k + 1, ()) if d > 1)
         betti.append(b)
         torsion.append(tor)
+    betti[0] += removed
     result = HomologyResult(betti=tuple(betti), torsion=tuple(torsion))
     chi = X.euler_characteristic() - (rel.euler_characteristic() if rel is not None else 0)
     if result.euler() != chi:

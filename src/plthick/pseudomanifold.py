@@ -125,14 +125,6 @@ def _lifts(d, k):
         for p in range(d + 1))
 
 
-def _opposite(t, f):
-    """Position in t of its one vertex outside the facet f."""
-    for i, x in enumerate(f):
-        if t[i] != x:
-            return i
-    return len(f)
-
-
 def _fans(X, k):
     """Fans of top simplices around every k-vertex face of X, from one
     signed union-find.
@@ -169,10 +161,10 @@ def _fans(X, k):
         return x, p
 
     odd = {}
-    for f, tops in X.facet_cofaces().items():
-        for b in tops[1:]:
-            ia, la = base[tops[0]], lifts[_opposite(tops[0], f)]
-            ib, lb = base[b], lifts[_opposite(b, f)]
+    for tops, opp in zip(X.facet_cofaces().values(), X.facet_opposites()):
+        for b, o in zip(tops[1:], opp[1:]):
+            ia, la = base[tops[0]], lifts[opp[0]]
+            ib, lb = base[b], lifts[o]
             for (ja, pa), (jb, pb) in zip(la, lb):
                 flip = pa == pb
                 ra, qa = find(ia + ja)
@@ -355,20 +347,21 @@ def _surface_fans(X, k, boundary):
                 seen.add(u)
                 for j in js:
                     chi[i + j] += 1
-    cofaces = X.facet_cofaces()
-    for f, ts in cofaces.items():
-        i = base[ts[0]]
-        for j, _ in lifts[_opposite(ts[0], f)]:
+    rim = {}  # boundary facet -> base slot and lifts of its one top
+    for (f, ts), ps in zip(X.facet_cofaces().items(), X.facet_opposites()):
+        i, lift = base[ts[0]], lifts[ps[0]]
+        for j, _ in lift:
             chi[i + j] -= 1
+        if len(ts) == 1:
+            rim[f] = i, lift
     fans = {}  # root slot -> [Euler characteristic, boundary circles, orientable]
     for s, r in enumerate(roots):
         fans.setdefault(r, [0, 0, r not in odd])[0] += chi[s]
     if len(boundary):
         facets, wb = boundary.by_dim(d - 1), len(lifts[0])
         for s in set(_fans(boundary, k)[0]):
-            f = facets[s // wb]
-            t = cofaces[f][0]
-            fans[roots[base[t] + lifts[_opposite(t, f)][s % wb][0]]][1] += 1
+            i, lift = rim[facets[s // wb]]
+            fans[roots[i + lift[s % wb][0]]][1] += 1
     by_face = {}
     for r, fan in fans.items():
         t = tops[r // w]
@@ -433,10 +426,10 @@ def _witness_cycle(X, parity, a, b):
     a, b = tops[a], tops[b]
     parity = dict(zip(tops, parity))
     steps = {}
-    for f, ts in X.facet_cofaces().items():
+    for ts, ps in zip(X.facet_cofaces().values(), X.facet_opposites()):
         if len(ts) == 2:
             s, t = ts
-            if (parity[s] + parity[t] + _opposite(s, f) + _opposite(t, f)) % 2:
+            if (parity[s] + parity[t] + sum(ps)) % 2:
                 steps.setdefault(s, []).append(t)
                 steps.setdefault(t, []).append(s)
     prev, queue = {b: None}, [b]
@@ -449,11 +442,6 @@ def _witness_cycle(X, parity, a, b):
     while cycle[-1] != b:
         cycle.append(prev[cycle[-1]])
     return cycle + [a]
-
-
-def induced_facet_sign(sigma, sign, facet):
-    """Sign of the orientation induced on a facet, on its sorted vertices."""
-    return sign * ((-1) ** _opposite(sigma, facet))
 
 
 def orient(X, report=None):
@@ -494,10 +482,12 @@ def orient(X, report=None):
     first = {}
     signs = {t: 1 if first.setdefault(r, p) == p else -1
              for t, r, p in zip(X.by_dim(X.dim), roots, parity)}
-    for f, ts in X.facet_cofaces().items():
+    # The top t induces signs[t] * (-1)^p on a facet, p the position in t
+    # of the vertex outside it.
+    for (f, ts), ps in zip(X.facet_cofaces().items(), X.facet_opposites()):
         if len(ts) == 2:
             a, b = ts
-            if induced_facet_sign(a, signs[a], f) != -induced_facet_sign(b, signs[b], f):
+            if signs[a] * (-1) ** ps[0] != -signs[b] * (-1) ** ps[1]:
                 raise ConstructionError("induced orientations not opposite at %s" % (f,))
     return OrientResult(success=True, assignment=OrientationAssignment(signs=signs),
                         odd_cycle=None, top_relative_rank=rank)

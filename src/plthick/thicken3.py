@@ -156,8 +156,6 @@ def _circular_sort(axis, pages, rvecs):
             return -1 if h1 < h2 else 1
         d = _det3(axis, r1, r2)
         if d == 0:
-            if t1 == t2:
-                return 0
             raise GeneralPositionError("two pages at the same angle around an edge")
         return -1 if d > 0 else 1
 

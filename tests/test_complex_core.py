@@ -158,6 +158,18 @@ def test_link_of_missing_simplex_errors():
 
 # -- boundary and free faces ---------------------------------------------------
 
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_facet_opposites_name_the_vertex_outside_each_facet(name):
+    X = fixture(name)
+    cofaces, opposites = X.facet_cofaces(), X.facet_opposites()
+    assert list(cofaces) == list(X.by_dim(X.dim - 1))
+    assert len(opposites) == len(cofaces)
+    for (f, tops), ps in zip(cofaces.items(), opposites):
+        assert len(ps) == len(tops)
+        for t, p in zip(tops, ps):
+            assert t[:p] + t[p + 1:] == f
+
+
 def test_boundary_of_triangle_is_cycle():
     free, boundary = boundary_and_free_faces(fixture("single_triangle"))
     assert boundary == fixture("three_cycle")

@@ -8,6 +8,7 @@ from plthick.complex_core import (
     boundary_and_free_faces,
     complex_from_maximal,
     cone_off,
+    validate_complex,
 )
 from plthick.errors import ConstructionError
 from plthick.fixtures import FIXTURE_NAMES, THICKENING_FIXTURES, fixture
@@ -16,6 +17,7 @@ from plthick.homology import (
     HomologyResult,
     _snf_diagonal_sparse,
     boundary_matrices,
+    coreduce,
     homology_groups,
     smith_normal_form,
 )
@@ -310,3 +312,87 @@ def test_relative_euler_check_catches_a_wrong_betti(monkeypatch):
                         lambda self, k: len(self.bases.get(k, ())) + (k == 2))
     with pytest.raises(ConstructionError, match="Euler"):
         homology_groups(X, rel=boundary)
+
+
+# -- non-unit Smith paths ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("matrix, expected", [
+    # No unit entry: the dense residue is all of it.  The pivot 2 does not
+    # divide 3, so the divisibility repair adds a row and the column
+    # elimination swaps columns.
+    ([[2, 0], [0, 3]], [1, 6]),
+    # The row elimination leaves a remainder and swaps rows.
+    ([[2, 4, 4], [-6, 6, 12], [10, -4, -16]], [2, 6, 12]),
+])
+def test_snf_non_unit_paths(matrix, expected):
+    diag, rank = smith_normal_form(matrix)
+    assert diag == snf_oracle(matrix) == expected
+    assert rank == len(expected)
+
+
+# -- coreduction ----------------------------------------------------------------------------
+
+
+def moore_space(q):
+    """The mod-q Moore space M(Z/q, 1): a disc whose boundary, a 3q-gon,
+    wraps q times around the circle c0 c1 c2, and that circle.
+
+    Boundary vertex i of the disc is c(i mod 3).  A ring of 3q inner
+    vertices m_i and a centre z triangulate the disc in 9q triangles: the
+    annulus (c_i, c_i+1, m_i), (c_i+1, m_i, m_i+1) and the cone
+    (z, m_i, m_i+1).  Every triangle holds an inner vertex, so no two are
+    identified; only the circle's three edges are, each in q triangles.
+    """
+    n = 3 * q
+    c = ["c%d" % (i % 3) for i in range(n + 1)]
+    m = ["m%02d" % (i % n) for i in range(n + 1)]
+    triangles = []
+    for i in range(n):
+        triangles += [[c[i], c[i + 1], m[i]], [c[i + 1], m[i], m[i + 1]], ["z", m[i], m[i + 1]]]
+    X = validate_complex(triangles)
+    circle = validate_complex([["c0", "c1"], ["c1", "c2"], ["c0", "c2"]])
+    assert len(X.by_dim(2)) == 9 * q and circle.is_subcomplex_of(X)
+    return X, circle
+
+
+@pytest.mark.parametrize("q", [2, 3, 6])
+def test_moore_space_torsion(q):
+    """H_1 = Z/q from a disc glued along a degree-q map; relative to the
+    circle the pair is a 2-sphere, X/C = D/S^1."""
+    X, circle = moore_space(q)
+    H = assert_matches_oracle(X)
+    assert H.betti == (1, 0, 0) and H.torsion == ((), (q,), ())
+    H_rel = assert_matches_oracle(X, rel=circle)
+    assert H_rel.betti == (0, 0, 1) and H_rel.torsion == ((), (), ())
+
+
+def test_coreduced_remainder_of_octahedral_closure(octahedral_closure):
+    """Coreduction leaves at most a quarter of Q's cells, the same ones on
+    every call, and the homology of the remainder (plus the removed vertex)
+    is that of Q."""
+    Q = octahedral_closure.Q.complex
+    cc, removed = coreduce(Q)
+    assert removed == 1
+    assert 4 * sum(map(len, cc.bases.values())) <= len(Q)
+    assert coreduce(Q) == (cc, removed)
+    H = homology_groups(Q)
+    assert H == homology_oracle(Q) == octahedral_closure.homology
+
+
+def test_coreduced_remainder_is_the_restricted_complex():
+    """The remainder's bases are cells of X in basis order, and its boundary
+    columns are those of the full chain complex restricted to them."""
+    X, circle = moore_space(3)
+    for rel in (None, circle):
+        full = boundary_matrices(X, rel=rel)
+        cc, removed = coreduce(X, rel=rel)
+        assert removed == (rel is None)
+        for k in range(1, X.dim + 1):
+            rows = {s: i for i, s in enumerate(full.bases[k - 1])}
+            cols = {s: j for j, s in enumerate(full.bases[k])}
+            assert list(cc.bases[k]) == sorted(cc.bases[k], key=cols.get)
+            for s, col in zip(cc.bases[k], cc.matrices[k]):
+                kept = {rows[cc.bases[k - 1][r]]: v for r, v in col.items()}
+                assert kept == {r: v for r, v in full.matrices[k][cols[s]].items()
+                                if full.bases[k - 1][r] in cc.bases[k - 1]}
