@@ -182,7 +182,6 @@ def run_pipeline(config, X):
         "homology_P": homology_obj(rep.homology_P),
         "homology_X": homology_obj(rep.homology_X),
         "homology_copy": homology_obj(rep.homology_copy),
-        "collapse_b1": rep.collapse_b1,
         "collapse_certificate": {
             "pairs": rep.certificate.pairs,
             "reaches_copy": rep.certificate.reaches_copy,
@@ -190,7 +189,6 @@ def run_pipeline(config, X):
         },
         "spine_b1": rep.spine_b1,
         "gallery_components": rep.gallery_components,
-        "boundary_chi": {k: [c, b] for k, (c, b) in out.chi_by_component.items()},
         "epsilon": format_rational(se.epsilon),
         "delta_sq": format_rational(se.delta_sq) if se.delta_sq is not None else None,
         "rejection_attempts_max": max(se.attempts.values()),

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import random
 from dataclasses import dataclass, field
 
 from .errors import ConstructionError, ValidationError
@@ -208,12 +207,10 @@ class Complex:
     def __eq__(self, other):
         return isinstance(other, Complex) and self.simplices == other.simplices
 
-    def __hash__(self):
-        return hash(self.simplices)
-
     def __len__(self):
         return len(self.simplices)
 
+    # pytest prints this when an assertion on a Complex fails.
     def __repr__(self):
         counts = ",".join(
             "%d:%d" % (d, len(self.by_dim(d))) for d in range(self.dim + 1))
@@ -587,13 +584,11 @@ class Collapse:
     pairs: tuple
 
 
-def greedy_collapse(X, seed=0, keep=None):
+def greedy_collapse(X, keep=None):
     """Repeatedly remove a free face together with its unique coface.
 
-    The free face chosen at each step is the smallest by ``simplex_key``;
-    a nonzero seed perturbs the order with one ``random()``
-    draw per simplex in that order (used by property tests and
-    ``verify_thickening``).  Deterministic given the seed.  No simplex of
+    The free face chosen at each step is the smallest by ``simplex_key``,
+    so the collapse is a function of X and ``keep``.  No simplex of
     the subcomplex ``keep`` is ever taken as a free face; since ``keep`` is
     closed under faces, none is removed as a coface either, so the
     remainder contains ``keep``.  The collapse stops when every free face
@@ -625,13 +620,7 @@ def greedy_collapse(X, seed=0, keep=None):
         for s in keep.simplices:
             kept[index[s]] = True
 
-    if seed:
-        rng = random.Random(seed)
-        key = [rng.random() for _ in range(n)]
-    else:
-        key = range(n)
-    heap = [(key[i], i) for i in range(n) if ncov[i] == 1 and not kept[i]]
-    heapq.heapify(heap)
+    heap = [i for i in range(n) if ncov[i] == 1 and not kept[i]]  # ascending: a heap
     present = [True] * n
     pairs = []
 
@@ -641,14 +630,14 @@ def greedy_collapse(X, seed=0, keep=None):
             ncov[f] -= 1
             if ncov[f] == 1:
                 if present[f] and not kept[f]:
-                    heapq.heappush(heap, (key[f], f))
+                    heapq.heappush(heap, f)
             elif ncov[f] == 0:
                 for h in below[f]:
                     if ncov[h] == 1 and not kept[h]:
-                        heapq.heappush(heap, (key[h], h))
+                        heapq.heappush(heap, h)
 
     while heap:
-        _, s = heapq.heappop(heap)
+        s = heapq.heappop(heap)
         if not present[s] or ncov[s] != 1:
             continue
         covers = [u for u in cover[s] if present[u]]

@@ -74,13 +74,6 @@ class HomologyResult:
     betti: tuple
     torsion: tuple
 
-    def __str__(self):
-        parts = []
-        for k, b in enumerate(self.betti):
-            t = "+".join("Z/%d" % d for d in self.torsion[k])
-            parts.append("H%d=Z^%d%s" % (k, b, ("+" + t) if t else ""))
-        return " ".join(parts)
-
     def euler(self):
         return sum((-1) ** k * b for k, b in enumerate(self.betti))
 

@@ -7,10 +7,10 @@ the interval factor of the usual tube is absorbed into the two cones).
 Ball spheres are triangulated from the exact angular data of the embedding:
 pages around an edge are sorted by exact cross/dot sign predicates, and
 each sheet's two normal sides are tracked by the page's global plane
-normal, so strips glue without twists.  Manifoldness, boundary genus,
-frontier placement and homology are verified on the output; what holds for
-every accepted input by construction is proved in the docstrings instead,
-with the check kept in the tests as the oracle.
+normal, so strips glue without twists.  Manifoldness, frontier placement
+and homology are verified on the output; what holds for every accepted
+input by construction, the solid being a handlebody among it, is proved in
+the docstrings instead, with the check kept in the tests as the oracle.
 """
 
 from __future__ import annotations
@@ -254,7 +254,6 @@ class PartialThickening:
     spine_embedding: object
     sheet_data: SheetData
     names: _Namer
-    chi_by_component: dict
 
 
 def _edge_ball_sphere(names, sd, e):
@@ -317,8 +316,8 @@ def _triangle_ball_sphere(names, t):
 
 
 def build_spine_thickening(sd, se):
-    """Assemble the solid, trace the collar copy through it and verify all
-    structural claims (manifoldness, boundary genus, frontier placement).
+    """Assemble the solid, trace the collar copy through it and verify its
+    structural claims (manifoldness, frontier placement).
 
     Each ball is the cone from its centre over its sphere triangles, so the
     link of the centre in M is exactly that sphere: the balls are certified
@@ -328,6 +327,35 @@ def build_spine_thickening(sd, se):
     frontier: the spine boundary identity of ``spine_boundary_check``.
     This is the thickening's one full link pass: M's report, kept on the
     result, is what ``cone_boundary_neighborhoods`` derives P's from.
+
+    M is a handlebody on the spine by how it is glued, so nothing checks
+    that here.  M is the union of the balls B_c = c * S_c, one per spine
+    vertex c, since every tetrahedron holds its centre.  By the labels of
+    ``_Namer``, a vertex of B_e other than its centre is a pole a(v, e),
+    a corner c(v, e, t), a fresh label carrying e's barycenter (ring, lune
+    centre, dummy), or one of the fan labels u, n, h of a page (e, t),
+    which carry both barycenters; a vertex of B_t likewise is an a(v, t),
+    a corner c(v, e, t), a ring or cap label of t, or a fan label of one
+    of its edges.  Barycenter labels are distinct, so:
+
+    - no two edge balls meet, and no two triangle balls meet;
+    - B_e and B_t share vertices only when e ⊂ t, and then exactly
+      u(e, t) and octagon(e, t).  On these, both spheres hold only the fan
+      u(e, t) * octagon(e, t): every lune and cap triangle holds a ring
+      vertex, and a lune or cap cycle runs along the octagon through
+      consecutive side-path vertices.  So B_e ∩ B_t is that disc;
+    - no three balls meet, by pigeonhole.
+
+    The balls are cones and the one kind of nonempty intersection is a
+    cone from u(e, t), all contractible, so by the nerve theorem (Björner,
+    "Topological methods", Handbook of Combinatorics, 1995, Thm. 10.6) M
+    is homotopy equivalent to the nerve of the cover, which is the spine
+    graph: M ≃ spine, component by component.  M is a compact 3-manifold
+    by its report, so for each component M_i, χ(∂M_i) = 2χ(M_i) = 2 − 2·b1,
+    b1 the first Betti number of the spine's component.  ∂M_i is
+    connected, since H_1(M_i, ∂M_i; Z/2) ≅ H^2(M_i; Z/2) = 0 (Lefschetz
+    duality) and H̃_0(M_i) = 0.  The tests keep the intersection pattern,
+    H_*(M) = H_*(spine) and the boundary law as the oracle.
     """
     X = se.base.domain
     names = _Namer(se)
@@ -371,12 +399,9 @@ def build_spine_thickening(sd, se):
         if not piece.is_subcomplex_of(boundary):
             raise ConstructionError("frontier piece of %s not on the boundary" % v)
 
-    chi_by_component = _verify_handlebody_genus(M, boundary, se.spine)
-
     return PartialThickening(
         M=M, report=report, L=L, Lv=Lv, spine=se.spine,
-        spine_embedding=se, sheet_data=sd, names=names,
-        chi_by_component=chi_by_component)
+        spine_embedding=se, sheet_data=sd, names=names)
 
 
 def _spine_edge_pairs(se, names):
@@ -407,31 +432,6 @@ def _split_strips(vertex_sets, se, names):
     return complex_from_maximal(out)
 
 
-def _verify_handlebody_genus(M, boundary, spine):
-    """Per solid component: boundary connected with chi = 2 - 2*b1(spine part)."""
-    chi_by_component = {}
-    spine_components = spine.connected_components()
-    m_components = M.connected_components()
-    if len(spine_components) != len(m_components):
-        raise ConstructionError("solid components do not match spine components")
-    for comp in m_components:
-        spine_part = [g for g in spine_components if g <= comp]
-        if len(spine_part) != 1:
-            raise ConstructionError("solid component holds several spine parts")
-        g = spine_part[0]
-        edges = [e for e in spine.by_dim(1) if g.issuperset(e)]
-        b1 = len(edges) - len(g) + 1
-        bpart = Complex(s for s in boundary.simplices if s[0] in comp)
-        if not bpart.is_connected():
-            raise ConstructionError("handlebody boundary is disconnected")
-        chi = bpart.euler_characteristic()
-        if chi != 2 - 2 * b1:
-            raise ConstructionError(
-                "boundary chi %d does not match genus %d" % (chi, b1))
-        chi_by_component[min(g)] = (chi, b1)
-    return chi_by_component
-
-
 # -- coning --------------------------------------------------------------------------
 
 
@@ -450,7 +450,6 @@ class ThickeningOutput:
     spine: Complex
     spine_embedding: object
     sheet_data: SheetData
-    chi_by_component: dict
     names: _Namer = field(compare=False, default=None)
 
 
@@ -602,7 +601,7 @@ def cone_boundary_neighborhoods(partial):
         cone_vertices=cone_vertices, P=P, report=report, X_copy=X_copy,
         provenance=provenance, spine=partial.spine,
         spine_embedding=partial.spine_embedding, sheet_data=partial.sheet_data,
-        chi_by_component=partial.chi_by_component, names=partial.names)
+        names=partial.names)
 
 
 # -- verification ----------------------------------------------------------------------
@@ -630,15 +629,9 @@ class ThickeningReport:
     homology_P: object
     homology_X: object
     homology_copy: object
-    collapse_b1: int
     spine_b1: int
-    chi_by_component: dict
     gallery_components: int
     certificate: CollapseCertificate
-
-
-# Greedy collapses of M from these seeds; one reaching a 1-complex suffices.
-_COLLAPSE_SEEDS = (0, 1, 2)
 
 
 def homology_by_collapse(P, X_copy, H_copy):
@@ -677,11 +670,14 @@ def verify_thickening(t, X):
     P's pseudomanifold and vertex-link report is the one
     ``cone_boundary_neighborhoods`` derived from M's full pass, with N_v
     certified a surface by its own classification; P gets no second link
-    pass.
+    pass.  M gets no collapse: it is a handlebody on the spine by its
+    build (``build_spine_thickening``), so ``spine_b1`` is read off the
+    spine.
     """
     P = t.P
     report = t.report
     spine_components = len(t.spine.connected_components())
+    spine_b1 = len(t.spine.by_dim(1)) - len(t.spine.vertices) + spine_components
     if report.gallery_components != spine_components:
         raise ConstructionError(
             "gallery components %d != spine components %d"
@@ -699,24 +695,9 @@ def verify_thickening(t, X):
     if not Hcopy.agrees_with(HX):
         raise ConstructionError("homology of the retract copy differs from the input")
 
-    collapse_b1 = None
-    for seed in _COLLAPSE_SEEDS:
-        collapsed = greedy_collapse(t.M, seed=seed).remainder
-        if collapsed.dim <= 1:
-            comps = len(collapsed.connected_components())
-            collapse_b1 = len(collapsed.by_dim(1)) - len(collapsed.vertices) + comps
-            break
-    if collapse_b1 is None:
-        raise ConstructionError("greedy collapse did not reach a 1-complex")
-    spine_b1 = sum(b1 for _, b1 in t.chi_by_component.values())
-    if collapse_b1 != spine_b1:
-        raise ConstructionError(
-            "collapse first Betti number %d != spine %d" % (collapse_b1, spine_b1))
-
     return ThickeningReport(
         pseudomanifold=report, orientation=res, homology_P=HP, homology_X=HX,
-        homology_copy=Hcopy, collapse_b1=collapse_b1, spine_b1=spine_b1,
-        chi_by_component=t.chi_by_component,
+        homology_copy=Hcopy, spine_b1=spine_b1,
         gallery_components=report.gallery_components, certificate=certificate)
 
 

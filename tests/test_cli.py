@@ -179,6 +179,14 @@ def test_check_subcommand_reports_links(capsys):
     assert obj["vertex_links"]["a"]["components"] == 2
 
 
+def test_check_subcommand_names_a_facet_in_three_tops(capsys):
+    """The binding edge of the book of three lies in all three pages."""
+    code, obj = run_cli(capsys, "check", "fixture:book_of_three")
+    assert code == 0
+    assert obj["facet_degrees_ok"] is False
+    assert obj["facet_witness"] == ["a", "b"]
+
+
 def test_orient_subcommand_witness(capsys):
     code, obj = run_cli(capsys, "orient", "fixture:projective_plane_6")
     assert code == 0
@@ -334,12 +342,12 @@ PINNED_DIGESTS = {
     ("single_triangle", 3): {
         "p_complex.json": "d2b2b7c665180614ed449df5f2489d10fb90596882c785250992bfe0f4a00d35",
         "provenance.json": "f277641d179bfba801f3d412034de971dce969227ed045d817ad16365d1827f9",
-        "report.json": "f039e48cddb6b1b19cbf44d1a0bb43cdf598e03db942154108dd11187daa3f94",
+        "report.json": "12f8475a47da7801d21cdd9a4ee2c8d7c9ebb258fac2c65c86e4c24b3a02119c",
     },
     ("torus_7", 0): {
         "p_complex.json": "b988c67e8c86f32ea5e1d5bd7e9364720042501b4d9b74c903a6fcf245319656",
         "provenance.json": "fe702d0df0505043ec88d917eaf9afce5479536d7d22e27103c3da5cbc85b0e0",
-        "report.json": "52b0368db51d25463e10ae7b0efd0ca657e1edafa5095327673edf3154438514",
+        "report.json": "426de2dcb274271d2852302bf2d7c450b1bcc9766d11ec76c46663f804d11d63",
     },
 }
 

@@ -8,7 +8,6 @@ from plthick.complex_core import (
     boundary_and_free_faces,
     complex_from_maximal,
     cone_off,
-    validate_complex,
 )
 from plthick.errors import ConstructionError
 from plthick.fixtures import FIXTURE_NAMES, THICKENING_FIXTURES, fixture
@@ -22,6 +21,7 @@ from plthick.homology import (
     smith_normal_form,
 )
 from plthick.pseudomanifold import check_pseudomanifold
+from conftest import moore_space
 from test_complex_core import small_complexes
 from test_pseudomanifold import _random_three_pseudomanifold
 
@@ -332,28 +332,6 @@ def test_snf_non_unit_paths(matrix, expected):
 
 
 # -- coreduction ----------------------------------------------------------------------------
-
-
-def moore_space(q):
-    """The mod-q Moore space M(Z/q, 1): a disc whose boundary, a 3q-gon,
-    wraps q times around the circle c0 c1 c2, and that circle.
-
-    Boundary vertex i of the disc is c(i mod 3).  A ring of 3q inner
-    vertices m_i and a centre z triangulate the disc in 9q triangles: the
-    annulus (c_i, c_i+1, m_i), (c_i+1, m_i, m_i+1) and the cone
-    (z, m_i, m_i+1).  Every triangle holds an inner vertex, so no two are
-    identified; only the circle's three edges are, each in q triangles.
-    """
-    n = 3 * q
-    c = ["c%d" % (i % 3) for i in range(n + 1)]
-    m = ["m%02d" % (i % n) for i in range(n + 1)]
-    triangles = []
-    for i in range(n):
-        triangles += [[c[i], c[i + 1], m[i]], [c[i + 1], m[i], m[i + 1]], ["z", m[i], m[i + 1]]]
-    X = validate_complex(triangles)
-    circle = validate_complex([["c0", "c1"], ["c1", "c2"], ["c0", "c2"]])
-    assert len(X.by_dim(2)) == 9 * q and circle.is_subcomplex_of(X)
-    return X, circle
 
 
 @pytest.mark.parametrize("q", [2, 3, 6])

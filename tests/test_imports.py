@@ -145,6 +145,16 @@ def test_geometry_divides_only_fractions():
     assert scopes == FRACTION_DIVISIONS
 
 
+def test_only_the_sampler_imports_random():
+    """The certified sampler of geometry.py is the one source of randomness;
+    every later stage is a function of its inputs."""
+    importers = {path.name for path in sorted(SRC.glob("*.py"))
+                 for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, ast.Import) and any(a.name == "random" for a in node.names)
+                 or isinstance(node, ast.ImportFrom) and node.module == "random"}
+    assert importers == {"geometry.py"}
+
+
 def test_no_assert_in_the_package():
     """``python -O`` strips ``assert`` statements, so a check in the package
     must raise a typed error; a fact that holds by construction is proved

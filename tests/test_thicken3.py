@@ -7,6 +7,7 @@ from plthick.complex_core import (
     Complex,
     complex_from_maximal,
     cone_off,
+    faces,
     facets,
     join,
     link_of,
@@ -31,6 +32,7 @@ from plthick.pseudomanifold import (
 )
 from plthick.thicken3 import (
     PartialThickening,
+    _fan,
     _plane_normal,
     cone_boundary_neighborhoods,
     extract_sheet_data,
@@ -91,16 +93,17 @@ def test_single_triangle_gives_a_ball(pipeline_cache):
     out, rep = pipeline_cache("single_triangle", 0)
     assert rep.homology_P.betti == (1, 0, 0, 0)
     assert rep.gallery_components == 1
-    assert out.chi_by_component == {min(out.spine.vertices): (2, 0)}
+    faults, law = handlebody_oracle(out.M, out.names, out.spine)
+    assert faults == [] and list(law.values()) == [(2, 0)]
     assert all(cls.kind in ("Sphere", "Disc")
                for cls in rep.pseudomanifold.vertex_links.values())
 
 
 def test_sphere_gives_genus_three_handlebody(pipeline_cache):
     out, rep = pipeline_cache("boundary_delta3", 0)
-    (chi, b1), = out.chi_by_component.values()
-    assert (chi, b1) == (-4, 3)
-    assert rep.collapse_b1 == 3
+    faults, law = handlebody_oracle(out.M, out.names, out.spine)
+    assert faults == [] and list(law.values()) == [(-4, 3)]
+    assert rep.spine_b1 == 3
     assert rep.homology_P.betti == (1, 0, 1, 0)
     annuli = [cls for cls in rep.pseudomanifold.vertex_links.values()
               if cls.kind == "SurfaceWithBoundary"]
@@ -121,8 +124,8 @@ def test_shared_vertex_wedge(pipeline_cache):
     out, rep = pipeline_cache("two_triangles_shared_vertex", 0)
     assert rep.gallery_components == 2
     assert rep.homology_P.betti == (1, 0, 0, 0)
-    assert len(out.chi_by_component) == 2
-    assert all(v == (2, 0) for v in out.chi_by_component.values())
+    faults, law = handlebody_oracle(out.M, out.names, out.spine)
+    assert faults == [] and list(law.values()) == [(2, 0), (2, 0)]
     # The shared vertex owns a disconnected frontier piece and its cone
     # vertex link has two disc components.
     assert len(out.Lv["a"].connected_components()) == 2
@@ -136,18 +139,114 @@ def test_projective_plane_torsion_survives(pipeline_cache):
     assert rep.homology_P.betti == (1, 0, 0, 0)
     assert rep.homology_P.torsion[1] == (2,)
     assert rep.orientation.success
-    assert rep.collapse_b1 == 6
+    faults, law = handlebody_oracle(out.M, out.names, out.spine)
+    assert faults == [] and list(law.values()) == [(-10, 6)]
 
 
 def test_torus_input(pipeline_cache):
     out, rep = pipeline_cache("torus_7", 0)
     assert rep.homology_P.betti == (1, 2, 1, 0)
-    assert rep.collapse_b1 == 8
+    faults, law = handlebody_oracle(out.M, out.names, out.spine)
+    assert faults == [] and list(law.values()) == [(-14, 8)]
     # All seven cone links are annuli (the links of the torus are circles).
     for v, w in out.cone_vertices.items():
         cls = rep.pseudomanifold.vertex_links[w]
         assert cls.kind == "SurfaceWithBoundary"
         assert cls.boundary_components == 2 and cls.genus == 0
+
+
+# -- the solid is a handlebody ---------------------------------------------------------
+
+def handlebody_oracle(M, names, spine):
+    """The facts ``build_spine_thickening`` proves about the solid M,
+    checked: the faults found, and per component of M the pair
+    (χ of its boundary, b1 of its part of the spine), keyed by the least
+    spine vertex in it.
+
+    - The balls B_c, the closed stars of the spine vertices c, cover M
+      and meet only as B_e ∩ B_t = u(e, t) * octagon(e, t) for e ⊂ t.
+    - H_*(M) = H_*(spine).
+    - Per component, the boundary is connected with χ = 2 - 2·b1.
+
+    ``test_acceptance.py::test_c06_handlebody_law`` runs it on the six
+    thickening fixtures at seeds 0-4.
+    """
+    faults = []
+    centres = set(names.ve.values()) | set(names.vt.values())
+    owners = {}
+    for T in M.by_dim(3):
+        cs = centres.intersection(T)
+        if len(cs) != 1:
+            faults.append(("centres", T))
+        for f in faces(T) + [T]:
+            owners.setdefault(f, set()).update(cs)
+    if len(owners) != len(M):
+        faults.append(("uncovered", len(M) - len(owners)))
+    shared = {}
+    for s, cs in owners.items():
+        if len(cs) > 1:
+            shared.setdefault(frozenset(cs), set()).add(s)
+    expected = {}
+    for t in names.X.by_dim(2):
+        for e in itertools.combinations(t, 2):
+            fan = complex_from_maximal(_fan(names.u_label(e, t), names.octagon(e, t)))
+            expected[frozenset((names.ve[e], names.vt[t]))] = fan.simplices
+    faults += [("meet", tuple(sorted(pair))) for pair in shared.keys() | expected.keys()
+               if shared.get(pair) != expected.get(pair)]
+
+    H = homology_groups(M)
+    if not H.agrees_with(homology_groups(spine)):
+        faults.append(("homology", H))
+
+    boundary = complex_from_maximal(
+        f for f, tops in M.facet_cofaces().items() if len(tops) == 1)
+    parts = spine.connected_components()
+    law = {}
+    for comp in M.connected_components():
+        inside = [g for g in parts if g <= comp]
+        if len(inside) != 1:
+            faults.append(("spine parts", min(comp), len(inside)))
+            continue
+        g = inside[0]
+        b1 = len([e for e in spine.by_dim(1) if g.issuperset(e)]) - len(g) + 1
+        surface = Complex(s for s in boundary.simplices if s[0] in comp)
+        chi = surface.euler_characteristic()
+        law[min(g)] = (chi, b1)
+        if not surface.is_connected() or chi != 2 - 2 * b1:
+            faults.append(("boundary", min(g), chi, b1))
+    if len(law) != len(parts):
+        faults.append(("components", len(law), len(parts)))
+    return faults, law
+
+
+def test_odd_torsion_survives_the_thickening(moore_thickening):
+    """The mod-3 Moore space: H_1(P) = Z/3 from the collapse onto X_copy,
+    and the solid is a genus-16 handlebody."""
+    out, rep = moore_thickening
+    assert rep.homology_P.betti == (1, 0, 0, 0)
+    assert rep.homology_P.torsion[1] == (3,)
+    assert rep.certificate.reaches_copy
+    faults, law = handlebody_oracle(out.M, out.names, out.spine)
+    assert faults == [] and list(law.values()) == [(-30, 16)]
+
+
+def test_handlebody_oracle_sees_two_edge_balls_glued_along_a_triangle(pipeline_cache):
+    """Identifying a boundary triangle of one edge ball with one of another
+    makes the two balls meet and gives M a handle the spine lacks."""
+    out, _ = pipeline_cache("single_triangle", 0)
+    names = out.names
+    e1, e2 = names.X.by_dim(1)[:2]
+
+    def lune_triangle(e):
+        ve = names.ve[e]
+        return ("lam:%s:0" % ve, "r:%s:0:0" % ve, "r:%s:0:1" % ve)
+
+    glue = dict(zip(lune_triangle(e2), lune_triangle(e1)))
+    M = complex_from_maximal(tuple(sorted(glue.get(x, x) for x in T)) for T in out.M.by_dim(3))
+    assert lune_triangle(e1) in M and len(M.vertices) == len(out.M.vertices) - 3
+    faults, _ = handlebody_oracle(M, names, out.spine)
+    assert ("meet", tuple(sorted((names.ve[e1], names.ve[e2])))) in faults
+    assert "homology" in {f[0] for f in faults}
 
 
 def test_stuck_collapse_computes_homology_of_the_remainder(pipeline_cache):
@@ -337,8 +436,7 @@ def solid_cone_partial(sphere, Lv):
     M = cone_off(sphere, sphere, "o")
     return PartialThickening(
         M=M, report=check_isolated_singularities(M), L=EMPTY_COMPLEX, Lv=Lv,
-        spine=None, spine_embedding=None, sheet_data=None, names=None,
-        chi_by_component={})
+        spine=None, spine_embedding=None, sheet_data=None, names=None)
 
 
 def test_overlapping_neighborhoods_are_a_construction_error():
