@@ -263,8 +263,6 @@ def _float_positions(out):
                 progressed = True
         if not todo or not progressed:
             break
-    for v in todo:
-        positions[v] = (0.0, 0.0, 0.0)
     return positions
 
 

@@ -255,15 +255,13 @@ EMPTY_COMPLEX = Complex(())
 
 
 def close_under_faces(simplices):
-    """Face closure of an iterable of simplices."""
+    """Face closure of an iterable of simplices, one layer of facets at a
+    time."""
     out = set()
-    stack = list(simplices)
-    while stack:
-        s = stack.pop()
-        if s in out:
-            continue
-        out.add(s)
-        stack.extend(facets(s))
+    level = set(simplices)
+    while level:
+        out |= level
+        level = {f for s in level for f in facets(s)} - out
     return out
 
 
@@ -597,10 +595,14 @@ def greedy_collapse(X, keep=None):
     The simplices are numbered in ``simplex_key`` order and the
     bookkeeping runs on those integers: ``below[i]`` lists the facets,
     ``cover[i]`` the covering cofaces and ``ncov[i]`` the covers still
-    present.  A simplex is free exactly when one cover is left and that
-    cover has none (a coface two dimensions up would give it two covers),
-    so it can become free only when its own count drops to 1 or its last
-    cover's drops to 0; it is queued then and checked when popped.
+    present.  A simplex s with one cover w left is free: were w covered by
+    some u, the facet of u without w's extra vertex would be a second cover
+    of s.  So a simplex becomes free exactly when its own count drops to 1;
+    it is queued then and checked when popped.  What is present stays
+    face-closed, so the facets of a removed pair are present.  A count
+    dropping to 0 frees nothing: each facet h of that simplex f still has
+    two present covers, f and the other facet of the removed cover that
+    contains h.
     """
     order = [s for d in range(X.dim + 1) for s in X.by_dim(d)]
     index = {s: i for i, s in enumerate(order)}
@@ -628,13 +630,8 @@ def greedy_collapse(X, keep=None):
         present[x] = False
         for f in below[x]:
             ncov[f] -= 1
-            if ncov[f] == 1:
-                if present[f] and not kept[f]:
-                    heapq.heappush(heap, f)
-            elif ncov[f] == 0:
-                for h in below[f]:
-                    if ncov[h] == 1 and not kept[h]:
-                        heapq.heappush(heap, h)
+            if ncov[f] == 1 and not kept[f]:
+                heapq.heappush(heap, f)
 
     while heap:
         s = heapq.heappop(heap)
@@ -643,8 +640,6 @@ def greedy_collapse(X, keep=None):
         covers = [u for u in cover[s] if present[u]]
         if len(covers) != 1:
             raise ConstructionError("free face bookkeeping broken at %s" % (order[s],))
-        if ncov[covers[0]]:
-            continue
         pairs.append((order[s], order[covers[0]]))
         remove(covers[0])
         remove(s)

@@ -191,6 +191,8 @@ class GeometricMap:
     points: dict
 
     def __post_init__(self):
+        if self.n < 1:
+            raise ValidationError("ambient dimension must be >= 1")
         for v in self.domain.vertices:
             p = self.points.get(v)
             if p is None:
@@ -241,20 +243,19 @@ def sample_general_position_map(X, n, seed, denom_bound=1000, max_attempts=200):
 
 
 def verify_general_position(m):
-    """Check injectivity on vertices and affine independence of every vertex
-    subset of size <= n+1.  Returns ``(ok, witness_subset)``."""
+    """Check that the vertices map injectively and every vertex subset of
+    size <= n+1 is affinely independent.  Returns ``(ok, witness_subset)``.
+
+    Only the subsets of size k = min(|V|, n+1) are checked.  A subset of an
+    affinely independent set is independent, and each smaller subset lies
+    in one of size k, so this is the same decision; two vertices on one
+    point are a dependent pair, and k >= 2 once |V| >= 2, as n >= 1.
+    """
     labels = m.domain.vertices
-    seen = {}
-    for v in labels:
-        p = m.points[v]
-        if p in seen:
-            return False, (seen[p], v)
-        seen[p] = v
-    for k in range(2, min(len(labels), m.n + 1) + 1):
-        for combo in itertools.combinations(labels, k):
-            pts = [m.points[v] for v in combo]
-            if affine_rank(pts) != k - 1:
-                return False, combo
+    k = min(len(labels), m.n + 1)
+    for combo in itertools.combinations(labels, k):
+        if affine_rank([m.points[v] for v in combo]) != k - 1:
+            return False, combo
     return True, None
 
 

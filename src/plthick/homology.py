@@ -27,8 +27,8 @@ gives H_*(X) = H_*(C/⟨v⟩) plus one Z in dimension 0.  A relative complex
 loses no vertex: [v] may vanish in H_0(X, A), and then H_0(⟨v⟩) ->
 H_0(X, A) is not injective.
 
-The Smith normal form of the remainder first exhausts unit pivots (chosen
-to limit fill), then finishes the usually tiny rest with the classic
+The Smith normal form of the remainder first exhausts unit pivots (first
+in, first out), then finishes the usually tiny rest with the classic
 smallest-pivot algorithm.  The boundary maps are reduced from the top
 dimension down, with clearing (Chen-Kerber, "Persistent homology
 computation with a twist", 2011): a unit pivot at row sigma of a reduced
@@ -44,7 +44,6 @@ just d times a column in the span.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -205,33 +204,29 @@ def smith_normal_form(matrix):
 
 def _snf_diagonal_sparse(cols):
     """Smith diagonal of a sparse column collection (destructive), and the
-    set of rows used as unit pivots of its reduced columns."""
+    set of rows used as unit pivots of its reduced columns.
+
+    Unit entries are pivots first in, first out: the queue starts with
+    every ±1 entry in column order, elimination appends each entry it turns
+    into ±1, and an entry whose column is gone or whose value is no longer
+    ±1 is skipped.  Any order gives the same diagonal, because column
+    operations clear the pivot's row and row operations then clear its
+    column without touching any other, so the matrix splits as ±1 plus the
+    rest; the clearing argument (module docstring) holds pivot by pivot.
+    """
     live = {c: col for c, col in enumerate(cols) if col}
     row_cols = {}
-    for c, col in live.items():
-        for r in set(col):
-            if col[r] == 0:
-                del col[r]
-                continue
-            row_cols.setdefault(r, set()).add(c)
-
-    def score(r, c):
-        return (len(row_cols[r]) - 1) * (len(live[c]) - 1)
-
-    heap = []
+    queue = []
     for c, col in live.items():
         for r, v in col.items():
+            row_cols.setdefault(r, set()).add(c)
             if v in (1, -1):
-                heapq.heappush(heap, (score(r, c), r, c))
+                queue.append((r, c))
 
     pivot_rows = set()
-    while heap:
-        sc, r, c = heapq.heappop(heap)
+    for r, c in queue:
         col = live.get(c)
-        if col is None or r not in col or col[r] not in (1, -1):
-            continue
-        if sc != score(r, c):
-            heapq.heappush(heap, (score(r, c), r, c))
+        if col is None or col.get(r) not in (1, -1):
             continue
         pivot = col[r]
         pivot_rows.add(r)
@@ -248,7 +243,7 @@ def _snf_diagonal_sparse(cols):
                         row_cols.setdefault(rr, set()).add(c2)
                     col2[rr] = cur
                     if cur in (1, -1):
-                        heapq.heappush(heap, (score(rr, c2), rr, c2))
+                        queue.append((rr, c2))
                 elif rr in col2:
                     del col2[rr]
                     row_cols[rr].discard(c2)

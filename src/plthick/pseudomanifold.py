@@ -22,7 +22,7 @@ from functools import cache
 from itertools import combinations
 from operator import itemgetter
 
-from .complex_core import Complex, complex_from_maximal, link_of
+from .complex_core import Complex, complex_from_maximal, facets, link_of
 from .errors import ConstructionError, ValidationError
 
 
@@ -191,7 +191,9 @@ def check_pseudomanifold(X):
     if X.dim < 1:
         raise ValidationError("pseudomanifold check needs dim >= 1")
     d = X.dim
-    is_pure = all(len(s) == d + 1 for s in X.maximal_simplices)
+    # Pure: every k-simplex, k < d, is a facet of some (k+1)-simplex.
+    is_pure = all(len({f for s in X.by_dim(k + 1) for f in facets(s)}) == len(X.by_dim(k))
+                  for k in range(d))
     cofaces = X.facet_cofaces()
     witness = next((f for f, tops in cofaces.items() if not 0 < len(tops) <= 2), None)
     boundary = complex_from_maximal(

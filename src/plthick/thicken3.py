@@ -373,8 +373,8 @@ def build_spine_thickening(sd, se):
     # The collar copy inside the solid.
     L = _split_strips((set(s) for s in se.nbhd.domain.simplices), se, names)
     if not L.is_subcomplex_of(M):
-        missing = sorted(L.simplices - M.simplices, key=simplex_key)[:4]
-        raise ConstructionError("collar copy not inside the solid: %s" % (missing,))
+        raise ConstructionError("collar copy not inside the solid: %s"
+                                % (sorted(L.simplices - M.simplices, key=simplex_key)[:4],))
     ok, witness = is_full_subcomplex(M, L)
     if not ok:
         raise ConstructionError("collar copy not full in the solid (%s)" % (witness,))

@@ -236,6 +236,22 @@ def test_embed_subcommand(capsys):
     assert obj["singular_dim"] == -1
 
 
+def test_embed_subcommand_lists_singular_records(capsys):
+    # The torus needs R^3, where its triangles cross along segments.
+    code, obj = run_cli(capsys, "embed", "fixture:torus_7", "--seed", "0")
+    assert code == 0
+    assert len(obj["singular_records"]) == 10
+    assert obj["singular_dim"] == 1
+
+
+def test_close_subcommand_materializes_q(capsys):
+    code, obj = run_cli(capsys, "close", "fixture:four_cycle_cone")
+    assert code == 0
+    assert obj == {"mode": "materialized", "chambers": 16, "euler": 0, "closed": True,
+                   "orientable": True,
+                   "homology": {"betti": [1, 2, 1], "torsion": [[], [], []]}}
+
+
 def test_error_object_for_bad_input(capsys):
     code, obj = run_cli(capsys, "thicken", "fixture:single_edge")
     assert code == 1

@@ -105,7 +105,31 @@ def test_duplicate_points_detected():
     X = fixture("single_edge")
     m = GeometricMap(domain=X, n=3, points={"a": pt(0, 0, 0), "b": pt(0, 0, 0)})
     ok, witness = verify_general_position(m)
-    assert not ok
+    assert not ok and witness == ("a", "b")
+    # R^0 holds one point, so no map into it is ever checked.
+    with pytest.raises(ValidationError):
+        GeometricMap(domain=X, n=0, points={"a": (), "b": ()})
+
+
+def test_general_position_decided_by_largest_subsets():
+    # Oracle: injective on vertices and every subset of size <= n+1
+    # independent.  Coordinates in {0, 1/2, 1} make both outcomes common.
+    rng = random.Random(7)
+    outcomes = Counter()
+    for name in ("single_triangle", "boundary_delta3", "projective_plane_6"):
+        X = fixture(name)
+        for n in (1, 2, 3):
+            for _ in range(40):
+                m = GeometricMap(domain=X, n=n, points={
+                    v: tuple(F(rng.randint(0, 2), 2) for _ in range(n)) for v in X.vertices})
+                pts = list(m.points.values())
+                expect = len(set(pts)) == len(pts) and all(
+                    affine_rank(list(c)) == k - 1
+                    for k in range(2, min(len(pts), n + 1) + 1)
+                    for c in itertools.combinations(pts, k))
+                assert verify_general_position(m)[0] == expect, (name, m.points)
+                outcomes[expect] += 1
+    assert outcomes[True] and outcomes[False]
 
 
 def test_sampler_is_deterministic_and_general():

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from plthick.complex_core import (
+    EMPTY_COMPLEX,
     boundary_and_free_faces,
     cone_off,
     complex_from_maximal,
@@ -35,6 +36,23 @@ def test_book_of_three_fails_facet_degrees():
     assert r.facet_witness == simplex("a", "b")
     # The three pages are one gallery through their common edge.
     assert r.gallery_components == 1
+
+
+@pytest.mark.parametrize("raw, pure", [
+    ([["a", "b", "c"], ["c", "d"]], False),
+    ([["a", "b", "c"], ["d"]], False),
+    ([["a", "b", "c", "d"], ["a", "b", "e"]], False),
+    ([["a", "b", "c", "d"], ["a", "b", "e", "f"]], True),
+])
+def test_purity_matches_maximal_simplices(raw, pure):
+    X = validate_complex(raw)
+    assert all(len(s) == X.dim + 1 for s in X.maximal_simplices) == pure
+    assert check_pseudomanifold(X).is_pure == pure
+
+
+def test_isolated_singularities_need_a_pseudomanifold():
+    r = check_isolated_singularities(fixture("book_of_three"))
+    assert not r.isolated_singularities and not r.positive_links_ok
 
 
 def test_shared_vertex_wedge_report():
@@ -94,6 +112,22 @@ def test_classify_disc():
 def test_classify_point_pair_and_arc():
     assert classify_link(validate_complex([["x"], ["y"]])).kind == "PointPair"
     assert classify_link(validate_complex([["x", "y"], ["y", "z"]])).kind == "Arc"
+
+
+def test_classify_empty_and_zero_dimensional_links():
+    assert classify_link(EMPTY_COMPLEX) == LinkClass(kind="Empty", dim=-1, components=0,
+                                                     is_manifold=True)
+    point = classify_link(validate_complex([["x"]]))
+    assert (point.kind, point.components, point.is_manifold, point.boundary_components) \
+        == ("Point", 1, True, 1)
+    three = classify_link(validate_complex([["x"], ["y"], ["z"]]))
+    assert (three.kind, three.components, three.is_manifold, three.witness) \
+        == ("NotManifold", 3, False, simplex("x"))
+
+
+def test_classify_curve_with_isolated_vertex_not_manifold():
+    cls = classify_link(validate_complex([["x", "y"], ["z"]]))
+    assert cls.kind == "NotManifold" and cls.witness == simplex("z")
 
 
 def test_classify_branching_curve_not_manifold():
