@@ -432,10 +432,12 @@ def _dispatch(args):
         _emit(homology_obj(homology_groups(X, rel=rel)))
         return 0
     if cmd == "links":
-        out = {}
-        for v in X.vertices:
-            out[v] = link_class_obj(classify_link(link_of(X, (v,))))
-        _emit(out)
+        report = check_pseudomanifold(X)
+        if 1 <= X.dim <= 3 and report.pseudomanifold_ok():
+            classes = check_isolated_singularities(X, report).vertex_links
+        else:
+            classes = {v: classify_link(link_of(X, (v,))) for v in X.vertices}
+        _emit({v: link_class_obj(c) for v, c in classes.items()})
         return 0
     if cmd == "thicken":
         config = PipelineConfig(seed=args.seed, denom_bound=args.denom_bound,

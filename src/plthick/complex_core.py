@@ -16,7 +16,6 @@ plain set equalities instead of isomorphism searches.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 from dataclasses import dataclass, field
 
@@ -582,66 +581,87 @@ class Collapse:
     pairs: tuple
 
 
+def _slot_table(X, excluded=frozenset()):
+    """The simplices of X outside ``excluded`` on integer slots, in
+    ``by_dim`` order, with the slots of each one's facets (in
+    ``combinations`` order, those in ``excluded`` left out) and of its
+    covering cofaces.  Returns ``(cells, below, above)``."""
+    cells, below, index = [], [], {}
+    for k in range(X.dim + 1):
+        lower, index = index, {}
+        for s in X.by_dim(k):
+            if s not in excluded:
+                index[s] = len(cells)
+                cells.append(s)
+                below.append([r for r in map(lower.get, itertools.combinations(s, k))
+                              if r is not None])
+    above = [[] for _ in cells]
+    for c, fs in enumerate(below):
+        for f in fs:
+            above[f].append(c)
+    return cells, below, above
+
+
+def _pair_off(partners, others, blocked=frozenset(), first=None):
+    """Pair slots first in, first out on a slot table.
+
+    ``partners[x]`` lists the slots x may pair with and ``others`` is its
+    transpose, so removing x takes one live partner from each slot of
+    ``others[x]``.  A slot outside ``blocked`` whose live partner count is
+    1, at the start or when it drops there, is queued; when it comes up
+    still live with one partner it is paired with that partner, and both
+    are removed, the partner first.  ``first``, if given, is removed alone
+    before the loop.  Counts only fall, so no live slot outside ``blocked``
+    is left with one partner.  Returns the live flags and the
+    ``(slot, partner)`` pairs in the order removed.
+    """
+    alive = [True] * len(partners)
+    count = [len(p) for p in partners]
+    queue = [x for x, n in enumerate(count) if n == 1 and x not in blocked]
+
+    def remove(x):
+        alive[x] = False
+        for y in others[x]:
+            count[y] -= 1
+            if count[y] == 1 and alive[y] and y not in blocked:
+                queue.append(y)
+
+    if first is not None:
+        remove(first)
+    pairs = []
+    for b in queue:
+        if alive[b] and count[b] == 1:
+            a = next(a for a in partners[b] if alive[a])
+            pairs.append((b, a))
+            remove(a)
+            remove(b)
+    return alive, pairs
+
+
 def greedy_collapse(X, keep=None):
     """Repeatedly remove a free face together with its unique coface.
 
-    The free face chosen at each step is the smallest by ``simplex_key``,
-    so the collapse is a function of X and ``keep``.  No simplex of
-    the subcomplex ``keep`` is ever taken as a free face; since ``keep`` is
-    closed under faces, none is removed as a coface either, so the
-    remainder contains ``keep``.  The collapse stops when every free face
-    left lies in ``keep``.
+    The simplices sit on the slots of ``_slot_table`` and ``_pair_off``
+    pairs each one with its covers, so the free faces are taken first in,
+    first out from slot order and the collapse is a function of X and
+    ``keep``.  No simplex of the subcomplex ``keep`` is ever taken as a
+    free face; since ``keep`` is closed under faces, none is removed as a
+    coface either, so the remainder contains ``keep``.  The collapse stops
+    when every free face left lies in ``keep``.
 
-    The simplices are numbered in ``simplex_key`` order and the
-    bookkeeping runs on those integers: ``below[i]`` lists the facets,
-    ``cover[i]`` the covering cofaces and ``ncov[i]`` the covers still
-    present.  A simplex s with one cover w left is free: were w covered by
-    some u, the facet of u without w's extra vertex would be a second cover
-    of s.  So a simplex becomes free exactly when its own count drops to 1;
-    it is queued then and checked when popped.  What is present stays
+    A simplex s with one cover w left is free: were w covered by some u,
+    the facet of u without w's extra vertex would be a second cover of s.
+    So a simplex becomes free exactly when its count of covers drops to 1,
+    which is when ``_pair_off`` queues it.  What is present stays
     face-closed, so the facets of a removed pair are present.  A count
     dropping to 0 frees nothing: each facet h of that simplex f still has
     two present covers, f and the other facet of the removed cover that
     contains h.
     """
-    order = [s for d in range(X.dim + 1) for s in X.by_dim(d)]
-    index = {s: i for i, s in enumerate(order)}
-    n = len(order)
-    below = [()] * n
-    cover = [[] for _ in range(n)]
-    for i, s in enumerate(order):
-        if len(s) > 1:
-            below[i] = fs = [index[s[:j] + s[j + 1:]] for j in range(len(s))]
-            for f in fs:
-                cover[f].append(i)
-    ncov = [len(c) for c in cover]
-    kept = [False] * n
-    if keep is not None:
-        if not keep.is_subcomplex_of(X):
-            raise ValidationError("the kept subcomplex is not contained in the complex")
-        for s in keep.simplices:
-            kept[index[s]] = True
-
-    heap = [i for i in range(n) if ncov[i] == 1 and not kept[i]]  # ascending: a heap
-    present = [True] * n
-    pairs = []
-
-    def remove(x):
-        present[x] = False
-        for f in below[x]:
-            ncov[f] -= 1
-            if ncov[f] == 1 and not kept[f]:
-                heapq.heappush(heap, f)
-
-    while heap:
-        s = heapq.heappop(heap)
-        if not present[s] or ncov[s] != 1:
-            continue
-        covers = [u for u in cover[s] if present[u]]
-        if len(covers) != 1:
-            raise ConstructionError("free face bookkeeping broken at %s" % (order[s],))
-        pairs.append((order[s], order[covers[0]]))
-        remove(covers[0])
-        remove(s)
-    return Collapse(remainder=Complex(s for s, alive in zip(order, present) if alive),
-                    pairs=tuple(pairs))
+    if keep is not None and not keep.is_subcomplex_of(X):
+        raise ValidationError("the kept subcomplex is not contained in the complex")
+    cells, below, above = _slot_table(X)
+    kept = keep.simplices if keep is not None else ()
+    alive, pairs = _pair_off(above, below, {i for i, s in enumerate(cells) if s in kept})
+    return Collapse(remainder=Complex(s for s, live in zip(cells, alive) if live),
+                    pairs=tuple((cells[s], cells[c]) for s, c in pairs))

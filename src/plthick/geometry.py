@@ -115,9 +115,10 @@ def _integer_row(row):
     return _content_free([v.numerator * (scale // v.denominator) for v in row])
 
 
-def solve_affine(rows, rhs):
-    """Solve ``rows * x = rhs`` exactly.
+def solve_affine(rows, rhs, n):
+    """Solve ``rows * x = rhs`` exactly for x in Q^n.
 
+    The caller gives n: a system with no rows still has n unknowns.
     Returns ``None`` if inconsistent, else ``(particular, null_basis)``:
     the solution that is zero on the free columns, and per free column the
     null vector that is 1 there and 0 on the other free columns.  Both are
@@ -131,7 +132,6 @@ def solve_affine(rows, rhs):
     row's pivot, become ``Fraction``s.
     """
     m = len(rows)
-    n = len(rows[0]) if m else 0
     a = [_integer_row(list(row) + [b]) for row, b in zip(rows, rhs)]
     pivots = []
     r = 0
@@ -174,7 +174,7 @@ def affine_rank(points):
     base = points[0]
     diffs = [vsub(p, base) for p in points[1:]]
     _, null = solve_affine([[d[c] for d in diffs] for c in range(len(base))],
-                           [ZERO] * len(base))
+                           [ZERO] * len(base), len(diffs))
     return len(diffs) - len(null)
 
 
@@ -293,7 +293,7 @@ def simplex_pair_intersection(pts1, pts2):
     rhs.append(ONE)
     rows.append([ZERO] * k1 + [ONE] * k2)
     rhs.append(ONE)
-    sol = solve_affine(rows, rhs)
+    sol = solve_affine(rows, rhs, k1 + k2)
     if sol is None:
         return EMPTY_INTERSECTION
     particular, basis = sol
@@ -385,7 +385,7 @@ def point_in_simplex(pt, pts):
     rows = [[pts[i][c] for i in range(len(pts))] for c in range(n)]
     rows.append([ONE] * len(pts))
     rhs = list(pt) + [ONE]
-    sol = solve_affine(rows, rhs)
+    sol = solve_affine(rows, rhs, len(pts))
     if sol is None:
         return None
     particular, basis = sol
@@ -439,7 +439,7 @@ def _affine_face_sqdist(f1, f2):
     rhs = [-vdot(dirs[i], w) for i in range(m)]
     # Flat directions leave the minimum value unchanged: take the
     # particular solution.
-    coeffs, _ = solve_affine(rows, rhs)
+    coeffs, _ = solve_affine(rows, rhs, m)
     c1 = coeffs[:k1 - 1]
     c2 = coeffs[k1 - 1:]
     if any(x < 0 for x in c1) or sum(c1) > 1 or any(x < 0 for x in c2) or sum(c2) > 1:

@@ -47,6 +47,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
+from .complex_core import _pair_off, _slot_table
 from .errors import ConstructionError, ValidationError
 
 
@@ -129,47 +130,20 @@ def coreduce(X, rel=None):
     """Coreduce the chain complex of X (or of (X, rel)) and return the
     remainder with the number of vertices removed (module docstring).
 
-    Cells sit on integer slots in basis order.  Each keeps its count of
-    live faces and its coface list; a cell whose count drops to 1 joins a
-    FIFO queue, so the pairs, and the remainder, depend on slot order only.
-    Returns ``(cc, removed)``: cc is the original chain complex restricted
-    to the cells left, and ``removed`` is 1 when a vertex was taken out of
-    an absolute complex (it adds 1 to b_0), else 0.
+    Cells sit on the slots of ``complex_core._slot_table``, in basis order,
+    and ``_pair_off`` pairs each cell with its faces: a cell whose count of
+    live faces drops to 1 joins a FIFO queue, so the pairs, and the
+    remainder, depend on slot order only.  Returns ``(cc, removed)``: cc is
+    the original chain complex restricted to the cells left, and
+    ``removed`` is 1 when a vertex was taken out of an absolute complex (it
+    adds 1 to b_0), else 0.
     """
     excluded = _excluded(X, rel)
-    cells, faces, index = [], [], {}
-    for k in range(X.dim + 1):
-        lower, index = index, {}
-        for s in X.by_dim(k):
-            if s not in excluded:
-                index[s] = len(cells)
-                cells.append(s)
-                faces.append([r for r in map(lower.get, combinations(s, k)) if r is not None])
-    cofaces = [[] for _ in cells]
-    for c, fs in enumerate(faces):
-        for f in fs:
-            cofaces[f].append(c)
-    alive = [True] * len(cells)
-    count = [len(fs) for fs in faces]
-    queue = [c for c, n in enumerate(count) if n == 1]
-
-    def remove(x):
-        alive[x] = False
-        for c in cofaces[x]:
-            count[c] -= 1
-            if count[c] == 1 and alive[c]:
-                queue.append(c)
-
-    removed = 0
-    if cells and not excluded:
-        # (X, ∅) is absolute; a relative complex never loses a vertex.
-        # Slot 0 is the first vertex.
-        remove(0)
-        removed = 1
-    for b in queue:
-        if alive[b] and count[b] == 1:
-            remove(next(a for a in faces[b] if alive[a]))
-            remove(b)
+    cells, faces, cofaces = _slot_table(X, excluded)
+    # (X, ∅) is absolute; a relative complex never loses a vertex.  Slot 0
+    # is the first vertex.
+    removed = int(bool(cells) and not excluded)
+    alive, _ = _pair_off(faces, cofaces, first=0 if removed else None)
     bases = {k: [] for k in range(X.dim + 1)}
     for s, live in zip(cells, alive):
         if live:

@@ -107,8 +107,7 @@ def extract_sheet_data(se):
 
     pages_ccw = {}
     plus_side_ccw = {}
-    for e in X.by_dim(1):
-        pages = [t for t in X.by_dim(2) if set(e) <= set(t)]
+    for e, pages in X.facet_cofaces().items():
         if not pages:
             raise ValidationError(
                 "edge %s lies in no triangle; thickening needs a pure complex" % (e,))
@@ -122,7 +121,7 @@ def extract_sheet_data(se):
             if all(x == 0 for x in perp):
                 raise GeneralPositionError("page %s collapses onto edge %s" % (t, e))
             rvecs[t] = perp
-        ordered = _circular_sort(axis, sorted(pages), rvecs)
+        ordered = _circular_sort(axis, pages, rvecs)
         pages_ccw[e] = tuple(ordered)
         for t in pages:
             sign = _det3(axis, rvecs[t], _plane_normal(f, t))
@@ -180,14 +179,13 @@ class _Namer:
         for t in X.by_dim(2):
             for v in t:
                 self.a[(v, t)] = sub.barycenter_table[tuple(sorted((v, self.vt[t])))]
-        for e in X.by_dim(1):
+        for e, pages in X.facet_cofaces().items():
             for v in e:
                 self.a[(v, e)] = sub.barycenter_table[tuple(sorted((v, self.ve[e])))]
-            for t in X.by_dim(2):
-                if set(e) <= set(t):
-                    for v in e:
-                        self.c[(v, e, t)] = sub.barycenter_table[
-                            tuple(sorted((v, self.ve[e], self.vt[t])))]
+            for t in pages:
+                for v in e:
+                    self.c[(v, e, t)] = sub.barycenter_table[
+                        tuple(sorted((v, self.ve[e], self.vt[t])))]
 
     def u_label(self, e, t):
         return "w:%s:%s" % (self.ve[e], self.vt[t])

@@ -15,12 +15,15 @@ from plthick.cli import (
     complex_to_obj,
     geometric_map_from_obj,
     geometric_map_to_obj,
+    link_class_obj,
     main,
     run_pipeline,
 )
+from plthick.complex_core import link_of
 from plthick.errors import ValidationError
 from plthick.fixtures import FIXTURE_NAMES, fixture
 from plthick.geometry import format_rational, parse_rational, sample_general_position_map
+from plthick.pseudomanifold import check_isolated_singularities, classify_link
 
 
 # -- serialization ------------------------------------------------------------
@@ -229,6 +232,23 @@ def test_links_subcommand(capsys):
     assert all(entry["kind"] == "Circle" for entry in obj.values())
 
 
+def test_links_of_a_thickening_are_the_per_vertex_classes(capsys, monkeypatch, pipeline_cache,
+                                                          tmp_path):
+    """P is a 3-pseudomanifold, so ``links`` reads the classes off
+    ``check_isolated_singularities``; they equal one ``classify_link`` per
+    vertex link."""
+    out, _ = pipeline_cache("single_triangle", 0)
+    path = tmp_path / "p_complex.json"
+    path.write_bytes(canonical_json(complex_to_obj(out.P)))
+    calls = []
+    monkeypatch.setattr(cli, "check_isolated_singularities",
+                        lambda *args: calls.append(args) or check_isolated_singularities(*args))
+    code, obj = run_cli(capsys, "links", str(path))
+    assert code == 0 and len(calls) == 1
+    want = {v: link_class_obj(classify_link(link_of(out.P, (v,)))) for v in out.P.vertices}
+    assert obj == json.loads(json.dumps(want))
+
+
 def test_embed_subcommand(capsys):
     code, obj = run_cli(capsys, "embed", "fixture:single_triangle", "--seed", "3")
     assert code == 0
@@ -358,12 +378,12 @@ PINNED_DIGESTS = {
     ("single_triangle", 3): {
         "p_complex.json": "d2b2b7c665180614ed449df5f2489d10fb90596882c785250992bfe0f4a00d35",
         "provenance.json": "f277641d179bfba801f3d412034de971dce969227ed045d817ad16365d1827f9",
-        "report.json": "12f8475a47da7801d21cdd9a4ee2c8d7c9ebb258fac2c65c86e4c24b3a02119c",
+        "report.json": "43a290e947944ba27d95707eef6d8a8e4dbfb1254551795ac1b720fb83e7db9e",
     },
     ("torus_7", 0): {
         "p_complex.json": "b988c67e8c86f32ea5e1d5bd7e9364720042501b4d9b74c903a6fcf245319656",
         "provenance.json": "fe702d0df0505043ec88d917eaf9afce5479536d7d22e27103c3da5cbc85b0e0",
-        "report.json": "426de2dcb274271d2852302bf2d7c450b1bcc9766d11ec76c46663f804d11d63",
+        "report.json": "d384a1f588cd0f831e0fff0a4eb0e4fe6f613870f62e7562b7f683d3d67110cf",
     },
 }
 

@@ -1,4 +1,4 @@
-import heapq
+import collections
 import itertools
 import random
 
@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from plthick.complex_core import (
     EMPTY_COMPLEX,
+    Collapse,
     Complex,
     barycentric_subdivision,
     barycenter_label,
@@ -30,7 +31,7 @@ from plthick.complex_core import (
     validate_complex,
 )
 from plthick.cli import complex_from_obj
-from plthick.errors import ConstructionError, ValidationError
+from plthick.errors import ValidationError
 from plthick.fixtures import FIXTURE_NAMES, fixture
 from plthick.homology import homology_groups
 
@@ -490,7 +491,7 @@ def test_subdivided_triangle_collapses_to_point():
 
 def relabelled(X, seed, *subcomplexes):
     """X, and any subcomplexes of it, under one seeded permutation of X's
-    labels (the identity at seed 0).  The greedy collapse takes free faces
+    labels (the identity at seed 0).  The greedy collapse queues free faces
     in ``simplex_key`` order, so this varies the collapse order."""
     labels = list(X.vertices)
     shuffled = list(labels)
@@ -507,42 +508,35 @@ def test_greedy_collapse_deterministic():
 
 
 def simplex_keyed_greedy_collapse(X):
-    """The former ``greedy_collapse``, keyed on the simplices themselves:
-    the reference the integer-slot version must match."""
+    """A reference for ``greedy_collapse``, keyed on the simplices
+    themselves: the simplices with one cover are queued in ``simplex_key``
+    order, then each one whose covers drop to one as the collapse goes, and
+    the queue is taken first in, first out.  A removed simplex visits its
+    facets in ``combinations`` order, the last vertex dropped first."""
     present = set(X.simplices)
-    cof_count = {s: 0 for s in present}
-    cover = {s: set() for s in present}
+    covers = {s: set() for s in present}
     for s in present:
-        for f in faces(s):
-            cof_count[f] += 1
         for f in facets(s):
-            cover[f].add(s)
-
-    heap = [(simplex_key(s), s) for s in present if cof_count[s] == 1]
-    heapq.heapify(heap)
+            covers[f].add(s)
+    queue = collections.deque(sorted((s for s in present if len(covers[s]) == 1),
+                                     key=simplex_key))
+    pairs = []
 
     def remove(x):
-        present.discard(x)
-        for f in faces(x):
-            if f in cof_count:
-                cof_count[f] -= 1
-                if cof_count[f] == 1 and f in present:
-                    heapq.heappush(heap, (simplex_key(f), f))
-        for f in facets(x):
-            if f in cover:
-                cover[f].discard(x)
+        present.remove(x)
+        for f in reversed(facets(x)):
+            covers[f].discard(x)
+            if len(covers[f]) == 1:
+                queue.append(f)
 
-    while heap:
-        _, s = heapq.heappop(heap)
-        if s not in present or cof_count[s] != 1:
-            continue
-        covers = cover[s]
-        if len(covers) != 1:
-            raise ConstructionError("free face bookkeeping broken at %s" % (s,))
-        (u,) = covers
-        remove(u)
-        remove(s)
-    return Complex(present)
+    while queue:
+        s = queue.popleft()
+        if s in present and len(covers[s]) == 1:
+            (u,) = covers[s]
+            pairs.append((s, u))
+            remove(u)
+            remove(s)
+    return Collapse(remainder=Complex(present), pairs=tuple(pairs))
 
 
 ORACLE_SEEDS = (0, 1, 2, 5)
@@ -551,7 +545,7 @@ ORACLE_SEEDS = (0, 1, 2, 5)
 def assert_collapse_matches_oracle(X):
     for seed in ORACLE_SEEDS:
         (Y,) = relabelled(X, seed)
-        assert greedy_collapse(Y).remainder == simplex_keyed_greedy_collapse(Y)
+        assert greedy_collapse(Y) == simplex_keyed_greedy_collapse(Y)
 
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)

@@ -176,6 +176,8 @@ def test_affine_rank_matches_minors():
         assert ranks[-1] == _rank_by_minors(pts), pts
     assert set(ranks) == {0, 1, 2, 3}
     assert affine_rank([]) == -1
+    # Points of R^0 coincide: no rows, yet one unknown per difference.
+    assert [affine_rank([()] * k) for k in (1, 2, 3)] == [0, 0, 0]
 
 
 # -- pairwise intersections ---------------------------------------------------------
@@ -676,11 +678,10 @@ def test_spine_embedding_rejects_wrong_codomain():
 
 # -- integer kernels against their Fraction oracles --------------------------------------
 
-def fraction_solve_affine(rows, rhs):
+def fraction_solve_affine(rows, rhs, n):
     """Gauss-Jordan elimination over Fractions: the oracle for the
     fraction-free ``solve_affine``."""
     m = len(rows)
-    n = len(rows[0]) if m else 0
     a = [[F(v) for v in row] + [F(b)] for row, b in zip(rows, rhs)]
     pivots = []
     r = 0
@@ -714,9 +715,9 @@ def fraction_solve_affine(rows, rhs):
     return tuple(particular), basis
 
 
-def assert_solves_like_oracle(rows, rhs):
-    got = solve_affine(rows, rhs)
-    assert got == fraction_solve_affine(rows, rhs)
+def assert_solves_like_oracle(rows, rhs, n):
+    got = solve_affine(rows, rhs, n)
+    assert got == fraction_solve_affine(rows, rhs, n)
     if got is not None:
         particular, basis = got
         assert all(type(x) is F for vec in (particular, *basis) for x in vec)
@@ -749,8 +750,8 @@ def test_solve_affine_matches_fraction_oracle_on_random_systems():
     seen = Counter()
     for _ in range(2000):
         rows, rhs = random_system(rng)
-        got = assert_solves_like_oracle(rows, rhs)
         m, n = len(rows), len(rows[0])
+        got = assert_solves_like_oracle(rows, rhs, n)
         seen["inconsistent" if got is None else "consistent"] += 1
         seen["rank-deficient"] += got is not None and len(got[1]) > max(0, n - m)
         seen["zero row"] += any(all(v == 0 for v in row) for row in rows)
@@ -759,10 +760,12 @@ def test_solve_affine_matches_fraction_oracle_on_random_systems():
 
 
 def test_solve_affine_edge_cases_match_fraction_oracle():
-    for rows, rhs in [([], []), ([[0, 0]], [0]), ([[0, 0]], [1]), ([[2, 4], [1, 2]], [6, 3]),
-                      ([[2, 4], [1, 2]], [6, 4]), ([[F(1, 3)]], [F(2, 7)]),
-                      ([[0, 1, 0], [0, 0, 0], [0, 2, 0]], [5, 0, 10])]:
-        assert_solves_like_oracle(rows, rhs)
+    for rows, rhs, n in [([], [], 0), ([], [], 2), ([[0, 0]], [0], 2), ([[0, 0]], [1], 2),
+                         ([[2, 4], [1, 2]], [6, 3], 2), ([[2, 4], [1, 2]], [6, 4], 2),
+                         ([[F(1, 3)]], [F(2, 7)], 1),
+                         ([[0, 1, 0], [0, 0, 0], [0, 2, 0]], [5, 0, 10], 3)]:
+        assert_solves_like_oracle(rows, rhs, n)
+    assert solve_affine([], [], 2) == ((F(0), F(0)), [(F(1), F(0)), (F(0), F(1))])
 
 
 @pytest.mark.parametrize("name", ["projective_plane_6", "torus_7"])
@@ -771,16 +774,16 @@ def test_solve_affine_matches_fraction_oracle_on_thickening_calls(monkeypatch, n
     only callers), recorded and solved again against the oracle."""
     calls = []
 
-    def recording(rows, rhs):
-        calls.append((rows, rhs))
-        return solve_affine(rows, rhs)
+    def recording(rows, rhs, n):
+        calls.append((rows, rhs, n))
+        return solve_affine(rows, rhs, n)
 
     monkeypatch.setattr(geometry, "solve_affine", recording)
     m = sample_general_position_map(fixture(name), 3, seed=0)
     epsilon_neighborhood_embedding(choose_spine_barycenters(m, seed=0))
     assert len(calls) > 100
-    for rows, rhs in calls:
-        assert_solves_like_oracle(rows, rhs)
+    for rows, rhs, n in calls:
+        assert_solves_like_oracle(rows, rhs, n)
 
 
 def outcome(fn, *args):

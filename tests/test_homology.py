@@ -4,10 +4,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from plthick.complex_core import (
+    _pair_off,
+    _slot_table,
     barycentric_subdivision,
     boundary_and_free_faces,
     complex_from_maximal,
     cone_off,
+    facets,
 )
 from plthick.errors import ConstructionError
 from plthick.fixtures import FIXTURE_NAMES, THICKENING_FIXTURES, fixture
@@ -343,6 +346,41 @@ def test_moore_space_torsion(q):
     assert H.betti == (1, 0, 0) and H.torsion == ((), (q,), ())
     H_rel = assert_matches_oracle(X, rel=circle)
     assert H_rel.betti == (0, 0, 1) and H_rel.torsion == ((), (), ())
+
+
+def replay_coreduction(X, rel=None):
+    """Run the shared pairing loop on X's cells as ``coreduce`` does and
+    replay its pairs one by one, asserting that each removes a live cell
+    whose only live face is its partner and that what is left is
+    ``coreduce``'s remainder; returns the pairs."""
+    cells, faces, cofaces = _slot_table(X, rel.simplices if rel is not None else ())
+    first = 0 if rel is None else None
+    _, pairs = _pair_off(faces, cofaces, first=first)
+    live = set(cells) - {cells[0]} if rel is None else set(cells)
+    for b, a in pairs:
+        b, a = cells[b], cells[a]
+        assert b in live and [f for f in facets(b) if f in live] == [a], (b, a)
+        live -= {a, b}
+    cc, _ = coreduce(X, rel=rel)
+    assert live == {s for basis in cc.bases.values() for s in basis}
+    return pairs
+
+
+@pytest.mark.parametrize("q", [2, 3, 6])
+def test_coreduction_pairs_replay_on_moore_spaces(q):
+    X, circle = moore_space(q)
+    assert replay_coreduction(X) and replay_coreduction(X, rel=circle)
+
+
+def test_coreduction_pairs_replay_on_octahedral_closure(octahedral_closure):
+    assert replay_coreduction(octahedral_closure.Q.complex)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(small_complexes())
+def test_coreduction_pairs_replay_on_random_complexes(X):
+    replay_coreduction(X)
+    replay_coreduction(X, rel=check_pseudomanifold(X).boundary)
 
 
 def test_coreduced_remainder_of_octahedral_closure(octahedral_closure):
