@@ -190,7 +190,6 @@ def run_pipeline(config, X):
         "spine_b1": rep.spine_b1,
         "gallery_components": rep.gallery_components,
         "epsilon": format_rational(se.epsilon),
-        "delta_sq": format_rational(se.delta_sq) if se.delta_sq is not None else None,
         "rejection_attempts_max": max(se.attempts.values()),
         "coordinate_bits": se.base.bit_length_stats(),
         "cone_vertices": {v: w for v, w in sorted(out.cone_vertices.items())},

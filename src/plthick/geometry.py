@@ -23,7 +23,6 @@ from .complex_core import (
     spine,
 )
 from .errors import (
-    ConstructionError,
     GeneralPositionError,
     RejectionBudgetError,
     ValidationError,
@@ -57,10 +56,6 @@ def vcross(a, b):
             a[0] * b[1] - a[1] * b[0])
 
 
-def vlensq(a):
-    return vdot(a, a)
-
-
 def is_zero_vec(a):
     return all(x == 0 for x in a)
 
@@ -82,17 +77,6 @@ def parse_rational(text):
         if x is not None and format_rational(x) == text:
             return x
     raise ValidationError("non-canonical rational %r" % (text,))
-
-
-def dyadic_floor_sqrt(x):
-    """The largest ``2^-k`` with ``k >= 2`` and ``4^-k <= x``, for x > 0."""
-    x = Fraction(x)
-    if x <= 0:
-        raise ValidationError("non-positive radicand")
-    k = 2
-    while x.numerator << (2 * k) < x.denominator:
-        k += 1
-    return Fraction(1, 1 << k)
 
 
 def derive_seed(seed, tag):
@@ -397,61 +381,6 @@ def point_in_simplex(pt, pts):
     return None
 
 
-def simplex_pair_sqdist(pts1, pts2):
-    """Exact minimum squared distance between two closed simplices.
-
-    Enumerates face pairs; on each pair the unconstrained affine minimizer
-    is kept when feasible, so the closed-polytope minimum is always among
-    the candidates.
-    """
-    best = None
-    for r1 in range(1, len(pts1) + 1):
-        for f1 in itertools.combinations(pts1, r1):
-            for r2 in range(1, len(pts2) + 1):
-                for f2 in itertools.combinations(pts2, r2):
-                    val = _affine_face_sqdist(f1, f2)
-                    if val is not None and (best is None or val < best):
-                        best = val
-    return best
-
-
-def _affine_face_sqdist(f1, f2):
-    """Squared distance between the affine hulls of two faces when their
-    closest points lie in both faces, else None.
-
-    Minimizes |w + D c|^2 over the barycentric unknowns c, where the columns
-    of D are the edge directions of f1 and the negated ones of f2.  The
-    stationarity system D^T D c = -D^T w is a set of normal equations, and
-    it is always consistent: D^T w lies in the column space of D^T, which
-    is that of the Gram matrix D^T D.  So ``solve_affine`` never returns
-    None here.
-    """
-    k1, k2 = len(f1), len(f2)
-    if k1 == 1 and k2 == 1:
-        return vlensq(vsub(f1[0], f2[0]))
-    base1, base2 = f1[0], f2[0]
-    dirs1 = [vsub(p, base1) for p in f1[1:]]
-    dirs2 = [vsub(q, base2) for q in f2[1:]]
-    dirs = dirs1 + [vscale(Fraction(-1), d) for d in dirs2]
-    w = vsub(base1, base2)
-    m = len(dirs)
-    rows = [[vdot(dirs[i], dirs[j]) for j in range(m)] for i in range(m)]
-    rhs = [-vdot(dirs[i], w) for i in range(m)]
-    # Flat directions leave the minimum value unchanged: take the
-    # particular solution.
-    coeffs, _ = solve_affine(rows, rhs, m)
-    c1 = coeffs[:k1 - 1]
-    c2 = coeffs[k1 - 1:]
-    if any(x < 0 for x in c1) or sum(c1) > 1 or any(x < 0 for x in c2) or sum(c2) > 1:
-        return None
-    diff = w
-    for x, d in zip(c1, dirs1):
-        diff = vadd(diff, vscale(x, d))
-    for x, d in zip(c2, dirs2):
-        diff = vsub(diff, vscale(x, d))
-    return vlensq(diff)
-
-
 # -- singular sets -----------------------------------------------------------------
 
 
@@ -483,18 +412,6 @@ def _bbox(pts):
     lo = tuple(min(p[c] for p in pts) for c in range(len(pts[0])))
     hi = tuple(max(p[c] for p in pts) for c in range(len(pts[0])))
     return lo, hi
-
-
-def _bbox_sqdist(b1, b2):
-    """Exact squared distance between two boxes: a lower bound on the
-    squared distance between anything they contain."""
-    (lo1, hi1), (lo2, hi2) = b1, b2
-    acc = ZERO
-    for c in range(len(lo1)):
-        gap = max(lo2[c] - hi1[c], lo1[c] - hi2[c])
-        if gap > 0:
-            acc += gap * gap
-    return acc
 
 
 def singular_set(m):
@@ -555,8 +472,9 @@ def singular_set(m):
 
 @dataclass(frozen=True)
 class SpineEmbedding:
-    """Chosen interior barycenters making the spine embedded, certified by
-    ``delta_sq``, plus the certified collar neighborhood once epsilon is fixed."""
+    """Chosen interior barycenters making the spine embedded, plus the
+    collar neighborhood once epsilon is fixed; ``_meeting_far_pair``
+    certifies both."""
 
     base: GeometricMap
     subdivision: object  # SubdivisionMap of the ambient first subdivision
@@ -565,7 +483,6 @@ class SpineEmbedding:
     barycenters: dict  # parent simplex -> ambient point
     singular: SingularSet
     attempts: dict
-    delta_sq: Fraction | None = None
     epsilon: Fraction | None = None
     nbhd: GeometricMap | None = None
     nbhd_sub: object | None = None
@@ -578,16 +495,6 @@ class SpineEmbedding:
         parent = self.subdivision.carrier_of_label(label)
         return self.barycenters[parent]
 
-    def spine_cells_in(self, parent):
-        """Maximal spine simplices carried by faces of the given simplex."""
-        pv = set(parent)
-        cells = []
-        for s in self.spine.maximal_simplices:
-            carriers = [self.subdivision.carrier_of_label(v) for v in s]
-            if all(pv.issuperset(c) for c in carriers):
-                cells.append(s)
-        return cells
-
     def cell_points(self, s):
         return [self.spine_point(v) for v in s]
 
@@ -598,32 +505,33 @@ _BARYCENTER_ATTEMPTS = 1000
 
 def choose_spine_barycenters(m, seed, candidate_hook=None):
     """Pick interior barycenters so the map embeds the spine, and certify
-    the embedding by ``delta_sq``.
+    the embedding by ``_meeting_far_pair`` on the spine K, with each cell
+    carried by its simplex of X.
 
     Every barycenter, lower-dimensional simplices first and each dimension
     in sorted order, is sampled until it avoids the recorded intersection
     polytopes.
 
-    The embedding is certified pair by pair of maximal simplices s1, s2:
+    The embedding is certified pair by pair of maximal spine cells, whose
+    carriers s1, s2 span:
 
-    - sharing at least 2 vertices, they span at most 2d = n+1 vertices,
-      affinely independent by the general-position certificate, so f is an
-      affine injection on the simplex they span; their spine cells lie in
-      one derived subdivision of it with interior barycenters, so embed;
-    - sharing at most 1 vertex, their spine cells share no spine vertex (a
-      spine vertex's carrier has at least 2 vertices), and are disjoint
-      because ``delta_sq``, their exact least squared distance (None when
-      no such pair exists), is positive.
+    - at most n+1 vertices: these are affinely independent by the
+      general-position certificate, so f is an affine injection on the
+      simplex they span; both cells lie in one derived subdivision of it
+      with interior barycenters, so they embed jointly;
+    - more than n+1 vertices (far cells): the cells share no spine vertex,
+      since a spine vertex's carrier has at least 2 vertices and would
+      make s1, s2 share an edge, spanning at most 2d = n+1 vertices; and
+      ``_meeting_far_pair`` checks their images disjoint.
 
-    When ``delta_sq`` is 0, the apex of the later of the two maximal
-    simplices carrying the closest cells is resampled and ``delta_sq``
-    recomputed, within the same ``_BARYCENTER_ATTEMPTS`` per simplex.  For
-    d = 2 this moves the touching point.  Cells avoid the original
-    vertices, so a point where far cells c1 in s1 and c2 in s2 touch lies
-    in f(s1) and f(s2) off the image of a shared vertex.  Then s1 and s2
-    span more than n+1 vertices (otherwise they meet only in that image),
-    so ``singular_set`` records their intersection, and the point lies on
-    a record.  Lower barycenters avoid every record, so it is no lower
+    When a far pair meets, the barycenter of the later of its two carriers
+    in ``simplex_key`` order is resampled and the check repeated, within
+    the same ``_BARYCENTER_ATTEMPTS`` per simplex.  For d = 2 this moves
+    the touching point.  Cells avoid the original vertices, so a point
+    where far cells in s1 and s2 meet lies in f(s1) and f(s2) off the
+    image of a shared vertex.  As s1 and s2 span more than n+1 vertices,
+    ``singular_set`` records their intersection, and the point lies on a
+    record.  Lower barycenters avoid every record, so it is no lower
     barycenter.  For d = 2 every other point of a cell lies on a segment
     from a top's barycenter, so both s1 and s2 are tops, and the point
     moves with either apex.
@@ -669,10 +577,12 @@ def choose_spine_barycenters(m, seed, candidate_hook=None):
         base=m, subdivision=B, spine=K, weights=weights, barycenters=barycenters,
         singular=sing, attempts=attempts)
     while True:
-        delta_sq, carriers = _far_cells_delta_sq(se)
-        if delta_sq != 0:
-            return replace(se, delta_sq=delta_sq)
-        place(carriers[1])
+        cells = GeometricMap(domain=K, n=m.n,
+                             points={v: se.spine_point(v) for v in K.vertices})
+        pair = _meeting_far_pair(cells, B.carrier)
+        if pair is None:
+            return se
+        place(max((B.carrier[c] for c in pair), key=simplex_key))
 
 
 def _candidate_weights(candidate_hook, rng, s):
@@ -687,47 +597,9 @@ def _candidate_weights(candidate_hook, rng, s):
     return w
 
 
-def _far_cells_delta_sq(se):
-    """Least squared distance between spine cells carried by maximal
-    simplices that share at most one vertex, and the pair of maximal
-    simplices, in sorted order, carrying the closest cells (None, None when
-    there is no such pair).
-
-    The cell pairs are visited by the squared distance of their bounding
-    boxes, a lower bound on the pair's distance, and the search stops once
-    that bound reaches the least distance found, so the minimum is exact.
-    """
-    tops = se.base.domain.maximal_simplices
-    cells = {s: se.spine_cells_in(s) for s in tops}
-    points = {c: se.cell_points(c) for cs in cells.values() for c in cs}
-    boxes = {c: _bbox(pts) for c, pts in points.items()}
-    pairs = []
-    for s1, s2 in itertools.combinations(tops, 2):
-        if len(set(s1).intersection(s2)) > 1:
-            continue
-        for c1 in cells[s1]:
-            for c2 in cells[s2]:
-                pairs.append((_bbox_sqdist(boxes[c1], boxes[c2]), len(pairs), c1, c2, s1, s2))
-    pairs.sort()
-    delta_sq = carriers = None
-    for bound, _, c1, c2, s1, s2 in pairs:
-        if delta_sq is not None and bound >= delta_sq:
-            break
-        val = simplex_pair_sqdist(points[c1], points[c2])
-        if delta_sq is None or val < delta_sq:
-            delta_sq, carriers = val, (s1, s2)
-    return delta_sq, carriers
-
-
 def epsilon_neighborhood_embedding(se):
     """Fix epsilon, build the collar neighborhood of the spine and certify
     that the map embeds it, by exact checks on the far collar pairs.
-
-    ``epsilon`` is the largest ``2^-k <= 1/4`` with
-    ``16 L^2 epsilon^2 <= delta_sq``, where ``delta_sq`` is the spine
-    certificate of ``choose_spine_barycenters`` and L^2 the largest sum of
-    squared edge vectors from a top's first vertex; a power of two keeps the
-    collar coordinates short.
 
     The collar N is the simplicial neighborhood of the spine K in
     sd(Y rel K), Y = sd X.  A vertex of N outside K is the barycenter of a
@@ -735,45 +607,49 @@ def epsilon_neighborhood_embedding(se):
     meeting K; as K is full in Y, tau also has a vertex outside K.  So it
     sits at (1 - epsilon) times the mean of tau's K-vertices plus epsilon
     times the mean of its other vertices.
+
+    ``epsilon`` is the first of 1/4, 1/16, 1/256, ..., each the square of
+    the one before, at which ``_meeting_far_pair`` finds no far pair of
+    collar simplices meeting; a power of two keeps the collar coordinates
+    short.  The search ends.  A maximal collar simplex s is a chain of
+    simplices of Y ending at its carrier tau; its K-vertices lie in the
+    spine face k = tau ∩ K, and each other vertex, the barycenter of some
+    tau' ⊆ tau, lies within epsilon D of the mean of tau' ∩ K, a point of
+    f(k), where D is the largest diameter of the image of a top of X.  So
+    f(s) lies within epsilon D of the convex set f(k).  The largest element
+    of the chain tau, its carrier c in X, has dimension at least 1 as tau
+    meets K, so its barycenter lies in k: k is carried by c, and so is
+    every maximal spine cell containing k by a coface of c.  Collar
+    simplices with far carriers c1, c2 thus lie near spine faces k1, k2
+    inside maximal spine cells with far carriers, which
+    ``choose_spine_barycenters`` checked disjoint; f(k1) and f(k2) are
+    compact, at a positive distance.  Over the finitely many far pairs the
+    least such distance is some delta > 0, and the check passes once
+    2 epsilon D < delta, which squaring reaches.  A coplanar far triangle
+    pair raises ``GeneralPositionError`` at any epsilon, as ever.
     """
-    m = se.base
-    lip_sq = ZERO
-    for s in m.domain.maximal_simplices:
-        pts = m.simplex_points(s)
-        base = pts[0]
-        acc = sum((vlensq(vsub(p, base)) for p in pts[1:]), ZERO)
-        if acc > lip_sq:
-            lip_sq = acc
-
-    if se.delta_sq is None or lip_sq == 0:
-        epsilon = Fraction(1, 4)
-    else:
-        epsilon = dyadic_floor_sqrt(se.delta_sq / (16 * lip_sq))
-
     Y = se.subdivision.child
     K = se.spine
     ycoords = {v: se.spine_point(v) for v in Y.vertices}
     kverts = set(K.vertices)
     N, Ndot, sub = regular_neighborhood(Y, K)
-    npoints = {}
+    means = {}
     for v in N.vertices:
-        if v in kverts:
-            npoints[v] = ycoords[v]
-            continue
-        tau = sub.carrier_of_label(v)
-        ka = _avg([ycoords[u] for u in tau if u in kverts])
-        oa = _avg([ycoords[u] for u in tau if u not in kverts])
-        npoints[v] = vadd(vscale(1 - epsilon, ka), vscale(epsilon, oa))
-    nbhd = GeometricMap(domain=N, n=m.n, points=npoints)
+        if v not in kverts:
+            tau = sub.carrier_of_label(v)
+            means[v] = (_avg([ycoords[u] for u in tau if u in kverts]),
+                        _avg([ycoords[u] for u in tau if u not in kverts]))
+    carriers = {s: se.subdivision.carrier[sub.carrier[s]] for s in N.maximal_simplices}
 
-    carriers = {}
-    for s in N.simplices:
-        tau = sub.carrier[s]
-        carriers[s] = se.subdivision.carrier[tau]
-
-    _verify_collar_injective(nbhd, carriers)
-
-    return replace(se, epsilon=epsilon, nbhd=nbhd, nbhd_sub=sub, frontier=Ndot)
+    epsilon = Fraction(1, 4)
+    while True:
+        npoints = {v: ycoords[v] for v in kverts}
+        for v, (ka, oa) in means.items():
+            npoints[v] = vadd(vscale(1 - epsilon, ka), vscale(epsilon, oa))
+        nbhd = GeometricMap(domain=N, n=se.base.n, points=npoints)
+        if _meeting_far_pair(nbhd, carriers) is None:
+            return replace(se, epsilon=epsilon, nbhd=nbhd, nbhd_sub=sub, frontier=Ndot)
+        epsilon *= epsilon
 
 
 def _avg(pts):
@@ -815,35 +691,39 @@ def _integer_points(points):
             for v, p in points.items()}
 
 
-def _verify_collar_injective(nbhd, carriers):
-    """Far carrier pairs must have disjoint images; near pairs are embedded
-    jointly because their carrier union stays within general position.
+def _meeting_far_pair(m, carriers):
+    """The first pair of maximal simplices of ``m.domain`` with far
+    carriers whose images meet, or None when there is none: the one
+    certificate of the spine and of the collar.
+
+    ``carriers`` maps each maximal simplex to its carrier in X.  A pair is
+    far when the carriers span more than n+1 vertices; nearer pairs are
+    embedded jointly because their carrier union stays within general
+    position, and are skipped.
 
     The points are scaled to integers by D, the lcm of their coordinate
     denominators; D > 0 keeps every box overlap and every intersection.
     Only pairs whose boxes meet can intersect: ``_box_overlaps`` finds them
-    and they are visited in the order of ``N.maximal_simplices``, so the
-    first failing pair is the one an all-pairs loop would report.  Triangle
-    pairs in R^3, the only pairs of a pure 2-dimensional input's collar,
-    are decided by ``_triangles_meet``; the tetrahedra of a 3-dimensional
-    input's collar in R^5 by ``simplex_pair_intersection``.
+    and they are visited in the order of ``m.domain.maximal_simplices``, so
+    the pair returned is the one an all-pairs loop would find first.
+    Triangle pairs in R^3, the only pairs of a pure 2-dimensional input's
+    collar, are decided by ``_triangles_meet``; every other pair, the spine
+    cells and the tetrahedra of a 3-dimensional input's collar in R^5
+    among them, by ``simplex_pair_intersection``.
     """
-    N = nbhd.domain
-    n = nbhd.n
-    maximal = N.maximal_simplices
-    ipoints = _integer_points(nbhd.points)
+    n = m.n
+    maximal = m.domain.maximal_simplices
+    ipoints = _integer_points(m.points)
     pts = [[ipoints[v] for v in s] for s in maximal]
     for i, j in _box_overlaps([_bbox(p) for p in pts]):
         s1, s2 = maximal[i], maximal[j]
         c1, c2 = carriers[s1], carriers[s2]
-        d3 = len(set(c1).intersection(c2)) - 1
-        if len(c1) + len(c2) - 2 - d3 <= n:
+        if len(set(c1).union(c2)) <= n + 1:
             continue
         if n == 3 and len(s1) == 3 and len(s2) == 3:
             meet = _triangles_meet(pts[i], pts[j])
         else:
             meet = simplex_pair_intersection(pts[i], pts[j]).kind != "empty"
         if meet:
-            raise ConstructionError(
-                "collar simplices %s, %s intersect (carriers %s, %s)"
-                % (s1, s2, c1, c2))
+            return s1, s2
+    return None

@@ -23,7 +23,7 @@ from itertools import combinations
 from operator import itemgetter
 
 from .complex_core import Complex, complex_from_maximal, facets, link_of
-from .errors import ConstructionError, ValidationError
+from .errors import ValidationError
 
 
 @dataclass(frozen=True)
@@ -453,11 +453,21 @@ def orient(X, report=None):
     The signs are the parities of the gallery forest ``_fans(X, 0)``, which
     ``check_pseudomanifold`` keeps on the report, with the first top of
     each gallery positive; a gallery with an odd join is non-orientable and
-    yields an odd cycle of tops.  On success every interior facet is
-    checked to receive opposite induced orientations.  At the base facet of
-    a cone simplex that check is the cone rule: the simplex carries the
-    negation of the cone vertex prepended to the orientation its base
-    inherits.
+    yields an odd cycle of tops.
+
+    On success every interior facet receives opposite induced orientations,
+    by construction.  The top t induces signs[t] * (-1)^p on a facet, p the
+    position in t of the vertex outside it.  Both tops a, b of an interior
+    facet lie in one gallery, so signs[a] * signs[b] is
+    (-1)^(parity(a) + parity(b)).  With no odd join, every join of the
+    forest satisfies parity(a) xor parity(b) = flip, flip meaning that the
+    two opposite positions pa, pb have equal parity: the joining edges set
+    the parity so, and every other join would otherwise be odd.  So
+    parity(a) + parity(b) + pa + pb is odd, and the two induced signs are
+    opposite.  At the base facet of a cone simplex this is the cone rule:
+    the simplex carries the negation of the cone vertex prepended to the
+    orientation its base inherits.  The tests compare the signs with
+    propagation along the galleries as the oracle.
 
     The rank of H_n(X, boundary; Z) is read off the same forest.  X has no
     (n+1)-simplices, so that group is the group of relative n-cycles.  When
@@ -484,12 +494,5 @@ def orient(X, report=None):
     first = {}
     signs = {t: 1 if first.setdefault(r, p) == p else -1
              for t, r, p in zip(X.by_dim(X.dim), roots, parity)}
-    # The top t induces signs[t] * (-1)^p on a facet, p the position in t
-    # of the vertex outside it.
-    for (f, ts), ps in zip(X.facet_cofaces().items(), X.facet_opposites()):
-        if len(ts) == 2:
-            a, b = ts
-            if signs[a] * (-1) ** ps[0] != -signs[b] * (-1) ** ps[1]:
-                raise ConstructionError("induced orientations not opposite at %s" % (f,))
     return OrientResult(success=True, assignment=OrientationAssignment(signs=signs),
                         odd_cycle=None, top_relative_rank=rank)

@@ -145,6 +145,13 @@ def basic_construction(ms, budget=2_000_000):
 
     Vertices ``(w, y)`` and ``(w', y)`` are identified when ``w xor w'`` is
     supported on the mirrors through ``y``.
+
+    The identity chamber embeds as a subcomplex by construction.  Chamber 0
+    labels each y as ``0#y``, since ``0 & ~mask`` is 0, so its relabelling
+    is injective, and the w = 0 pass of the loop adds exactly the images
+    of Y's maximal simplices.  The tests keep ``identity_chamber`` as the
+    oracle.  The orbit-count Euler characteristic is checked, since it
+    tests the gluing rule.
     """
     k = len(ms.S)
     total = (2 ** k) * len(ms.Y)
@@ -164,11 +171,6 @@ def basic_construction(ms, budget=2_000_000):
                         mirror_structure=ms, masks=masks)
     if complex_.euler_characteristic() != orbit_count_euler(ms):
         raise ConstructionError("orbit-count Euler characteristic mismatch")
-    ident = cc.identity_chamber()
-    if len(ident.simplices) != len(ms.Y.simplices):
-        raise ConstructionError("identity chamber does not embed")
-    if not ident.is_subcomplex_of(complex_):
-        raise ConstructionError("identity chamber not a subcomplex")
     return cc
 
 

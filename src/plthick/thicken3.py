@@ -461,8 +461,6 @@ def cone_boundary_neighborhoods(partial):
     closed star N_v, cone it off with a fresh vertex w_v, and derive P's
     pseudomanifold report from M's.
 
-    Each N_v must keep its frontier piece off its rim.
-
     The N_v are pairwise vertex-disjoint, which the overlap test below
     asserts.  Every L_v is nonempty, the link of a vertex of a pure
     2-complex.  A vertex of N_v is at most one edge from L_v, so two N_v
@@ -495,7 +493,12 @@ def cone_boundary_neighborhoods(partial):
     combinatorial 3-manifold: pure, every triangle in one or two
     tetrahedra, every edge link one arc or circle, every vertex link a
     sphere or a disc.  So ∂M is a closed surface, and for a vertex u of ∂M
-    the link lk_∂M(u) is the boundary circle of the disc lk_M(u).
+    the link lk_M(u) is a disc, not a sphere, as it holds the free edge
+    f - u of a triangle f of ∂M at u; lk_∂M(u) is its boundary circle.
+    Each frontier piece L_v stays off the rim of N_v: a triangle of ∂M at
+    a vertex of L_v lies in the closed star N_v, and every edge of the
+    closed surface ∂M lies in two triangles, so no edge of N_v at a vertex
+    of L_v is a rim edge.  The tests check both facts on the fixtures.
     ``classify_link(N_v)`` certifies each N_v a surface, one call per input
     vertex.  The simplices of P containing w_v are w_v and s + w_v for s in
     N_v, and the N_v are vertex-disjoint, so:
@@ -567,12 +570,7 @@ def cone_boundary_neighborhoods(partial):
                 "boundary neighborhood of %s is %s, not a surface" % (v, cls.describe()))
         rim = [e for e, tops in N.facet_cofaces().items() if len(tops) == 1]
         rim_vertices = {x for e in rim for x in e}
-        if not rim_vertices.isdisjoint(Lv[v].vertices):
-            raise ConstructionError("frontier piece of %s touches its rim" % v)
         for x in N.vertices:
-            if links[x].kind != "Disc":
-                raise ConstructionError("boundary vertex %s has link %s in the solid"
-                                        % (x, links[x].describe()))
             if x not in rim_vertices:
                 links[x] = SPHERE
         free.difference_update(N.by_dim(2))

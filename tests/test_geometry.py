@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 
 from plthick.complex_core import facets, simplex, simplex_key, validate_complex
 from plthick.errors import (
-    ConstructionError,
     GeneralPositionError,
     RejectionBudgetError,
     ValidationError,
@@ -24,11 +23,10 @@ from plthick.geometry import (
     _bbox,
     _box_overlaps,
     _integer_points,
+    _meeting_far_pair,
     _triangles_meet,
-    _verify_collar_injective,
     affine_rank,
     choose_spine_barycenters,
-    dyadic_floor_sqrt,
     epsilon_neighborhood_embedding,
     format_rational,
     is_zero_vec,
@@ -36,7 +34,6 @@ from plthick.geometry import (
     point_in_simplex,
     sample_general_position_map,
     simplex_pair_intersection,
-    simplex_pair_sqdist,
     singular_set,
     solve_affine,
     vadd,
@@ -66,22 +63,6 @@ def test_non_reduced_rational_rejected():
         parse_rational("2/4")
     with pytest.raises(ValidationError):
         parse_rational("3/1")
-
-
-def is_dyadic_at_most_quarter(r):
-    return r.numerator == 1 and r.denominator >= 4 and r.denominator & (r.denominator - 1) == 0
-
-
-def test_dyadic_floor_sqrt_is_largest_power_of_two_below():
-    for x in (F(2), F(9), F(1, 4), F(7, 3), F(1, 16), F(1, 17), F(1, 64), F(3, 10 ** 9)):
-        r = dyadic_floor_sqrt(x)
-        assert is_dyadic_at_most_quarter(r)
-        assert r * r <= x
-        assert r == F(1, 4) or (2 * r) ** 2 > x
-    assert dyadic_floor_sqrt(F(1, 64)) == F(1, 8)
-    for x in (F(0), F(-1, 3)):
-        with pytest.raises(ValidationError):
-            dyadic_floor_sqrt(x)
 
 
 # -- general position ------------------------------------------------------------
@@ -306,18 +287,6 @@ def test_kernels_keep_integer_input_exact():
     assert point_in_simplex((1, 3, 7), [(0, 0, 0), (49, 147, 343)]) is not None
 
 
-def test_segment_distance_cases():
-    # parallel
-    assert simplex_pair_sqdist([pt(0, 0, 0), pt(1, 0, 0)],
-                               [pt(0, 1, 0), pt(1, 1, 0)]) == 1
-    # crossing closest at interior points
-    assert simplex_pair_sqdist([pt(0, 0, 0), pt(2, 0, 0)],
-                               [pt(1, -1, 1), pt(1, 1, 1)]) == 1
-    # endpoint to endpoint
-    assert simplex_pair_sqdist([pt(0, 0, 0), pt(1, 0, 0)],
-                               [pt(3, 0, 0), pt(4, 0, 0)]) == 4
-
-
 # -- singular sets --------------------------------------------------------------------
 
 def test_two_disjoint_triangles_crossing_give_one_segment_record():
@@ -465,8 +434,8 @@ def test_adversarial_candidate_is_rejected_and_resampled():
 
 
 def test_touching_far_cells_resample_the_later_apex():
-    """Far spine cells meeting at a record crossing give delta = 0; the
-    apex of the later top is resampled until delta > 0."""
+    """Far spine cells meeting at a record crossing are a meeting far pair;
+    the apex of the later top is resampled until the spine check passes."""
     X = validate_complex([["a", "b", "c"], ["x", "y", "z"]])
     m = GeometricMap(domain=X, n=3, points={
         "a": pt(0, 0, 0), "b": pt(4, 0, 0), "c": pt(0, 4, 0),
@@ -511,7 +480,7 @@ def test_touching_far_cells_resample_the_later_apex():
     assert se.attempts[first] == 1
     assert se.attempts[later] > 1
     assert se.barycenters[later] != crafted_apex
-    assert se.delta_sq > 0
+    assert spine_meeting_pair(se) is None
     assert_spine_embedded(se)
 
 
@@ -529,8 +498,15 @@ def test_candidate_hook_weights_must_be_interior(first, total):
         choose_spine_barycenters(m, seed=0, candidate_hook=hook)
 
 
+def spine_meeting_pair(se):
+    """The spine check of ``choose_spine_barycenters`` on its result."""
+    cells = GeometricMap(domain=se.spine, n=se.base.n,
+                         points={v: se.spine_point(v) for v in se.spine.vertices})
+    return _meeting_far_pair(cells, se.subdivision.carrier)
+
+
 def assert_spine_embedded(se):
-    """The exhaustive oracle for the delta certificate: every pair of
+    """The exhaustive oracle for the spine certificate: every pair of
     maximal spine cells meets exactly in the image of their shared
     vertices, and distinct spine vertices have distinct images."""
     cells = se.spine.maximal_simplices
@@ -575,27 +551,38 @@ def collar_points_sha256(points):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def collar_at(se, epsilon):
+    """The collar map of ``epsilon_neighborhood_embedding`` at the given
+    epsilon, and the carriers in X of its maximal simplices."""
+    kverts = set(se.spine.vertices)
+    points = {}
+    for v in se.nbhd.domain.vertices:
+        if v in kverts:
+            points[v] = se.spine_point(v)
+            continue
+        tau = se.nbhd_sub.carrier_of_label(v)
+        ka = [se.spine_point(u) for u in tau if u in kverts]
+        oa = [se.spine_point(u) for u in tau if u not in kverts]
+        points[v] = vadd(vscale((1 - epsilon) / len(ka), functools.reduce(vadd, ka)),
+                         vscale(epsilon / len(oa), functools.reduce(vadd, oa)))
+    carriers = {s: se.subdivision.carrier[se.nbhd_sub.carrier[s]]
+                for s in se.nbhd.domain.maximal_simplices}
+    return GeometricMap(domain=se.nbhd.domain, n=se.base.n, points=points), carriers
+
+
 def test_collar_vertices_sit_at_weight_epsilon(pipeline_cache):
     """No canonical artifact records the collar's coordinates, and the
     topology of P does not depend on them, so they are pinned here: each
     new vertex, the barycenter of a simplex tau of sd X meeting the spine,
     sits at weight epsilon towards the mean of tau's non-spine vertices.
     The digest was taken on two_triangles_shared_vertex at seed 0, where
-    epsilon is 1/32."""
+    epsilon is 1/4."""
     se = pipeline_cache("two_triangles_shared_vertex", 0)[0].spine_embedding
-    assert se.epsilon == F(1, 32)
-    kverts = set(se.spine.vertices)
-    new = [v for v in se.nbhd.points if v not in kverts]
-    assert new
-    for v in new:
-        tau = se.nbhd_sub.carrier_of_label(v)
-        ka = [se.spine_point(u) for u in tau if u in kverts]
-        oa = [se.spine_point(u) for u in tau if u not in kverts]
-        want = vadd(vscale((1 - se.epsilon) / len(ka), functools.reduce(vadd, ka)),
-                    vscale(se.epsilon / len(oa), functools.reduce(vadd, oa)))
-        assert se.nbhd.points[v] == want, v
+    assert se.epsilon == F(1, 4)
+    assert set(se.nbhd.points) > set(se.spine.vertices)
+    assert collar_at(se, se.epsilon)[0].points == se.nbhd.points
     assert collar_points_sha256(se.nbhd.points) == (
-        "641441f40f1171393ad15be4f00142e603a45c873da7489eca7110de2b30cac3")
+        "481a9c14769a2804ed3212ba4452b696c1a7eb74f784db6ad787a22f7c1f580d")
 
 
 def test_epsilon_neighborhood_counts_for_sphere():
@@ -609,45 +596,30 @@ def test_epsilon_neighborhood_counts_for_sphere():
     assert len(se.nbhd.domain.by_dim(2)) == 72
 
 
-def brute_force_delta_sq(se):
-    """Least squared distance over every spine-cell pair carried by two
-    top simplices that share at most one vertex, with no pruning."""
-    tops = se.base.domain.maximal_simplices
-    vals = [simplex_pair_sqdist(se.cell_points(c1), se.cell_points(c2))
-            for s1, s2 in itertools.combinations(tops, 2)
-            if len(set(s1) & set(s2)) <= 1
-            for c1 in se.spine_cells_in(s1)
-            for c2 in se.spine_cells_in(s2)]
-    return min(vals, default=None)
-
-
-def lipschitz_sq(m):
-    out = F(0)
-    for s in m.domain.maximal_simplices:
-        pts = m.simplex_points(s)
-        out = max(out, sum(sum((a - b) ** 2 for a, b in zip(p, pts[0])) for p in pts[1:]))
-    return out
-
-
-# Thickening inputs on which delta exists.  On the last two the closest
-# pair is not the one with the closest boxes, so a search that stops too
-# early misses it.
+# Thickening inputs with far spine cells: tops that share at most one vertex.
 DELTA_CASES = [("two_triangles_shared_vertex", 0), ("two_triangles_shared_vertex", 3),
                ("projective_plane_6", 0), ("two_triangles_shared_vertex", 7),
                ("projective_plane_6", 1)]
 
+EPSILON_CASES = sorted(set(DELTA_CASES) | {(name, seed) for name in THICKENING_FIXTURES
+                                           for seed in range(5)})
 
-@pytest.mark.parametrize("name,seed", DELTA_CASES)
-def test_delta_is_exact_and_epsilon_is_largest_dyadic(pipeline_cache, name, seed):
+
+@pytest.mark.parametrize("name,seed", EPSILON_CASES)
+def test_epsilon_is_the_first_passing_square_power(pipeline_cache, name, seed):
+    """Epsilon is one of 2^-2, 2^-4, 2^-8, ...; the collar check passes at
+    epsilon and finds a meeting far pair at its square root, the epsilon
+    tried before, unless epsilon is 1/4; and the spine check passes."""
     se = pipeline_cache(name, seed)[0].spine_embedding
-    delta_sq = brute_force_delta_sq(se)
-    assert delta_sq is not None and delta_sq > 0
-    assert se.delta_sq == delta_sq
     eps = se.epsilon
-    assert is_dyadic_at_most_quarter(eps)
-    bound = 16 * lipschitz_sq(se.base)
-    assert bound * eps ** 2 <= delta_sq
-    assert eps == F(1, 4) or bound * (2 * eps) ** 2 > delta_sq
+    k = eps.denominator.bit_length() - 1
+    assert eps.numerator == 1 and eps.denominator == 1 << k and k >= 2 and k & (k - 1) == 0
+    nbhd, carriers = collar_at(se, eps)
+    assert nbhd.points == se.nbhd.points
+    assert _meeting_far_pair(nbhd, carriers) is None
+    if eps < F(1, 4):
+        assert _meeting_far_pair(collar_at(se, F(1, 1 << (k // 2)))[0], carriers) is not None
+    assert spine_meeting_pair(se) is None
 
 
 @pytest.mark.parametrize("name,seed", DELTA_CASES)
@@ -895,23 +867,20 @@ P_TRI = [(0, 0, 0), (4, 0, 0), (0, 4, 0)]
 
 def test_collar_check_rejects_crossing_far_triangles():
     nbhd, carriers = two_triangle_collar(P_TRI, [(1, 1, -1), (1, 1, 2), (3, 3, 1)])
-    with pytest.raises(ConstructionError) as err:
-        _verify_collar_injective(nbhd, carriers)
-    assert all(str(s) in str(err.value) for s in nbhd.domain.maximal_simplices)
+    assert _meeting_far_pair(nbhd, carriers) == (("a", "b", "c"), ("d", "e", "f"))
 
 
 def test_collar_check_rejects_touching_far_triangles():
     # q touches p in the single point (2, 2, 0) on p's edge.
     nbhd, carriers = two_triangle_collar(P_TRI, [(2, 2, 0), (3, 3, 1), (3, 2, 2)])
-    with pytest.raises(ConstructionError):
-        _verify_collar_injective(nbhd, carriers)
+    assert _meeting_far_pair(nbhd, carriers) == (("a", "b", "c"), ("d", "e", "f"))
 
 
 def test_collar_check_rejects_coplanar_far_triangles():
     # Disjoint but coplanar, with meeting boxes.
     nbhd, carriers = two_triangle_collar(P_TRI, [(3, 3, 0), (5, 3, 0), (3, 5, 0)])
     with pytest.raises(GeneralPositionError):
-        _verify_collar_injective(nbhd, carriers)
+        _meeting_far_pair(nbhd, carriers)
 
 
 def segment_triangle_collar(segment):
@@ -927,10 +896,9 @@ def test_collar_check_decides_a_segment_pair_by_exact_intersection():
     # Both segments have boxes meeting the triangle's; one pierces it at
     # (1, 1, 0), the other passes (3, 3, 0), outside it.
     nbhd, carriers = segment_triangle_collar([(1, 1, -1), (1, 1, 1)])
-    with pytest.raises(ConstructionError, match=r"\('d', 'e'\)"):
-        _verify_collar_injective(nbhd, carriers)
+    assert _meeting_far_pair(nbhd, carriers) == (("d", "e"), ("a", "b", "c"))
     nbhd, carriers = segment_triangle_collar([(3, 3, -1), (3, 3, 1)])
-    _verify_collar_injective(nbhd, carriers)
+    assert _meeting_far_pair(nbhd, carriers) is None
 
 
 def test_three_dimensional_collar_reaches_the_general_pair_test(monkeypatch):
@@ -956,4 +924,4 @@ def test_collar_check_accepts_skew_triangles_separated_by_an_edge_axis():
     p, q = [(0, 3, 1), (3, 1, 0), (2, 2, 4)], [(2, 0, 3), (0, 4, 3), (0, 2, 4)]
     assert triangles_meet_oracle(p, q) is False
     nbhd, carriers = two_triangle_collar(p, q)
-    _verify_collar_injective(nbhd, carriers)
+    assert _meeting_far_pair(nbhd, carriers) is None

@@ -113,7 +113,7 @@ def test_trusted_constructors_stay_in_their_callers():
 # float, so none of them may divide with ``/`` or hold a float constant.
 INTEGER_KERNELS = ("_content_free", "_integer_row", "solve_affine", "_separated",
                    "_triangles_meet", "_box_overlaps", "_integer_points",
-                   "_verify_collar_injective")
+                   "_meeting_far_pair")
 
 
 def test_integer_kernels_have_no_true_division_or_float():
@@ -132,11 +132,10 @@ def test_float_appears_only_in_the_viewer_export():
     assert scopes == {"cli._float_positions"}
 
 
-# The functions of geometry.py whose ``/`` operands are always Fractions:
-# the parameter-space bounds of ``solve_affine``'s output, and epsilon's
-# radicand.  Every other predicate may see integer coordinates.
-FRACTION_DIVISIONS = {"geometry.simplex_pair_intersection",
-                      "geometry.epsilon_neighborhood_embedding"}
+# The function of geometry.py whose ``/`` operands are always Fractions:
+# the parameter-space bounds of ``solve_affine``'s output.  Every other
+# predicate may see integer coordinates.
+FRACTION_DIVISIONS = {"geometry.simplex_pair_intersection"}
 
 
 def test_geometry_divides_only_fractions():

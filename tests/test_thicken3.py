@@ -430,6 +430,21 @@ def test_neighborhoods_pairwise_disjoint(pipeline_cache):
             assert sum(map(len, stars.values())) == len(set().union(*stars.values()))
 
 
+def test_frontier_pieces_stay_off_the_rim_inside_disc_links(pipeline_cache):
+    """The two facts ``cone_boundary_neighborhoods`` proves rather than
+    checks, on every thickening fixture at seeds 0-4: no rim edge of N_v
+    touches its frontier piece L_v, and every vertex of N_v, a vertex of
+    the boundary of M, has a disc link in M."""
+    for name in THICKENING_FIXTURES:
+        for seed in range(5):
+            out, _ = pipeline_cache(name, seed)
+            links = check_isolated_singularities(out.M).vertex_links
+            for v, N in out.Nv.items():
+                rim = [e for e, tops in N.facet_cofaces().items() if len(tops) == 1]
+                assert rim and not {x for e in rim for x in e} & set(out.Lv[v].vertices)
+                assert {links[x].kind for x in N.vertices} == {"Disc"}, (name, seed, v)
+
+
 def solid_cone_partial(sphere, Lv):
     """The ball M = o * sphere, with the given frontier pieces on its
     boundary sphere and no collar."""
