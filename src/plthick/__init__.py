@@ -26,8 +26,6 @@ from .complex_core import (
 )
 from .geometry import (
     GeometricMap,
-    choose_spine_barycenters,
-    epsilon_neighborhood_embedding,
     sample_general_position_map,
     singular_set,
     verify_general_position,
@@ -77,8 +75,6 @@ __all__ = [
     "sample_general_position_map",
     "verify_general_position",
     "singular_set",
-    "choose_spine_barycenters",
-    "epsilon_neighborhood_embedding",
     "check_pseudomanifold",
     "check_isolated_singularities",
     "classify_link",

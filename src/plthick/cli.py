@@ -37,7 +37,7 @@ from .pseudomanifold import (
     orient,
 )
 from .reflection import close_up, verify_closed_locally
-from .thicken3 import _spine_edge_pairs, thicken
+from .thicken3 import thicken
 
 
 # -- canonical serialization -----------------------------------------------------
@@ -141,13 +141,13 @@ def homology_obj(H):
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Seed and budgets; the seed determines every random choice."""
+    """Seed and budgets.  The pipeline samples nothing, so ``seed`` has no
+    effect on any artifact; it is still range-checked while callers pass
+    one."""
 
     seed: int = 0
-    denom_bound: int = 1000
     budget: int = 2_000_000
     local_only: bool = False
-    export_off: bool = False
 
     def __post_init__(self):
         if not (0 <= self.seed < 2 ** 64):
@@ -155,12 +155,12 @@ class PipelineConfig:
 
 
 def run_pipeline(config, X):
-    """Embed, thicken, verify and close (or locally verify) the input.
+    """Thicken, verify and close (or locally verify) the input.
 
     Returns a dict of artifact name -> canonical JSON bytes.  The outputs
     are a function of the input complex and the configuration only.
     """
-    out, rep = thicken(X, seed=config.seed, denom_bound=config.denom_bound)
+    out, rep = thicken(X, seed=config.seed)
     P = out.P
 
     artifacts = {}
@@ -174,7 +174,6 @@ def run_pipeline(config, X):
                                     key=lambda item: simplex_key(item[0]))
         ]})
 
-    se = out.spine_embedding
     report_obj = {
         "pseudomanifold": pseudomanifold_report_obj(rep.pseudomanifold),
         "orientable": rep.orientation.success,
@@ -189,9 +188,6 @@ def run_pipeline(config, X):
         },
         "spine_b1": rep.spine_b1,
         "gallery_components": rep.gallery_components,
-        "epsilon": format_rational(se.epsilon),
-        "rejection_attempts_max": max(se.attempts.values()),
-        "coordinate_bits": se.base.bit_length_stats(),
         "cone_vertices": {v: w for v, w in sorted(out.cone_vertices.items())},
     }
 
@@ -228,67 +224,7 @@ def run_pipeline(config, X):
     report_obj["close"] = close_obj
     artifacts["report.json"] = canonical_json(report_obj)
 
-    if config.export_off:
-        artifacts.update(export_off_files(out))
     return artifacts
-
-
-# -- viewer export ----------------------------------------------------------------------
-
-
-def _float_positions(out):
-    """Approximate positions for viewing only; predicates never touch these."""
-    se = out.spine_embedding
-    exact = dict(se.nbhd.points)
-    positions = {}
-    for v, p in exact.items():
-        positions[v] = tuple(float(x) for x in p)
-    names = out.names
-    if names is not None:
-        for (a, b), u in _spine_edge_pairs(se, names).items():
-            pa, pb = positions.get(a), positions.get(b)
-            if pa and pb:
-                positions[u] = tuple((x + y) / 2 for x, y in zip(pa, pb))
-    surface = out.boundary_surface
-    adj = surface.adjacency()
-    todo = [v for v in surface.vertices if v not in positions]
-    for _ in range(12):
-        progressed = False
-        for v in list(todo):
-            known = [positions[u] for u in adj[v] if u in positions]
-            if known:
-                positions[v] = tuple(sum(c) / len(known) for c in zip(*known))
-                todo.remove(v)
-                progressed = True
-        if not todo or not progressed:
-            break
-    return positions
-
-
-def export_off_files(out):
-    """Boundary surface and the frontier curves as OFF files."""
-    positions = _float_positions(out)
-    surface = out.boundary_surface
-    verts = sorted(surface.vertices)
-    index = {v: i for i, v in enumerate(verts)}
-    lines = ["OFF", "%d %d 0" % (len(verts), len(surface.by_dim(2)))]
-    for v in verts:
-        p = positions.get(v, (0.0, 0.0, 0.0))
-        lines.append("%.9g %.9g %.9g" % p)
-    for t in surface.by_dim(2):
-        lines.append("3 %d %d %d" % tuple(index[v] for v in t))
-    files = {"boundary.off": ("\n".join(lines) + "\n").encode()}
-    for i, (xv, piece) in enumerate(sorted(out.Lv.items())):
-        pv = sorted(piece.vertices)
-        pidx = {v: j for j, v in enumerate(pv)}
-        plines = ["OFF", "%d %d 0" % (len(pv), len(piece.by_dim(1)))]
-        for v in pv:
-            p = positions.get(v, (0.0, 0.0, 0.0))
-            plines.append("%.9g %.9g %.9g" % p)
-        for e in piece.by_dim(1):
-            plines.append("2 %d %d" % tuple(pidx[v] for v in e))
-        files["link_curve_%d.off" % i] = ("\n".join(plines) + "\n").encode()
-    return files
 
 
 # -- argument handling --------------------------------------------------------------------
@@ -325,7 +261,6 @@ _FLAGS = {
     "--denom-bound": dict(type=int, default=1000),
     "--budget": dict(type=int, default=2_000_000),
     "--rel": dict(choices=["boundary"], default=None),
-    "--export-off": dict(action="store_true"),
     "--local-only": dict(action="store_true"),
     "--out": dict(default="plthick_out"),
 }
@@ -348,7 +283,7 @@ def build_parser():
             ("orient", "orientation assignment or odd-cycle witness", ""),
             ("homology", "integer homology, optionally relative to the boundary", "--rel"),
             ("thicken", "build and verify the pseudomanifold thickening",
-             "--seed --denom-bound --budget --export-off --local-only --out"),
+             "--seed --budget --local-only --out"),
             ("close", "close a pseudomanifold with boundary by reflections",
              "--budget --local-only"),
             ("links", "classify every vertex link", ""),
@@ -439,9 +374,8 @@ def _dispatch(args):
         _emit({v: link_class_obj(c) for v, c in classes.items()})
         return 0
     if cmd == "thicken":
-        config = PipelineConfig(seed=args.seed, denom_bound=args.denom_bound,
-                                budget=args.budget, local_only=args.local_only,
-                                export_off=args.export_off)
+        config = PipelineConfig(seed=args.seed, budget=args.budget,
+                                local_only=args.local_only)
         artifacts = run_pipeline(config, X)
         _write_artifacts(artifacts, args.out)
         _emit({"artifacts": sorted(artifacts),

@@ -1,21 +1,21 @@
-"""Thickening an embedded spine collar into a combinatorial 3-manifold and
-coning its boundary pieces into a pseudomanifold.
+"""Thickening a 2-complex along the collar of its spine into a combinatorial
+3-manifold and coning its boundary pieces into a pseudomanifold.
 
 The solid is assembled from one triangulated ball per spine vertex, glued
 directly along shared octagonal disc triangulations (one per spine edge;
 the interval factor of the usual tube is absorbed into the two cones).
-Ball spheres are triangulated from the exact angular data of the embedding:
-pages around an edge are sorted by exact cross/dot sign predicates, and
-each sheet's two normal sides are tracked by the page's global plane
-normal, so strips glue without twists.  Manifoldness, frontier placement
-and homology are verified on the output; what holds for every accepted
-input by construction, the solid being a handlebody among it, is proved in
-the docstrings instead, with the check kept in the tests as the oracle.
+Ball spheres are triangulated from X's rotation system: the pages around
+each edge in the cyclic order of ``facet_cofaces``, and each sheet's two
+normal sides named by the parity of the page's vertex order, so strips
+glue without twists.  Nothing is sampled: the spine, its collar and every
+label come from subdivisions of X.  Manifoldness, frontier placement and
+homology are verified on the output; what holds for every accepted input
+by construction, the solid being a handlebody among it, is proved in the
+docstrings instead, with the check kept in the tests as the oracle.
 """
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import itertools
 import json
@@ -29,19 +29,12 @@ from .complex_core import (
     greedy_collapse,
     is_full_subcomplex,
     join,
+    regular_neighborhood,
     simplex_key,
     simplicial_neighborhood,
+    spine,
 )
-from .errors import ConstructionError, GeneralPositionError, ValidationError
-from .geometry import (
-    choose_spine_barycenters,
-    epsilon_neighborhood_embedding,
-    sample_general_position_map,
-    vcross,
-    vdot,
-    vscale,
-    vsub,
-)
+from .errors import ConstructionError, ValidationError
 from .homology import homology_groups
 from .pseudomanifold import (
     SPHERE,
@@ -54,111 +47,99 @@ from .pseudomanifold import (
 )
 
 
-def _det3(a, b, c):
-    return vdot(a, vcross(b, c))
+# -- the collar and its sheet data --------------------------------------------------
 
 
-# -- sheet data -------------------------------------------------------------------
+@dataclass(frozen=True)
+class SpineCollar:
+    """The spine K of X and its collar, all combinatorial.
+
+    ``B`` is the first subdivision sd X, K the full subcomplex of sd X on
+    the barycenters of positive-dimensional simplices, ``nbhd_sub`` the
+    subdivision sd(Y rel K) of Y = sd X, N the simplicial neighborhood of K
+    in it and ``frontier`` the simplices of N that miss K.
+    """
+
+    X: Complex
+    B: object  # SubdivisionMap of sd X
+    K: Complex
+    nbhd_sub: object  # SubdivisionMap of sd(Y rel K)
+    frontier: Complex
+    N: Complex
+
+
+def spine_collar(X):
+    """The spine of X and its regular neighborhood in sd(sd X rel spine)."""
+    B, K = spine(X)
+    N, frontier, sub = regular_neighborhood(B.child, K)
+    return SpineCollar(X=X, B=B, K=K, nbhd_sub=sub, frontier=frontier, N=N)
 
 
 @dataclass(frozen=True)
 class SheetData:
-    """Exact embedding data driving the ball triangulations.
+    """X's rotation system, which drives the ball triangulations.
 
-    ``pages_ccw`` lists, per original edge, its incident triangles in exact
-    angular order around the image of the edge; ``plus_side_ccw`` says
-    whether a page's plus normal side faces the next page in that order.
+    ``pages_ccw`` lists, per edge, its incident triangles in one cyclic
+    order; ``plus_side_ccw`` says whether a page's plus normal side faces
+    the next page in that order.  Both are read off X, not off an
+    embedding.
     """
 
     pages_ccw: dict
     plus_side_ccw: dict
 
 
-def extract_sheet_data(se):
-    """Derive the rotation and side data of the embedded collar.
+def extract_sheet_data(X):
+    """The rotation system of X.
 
-    Only the page order and the side signs are read off the geometry; a tie
-    in either is a ``GeneralPositionError``.  The rest of the collar's
-    geometry holds for every embedding, so it is not checked:
+    ``pages_ccw[e]`` is ``X.facet_cofaces()[e]`` as it stands, and
+    ``plus_side_ccw[(e, t)]`` says whether the permutation taking t's
+    sorted vertices to (e[0], e[1], u), u the vertex of t outside e, is
+    even.  It is when u sits at position 2 or 0 of t (the identity or a
+    3-cycle) and odd at position 1 (one transposition), so the sign is
+    read off ``facet_opposites``.
 
-    - Every collar point is a convex combination of the images of the
-      vertices of one simplex of X: a spine vertex is f(v) or a barycenter
-      sampled interior to its simplex, and a new collar vertex is (1 - ε)
-      times a mean of spine points plus ε times f(v), all carried by one
-      simplex.  So around an edge barycenter f(v_e) the poles a(v, e) lie
-      on the edge axis, and the meridian vertices c(v, e, t), a(v, t) and
-      f(v_t) lie in the plane of the page t.
-    - f(v_t) is interior to f(t), which general position makes
-      non-degenerate, so the six triangles f(v_t) f(x) f(v_e) of sd t fill
-      the turn around f(v_t) in cyclic order.  The 12 link points of v_t
-      are the three f(v_e), the three a(x, t) on the segments to the f(x)
-      and the six c(x, e, t) inside those triangles (weights (1 - ε)/2,
-      (1 - ε)/2 and ε), so they wind monotonically.
-    - The link vertex sets, two poles and one meridian path per page around
-      v_e and a 12-cycle around v_t, are the combinatorics of sd(Y rel K),
-      Y = sd X and K the spine, whatever the coordinates.
+    Any cyclic order gives sphere links at the ball centres.  The sphere
+    around an edge barycenter (``_edge_ball_sphere``) is the octagon disc of
+    each page, bounded by the page's two side paths from c(v, e, t) to
+    c(w, e, t), and one lune between consecutive pages, a disc whose
+    boundary runs from the pole a(v, e) along a side path of one page to
+    the pole a(w, e) and back along a side path of the next.  Page i gives
+    its ccw side (plus when ``plus_side_ccw`` holds, minus otherwise) to the
+    lune after it and its other side to the lune before it, so every side
+    path bounds exactly one octagon and one lune, and the discs close up
+    around the two poles into a sphere, whatever the order and the signs;
+    a single page gets a dummy meridian in their place.  The sphere around
+    a triangle barycenter reads no sheet data.
 
-    The test suite keeps the full geometric check as the oracle.
+    The sign is the one the embedded rule computed.  For a general-position
+    map f into R^3, that rule took the sign of det(a, r, n_t), where
+    a = f(w) - f(v) is the axis of e = (v, w), r the part of f(c) - f(v)
+    orthogonal to a for a point c interior to t, and
+    n_t = (f(y) - f(x)) × (f(z) - f(x)) the normal of t = (x, y, z).
+    Write f(c) - f(v) = α a + β (f(u) - f(v)), where β > 0 as c is
+    interior, and let p be the part of f(u) - f(v) orthogonal to a, so
+    r = β p.  The normal of the order (v, w, u) is a × (f(u) - f(v)) =
+    a × p, and n_t is σ times it, σ the sign of the permutation from
+    (x, y, z) to (v, w, u).  So det(a, r, n_t) = σ β |a × p|², with
+    a × p ≠ 0 since f(t) is non-degenerate: its sign is σ for every map.
+    The cyclic order is one an embedding of the star of e realizes, pages
+    as half-planes around a line, and the tests compare both tables with
+    the ones read off sampled maps.  Orientability of the result is
+    checked by ``verify_thickening``.
     """
-    X = se.base.domain
     if X.dim != 2:
         raise ValidationError("sheet data requires a 2-dimensional complex")
-    f = se.base.points
-
     pages_ccw = {}
     plus_side_ccw = {}
-    for e, pages in X.facet_cofaces().items():
+    for (e, pages), positions in zip(X.facet_cofaces().items(), X.facet_opposites()):
         if not pages:
             raise ValidationError(
                 "edge %s lies in no triangle; thickening needs a pure complex" % (e,))
-        v, w = e
-        axis = vsub(f[w], f[v])
-        base = f[v]
-        rvecs = {}
-        for t in pages:
-            rel = vsub(se.barycenters[t], base)
-            perp = vsub(vscale(vdot(axis, axis), rel), vscale(vdot(rel, axis), axis))
-            if all(x == 0 for x in perp):
-                raise GeneralPositionError("page %s collapses onto edge %s" % (t, e))
-            rvecs[t] = perp
-        ordered = _circular_sort(axis, pages, rvecs)
-        pages_ccw[e] = tuple(ordered)
-        for t in pages:
-            sign = _det3(axis, rvecs[t], _plane_normal(f, t))
-            if sign == 0:
-                raise GeneralPositionError("degenerate side sign at %s in %s" % (e, t))
-            plus_side_ccw[(e, t)] = sign > 0
+        pages_ccw[e] = pages
+        for t, i in zip(pages, positions):
+            plus_side_ccw[(e, t)] = i != 1
     return SheetData(pages_ccw=pages_ccw, plus_side_ccw=plus_side_ccw)
-
-
-def _plane_normal(f, t):
-    x, y, z = t
-    return vcross(vsub(f[y], f[x]), vsub(f[z], f[x]))
-
-
-def _circular_sort(axis, pages, rvecs):
-    """Exact counterclockwise order of page directions around the axis."""
-    ref = rvecs[pages[0]]
-
-    def half(r):
-        d = _det3(axis, ref, r)
-        if d > 0:
-            return 0
-        if d < 0:
-            return 1
-        return 0 if vdot(ref, r) > 0 else 1
-
-    def cmp(t1, t2):
-        r1, r2 = rvecs[t1], rvecs[t2]
-        h1, h2 = half(r1), half(r2)
-        if h1 != h2:
-            return -1 if h1 < h2 else 1
-        d = _det3(axis, r1, r2)
-        if d == 0:
-            raise GeneralPositionError("two pages at the same angle around an edge")
-        return -1 if d > 0 else 1
-
-    return sorted(pages, key=functools.cmp_to_key(cmp))
 
 
 # -- label bookkeeping ----------------------------------------------------------
@@ -167,10 +148,10 @@ def _circular_sort(axis, pages, rvecs):
 class _Namer:
     """All structured labels of the thickening, derived from the collar."""
 
-    def __init__(self, se):
-        X = se.base.domain
-        B = se.subdivision
-        sub = se.nbhd_sub
+    def __init__(self, collar):
+        X = collar.X
+        B = collar.B
+        sub = collar.nbhd_sub
         self.X = X
         self.ve = {e: B.barycenter_table[e] for e in X.by_dim(1)}
         self.vt = {t: B.barycenter_table[t] for t in X.by_dim(2)}
@@ -249,7 +230,7 @@ class PartialThickening:
     L: Complex
     Lv: dict
     spine: Complex
-    spine_embedding: object
+    collar: SpineCollar
     sheet_data: SheetData
     names: _Namer
 
@@ -313,7 +294,7 @@ def _triangle_ball_sphere(names, t):
     return tris
 
 
-def build_spine_thickening(sd, se):
+def build_spine_thickening(sd, collar):
     """Assemble the solid, trace the collar copy through it and verify its
     structural claims (manifoldness, frontier placement).
 
@@ -355,9 +336,9 @@ def build_spine_thickening(sd, se):
     duality) and H̃_0(M_i) = 0.  The tests keep the intersection pattern,
     H_*(M) = H_*(spine) and the boundary law as the oracle.
     """
-    X = se.base.domain
-    names = _Namer(se)
-    Lv = frontier_pieces(se.nbhd_sub.child, se.frontier, X.vertices)
+    X = collar.X
+    names = _Namer(collar)
+    Lv = frontier_pieces(collar.nbhd_sub.child, collar.frontier, X.vertices)
 
     tets = []
     for e in X.by_dim(1):
@@ -369,7 +350,7 @@ def build_spine_thickening(sd, se):
     M = complex_from_maximal(tets)
 
     # The collar copy inside the solid.
-    L = _split_strips((set(s) for s in se.nbhd.domain.simplices), se, names)
+    L = _split_strips((set(s) for s in collar.N.simplices), X, names)
     if not L.is_subcomplex_of(M):
         raise ConstructionError("collar copy not inside the solid: %s"
                                 % (sorted(L.simplices - M.simplices, key=simplex_key)[:4],))
@@ -398,28 +379,27 @@ def build_spine_thickening(sd, se):
             raise ConstructionError("frontier piece of %s not on the boundary" % v)
 
     return PartialThickening(
-        M=M, report=report, L=L, Lv=Lv, spine=se.spine,
-        spine_embedding=se, sheet_data=sd, names=names)
+        M=M, report=report, L=L, Lv=Lv, spine=collar.K,
+        collar=collar, sheet_data=sd, names=names)
 
 
-def _spine_edge_pairs(se, names):
-    X = se.base.domain
-    pairs = {}
-    for t in X.by_dim(2):
-        for e in itertools.combinations(t, 2):
-            pairs[(names.ve[e], names.vt[t])] = names.u_label(e, t)
-    return pairs
-
-
-def _split_strips(vertex_sets, se, names):
+def _split_strips(vertex_sets, X, names):
     """Each sheet strip split at the waist where the two balls meet: a
     simplex spanning an edge-ball centre and a triangle-ball centre becomes
-    its two halves through their waist vertex."""
-    pairs = _spine_edge_pairs(se, names)
+    its two halves through their waist vertex.
+
+    The pairs are indexed by edge-ball centre.  The spine vertices of a
+    simplex of sd(Y rel K) span a simplex of K, a chain of simplices of X,
+    so it holds at most one centre of each kind and at most one pair.
+    """
+    waists = {}
+    for t in X.by_dim(2):
+        for e in itertools.combinations(t, 2):
+            waists.setdefault(names.ve[e], {})[names.vt[t]] = names.u_label(e, t)
     out = set()
     for vs in vertex_sets:
-        split = next(((a, b, u) for (a, b), u in pairs.items()
-                      if a in vs and b in vs), None)
+        split = next(((a, b, u) for a in vs if a in waists
+                      for b, u in waists[a].items() if b in vs), None)
         if split is None:
             out.add(tuple(sorted(vs)))
             continue
@@ -446,7 +426,7 @@ class ThickeningOutput:
     X_copy: Complex
     provenance: dict
     spine: Complex
-    spine_embedding: object
+    collar: SpineCollar
     sheet_data: SheetData
     names: _Namer = field(compare=False, default=None)
 
@@ -487,7 +467,7 @@ def cone_boundary_neighborhoods(partial):
       meridian a(v, e) z z a(w, e), three edges.
 
     Hence the least distance between two pieces is three edges when some
-    edge has a single page and four otherwise, whatever the coordinates.
+    edge has a single page and four otherwise, whatever the page order.
 
     P's report is derived, not recomputed.  M's report makes M a
     combinatorial 3-manifold: pure, every triangle in one or two
@@ -587,8 +567,8 @@ def cone_boundary_neighborhoods(partial):
         galleries=galleries, vertex_links=links)
 
     X_copy = _split_strips(({cone_vertices.get(x, x) for x in s}
-                            for s in partial.spine_embedding.nbhd_sub.child.simplices),
-                           partial.spine_embedding, partial.names)
+                            for s in partial.collar.nbhd_sub.child.simplices),
+                           partial.names.X, partial.names)
     if not X_copy.is_subcomplex_of(P):
         raise ConstructionError("retract copy is not a subcomplex of the output")
 
@@ -596,7 +576,7 @@ def cone_boundary_neighborhoods(partial):
         M=partial.M, boundary_surface=surface, L=partial.L, Lv=Lv, Nv=neighborhoods,
         cone_vertices=cone_vertices, P=P, report=report, X_copy=X_copy,
         provenance=provenance, spine=partial.spine,
-        spine_embedding=partial.spine_embedding, sheet_data=partial.sheet_data,
+        collar=partial.collar, sheet_data=partial.sheet_data,
         names=partial.names)
 
 
@@ -700,9 +680,14 @@ def verify_thickening(t, X):
 # -- pipeline front door -----------------------------------------------------------------
 
 
-def thicken(X, seed, denom_bound=1000):
-    """Full construction: sample an embedding, build the solid, cone it off
-    and verify.  Returns ``(output, report)``."""
+def thicken(X, seed=None):
+    """Full construction: build the solid on the spine's collar, cone it
+    off and verify.  Returns ``(output, report)``.
+
+    The output is a function of X alone.  ``seed`` has no effect: nothing
+    is sampled, and the parameter stays only for callers that still pass
+    one.
+    """
     if X.dim < 2:
         raise ValidationError("d >= 2 required: 1-dimensional inputs cannot thicken")
     if X.dim != 2:
@@ -711,11 +696,7 @@ def thicken(X, seed, denom_bound=1000):
         raise ValidationError("input must be connected")
     if any(len(s) != 3 for s in X.maximal_simplices):
         raise ValidationError("input must be pure 2-dimensional")
-    m = sample_general_position_map(X, 3, seed=seed, denom_bound=denom_bound)
-    se = choose_spine_barycenters(m, seed=seed)
-    se = epsilon_neighborhood_embedding(se)
-    sd = extract_sheet_data(se)
-    partial = build_spine_thickening(sd, se)
+    partial = build_spine_thickening(extract_sheet_data(X), spine_collar(X))
     out = cone_boundary_neighborhoods(partial)
     rep = verify_thickening(out, X)
     return out, rep

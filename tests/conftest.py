@@ -4,6 +4,7 @@ import pytest
 
 from plthick.complex_core import cone_off, validate_complex
 from plthick.fixtures import FIXTURE_NAMES, fixture
+from plthick.homology import homology_groups
 from plthick.reflection import close_up
 from plthick.thicken3 import thicken
 
@@ -11,12 +12,12 @@ from plthick.thicken3 import thicken
 _RUNS = {}
 
 
-def thickening_run(name, seed, denom_bound=1000):
-    """Session-wide cache: the full construction for (fixture, seed)."""
-    key = (name, seed, denom_bound)
-    if key not in _RUNS:
-        _RUNS[key] = thicken(fixture(name), seed=seed, denom_bound=denom_bound)
-    return _RUNS[key]
+def thickening_run(name, seed=0):
+    """Session-wide cache: the full construction for a fixture.  ``thicken``
+    samples nothing, so every seed shares the fixture's one run."""
+    if name not in _RUNS:
+        _RUNS[name] = thicken(fixture(name), seed=seed)
+    return _RUNS[name]
 
 
 @pytest.fixture(scope="session")
@@ -48,8 +49,30 @@ def moore_space(q):
 
 @pytest.fixture(scope="session")
 def moore_thickening():
-    """The thickening of the mod-3 Moore space at seed 0."""
-    return thicken(moore_space(3)[0], seed=0)
+    """The thickening of the mod-3 Moore space."""
+    return thicken(moore_space(3)[0])
+
+
+def grid_torus(n):
+    """The n×n grid torus: vertices g<i>_<j> for i, j mod n, each unit
+    square (i, j) cut along its diagonal into the triangles
+    (i, j) (i+1, j) (i+1, j+1) and (i, j) (i, j+1) (i+1, j+1).
+
+    For n >= 3 no two triangles share a vertex set, so it is a
+    triangulated torus with n² vertices, 3n² edges and 2n² triangles."""
+    def g(i, j):
+        return "g%d_%d" % (i % n, j % n)
+
+    triangles = []
+    for i in range(n):
+        for j in range(n):
+            triangles += [[g(i, j), g(i + 1, j), g(i + 1, j + 1)],
+                          [g(i, j), g(i, j + 1), g(i + 1, j + 1)]]
+    X = validate_complex(triangles)
+    H = homology_groups(X)
+    assert (H.betti, H.torsion) == ((1, 2, 1), ((), (), ()))
+    assert [len(X.by_dim(k)) for k in range(3)] == [n * n, 3 * n * n, 2 * n * n]
+    return X
 
 
 def _random_complex(rng):

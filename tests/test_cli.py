@@ -24,6 +24,8 @@ from plthick.errors import ValidationError
 from plthick.fixtures import FIXTURE_NAMES, fixture
 from plthick.geometry import format_rational, parse_rational, sample_general_position_map
 from plthick.pseudomanifold import check_isolated_singularities, classify_link
+from plthick.thicken3 import thicken
+from conftest import grid_torus
 
 
 # -- serialization ------------------------------------------------------------
@@ -159,8 +161,7 @@ def test_subcommands_register_only_the_flags_they_read(capsys):
         "links": [],
         "embed": ["--denom-bound", "--seed"],
         "homology": ["--rel"],
-        "thicken": ["--budget", "--denom-bound", "--export-off", "--local-only",
-                    "--out", "--seed"],
+        "thicken": ["--budget", "--local-only", "--out", "--seed"],
         "close": ["--budget", "--local-only"],
     }
     with pytest.raises(SystemExit) as exc:
@@ -326,65 +327,25 @@ def test_close_local_only(capsys, pipeline_cache, tmp_path):
     assert obj == {"mode": "local", "classes": 2219, "all_closed_manifolds": True}
 
 
-def parse_off(text):
-    """Header counts, vertex coordinates and faces (as index tuples) of an
-    OFF file."""
-    lines = text.splitlines()
-    assert lines[0] == "OFF"
-    nv, nf, ne = map(int, lines[1].split())
-    assert ne == 0 and len(lines) == 2 + nv + nf
-    coords = [tuple(map(float, line.split())) for line in lines[2:2 + nv]]
-    faces = []
-    for line in lines[2 + nv:]:
-        k, *idx = map(int, line.split())
-        assert k == len(idx) and all(0 <= i < nv for i in idx)
-        faces.append(tuple(idx))
-    return nv, nf, coords, faces
-
-
-def off_simplices(faces, labels):
-    return {tuple(sorted(labels[i] for i in f)) for f in faces}
-
-
-def test_thicken_export_off(capsys, pipeline_cache, tmp_path):
-    out, rep = pipeline_cache("single_triangle", 0)
-    code, obj = run_cli(capsys, "thicken", "fixture:single_triangle", "--local-only",
-                        "--export-off", "--out", str(tmp_path))
-    assert code == 0
-    assert obj["report"]["collapse_certificate"] == {
-        "pairs": rep.certificate.pairs, "reaches_copy": True,
-        "order_sha256": rep.certificate.order_sha256}
-    curves = ["link_curve_%d.off" % i for i in range(len(out.Lv))]
-    assert {"boundary.off", *curves} <= set(obj["artifacts"])
-
-    surface = out.boundary_surface
-    nv, nf, coords, faces = parse_off((tmp_path / "boundary.off").read_text())
-    assert (nv, nf) == (len(surface.vertices), len(surface.by_dim(2)))
-    assert all(len(p) == 3 for p in coords)
-    assert off_simplices(faces, sorted(surface.vertices)) == set(surface.by_dim(2))
-    for name, (_, piece) in zip(curves, sorted(out.Lv.items())):
-        nv, nf, coords, faces = parse_off((tmp_path / name).read_text())
-        assert (nv, nf) == (len(piece.vertices), len(piece.by_dim(1)))
-        assert off_simplices(faces, sorted(piece.vertices)) == set(piece.by_dim(1))
-
-
 # -- pinned regression oracle ------------------------------------------------------
 
 # sha256 of the canonical artifacts of `thicken --local-only`: P and its
-# provenance as written by commit 43f7a4d, the report as written once it
-# dropped `delta_sq` and epsilon came from the collar check.  Same-run and cross-process comparisons cannot see a change
-# that moves every artifact consistently; these digests can.  A change that
-# moves them must say why, and update them.
+# provenance as written by commit 43f7a4d, the report as written once the
+# sampled map left `thicken` and the report lost `epsilon`,
+# `rejection_attempts_max` and `coordinate_bits`.  Same-run and
+# cross-process comparisons cannot see a change that moves every artifact
+# consistently; these digests can.  A change that moves them must say why,
+# and update them.
 PINNED_DIGESTS = {
     ("single_triangle", 3): {
         "p_complex.json": "d2b2b7c665180614ed449df5f2489d10fb90596882c785250992bfe0f4a00d35",
         "provenance.json": "f277641d179bfba801f3d412034de971dce969227ed045d817ad16365d1827f9",
-        "report.json": "5262df65119c4a51df1db73e9929f9846077f56be358e1ded7f5d08453bffe50",
+        "report.json": "e27f8cab5a6c9bcaaf3c4a5f872ee0a1a9da4af785f7bf7deec519e0ad30640b",
     },
     ("torus_7", 0): {
         "p_complex.json": "b988c67e8c86f32ea5e1d5bd7e9364720042501b4d9b74c903a6fcf245319656",
         "provenance.json": "fe702d0df0505043ec88d917eaf9afce5479536d7d22e27103c3da5cbc85b0e0",
-        "report.json": "38def33d59586d8ee1604b31a170be9ffd9fd6acb4dcb0bd25392d5b2fcbd710",
+        "report.json": "ed5389c3cc965c70d519effdcae47fc94ab2cdbe55b392ac31da48db0dea1443",
     },
 }
 
@@ -404,8 +365,20 @@ def test_thicken_cli_artifacts_match_pinned_digests(capsys, tmp_path):
 def test_cached_pipeline_artifacts_match_pinned_digests(monkeypatch, pipeline_cache):
     """The same digests for torus_7 at seed 0, with the cached thickening
     standing in for the CLI's own."""
-    monkeypatch.setattr(cli, "thicken", lambda X, seed, denom_bound: pipeline_cache(
-        "torus_7", seed, denom_bound))
+    monkeypatch.setattr(cli, "thicken", lambda X, seed: pipeline_cache("torus_7", seed))
     artifacts = run_pipeline(PipelineConfig(seed=0, local_only=True), fixture("torus_7"))
     want = PINNED_DIGESTS[("torus_7", 0)]
     assert sha256_of({name: artifacts[name] for name in want}) == want
+
+
+# p_complex.json of the 3×3 grid torus, whose edges each lie in two
+# triangles, as written when `thicken` still read its page order and side
+# signs off a sampled map (seed 0).
+GRID_TORUS_P_SHA256 = "5267b1b82dda6f0094a59ae14c2a28b0ea9598c6b249123e563c35002c86953a"
+
+
+def test_grid_torus_p_complex_matches_pinned_digest():
+    out, rep = thicken(grid_torus(3))
+    assert rep.certificate.reaches_copy and rep.homology_P.betti == (1, 2, 1, 0)
+    assert hashlib.sha256(canonical_json(complex_to_obj(out.P))).hexdigest() == \
+        GRID_TORUS_P_SHA256

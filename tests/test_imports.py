@@ -111,9 +111,7 @@ def test_trusted_constructors_stay_in_their_callers():
 
 # The integer kernels of geometry.py.  An integer ``/`` silently yields a
 # float, so none of them may divide with ``/`` or hold a float constant.
-INTEGER_KERNELS = ("_content_free", "_integer_row", "solve_affine", "_separated",
-                   "_triangles_meet", "_box_overlaps", "_integer_points",
-                   "_meeting_far_pair")
+INTEGER_KERNELS = ("_content_free", "_integer_row", "solve_affine", "_box_overlaps")
 
 
 def test_integer_kernels_have_no_true_division_or_float():
@@ -126,10 +124,20 @@ def test_integer_kernels_have_no_true_division_or_float():
     assert found == []
 
 
-def test_float_appears_only_in_the_viewer_export():
+def test_float_appears_nowhere():
     scopes = {scope for path in sorted(SRC.glob("*.py")) for scope, node in _references(path)
               if isinstance(node, ast.Name) and node.id == "float"}
-    assert scopes == {"cli._float_positions"}
+    assert scopes == set()
+
+
+def test_thickening_imports_nothing_from_geometry():
+    """``thicken`` reads X's rotation system, not a map: no sampled
+    coordinates may reach the construction."""
+    tree = ast.parse((SRC / "thicken3.py").read_text())
+    modules = [name for node in ast.walk(tree)
+               if isinstance(node, (ast.Import, ast.ImportFrom))
+               for name in [getattr(node, "module", None) or ""] + [a.name for a in node.names]]
+    assert [m for m in modules if m.split(".")[-1] == "geometry"] == []
 
 
 # The function of geometry.py whose ``/`` operands are always Fractions:

@@ -1,4 +1,6 @@
+import functools
 import itertools
+from fractions import Fraction
 
 import pytest
 
@@ -14,16 +16,9 @@ from plthick.complex_core import (
     simplex,
     validate_complex,
 )
-from plthick.errors import ConstructionError, ValidationError
+from plthick.errors import ConstructionError, GeneralPositionError, ValidationError
 from plthick.fixtures import THICKENING_FIXTURES, fixture
-from plthick.geometry import (
-    choose_spine_barycenters,
-    epsilon_neighborhood_embedding,
-    sample_general_position_map,
-    vcross,
-    vdot,
-    vsub,
-)
+from plthick.geometry import sample_general_position_map, vadd, vcross, vdot, vscale, vsub
 from plthick.homology import boundary_matrices, homology_groups
 from plthick.pseudomanifold import (
     check_isolated_singularities,
@@ -33,44 +28,39 @@ from plthick.pseudomanifold import (
 from plthick.thicken3 import (
     PartialThickening,
     _fan,
-    _plane_normal,
     cone_boundary_neighborhoods,
     extract_sheet_data,
     homology_by_collapse,
+    spine_collar,
     thicken,
 )
+from conftest import moore_space
 from test_complex_core import carrier_violations
 from test_homology import boundary_squared
 
 
-def embedded(name, seed=0):
-    X = fixture(name)
-    m = sample_general_position_map(X, 3, seed=seed)
-    return epsilon_neighborhood_embedding(choose_spine_barycenters(m, seed=seed))
-
-
 # -- sheet data ---------------------------------------------------------------
 
-def collar_link(se, u):
+def collar_link(collar, u):
     """The link of the spine vertex u in the collar."""
-    return link_of(se.nbhd.domain, (u,))
+    return link_of(collar.N, (u,))
 
 
 def test_sheet_data_single_triangle():
-    se = embedded("single_triangle")
-    sd = extract_sheet_data(se)
+    X = fixture("single_triangle")
+    sd = extract_sheet_data(X)
     for e, pages in sd.pages_ccw.items():
         assert len(pages) == 1
     # each edge-barycenter link graph is an arc (one page)
-    for e in se.base.domain.by_dim(1):
-        link = collar_link(se, "(%s|%s)" % e)
+    collar = spine_collar(X)
+    for e in X.by_dim(1):
+        link = collar_link(collar, "(%s|%s)" % e)
         assert len(link.vertices) == 5 and len(link.by_dim(1)) == 4
 
 
 def test_sheet_data_sphere_counts_match_incidence():
-    se = embedded("boundary_delta3")
-    sd = extract_sheet_data(se)
-    X = se.base.domain
+    X = fixture("boundary_delta3")
+    sd = extract_sheet_data(X)
     for e in X.by_dim(1):
         incident = [t for t in X.by_dim(2) if set(e) <= set(t)]
         assert sorted(sd.pages_ccw[e]) == sorted(incident)
@@ -78,13 +68,122 @@ def test_sheet_data_sphere_counts_match_incidence():
 
 
 def test_sheet_data_shared_edge_has_two_pages_in_cyclic_order():
-    se = embedded("two_triangles_shared_edge")
-    sd = extract_sheet_data(se)
+    X = fixture("two_triangles_shared_edge")
+    sd = extract_sheet_data(X)
     e = simplex("a", "b")
     assert len(sd.pages_ccw[e]) == 2
     # the edge-barycenter sees a circle (two pages -> two meridians)
-    link = collar_link(se, "(a|b)")
+    link = collar_link(spine_collar(X), "(a|b)")
     assert all(len(link.adjacency()[v]) == 2 for v in link.vertices)
+
+
+def test_sheet_data_side_sign_is_the_parity_of_the_page():
+    """plus_side_ccw[(e, t)] holds exactly when (e[0], e[1], u), u the
+    vertex of t outside e, is an even permutation of t."""
+    X = fixture("book_of_three")
+    sd = extract_sheet_data(X)
+    e = simplex("a", "b")
+    assert sd.pages_ccw[e] == X.facet_cofaces()[e] and len(sd.pages_ccw[e]) == 3
+    assert all(sd.plus_side_ccw[(e, t)] for t in sd.pages_ccw[e])
+    # (a, c) in (a, b, c): the outside vertex b sits in the middle, odd.
+    assert sd.plus_side_ccw[(simplex("a", "c"), simplex("a", "b", "c"))] is False
+    assert sd.plus_side_ccw[(simplex("b", "c"), simplex("a", "b", "c"))] is True
+
+
+# -- the embedded rotation, the oracle of the combinatorial one ----------------------
+
+def _det3(a, b, c):
+    return vdot(a, vcross(b, c))
+
+
+def _plane_normal(f, t):
+    x, y, z = t
+    return vcross(vsub(f[y], f[x]), vsub(f[z], f[x]))
+
+
+def _circular_sort(axis, pages, rvecs):
+    """Exact counterclockwise order of page directions around the axis,
+    starting at the first page."""
+    ref = rvecs[pages[0]]
+
+    def half(r):
+        d = _det3(axis, ref, r)
+        if d > 0:
+            return 0
+        if d < 0:
+            return 1
+        return 0 if vdot(ref, r) > 0 else 1
+
+    def cmp(t1, t2):
+        r1, r2 = rvecs[t1], rvecs[t2]
+        h1, h2 = half(r1), half(r2)
+        if h1 != h2:
+            return -1 if h1 < h2 else 1
+        d = _det3(axis, r1, r2)
+        if d == 0:
+            raise GeneralPositionError("two pages at the same angle around an edge")
+        return -1 if d > 0 else 1
+
+    return sorted(pages, key=functools.cmp_to_key(cmp))
+
+
+def embedded_sheet_data(m):
+    """Page order and side signs read off the image of a map m into R^3.
+
+    Around each edge e = (v, w), with axis f(w) - f(v), a page t points
+    along the part of centroid(f(t)) - f(v) orthogonal to the axis; the
+    pages are sorted by exact angle from the first page of
+    ``facet_cofaces``, and t's plus side faces the next page when
+    det(axis, direction, normal of t) > 0.
+    """
+    X, f = m.domain, m.points
+    pages_ccw, plus_side_ccw = {}, {}
+    for e, pages in X.facet_cofaces().items():
+        v, w = e
+        axis = vsub(f[w], f[v])
+        rvecs = {}
+        for t in pages:
+            centroid = vscale(Fraction(1, 3), functools.reduce(vadd, (f[x] for x in t)))
+            rel = vsub(centroid, f[v])
+            rvecs[t] = vsub(vscale(vdot(axis, axis), rel), vscale(vdot(rel, axis), axis))
+            assert any(rvecs[t]), (e, t)
+        pages_ccw[e] = tuple(_circular_sort(axis, pages, rvecs))
+        for t in pages:
+            sign = _det3(axis, rvecs[t], _plane_normal(f, t))
+            assert sign != 0, (e, t)
+            plus_side_ccw[(e, t)] = sign > 0
+    return pages_ccw, plus_side_ccw
+
+
+ORACLE_SEEDS = (0, 3, 7, 101)
+
+
+def test_rotation_system_matches_the_embedded_rotation():
+    """On the six thickening fixtures, whose edges lie in at most two
+    triangles, the page order and side signs of a sampled general-position
+    map equal the combinatorial ones at every seed: 99 (edge, page) pairs
+    per seed."""
+    pairs = 0
+    for name in THICKENING_FIXTURES:
+        X = fixture(name)
+        sd = extract_sheet_data(X)
+        for seed in ORACLE_SEEDS:
+            pages, sides = embedded_sheet_data(sample_general_position_map(X, 3, seed=seed))
+            assert pages == sd.pages_ccw, (name, seed)
+            assert sides == sd.plus_side_ccw, (name, seed)
+            pairs += len(sides)
+    assert pairs == 396
+
+
+def test_rotation_oracle_sees_each_flipped_side_sign():
+    X = fixture("torus_7")
+    sd = extract_sheet_data(X)
+    _, sides = embedded_sheet_data(sample_general_position_map(X, 3, seed=0))
+    assert sides == sd.plus_side_ccw
+    for key, plus in sd.plus_side_ccw.items():
+        flipped = dict(sd.plus_side_ccw)
+        flipped[key] = not plus
+        assert sides != flipped, key
 
 
 # -- full runs (cached across the suite) ------------------------------------------
@@ -220,14 +319,16 @@ def handlebody_oracle(M, names, spine):
 
 
 def test_odd_torsion_survives_the_thickening(moore_thickening):
-    """The mod-3 Moore space: H_1(P) = Z/3 from the collapse onto X_copy,
-    and the solid is a genus-16 handlebody."""
-    out, rep = moore_thickening
-    assert rep.homology_P.betti == (1, 0, 0, 0)
-    assert rep.homology_P.torsion[1] == (3,)
-    assert rep.certificate.reaches_copy
-    faults, law = handlebody_oracle(out.M, out.names, out.spine)
-    assert faults == [] and list(law.values()) == [(-30, 16)]
+    """The Moore spaces M(Z/3, 1) and M(Z/6, 1), whose circle edges lie in
+    q triangles each: H_1(P) = Z/q from the collapse onto X_copy, and the
+    solid is a handlebody of genus 2·9q - (12q + 3) + 1 = 6q - 2."""
+    for q, (out, rep) in ((3, moore_thickening), (6, thicken(moore_space(6)[0]))):
+        assert rep.homology_P.betti == (1, 0, 0, 0)
+        assert rep.homology_P.torsion[1] == (q,)
+        assert rep.orientation.success and rep.pseudomanifold.isolated_singularities
+        assert rep.certificate.reaches_copy
+        faults, law = handlebody_oracle(out.M, out.names, out.spine)
+        assert faults == [] and list(law.values()) == [(2 - 2 * (6 * q - 2), 6 * q - 2)], q
 
 
 def test_handlebody_oracle_sees_two_edge_balls_glued_along_a_triangle(pipeline_cache):
@@ -278,70 +379,16 @@ def test_retract_copy_is_expected_subdivision(pipeline_cache):
             assert out.X_copy.is_subcomplex_of(out.P)
 
 
-def _cycle_order(link):
-    adj = link.adjacency()
-    cycle, prev = [min(adj)], None
-    while True:
-        nbrs = sorted(adj[cycle[-1]])
-        nxt = nbrs[0] if nbrs[0] != prev else nbrs[1]
-        if nxt == cycle[0]:
-            return cycle
-        prev = cycle[-1]
-        cycle.append(nxt)
-
-
-def sheet_geometry_faults(out):
-    """The collar geometry ``extract_sheet_data`` proves and no longer
-    checks: around each edge barycenter two poles on the edge axis and one
-    meridian per page in the page's plane; around each triangle barycenter a
-    12-cycle in the triangle's plane whose directions wind one way."""
-    se, names = out.spine_embedding, out.names
-    X, f = se.base.domain, se.base.points
-    faults = []
-
-    def directions(u):
-        link = collar_link(se, u)
-        return link, {x: vsub(se.nbhd.points[x], se.spine_point(u)) for x in link.vertices}
-
-    for e in X.by_dim(1):
-        v, w = e
-        link, dirs = directions(names.ve[e])
-        poles = {names.a[(v, e)], names.a[(w, e)]}
-        pages = out.sheet_data.pages_ccw[e]
-        meridians = {t: {names.c[(v, e, t)], names.c[(w, e, t)], names.vt[t]} for t in pages}
-        if set(link.vertices) != poles.union(*meridians.values()):
-            faults.append(("link", e))
-        axis = vsub(f[w], f[v])
-        faults += [("pole", x) for x in poles if any(vcross(dirs[x], axis))]
-        faults += [("meridian", x) for t in pages for x in meridians[t]
-                   if vdot(dirs[x], _plane_normal(f, t))]
-    for t in X.by_dim(2):
-        link, dirs = directions(names.vt[t])
-        if not (len(link.vertices) == 12 and len(link.by_dim(1)) == 12):
-            faults.append(("cycle", t))
-            continue
-        normal = _plane_normal(f, t)
-        faults += [("plane", x) for x in link.vertices if vdot(dirs[x], normal)]
-        cycle = _cycle_order(link)
-        turns = [vdot(normal, vcross(dirs[a], dirs[b]))
-                 for a, b in zip(cycle, cycle[1:] + cycle[:1])]
-        if not (all(d > 0 for d in turns) or all(d < 0 for d in turns)):
-            faults.append(("winding", t))
-    return faults
-
-
 @pytest.mark.parametrize("name", THICKENING_FIXTURES)
 def test_construction_facts_hold_on_every_run(pipeline_cache, name):
     """The oracles of the facts the construction proves instead of checking,
-    at seeds 0-4: the collar's sheet geometry, monotone carriers of the spine
-    and collar subdivisions, and ∂∂ = 0 on the chains of X_copy and of P,
-    absolute and relative to ∂P."""
+    at seeds 0-4: monotone carriers of the spine and collar subdivisions,
+    and ∂∂ = 0 on the chains of X_copy and of P, absolute and relative to
+    ∂P."""
     for seed in range(5):
         out, rep = pipeline_cache(name, seed)
-        se = out.spine_embedding
-        assert sheet_geometry_faults(out) == [], (name, seed)
-        assert carrier_violations(se.subdivision) == []
-        assert carrier_violations(se.nbhd_sub) == []
+        assert carrier_violations(out.collar.B) == []
+        assert carrier_violations(out.collar.nbhd_sub) == []
         for X, rel in ((out.X_copy, None), (out.P, None), (out.P, rep.pseudomanifold.boundary)):
             assert boundary_squared(boundary_matrices(X, rel=rel)) == [], (name, seed)
 
@@ -451,7 +498,7 @@ def solid_cone_partial(sphere, Lv):
     M = cone_off(sphere, sphere, "o")
     return PartialThickening(
         M=M, report=check_isolated_singularities(M), L=EMPTY_COMPLEX, Lv=Lv,
-        spine=None, spine_embedding=None, sheet_data=None, names=None)
+        spine=None, collar=None, sheet_data=None, names=None)
 
 
 def test_overlapping_neighborhoods_are_a_construction_error():
@@ -535,8 +582,14 @@ def test_three_dimensional_input_rejected():
 # -- book of three (not a pseudomanifold, still thickens) ---------------------------
 
 def test_book_of_three_thickens():
-    out, rep = thicken(fixture("book_of_three"), seed=1)
+    """The binding edge lies in three pages, taken in the order of
+    ``facet_cofaces``; P is still an orientable pseudomanifold with isolated
+    singularities that collapses onto X_copy."""
+    out, rep = thicken(fixture("book_of_three"))
     assert rep.homology_P.betti == (1, 0, 0, 0)
     assert rep.gallery_components == 1
-    # The binding edge has three pages in some cyclic order.
-    assert len(out.sheet_data.pages_ccw[simplex("a", "b")]) == 3
+    assert out.sheet_data.pages_ccw[simplex("a", "b")] == (
+        ("a", "b", "c"), ("a", "b", "d"), ("a", "b", "e"))
+    assert rep.orientation.success
+    assert rep.pseudomanifold.isolated_singularities
+    assert rep.certificate.reaches_copy
