@@ -4,9 +4,12 @@ import pytest
 
 from plthick.complex_core import cone_off, validate_complex
 from plthick.fixtures import FIXTURE_NAMES, fixture
+from plthick.geometry import sample_general_position_map
 from plthick.homology import homology_groups
 from plthick.reflection import close_up
 from plthick.thicken3 import thicken
+
+from embedded_collar import choose_spine_barycenters, epsilon_neighborhood_embedding
 
 
 _RUNS = {}
@@ -23,6 +26,24 @@ def thickening_run(name, seed=0):
 @pytest.fixture(scope="session")
 def pipeline_cache():
     return thickening_run
+
+
+_COLLARS = {}
+
+
+def embedded_collar_run(name, seed):
+    """Session-wide cache: the embedded spine and collar of a fixture under
+    the general-position map sampled at ``seed``."""
+    key = (name, seed)
+    if key not in _COLLARS:
+        m = sample_general_position_map(fixture(name), 3, seed=seed)
+        _COLLARS[key] = epsilon_neighborhood_embedding(choose_spine_barycenters(m, seed=seed))
+    return _COLLARS[key]
+
+
+@pytest.fixture(scope="session")
+def embedded_collar_cache():
+    return embedded_collar_run
 
 
 def moore_space(q):
