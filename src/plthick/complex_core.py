@@ -12,11 +12,27 @@ barycenter of ``{a, b}`` is ``(a|b)``.  Because the labels are canonical,
 statements like "the boundary of a regular neighborhood of the spine equals
 the disjoint union of the second-derived vertex links" can be tested as
 plain set equalities instead of isomorphism searches.
+
+Every exact pass reads one integer incidence index of a complex
+(``Complex.incidence()``), built on first use and kept, since a complex is
+never edited; it is the flat-array reading of the simplex tree of
+Boissonnat and Maria (Algorithmica 2014).  Simplex ids run in ``by_dim``
+order.  Each k-simplex has a row of its k + 1 facet ids in
+``itertools.combinations`` order, so entry j drops position k - j, and
+each simplex the ids of its covers, ascending.  Purity, facet degrees, the
+boundary and the fan forests in ``pseudomanifold``, the collapse here and
+coreduction and the boundary matrices in ``homology`` read the index;
+``facet_cofaces`` and ``facet_opposites`` are label views of it.  The
+order of ids and rows fixes the order in which the forests join and
+``_pair_off`` pairs, so every artifact is a function of the complex.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
+from array import array
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .errors import ConstructionError, ValidationError
@@ -84,7 +100,7 @@ class Complex:
     """
 
     __slots__ = ("simplices", "_by_dim", "_vertices", "_maximal", "_incident", "_adj",
-                 "_cofaces", "_opposites")
+                 "_incidence")
 
     def __init__(self, simplices):
         if type(simplices) is _FaceClosed:
@@ -113,8 +129,7 @@ class Complex:
         self._maximal = None
         self._incident = None
         self._adj = None
-        self._cofaces = None
-        self._opposites = None
+        self._incidence = None
 
     # -- basic accessors ---------------------------------------------------
 
@@ -139,46 +154,36 @@ class Complex:
             self._vertices = tuple(s[0] for s in self.by_dim(0))
         return self._vertices
 
+    def incidence(self):
+        """The integer incidence index (module docstring), built on first
+        use and shared by every pass."""
+        if self._incidence is None:
+            self._incidence = Incidence(self)
+        return self._incidence
+
     @property
     def maximal_simplices(self):
-        """The simplices that are no other simplex's facet (the set is
-        face-closed, so a proper coface implies a covering one)."""
+        """The simplices with no coface, in ``simplex_key`` order."""
         if self._maximal is None:
-            covered = {s[:i] + s[i + 1:] for s in self.simplices for i in range(len(s))}
-            self._maximal = tuple(sorted(
-                (s for s in self.simplices if s not in covered), key=simplex_key))
+            ix = self.incidence()
+            up = ix.coface_start
+            self._maximal = tuple(itertools.compress(ix.cells, map(operator.eq, up, up[1:])))
         return self._maximal
 
     def facet_cofaces(self):
-        """Map each (d-1)-simplex to the tuple of d-simplices containing it,
-        d = dim.  Built once per complex and shared: callers must not
-        mutate the table."""
-        if self._cofaces is None:
-            self._facet_tables()
-        return self._cofaces
+        """Label view of the index: each (d-1)-simplex, d = dim, in
+        ``by_dim`` order, mapped to the tuple of d-simplices containing
+        it, in ``by_dim`` order."""
+        ix = self.incidence()
+        cells = ix.cells
+        return {cells[f]: tuple(cells[t] for t in ix.up(f)) for f in ix.ids(self.dim - 1)}
 
     def facet_opposites(self):
         """For the i-th facet f of ``facet_cofaces()``, in its order, the
         positions of the one vertex outside f in each top of
-        ``facet_cofaces()[f]``.  Built together with that table; equal
-        position tuples are shared, so the table costs one reference per
-        facet."""
-        if self._opposites is None:
-            self._facet_tables()
-        return self._opposites
-
-    def _facet_tables(self):
-        d = self.dim
-        table = {f: [] for f in self.by_dim(d - 1)}
-        for s in self.by_dim(d) if d >= 1 else ():
-            for i in range(len(s)):
-                table[s[:i] + s[i + 1:]] += (s, i)
-        self._cofaces, opposites, shared = {}, [], {}
-        for f, e in table.items():
-            self._cofaces[f] = tuple(e[::2])
-            p = tuple(e[1::2])
-            opposites.append(shared.setdefault(p, p))
-        self._opposites = tuple(opposites)
+        ``facet_cofaces()[f]``."""
+        ix = self.incidence()
+        return tuple(tuple(ix.opposites(f)) for f in ix.ids(self.dim - 1))
 
     def incident(self, label):
         """All simplices containing the given vertex label."""
@@ -221,10 +226,7 @@ class Complex:
         return self.simplices <= other.simplices
 
     def euler_characteristic(self):
-        chi = 0
-        for s in self.simplices:
-            chi += 1 if len(s) % 2 else -1
-        return chi
+        return sum((-1) ** k * len(ss) for k, ss in self._dim_table().items())
 
     def connected_components(self):
         """Vertex sets of the connected components.  Edges alone connect
@@ -248,6 +250,82 @@ class Complex:
 
     def is_connected(self):
         return len(self.connected_components()) <= 1
+
+
+class Incidence:
+    """The integer incidence index of a complex (module docstring).
+
+    ``cells[x]`` is the simplex with id x, and the k-simplices hold the
+    ids ``offsets[k]`` up to ``offsets[k + 1]``.  The facet row of x,
+    ``facets[facet_start[x]:facet_start[x + 1]]``, lists the ids of its
+    facets in ``itertools.combinations`` order, so entry j of a k-simplex's
+    row drops its position k - j; ``cofaces[coface_start[x]:coface_start[x
+    + 1]]`` lists the ids of the simplices covering x, ascending, and
+    ``entries`` at the same places the entry of x in each one's row.  The
+    arrays are flat machine integers: no per-simplex object is kept.
+    """
+
+    __slots__ = ("cells", "offsets", "facets", "facet_start", "cofaces", "coface_start",
+                 "entries")
+
+    def __init__(self, X):
+        # owners[p] is the simplex whose row holds facet_ids[p], at entry places[p].
+        cells, offsets, index, facet_ids, start, owners, places = [], [0], {}, [], [], [], []
+        for k in range(X.dim + 1):
+            simplices = X.by_dim(k)
+            ids = range(len(cells), len(cells) + len(simplices))
+            if k:
+                start += range(len(facet_ids), len(facet_ids) + (k + 1) * len(simplices), k + 1)
+                facet_ids += map(index.__getitem__, itertools.chain.from_iterable(
+                    map(itertools.combinations, simplices, itertools.repeat(k))))
+                owners += itertools.chain.from_iterable(map(itertools.repeat, ids,
+                                                            itertools.repeat(k + 1)))
+                places += itertools.chain.from_iterable(itertools.repeat(range(k + 1),
+                                                                         len(simplices)))
+            else:
+                start += itertools.repeat(0, len(simplices))
+            index = dict(zip(simplices, ids))
+            cells += simplices
+            offsets.append(len(cells))
+        start.append(len(facet_ids))
+        # A counting sort of the rows by facet id; rows come in id order, so
+        # each simplex's covers fill in ascending.
+        count = [0] * len(cells)
+        for f, c in Counter(facet_ids).items():
+            count[f] = c
+        up_start = list(itertools.accumulate(count, initial=0))
+        fill, up, entries = up_start[:-1], [0] * len(facet_ids), bytearray(len(facet_ids))
+        for f, x, j in zip(facet_ids, owners, places):
+            up[fill[f]], entries[fill[f]] = x, j
+            fill[f] += 1
+        self.cells, self.offsets = tuple(cells), tuple(offsets)
+        self.facets, self.facet_start = array("i", facet_ids), array("i", start)
+        self.cofaces, self.coface_start = array("i", up), array("i", up_start)
+        self.entries = entries
+
+    def ids(self, k):
+        """The ids of the k-simplices."""
+        if not 0 <= k < len(self.offsets) - 1:
+            return range(0)
+        return range(self.offsets[k], self.offsets[k + 1])
+
+    def down(self, x):
+        """The facet row of x."""
+        return self.facets[self.facet_start[x]:self.facet_start[x + 1]]
+
+    def up(self, x):
+        """The ids of the simplices covering x, ascending."""
+        return self.cofaces[self.coface_start[x]:self.coface_start[x + 1]]
+
+    def degree(self, x):
+        """The number of simplices covering x."""
+        return self.coface_start[x + 1] - self.coface_start[x]
+
+    def opposites(self, f):
+        """The position of the one vertex outside the facet f in each top
+        of ``up(f)``: entry j of a d-simplex's row drops position d - j."""
+        d = len(self.cells[f])
+        return [d - j for j in self.entries[self.coface_start[f]:self.coface_start[f + 1]]]
 
 
 EMPTY_COMPLEX = Complex(())
@@ -310,14 +388,13 @@ def link_of(X, s):
 
 
 def boundary_and_free_faces(X):
-    """Free faces (proper faces of exactly one simplex) and their closure."""
-    count = {}
-    for s in X.simplices:
-        for f in faces(s):
-            count[f] = count.get(f, 0) + 1
-    free = {f for f, c in count.items() if c == 1}
-    boundary = complex_from_maximal(free)
-    return free, boundary
+    """Free faces (proper faces of exactly one simplex) and their closure.
+    A free face has one cover, and no simplex covers that: it would hold
+    the face as well."""
+    ix = X.incidence()
+    free = {s for x, s in enumerate(ix.cells)
+            if ix.degree(x) == 1 and not ix.degree(ix.up(x)[0])}
+    return free, complex_from_maximal(free)
 
 
 def is_full_subcomplex(X, K):
@@ -581,47 +658,34 @@ class Collapse:
     pairs: tuple
 
 
-def _slot_table(X, excluded=frozenset()):
-    """The simplices of X outside ``excluded`` on integer slots, in
-    ``by_dim`` order, with the slots of each one's facets (in
-    ``combinations`` order, those in ``excluded`` left out) and of its
-    covering cofaces.  Returns ``(cells, below, above)``."""
-    cells, below, index = [], [], {}
-    for k in range(X.dim + 1):
-        lower, index = index, {}
-        for s in X.by_dim(k):
-            if s not in excluded:
-                index[s] = len(cells)
-                cells.append(s)
-                below.append([r for r in map(lower.get, itertools.combinations(s, k))
-                              if r is not None])
-    above = [[] for _ in cells]
-    for c, fs in enumerate(below):
-        for f in fs:
-            above[f].append(c)
-    return cells, below, above
+def _pair_off(partners, others, dead=(), blocked=frozenset(), first=None):
+    """Pair ids first in, first out on the incidence index.
 
-
-def _pair_off(partners, others, blocked=frozenset(), first=None):
-    """Pair slots first in, first out on a slot table.
-
-    ``partners[x]`` lists the slots x may pair with and ``others`` is its
-    transpose, so removing x takes one live partner from each slot of
-    ``others[x]``.  A slot outside ``blocked`` whose live partner count is
-    1, at the start or when it drops there, is queued; when it comes up
-    still live with one partner it is paired with that partner, and both
-    are removed, the partner first.  ``first``, if given, is removed alone
-    before the loop.  Counts only fall, so no live slot outside ``blocked``
-    is left with one partner.  Returns the live flags and the
-    ``(slot, partner)`` pairs in the order removed.
+    ``partners`` and ``others`` are ``(start, ids)`` pairs of flat arrays,
+    the lists of ``Incidence`` read in opposite directions: x may pair with
+    the ids in ``partners`` row x, and removing x takes one live partner
+    from each id in ``others`` row x.  The ``dead`` ids are removed before
+    anything else and queue nothing.  An id outside ``blocked`` whose live
+    partner count is 1, at the start or when it drops there, is queued; when
+    it comes up still live with one partner it is paired with that partner,
+    and both are removed, the partner first.  ``first``, if given, is
+    removed alone before the loop.  Counts only fall, so no live id outside
+    ``blocked`` is left with one partner.  Returns the live flags and the
+    ``(id, partner)`` pairs in the order removed.
     """
-    alive = [True] * len(partners)
-    count = [len(p) for p in partners]
-    queue = [x for x, n in enumerate(count) if n == 1 and x not in blocked]
+    p_start, p_ids = partners
+    o_start, o_ids = others
+    alive = [True] * (len(p_start) - 1)
+    count = list(map(operator.sub, p_start[1:], p_start[:-1]))
+    for x in dead:
+        alive[x] = False
+        for y in o_ids[o_start[x]:o_start[x + 1]]:
+            count[y] -= 1
+    queue = [x for x, n in enumerate(count) if n == 1 and alive[x] and x not in blocked]
 
     def remove(x):
         alive[x] = False
-        for y in others[x]:
+        for y in o_ids[o_start[x]:o_start[x + 1]]:
             count[y] -= 1
             if count[y] == 1 and alive[y] and y not in blocked:
                 queue.append(y)
@@ -631,7 +695,7 @@ def _pair_off(partners, others, blocked=frozenset(), first=None):
     pairs = []
     for b in queue:
         if alive[b] and count[b] == 1:
-            a = next(a for a in partners[b] if alive[a])
+            a = next(a for a in p_ids[p_start[b]:p_start[b + 1]] if alive[a])
             pairs.append((b, a))
             remove(a)
             remove(b)
@@ -641,13 +705,13 @@ def _pair_off(partners, others, blocked=frozenset(), first=None):
 def greedy_collapse(X, keep=None):
     """Repeatedly remove a free face together with its unique coface.
 
-    The simplices sit on the slots of ``_slot_table`` and ``_pair_off``
-    pairs each one with its covers, so the free faces are taken first in,
-    first out from slot order and the collapse is a function of X and
-    ``keep``.  No simplex of the subcomplex ``keep`` is ever taken as a
-    free face; since ``keep`` is closed under faces, none is removed as a
-    coface either, so the remainder contains ``keep``.  The collapse stops
-    when every free face left lies in ``keep``.
+    ``_pair_off`` pairs each simplex with its covers on X's incidence
+    index, so the free faces are taken first in, first out from id order
+    and the collapse is a function of X and ``keep``.  No simplex of the
+    subcomplex ``keep`` is ever taken as a free face; since ``keep`` is
+    closed under faces, none is removed as a coface either, so the
+    remainder contains ``keep``.  The collapse stops when every free face
+    left lies in ``keep``.
 
     A simplex s with one cover w left is free: were w covered by some u,
     the facet of u without w's extra vertex would be a second cover of s.
@@ -660,8 +724,10 @@ def greedy_collapse(X, keep=None):
     """
     if keep is not None and not keep.is_subcomplex_of(X):
         raise ValidationError("the kept subcomplex is not contained in the complex")
-    cells, below, above = _slot_table(X)
+    ix = X.incidence()
+    cells = ix.cells
     kept = keep.simplices if keep is not None else ()
-    alive, pairs = _pair_off(above, below, {i for i, s in enumerate(cells) if s in kept})
-    return Collapse(remainder=Complex(s for s, live in zip(cells, alive) if live),
+    alive, pairs = _pair_off((ix.coface_start, ix.cofaces), (ix.facet_start, ix.facets),
+                             blocked={i for i, s in enumerate(cells) if s in kept})
+    return Collapse(remainder=Complex(itertools.compress(cells, alive)),
                     pairs=tuple((cells[s], cells[c]) for s, c in pairs))

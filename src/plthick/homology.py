@@ -45,9 +45,8 @@ just d times a column in the span.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
-from .complex_core import _pair_off, _slot_table
+from .complex_core import _pair_off
 from .errors import ConstructionError, ValidationError
 
 
@@ -99,9 +98,10 @@ def boundary_matrices(X, rel=None):
     product is the absolute ∂∂ restricted.  The tests compute ∂∂ as the
     oracle.
     """
+    ix = X.incidence()
     excluded = _excluded(X, rel)
-    bases = {k: tuple(s for s in X.by_dim(k) if s not in excluded) for k in range(X.dim + 1)}
-    return ChainComplex(bases=bases, matrices=_columns(bases))
+    return _chain_complex(ix, [[x for x in ix.ids(k) if ix.cells[x] not in excluded]
+                               for k in range(X.dim + 1)])
 
 
 def _excluded(X, rel):
@@ -110,46 +110,45 @@ def _excluded(X, rel):
     return rel.simplices if rel is not None else frozenset()
 
 
-def _columns(bases):
-    """Boundary columns over the bases: every face missing from the
-    (k-1)-basis is dropped, so a subset of cells gets the restricted map."""
+def _chain_complex(ix, bases):
+    """The chain complex on the given cell ids of the incidence index ix,
+    ascending per dimension.  A facet outside the (k-1)-basis has no row and
+    is dropped, so a subset of cells gets the restricted map."""
     matrices = {}
     for k in range(1, len(bases)):
-        # A face outside the (k-1)-basis has no row and is skipped.
-        index = {s: i for i, s in enumerate(bases[k - 1])}
-        # combinations(vs, k) drops position k first, then k - 1, ..., 0.
+        row = dict(zip(bases[k - 1], range(len(bases[k - 1]))))
+        # Facet rows run in combinations order: entry j drops position k - j.
         signs = tuple((-1) ** (k - j) for j in range(k + 1))
         matrices[k] = [
-            {r: sign for r, sign in zip(map(index.get, combinations(s, k)), signs)
-             if r is not None}
-            for s in bases[k]]
-    return matrices
+            {r: sign for r, sign in zip(map(row.get, ix.down(x)), signs) if r is not None}
+            for x in bases[k]]
+    return ChainComplex(bases={k: tuple(map(ix.cells.__getitem__, b))
+                               for k, b in enumerate(bases)},
+                        matrices=matrices)
 
 
 def coreduce(X, rel=None):
     """Coreduce the chain complex of X (or of (X, rel)) and return the
     remainder with the number of vertices removed (module docstring).
 
-    Cells sit on the slots of ``complex_core._slot_table``, in basis order,
-    and ``_pair_off`` pairs each cell with its faces: a cell whose count of
+    ``_pair_off`` pairs each cell with its faces on X's incidence index,
+    with the cells of ``rel`` dead from the start: a cell whose count of
     live faces drops to 1 joins a FIFO queue, so the pairs, and the
-    remainder, depend on slot order only.  Returns ``(cc, removed)``: cc is
+    remainder, depend on id order only.  Returns ``(cc, removed)``: cc is
     the original chain complex restricted to the cells left, and
     ``removed`` is 1 when a vertex was taken out of an absolute complex (it
     adds 1 to b_0), else 0.
     """
     excluded = _excluded(X, rel)
-    cells, faces, cofaces = _slot_table(X, excluded)
-    # (X, ∅) is absolute; a relative complex never loses a vertex.  Slot 0
-    # is the first vertex.
-    removed = int(bool(cells) and not excluded)
-    alive, _ = _pair_off(faces, cofaces, first=0 if removed else None)
-    bases = {k: [] for k in range(X.dim + 1)}
-    for s, live in zip(cells, alive):
-        if live:
-            bases[len(s) - 1].append(s)
-    bases = {k: tuple(b) for k, b in bases.items()}
-    return ChainComplex(bases=bases, matrices=_columns(bases)), removed
+    ix = X.incidence()
+    # (X, ∅) is absolute; a relative complex never loses a vertex.  Id 0 is
+    # the first vertex.
+    removed = int(bool(ix.cells) and not excluded)
+    dead = [x for x, s in enumerate(ix.cells) if s in excluded] if excluded else ()
+    alive, _ = _pair_off((ix.facet_start, ix.facets), (ix.coface_start, ix.cofaces),
+                         dead=dead, first=0 if removed else None)
+    return _chain_complex(ix, [[x for x in ix.ids(k) if alive[x]]
+                               for k in range(X.dim + 1)]), removed
 
 
 # -- Smith normal form -------------------------------------------------------

@@ -20,9 +20,9 @@ from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import cache
 from itertools import combinations
-from operator import itemgetter
+from operator import lt
 
-from .complex_core import Complex, complex_from_maximal, facets, link_of
+from .complex_core import Complex, complex_from_maximal, link_of
 from .errors import ValidationError
 
 
@@ -130,24 +130,25 @@ def _fans(X, k):
     signed union-find.
 
     Slot w*i + j, w = C(d+1, k), is the j-th k-subset r of the i-th top
-    simplex t; it stands for the simplex t - r of lk(r).  Across each facet
-    f, ``tops[0]`` is joined with every other top at each k-subset r of f,
-    so with k = 0 the fans are the galleries.  A join is odd (a - r and
-    b - r need opposite signs) when the positions of the vertex opposite f
-    in a - r and in b - r add up to an even number, and a join that closes
-    an odd cycle makes its fan non-orientable.  When every facet lies in
-    one or two top simplices, the fans around r are the components of its
-    link (Rourke-Sanderson, ch. 2).
+    simplex t; it stands for the simplex t - r of lk(r).  Facets are taken
+    in id order, and across each facet f its first top by id is joined with
+    every other top at each k-subset r of f, so with k = 0 the fans are the
+    galleries.  A join is odd (a - r and b - r need opposite signs) when the
+    positions of the vertex opposite f in a - r and in b - r add up to an
+    even number, and a join that closes an odd cycle makes its fan
+    non-orientable.  When every facet lies in one or two top simplices, the
+    fans around r are the components of its link (Rourke-Sanderson, ch. 2).
 
     Returns the root of every slot, its parity relative to the root, and
     for each root of a non-orientable fan the two slots of the first join
     that closed an odd cycle in it.
     """
     d = X.dim
+    ix = X.incidence()
+    top = ix.offsets[d]
     subsets, lifts = _lifts(d, k)
     w = len(subsets)
-    base = {t: w * i for i, t in enumerate(X.by_dim(d))}
-    parent = list(range(w * len(base)))
+    parent = list(range(w * (len(ix.cells) - top)))
     parity = [0] * len(parent)
 
     def find(x):
@@ -160,11 +161,17 @@ def _fans(X, k):
             x = parent[x]
         return x, p
 
+    # Entry j of a top's facet row drops position d - j.
+    lifts = lifts[::-1]
+    tops, entries, start = ix.cofaces, ix.entries, ix.coface_start
     odd = {}
-    for tops, opp in zip(X.facet_cofaces().values(), X.facet_opposites()):
-        for b, o in zip(tops[1:], opp[1:]):
-            ia, la = base[tops[0]], lifts[opp[0]]
-            ib, lb = base[b], lifts[o]
+    for f in ix.ids(d - 1):
+        a, end = start[f], start[f + 1]
+        if end - a < 2:
+            continue
+        ia, la = w * (tops[a] - top), lifts[entries[a]]
+        for b in range(a + 1, end):
+            ib, lb = w * (tops[b] - top), lifts[entries[b]]
             for (ja, pa), (jb, pb) in zip(la, lb):
                 flip = pa == pb
                 ra, qa = find(ia + ja)
@@ -191,13 +198,12 @@ def check_pseudomanifold(X):
     if X.dim < 1:
         raise ValidationError("pseudomanifold check needs dim >= 1")
     d = X.dim
-    # Pure: every k-simplex, k < d, is a facet of some (k+1)-simplex.
-    is_pure = all(len({f for s in X.by_dim(k + 1) for f in facets(s)}) == len(X.by_dim(k))
-                  for k in range(d))
-    cofaces = X.facet_cofaces()
-    witness = next((f for f, tops in cofaces.items() if not 0 < len(tops) <= 2), None)
-    boundary = complex_from_maximal(
-        f for f, tops in cofaces.items() if len(tops) == 1)
+    ix = X.incidence()
+    # Pure: every simplex of dimension below d has a coface.
+    up = ix.coface_start
+    is_pure = all(map(lt, up[:ix.offsets[d]], up[1:ix.offsets[d] + 1]))
+    witness = next((ix.cells[f] for f in ix.ids(d - 1) if not 0 < ix.degree(f) <= 2), None)
+    boundary = complex_from_maximal(ix.cells[f] for f in ix.ids(d - 1) if ix.degree(f) == 1)
     galleries = _fans(X, 0)
     components = len(set(galleries[0]))
     return PseudomanifoldReport(
@@ -269,25 +275,26 @@ def _classify_surface(L):
         return LinkClass(kind="NotManifold", dim=2, components=0,
                          is_manifold=False, witness=witness)
 
-    edge_cofaces = L.facet_cofaces()
-    for e, tops in edge_cofaces.items():
-        if not tops:
-            return not_manifold(e)
+    ix = L.incidence()
+    edges = ix.ids(1)
+    for e in edges:
+        if not ix.degree(e):
+            return not_manifold(ix.cells[e])
     # Slot 3i + p of the k = 1 forest is vertex p of the i-th triangle.
     tris = L.by_dim(2)
     fans = Counter(tris[r // 3][r % 3] for r in set(_fans(L, 1)[0]))
     for v in L.by_dim(0):
         if v[0] not in fans:
             return not_manifold(v)
-    for e, tops in edge_cofaces.items():
-        if len(tops) > 2:
-            return not_manifold(e)
+    for e in edges:
+        if ix.degree(e) > 2:
+            return not_manifold(ix.cells[e])
     # With every edge in one or two triangles, a vertex link is a single
     # circle or arc exactly when its triangles form one fan.
     for v in L.by_dim(0):
         if fans[v[0]] != 1:
             return not_manifold(v)
-    boundary = complex_from_maximal(e for e, tops in edge_cofaces.items() if len(tops) == 1)
+    boundary = complex_from_maximal(ix.cells[e] for e in edges if ix.degree(e) == 1)
     return _surface_fans(L, 0, boundary)[()]
 
 
@@ -320,53 +327,60 @@ SPHERE = _surface_class([(2, 0, True)])
 def _surface_fans(X, k, boundary):
     """Link class of every k-vertex face r of X, for X of dimension k + 2
     with every facet in one or two top simplices and one arc or circle as
-    the link of every (k+1)-face; ``boundary`` is the boundary complex of X.
+    the link of every (k+1)-face; ``boundary`` is the boundary complex of X,
+    so its top simplices are the facets of X with one top, in id order.
 
     Then lk(r) is a surface and its components are the fans of
     ``_fans(X, k)`` around r.  Its triangles, edges and vertices are the
     tops, facets and (k+1)-faces of X that contain r, so the Euler
     characteristic of a fan is charged slot by slot: each top adds 1 to its
-    own slots, each (k+1)-face 1 once, through the first top that contains
-    it, and each facet -1 through ``tops[0]``.  The boundary circles of lk(r)
-    are the fans of ``boundary`` around r, each charged through its facet's
+    own slots, each (k+1)-face 1 once, through its first top by id, and
+    each facet -1 through its first top.  The boundary circles of lk(r) are
+    the fans of ``boundary`` around r, each charged through its facet's
     unique top.
     """
     d = k + 2
     subsets, lifts = _lifts(d, k)
     w = len(subsets)
     index = {r: j for j, r in enumerate(subsets)}
-    tops = X.by_dim(d)
-    base = {t: w * i for i, t in enumerate(tops)}
+    ix = X.incidence()
+    top, row, row_start = ix.offsets[d], ix.facets, ix.facet_start
     roots, _, odd = _fans(X, k)
     chi = [1] * len(roots)
-    ups = [(itemgetter(*u), [index[r] for r in combinations(u, k)])
-           for u in combinations(range(d + 1), k + 1)]
-    seen = set()
-    for t, i in base.items():
-        for get, js in ups:
-            u = get(t)
-            if u not in seen:
-                seen.add(u)
+    # The (k+1)-face of a top without its positions p < q is entry
+    # d - 1 - p of the row of its facet without q, entry d - q of its row.
+    ups = [(d - q, d - 1 - p, [index[r] for r in combinations(u, k)])
+           for p, q in combinations(range(d + 1), 2)
+           for u in [tuple(x for x in range(d + 1) if x not in (p, q))]]
+    charged = bytearray(len(ix.cells))
+    for t in ix.ids(d):
+        i, r = w * (t - top), row_start[t]
+        for jq, jp, js in ups:
+            g = row[row_start[row[r + jq]] + jp]
+            if not charged[g]:
+                charged[g] = 1
                 for j in js:
                     chi[i + j] += 1
-    rim = {}  # boundary facet -> base slot and lifts of its one top
-    for (f, ts), ps in zip(X.facet_cofaces().items(), X.facet_opposites()):
-        i, lift = base[ts[0]], lifts[ps[0]]
+    rim = []  # base slot and lifts of the one top of each boundary facet
+    tops, entries, start = ix.cofaces, ix.entries, ix.coface_start
+    for f in ix.ids(d - 1):
+        a = start[f]
+        i, lift = w * (tops[a] - top), lifts[d - entries[a]]
         for j, _ in lift:
             chi[i + j] -= 1
-        if len(ts) == 1:
-            rim[f] = i, lift
+        if start[f + 1] - a == 1:
+            rim.append((i, lift))
     fans = {}  # root slot -> [Euler characteristic, boundary circles, orientable]
     for s, r in enumerate(roots):
         fans.setdefault(r, [0, 0, r not in odd])[0] += chi[s]
     if len(boundary):
-        facets, wb = boundary.by_dim(d - 1), len(lifts[0])
+        wb = len(lifts[0])
         for s in set(_fans(boundary, k)[0]):
-            i, lift = rim[facets[s // wb]]
+            i, lift = rim[s // wb]
             fans[roots[i + lift[s % wb][0]]][1] += 1
     by_face = {}
     for r, fan in fans.items():
-        t = tops[r // w]
+        t = ix.cells[top + r // w]
         by_face.setdefault(tuple(t[p] for p in subsets[r % w]), []).append(fan)
     return {face: _surface_class(by_face[face]) for face in sorted(by_face)}
 
@@ -424,16 +438,16 @@ def _witness_cycle(X, parity, a, b):
     such facets, so the path exists, and closing it across the odd join
     makes the product of the relations around the cycle -1.
     """
-    tops = X.by_dim(X.dim)
-    a, b = tops[a], tops[b]
-    parity = dict(zip(tops, parity))
+    ix = X.incidence()
+    top = ix.offsets[X.dim]
     steps = {}
-    for ts, ps in zip(X.facet_cofaces().values(), X.facet_opposites()):
-        if len(ts) == 2:
-            s, t = ts
-            if (parity[s] + parity[t] + sum(ps)) % 2:
+    for f in ix.ids(X.dim - 1):
+        if ix.degree(f) == 2:
+            s, t = ix.up(f)
+            if (parity[s - top] + parity[t - top] + sum(ix.opposites(f))) % 2:
                 steps.setdefault(s, []).append(t)
                 steps.setdefault(t, []).append(s)
+    a, b = a + top, b + top
     prev, queue = {b: None}, [b]
     for x in queue:
         for y in steps[x]:
@@ -443,7 +457,7 @@ def _witness_cycle(X, parity, a, b):
     cycle = [a]
     while cycle[-1] != b:
         cycle.append(prev[cycle[-1]])
-    return cycle + [a]
+    return [ix.cells[x] for x in cycle + [a]]
 
 
 def orient(X, report=None):

@@ -34,6 +34,7 @@ from plthick.cli import complex_from_obj
 from plthick.errors import ValidationError
 from plthick.fixtures import FIXTURE_NAMES, fixture
 from plthick.homology import homology_groups
+from plthick.pseudomanifold import check_pseudomanifold
 
 
 def counts(X):
@@ -707,3 +708,58 @@ def test_maximal_simplices_and_by_dim_match_oracles():
         disconnected += not X.is_connected()
     assert impure > 50 and disconnected > 50
     assert EMPTY_COMPLEX.dim == -1 and EMPTY_COMPLEX.maximal_simplices == ()
+
+
+# -- the incidence index -------------------------------------------------------
+
+
+def tuple_facet_tables(X):
+    """The former tuple-keyed tables: each (d-1)-simplex mapped to the
+    d-simplices containing it, and the positions of the vertex outside it
+    in each of them."""
+    d = X.dim
+    table = {f: [] for f in X.by_dim(d - 1)}
+    for s in X.by_dim(d) if d >= 1 else ():
+        for i in range(len(s)):
+            table[s[:i] + s[i + 1:]] += (s, i)
+    return ({f: tuple(e[::2]) for f, e in table.items()},
+            tuple(tuple(e[1::2]) for e in table.values()))
+
+
+def assert_index_matches_tuple_definitions(X):
+    ix = X.incidence()
+    cells = ix.cells
+    assert cells == tuple(s for k in range(X.dim + 1) for s in X.by_dim(k))
+    assert ix.offsets == tuple(itertools.accumulate(
+        (len(X.by_dim(k)) for k in range(X.dim + 1)), initial=0))
+    covers = {s: [t for t in X.simplices if len(t) == len(s) + 1 and set(s) < set(t)]
+              for s in cells}
+    for x, s in enumerate(cells):
+        row = [cells[f] for f in ix.down(x)]
+        assert row == (list(itertools.combinations(s, len(s) - 1)) if len(s) > 1 else [])
+        up = list(ix.up(x))
+        assert up == sorted(up) and [cells[t] for t in up] == sorted(covers[s]), s
+        assert ix.degree(x) == len(covers[s])
+        for t, p in zip(up, ix.opposites(x)):
+            assert cells[t][:p] + cells[t][p + 1:] == s
+    if X.dim >= 1:
+        pure = all(len(s) == X.dim + 1 for s in X.maximal_simplices)
+        assert check_pseudomanifold(X).is_pure == pure
+    cofaces, opposites = tuple_facet_tables(X)
+    assert list(X.facet_cofaces().items()) == list(cofaces.items())
+    assert X.facet_opposites() == opposites
+    assert X.euler_characteristic() == sum((-1) ** (len(s) - 1) for s in X.simplices)
+
+
+def test_incidence_index_matches_tuple_definitions():
+    """Facet rows in ``combinations`` order, covers ascending by id, purity,
+    and the label views, against their tuple definitions on the empty
+    complex, a vertex and seeded random complexes of dimension 0-3."""
+    rng = random.Random(20261020)
+    complexes = [EMPTY_COMPLEX, Complex([simplex("a")])]
+    complexes += [random_face_closed(rng) for _ in range(300)]
+    for X in complexes:
+        assert_index_matches_tuple_definitions(X)
+    assert {X.dim for X in complexes} == {-1, 0, 1, 2, 3}
+    assert sum(X.dim >= 1 and not check_pseudomanifold(X).is_pure for X in complexes) > 50
+    assert sum(not X.is_connected() for X in complexes) > 50

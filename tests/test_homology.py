@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -5,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from plthick.complex_core import (
     _pair_off,
-    _slot_table,
     barycentric_subdivision,
     boundary_and_free_faces,
     complex_from_maximal,
@@ -352,18 +353,25 @@ def replay_coreduction(X, rel=None):
     """Run the shared pairing loop on X's cells as ``coreduce`` does and
     replay its pairs one by one, asserting that each removes a live cell
     whose only live face is its partner and that what is left is
-    ``coreduce``'s remainder; returns the pairs."""
-    cells, faces, cofaces = _slot_table(X, rel.simplices if rel is not None else ())
+    ``coreduce``'s remainder; returns the pairs as (cell, face) simplices."""
+    ix = X.incidence()
+    cells, excluded = ix.cells, rel.simplices if rel is not None else frozenset()
+    dead = [x for x, s in enumerate(cells) if s in excluded]
     first = 0 if rel is None else None
-    _, pairs = _pair_off(faces, cofaces, first=first)
-    live = set(cells) - {cells[0]} if rel is None else set(cells)
+    _, pairs = _pair_off((ix.facet_start, ix.facets), (ix.coface_start, ix.cofaces),
+                         dead=dead, first=first)
+    live = set(cells) - {cells[0]} if rel is None else set(cells) - excluded
+    pairs = [(cells[b], cells[a]) for b, a in pairs]
     for b, a in pairs:
-        b, a = cells[b], cells[a]
         assert b in live and [f for f in facets(b) if f in live] == [a], (b, a)
         live -= {a, b}
     cc, _ = coreduce(X, rel=rel)
     assert live == {s for basis in cc.bases.values() for s in basis}
     return pairs
+
+
+def pairs_digest(pairs):
+    return hashlib.sha256(json.dumps(pairs).encode()).hexdigest()
 
 
 @pytest.mark.parametrize("q", [2, 3, 6])
@@ -374,6 +382,21 @@ def test_coreduction_pairs_replay_on_moore_spaces(q):
 
 def test_coreduction_pairs_replay_on_octahedral_closure(octahedral_closure):
     assert replay_coreduction(octahedral_closure.Q.complex)
+
+
+def test_coreduction_pair_order_is_pinned_on_octahedral_closure(octahedral_closure):
+    """The pairs, in the order removed, are a function of the basis order
+    alone; a change of cell numbering or face order would show here."""
+    pairs = replay_coreduction(octahedral_closure.Q.complex)
+    assert pairs_digest(pairs) == (
+        "9219ee994c424c099a7a7ea1b7cb35f8b7da17df3c276a85e283dff7e28c33b0")
+
+
+def test_relative_coreduction_pair_order_is_pinned(pipeline_cache):
+    P = pipeline_cache("single_triangle")[0].P
+    pairs = replay_coreduction(P, rel=check_pseudomanifold(P).boundary)
+    assert pairs_digest(pairs) == (
+        "df27c82ab2aea7941b23cceb9a923c271113ce5e686e5bfa0ca3ae81051e68de")
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)

@@ -1,4 +1,4 @@
-"""Every name a plthick module imports is used in that module
+"""Every name a plthick module or test module imports is used in that module
 (``__init__.py`` is exempt: its imports are the package's re-exports), every
 private module-level name is referenced in the package, and every dataclass
 field is read somewhere."""
@@ -12,8 +12,10 @@ TESTS = pathlib.Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "plthick"
 
 
-@pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py"),
-                         ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path", sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+    + sorted(TESTS.glob("*.py")),
+    ids=lambda p: p.name if p.parent == SRC else "tests/" + p.name)
 def test_no_unused_imports(path):
     tree = ast.parse(path.read_text())
     imported = {(a.asname or a.name).split(".")[0]

@@ -6,7 +6,6 @@ from plthick.complex_core import (
     EMPTY_COMPLEX,
     boundary_and_free_faces,
     cone_off,
-    complex_from_maximal,
     facets,
     link_of,
     simplex,

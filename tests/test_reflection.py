@@ -1,3 +1,5 @@
+import hashlib
+import json
 from collections import Counter
 
 import pytest
@@ -12,7 +14,6 @@ from plthick.complex_core import (
 )
 from plthick.errors import BudgetExceededError, ConstructionError, ValidationError
 from plthick.fixtures import fixture
-from plthick.homology import homology_groups
 from plthick.pseudomanifold import (
     check_isolated_singularities,
     check_pseudomanifold,
@@ -135,6 +136,15 @@ def test_closure_vertex_links_match_per_vertex_oracle(octahedral_closure):
     Q = res.Q.complex
     assert res.report.vertex_links == {
         v[0]: classify_link(link_of(Q, v)) for v in Q.by_dim(0)}
+
+
+def test_closure_orientation_signs_are_pinned(octahedral_closure):
+    """The signs, in basis order, follow from the gallery forest's join
+    order; a change of top numbering or facet order would show here."""
+    signs = octahedral_closure.orientation.assignment.signs
+    blob = json.dumps([[list(t), sign] for t, sign in signs.items()]).encode()
+    assert hashlib.sha256(blob).hexdigest() == (
+        "c5598c2a224bcda1bd49c22f752cc26855db8db1625c55fe510f73a99e74382f")
 
 
 def test_closure_passes_the_checked_constructor(octahedral_closure):
