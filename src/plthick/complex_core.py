@@ -6,7 +6,10 @@ between a simplex and its vertices.  ``simplex()``, ``validate_complex``
 and ``Complex`` built from an arbitrary iterable check that shape; what is
 derived from checked simplices is built without re-checking.  Within one
 dimension tuples sort by labels; across dimensions sorts use
-``simplex_key``, dimension first.  Barycenters created by subdivisions get
+``simplex_key``, dimension first.  ``complex_from_maximal`` closes its
+simplices one dimension at a time, from the top down, and each sorted layer
+is the complex's ``by_dim`` entry, so a trusted build is never bucketed or
+sorted again.  Barycenters created by subdivisions get
 canonical labels built from the sorted parent vertex tuple, e.g. the
 barycenter of ``{a, b}`` is ``(a|b)``.  Because the labels are canonical,
 statements like "the boundary of a regular neighborhood of the spine equals
@@ -83,13 +86,15 @@ def join(s, labels):
 
 
 class _FaceClosed:
-    """A set of simplices that is face-closed by construction (the output of
-    ``close_under_faces``); ``Complex`` takes it without re-checking."""
+    """A complex that is face-closed by construction, given as its ``by_dim``
+    table: each dimension from 0 to the top mapped to the sorted tuple of
+    its simplices.  ``Complex`` takes it without re-checking or re-sorting."""
 
-    __slots__ = ("simplices",)
+    __slots__ = ("simplices", "by_dim")
 
-    def __init__(self, simplices):
-        self.simplices = frozenset(simplices)
+    def __init__(self, by_dim):
+        self.simplices = frozenset(itertools.chain.from_iterable(by_dim.values()))
+        self.by_dim = by_dim
 
 
 class Complex:
@@ -103,8 +108,9 @@ class Complex:
                  "_incidence")
 
     def __init__(self, simplices):
+        by_dim = None
         if type(simplices) is _FaceClosed:
-            ss = simplices.simplices
+            ss, by_dim = simplices.simplices, simplices.by_dim
         else:
             try:
                 ss = frozenset(simplices)
@@ -124,7 +130,7 @@ class Complex:
                             "complex not closed under faces: %s misses facet %s"
                             % (s, f))
         self.simplices = ss
-        self._by_dim = None
+        self._by_dim = by_dim
         self._vertices = None
         self._maximal = None
         self._incident = None
@@ -134,6 +140,8 @@ class Complex:
     # -- basic accessors ---------------------------------------------------
 
     def _dim_table(self):
+        """The ``by_dim`` table; a trusted build brings it, so it is
+        bucketed and sorted here only for a complex given as a set."""
         if self._by_dim is None:
             table = {}
             for s in self.simplices:
@@ -331,22 +339,25 @@ class Incidence:
 EMPTY_COMPLEX = Complex(())
 
 
-def close_under_faces(simplices):
-    """Face closure of an iterable of simplices, one layer of facets at a
-    time."""
-    out = set()
-    level = set(simplices)
-    while level:
-        out |= level
-        level = {f for s in level for f in facets(s)} - out
-    return out
-
-
 def complex_from_maximal(maximal):
-    """The complex of the given simplices and all their faces.  The closure
-    holds by construction, so it is not re-checked; nor is the shape of the
-    given simplices, which callers build from checked ones."""
-    return Complex(_FaceClosed(close_under_faces(maximal)))
+    """The complex of the given simplices and all their faces.
+
+    It is closed one dimension at a time, from the top down: the k-simplices
+    are the given ones of dimension k and the facets of the (k+1)-simplices.
+    Each layer is sorted once, which is its ``by_dim`` entry, and its facets
+    are its k-subsets, generated in C by ``itertools.combinations``.  The
+    closure holds by construction, so it is not re-checked; nor is the shape
+    of the given simplices, which callers build from checked ones."""
+    given = {}
+    for s in maximal:
+        given.setdefault(len(s) - 1, set()).add(s)
+    by_dim, below = {}, set()
+    for k in range(max(given, default=-1), -1, -1):
+        below.update(given.get(k, ()))
+        layer = by_dim[k] = tuple(sorted(below))
+        below = set(itertools.chain.from_iterable(
+            map(itertools.combinations, layer, itertools.repeat(k))))
+    return Complex(_FaceClosed(by_dim))
 
 
 def full_subcomplex(X, labels):

@@ -174,15 +174,26 @@ def _fans(X, k):
             ib, lb = w * (tops[b] - top), lifts[entries[b]]
             for (ja, pa), (jb, pb) in zip(la, lb):
                 flip = pa == pb
-                ra, qa = find(ia + ja)
-                rb, qb = find(ib + jb)
+                # A root, or a child of one, already holds its root and
+                # parity (a root's parity is 0), and find would change nothing.
+                ra = parent[ia + ja]
+                if parent[ra] == ra:
+                    qa = parity[ia + ja]
+                else:
+                    ra, qa = find(ia + ja)
+                rb = parent[ib + jb]
+                if parent[rb] == rb:
+                    qb = parity[ib + jb]
+                else:
+                    rb, qb = find(ib + jb)
                 if ra != rb:
                     parent[rb] = ra
                     parity[rb] = qa ^ qb ^ flip
                 elif qa ^ qb != flip:
                     odd.setdefault(ra, (ia + ja, ib + jb))
     for s in range(len(parent)):
-        parent[s], parity[s] = find(s)
+        if parent[parent[s]] != parent[s]:
+            parent[s], parity[s] = find(s)
     witnesses = {}
     for r, join in odd.items():
         witnesses.setdefault(parent[r], join)

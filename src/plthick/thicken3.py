@@ -503,9 +503,10 @@ def cone_boundary_neighborhoods(partial):
       gained no tetrahedron, and the cones e + w_v over the rim edges e of
       the N_v, so ∂P is the closure of these.
 
-    P is face-closed, so it is built without re-checking that.  M is
-    face-closed by its own build, and each N_v is a closed star in ∂M, a
-    subcomplex of M.  A face of the cone w_v * N_v is w_v, a simplex r of
+    P is face-closed, so it is built without re-checking that, and each
+    layer of its ``by_dim`` table is M's layer and that dimension's cones.
+    M is face-closed by its own build, and each N_v is a closed star in ∂M,
+    a subcomplex of M.  A face of the cone w_v * N_v is w_v, a simplex r of
     N_v or r + w_v, since N_v is face-closed, so it lies in M or in the
     cone.  The tests keep the checked build as the oracle.
 
@@ -541,6 +542,7 @@ def cone_boundary_neighborhoods(partial):
     free = set(partial.report.boundary.by_dim(2))
     cone_vertices = {}
     provenance = dict.fromkeys(partial.M.simplices, "M")
+    layers = {k: list(partial.M.by_dim(k)) for k in range(partial.M.dim + 1)}
     for v in sorted(Lv):
         N = neighborhoods[v]
         w = cone_vertices[v] = _cone_label(v)
@@ -556,9 +558,13 @@ def cone_boundary_neighborhoods(partial):
         free.difference_update(N.by_dim(2))
         free.update(join(e, (w,)) for e in rim)
         provenance[(w,)] = ("cone", v)
-        for s in N.simplices:
-            provenance[join(s, (w,))] = ("cone", v)
-    P = Complex(_FaceClosed(provenance))
+        layers[0].append((w,))
+        for k in range(N.dim + 1):
+            cones = [join(s, (w,)) for s in N.by_dim(k)]
+            provenance.update(dict.fromkeys(cones, ("cone", v)))
+            layers[k + 1] += cones
+    # Each layer is M's sorted run followed by the cones, which sort merges.
+    P = Complex(_FaceClosed({k: tuple(sorted(layer)) for k, layer in layers.items()}))
     galleries = _fans(P, 0)
     components = len(set(galleries[0]))
     report = replace(
@@ -621,8 +627,8 @@ def homology_by_collapse(P, X_copy, H_copy):
     R = collapse.remainder
     reaches_copy = R == X_copy
     H = H_copy if reaches_copy else homology_groups(R)
-    order = json.dumps([[list(f), list(c)] for f, c in collapse.pairs],
-                       separators=(",", ":"))
+    # JSON writes tuples as arrays.
+    order = json.dumps(collapse.pairs, separators=(",", ":"))
     return H.padded(P.dim + 1), CollapseCertificate(
         pairs=len(collapse.pairs), reaches_copy=reaches_copy,
         order_sha256=hashlib.sha256(order.encode()).hexdigest())

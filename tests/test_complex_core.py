@@ -710,6 +710,54 @@ def test_maximal_simplices_and_by_dim_match_oracles():
     assert EMPTY_COMPLEX.dim == -1 and EMPTY_COMPLEX.maximal_simplices == ()
 
 
+def close_under_faces(simplices):
+    """The former face closure, one layer of ``facets`` at a time: the
+    oracle of ``complex_from_maximal``."""
+    out = set()
+    level = set(simplices)
+    while level:
+        out |= level
+        level = {f for s in level for f in facets(s)} - out
+    return out
+
+
+def sorted_buckets(simplices):
+    """Each dimension mapped to the sorted tuple of its simplices."""
+    table = {}
+    for s in simplices:
+        table.setdefault(len(s) - 1, []).append(s)
+    return {k: tuple(sorted(ss)) for k, ss in table.items()}
+
+
+def test_complex_from_maximal_matches_the_layered_closure_oracle():
+    """The closure built one dimension at a time has the oracle's simplices
+    and sorted ``by_dim`` buckets: on the empty set, a lone vertex,
+    duplicates, a given simplex that is a face of another, and random
+    given sets of mixed dimension, passed as one-shot iterators."""
+    a, ab, bc, abc = simplex("a"), simplex("a", "b"), simplex("b", "c"), simplex("a", "b", "c")
+    cases = [[], [a], [ab, ab, bc], [abc, ab, a], [a, abc]]
+    rng = random.Random(20261028)
+    for _ in range(300):
+        pool = ["v%d" % i for i in range(rng.randint(1, 9))]
+        given = [simplex(*rng.sample(pool, rng.randint(1, min(5, len(pool)))))
+                 for _ in range(rng.randint(1, 10))]
+        given += rng.sample(given, rng.randint(0, len(given)))
+        given += [s[:rng.randint(1, len(s))] for s in rng.choices(given, k=2)]
+        rng.shuffle(given)
+        cases.append(given)
+    mixed = 0
+    for given in cases:
+        X = complex_from_maximal(iter(given))
+        closure = close_under_faces(given)
+        assert X.simplices == closure
+        buckets = sorted_buckets(closure)
+        assert X.dim == max(buckets, default=-1)
+        assert {k: X.by_dim(k) for k in range(X.dim + 1)} == buckets
+        assert Complex(closure) == X
+        mixed += len({len(s) for s in X.maximal_simplices}) > 1
+    assert mixed > 50
+
+
 # -- the incidence index -------------------------------------------------------
 
 

@@ -96,19 +96,12 @@ def _references(path):
 
 def test_trusted_constructors_stay_in_their_callers():
     found = {name: set() for name in TRUSTED}
-    rebuilt = []
     for path in sorted(SRC.glob("*.py")):
         for scope, node in _references(path):
             if isinstance(node, ast.Name) and node.id == "_FaceClosed" \
                     and isinstance(node.ctx, ast.Load):
                 found["_FaceClosed"].add(scope)
-            elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "Complex" \
-                    and node.args and isinstance(node.args[0], ast.Call) \
-                    and getattr(node.args[0].func, "id", None) == "close_under_faces":
-                rebuilt.append(scope)
     assert found == TRUSTED
-    # A face closure is already closed: build it with complex_from_maximal.
-    assert rebuilt == []
 
 
 # The integer kernels of geometry.py.  An integer ``/`` silently yields a

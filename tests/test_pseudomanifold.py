@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -16,6 +18,7 @@ from plthick.fixtures import FIXTURE_NAMES, THICKENING_FIXTURES, fixture
 from plthick.homology import homology_groups
 from plthick.pseudomanifold import (
     LinkClass,
+    _fans,
     check_isolated_singularities,
     check_pseudomanifold,
     classify_link,
@@ -561,6 +564,48 @@ def test_orient_signs_on_closed_octahedral_ball_match_oracle(octahedral_closure)
 def test_orient_signs_on_thickenings_match_oracle(pipeline_cache, name):
     out, rep = pipeline_cache(name, 0)
     assert rep.orientation.assignment.signs == _oracle_signs(out.P)
+
+
+# sha256 of the compact JSON [parent, parity, witness items] of _fans(X, k),
+# pinned before roots were looked up inline.
+FAN_FOREST_DIGESTS = {
+    ("M", 0): "27164d701dba6603e625ec3553e67dd1e8cf5f4c61640183697ee11b10aebf8c",
+    ("M", 1): "d7313886b337b3c14c63aa61295174334e739d4e00be0df52056615da74d5c23",
+    ("M", 2): "db53429052b8790d0fc061ffeec55c28d752e4814a2e43be42b8f0d6116da5fc",
+    ("P", 0): "095e6954f4ebd775114103521c4e0cbd7eceef6c7cad838ba0a4182041a87f6b",
+    ("Q", 0): "686bd1fbc17f763cc855d653f6fa867be8585bd478971f968193982efc3d225a",
+    ("Q", 1): "3431f304f94f703e5ac8711369484725e771e3becd974a385345189632bb54ac",
+    ("Q", 2): "90ecf0cf2b40786ebabbe0890b9f594ca74c5addab13d2666745b659110c7159",
+    ("C", 0): "d6e3253cecc42629a082b5a514beaa93d8674b3c0525246397593b2418b65cda",
+    ("C", 1): "2773854b1bbb27d42777806a61e67352bf300ff75213dfb98569b02269a6aaa7",
+}
+
+
+def test_fan_forests_are_pinned(pipeline_cache, octahedral_closure):
+    """The roots, parities and witnesses of the fan forests of torus_7's M
+    and P, of the octahedral Q and of the cone C over projective_plane_6
+    (whose forests hold witnesses), list for list: the order of joins and
+    compressions fixes them, and ``orient`` and the link checks read them."""
+    out, _ = pipeline_cache("torus_7", 0)
+    rp2 = fixture("projective_plane_6")
+    complexes = {"M": out.M, "P": out.P, "Q": octahedral_closure.Q.complex,
+                 "C": cone_off(rp2, rp2, "w")}
+    found = {}
+    for name, k in FAN_FOREST_DIGESTS:
+        parent, parity, witnesses = _fans(complexes[name], k)
+        blob = json.dumps([parent, parity, list(witnesses.items())], separators=(",", ":"))
+        found[name, k] = hashlib.sha256(blob.encode()).hexdigest()
+    assert found == FAN_FOREST_DIGESTS
+
+
+def test_odd_cycles_are_pinned():
+    """``orient``'s odd cycle on the projective plane and on the cone over
+    it, as the gallery forest's witness join finds it."""
+    X = fixture("projective_plane_6")
+    cycle = [("1", "3", "4"), ("1", "4", "5"), ("1", "2", "5"), ("2", "3", "5"),
+             ("2", "3", "4"), ("1", "3", "4")]
+    assert orient(X).odd_cycle == cycle
+    assert orient(cone_off(X, X, "w")).odd_cycle == [t + ("w",) for t in cycle]
 
 
 def test_link_of_edge_in_three_sphere_is_circle():

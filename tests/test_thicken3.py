@@ -406,6 +406,17 @@ def test_outputs_pass_the_checked_constructor(pipeline_cache, name):
 
 
 @pytest.mark.parametrize("name", THICKENING_FIXTURES)
+def test_p_by_dim_is_the_sorted_buckets(pipeline_cache, name):
+    """P's table, M's sorted layers plus the cones, is the sorted buckets of
+    its simplices, dimension by dimension."""
+    out, _ = pipeline_cache(name, 0)
+    P = out.P
+    assert P.dim == 3
+    for k in range(-1, 5):
+        assert P.by_dim(k) == tuple(sorted(s for s in P.simplices if len(s) == k + 1))
+
+
+@pytest.mark.parametrize("name", THICKENING_FIXTURES)
 def test_cone_vertex_link_is_its_neighborhood(pipeline_cache, name):
     """lk_P(w) = N_v for the cone vertex w of v, so N_v's own class is w's
     class in P's derived report."""
