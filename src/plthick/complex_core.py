@@ -386,8 +386,9 @@ def validate_complex(raw):
 
 
 def link_of(X, s):
-    """Link of the simplex ``s`` in ``X``, built from the incidence index:
-    the simplices t - s for the simplices t of X properly containing s."""
+    """Link of the simplex ``s`` in ``X``: the simplices t - s for the
+    simplices t of X properly containing s, found among the simplices on
+    s's first vertex in the label table ``Complex.incident``."""
     if s not in X.simplices:
         raise ValidationError("simplex %s not in complex" % (s,))
     sset = set(s)
@@ -682,7 +683,9 @@ def _pair_off(partners, others, dead=(), blocked=frozenset(), first=None):
     and both are removed, the partner first.  ``first``, if given, is
     removed alone before the loop.  Counts only fall, so no live id outside
     ``blocked`` is left with one partner.  Returns the live flags and the
-    ``(id, partner)`` pairs in the order removed.
+    ``(id, partner)`` pairs in the order removed.  Removals are written out
+    in the loop, not called: a call per removal took about a quarter of
+    the loop's time on the octahedral closure.
     """
     p_start, p_ids = partners
     o_start, o_ids = others
@@ -693,23 +696,25 @@ def _pair_off(partners, others, dead=(), blocked=frozenset(), first=None):
         for y in o_ids[o_start[x]:o_start[x + 1]]:
             count[y] -= 1
     queue = [x for x, n in enumerate(count) if n == 1 and alive[x] and x not in blocked]
-
-    def remove(x):
-        alive[x] = False
-        for y in o_ids[o_start[x]:o_start[x + 1]]:
+    if first is not None:
+        alive[first] = False
+        for y in o_ids[o_start[first]:o_start[first + 1]]:
             count[y] -= 1
             if count[y] == 1 and alive[y] and y not in blocked:
                 queue.append(y)
-
-    if first is not None:
-        remove(first)
     pairs = []
     for b in queue:
         if alive[b] and count[b] == 1:
-            a = next(a for a in p_ids[p_start[b]:p_start[b + 1]] if alive[a])
+            for a in p_ids[p_start[b]:p_start[b + 1]]:
+                if alive[a]:
+                    break
             pairs.append((b, a))
-            remove(a)
-            remove(b)
+            for x in (a, b):
+                alive[x] = False
+                for y in o_ids[o_start[x]:o_start[x + 1]]:
+                    count[y] -= 1
+                    if count[y] == 1 and alive[y] and y not in blocked:
+                        queue.append(y)
     return alive, pairs
 
 

@@ -5,6 +5,12 @@ Galleries, the edge links of a 3-complex, the components of a surface and
 the vertex links of a 3-pseudomanifold are all read off one signed fan
 forest (``_fans``): a union-find over integer (top simplex, k-subset) slots
 whose components around a k-vertex face are the components of its link.
+Every join across a facet is looked up in a table (``_joins``) by the
+facet's entries in the two tops' facet rows, so the loop does no position
+arithmetic.  A surface link's Euler characteristic, fan by fan, takes its
+triangles from the forest, its vertices from one charge per (k+1)-face and
+its edges from the handshake identity 2E = 3F + B (``_surface_fans``), so
+only the boundary facets are walked.
 
 Orientability is read off the same forest with k = 0: a slot's parity
 relative to its root is its orientation sign, a join that closes an odd
@@ -18,9 +24,9 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from functools import cache
-from itertools import combinations
-from operator import lt
+from functools import cache, lru_cache
+from itertools import combinations, compress
+from operator import lt, not_, sub
 
 from .complex_core import Complex, complex_from_maximal, link_of
 from .errors import ValidationError
@@ -62,7 +68,7 @@ class LinkClass:
         doubles = []
         for chi, nb, orientable in self.pieces:
             doubles += [(2 * chi, 0, orientable)] if nb else [(chi, 0, orientable)] * 2
-        return _surface_class(doubles)
+        return _surface_class(tuple(sorted(doubles)))
 
     def describe(self):
         bits = [self.kind]
@@ -114,15 +120,28 @@ class PseudomanifoldReport:
 @cache
 def _lifts(d, k):
     """The k-subsets of positions in a top simplex of d + 1 vertices, and
-    for each position p how the k-subsets of the facet missing p lift into
-    the top: in ``combinations`` order, each one's index among the top's
-    k-subsets and the parity of p's position in the top without it."""
+    for each entry e of a top's facet row, whose facet drops position
+    p = d - e, how the k-subsets of the facet lift into the top: in
+    ``combinations`` order, each one's index among the top's k-subsets and
+    the parity of p's position in the top without it."""
     subsets = tuple(combinations(range(d + 1), k))
     index = {r: j for j, r in enumerate(subsets)}
     return subsets, tuple(
         tuple((index[tuple(m + (m >= p) for m in r)], (p - sum(m < p for m in r)) % 2)
               for r in combinations(range(d), k))
-        for p in range(d + 1))
+        for p in range(d, -1, -1))
+
+
+@cache
+def _joins(d, k):
+    """The joins of ``_fans`` across a facet held at entries ea and eb of
+    two tops' rows: ``_joins(d, k)[ea][eb]`` lists, for each k-subset of the
+    facet in ``combinations`` order, its index among the k-subsets of each
+    top and whether the join flips parity (the two lifts' parities agree)."""
+    lifts = _lifts(d, k)[1]
+    return tuple(tuple(tuple((ja, jb, int(pa == pb)) for (ja, pa), (jb, pb) in zip(la, lb))
+                       for lb in lifts)
+                 for la in lifts)
 
 
 def _fans(X, k):
@@ -136,8 +155,10 @@ def _fans(X, k):
     galleries.  A join is odd (a - r and b - r need opposite signs) when the
     positions of the vertex opposite f in a - r and in b - r add up to an
     even number, and a join that closes an odd cycle makes its fan
-    non-orientable.  When every facet lies in one or two top simplices, the
-    fans around r are the components of its link (Rourke-Sanderson, ch. 2).
+    non-orientable.  The slots and the flip of every join across a facet
+    are read from ``_joins`` by the facet's entries in the two tops' rows.
+    When every facet lies in one or two top simplices, the fans around r
+    are the components of its link (Rourke-Sanderson, ch. 2).
 
     Returns the root of every slot, its parity relative to the root, and
     for each root of a non-orientable fan the two slots of the first join
@@ -146,8 +167,8 @@ def _fans(X, k):
     d = X.dim
     ix = X.incidence()
     top = ix.offsets[d]
-    subsets, lifts = _lifts(d, k)
-    w = len(subsets)
+    w = len(_lifts(d, k)[0])
+    joins = _joins(d, k)
     parent = list(range(w * (len(ix.cells) - top)))
     parity = [0] * len(parent)
 
@@ -161,36 +182,34 @@ def _fans(X, k):
             x = parent[x]
         return x, p
 
-    # Entry j of a top's facet row drops position d - j.
-    lifts = lifts[::-1]
     tops, entries, start = ix.cofaces, ix.entries, ix.coface_start
     odd = {}
     for f in ix.ids(d - 1):
         a, end = start[f], start[f + 1]
         if end - a < 2:
             continue
-        ia, la = w * (tops[a] - top), lifts[entries[a]]
+        ia, across = w * (tops[a] - top), joins[entries[a]]
         for b in range(a + 1, end):
-            ib, lb = w * (tops[b] - top), lifts[entries[b]]
-            for (ja, pa), (jb, pb) in zip(la, lb):
-                flip = pa == pb
+            ib = w * (tops[b] - top)
+            for ja, jb, flip in across[entries[b]]:
+                sa, sb = ia + ja, ib + jb
                 # A root, or a child of one, already holds its root and
                 # parity (a root's parity is 0), and find would change nothing.
-                ra = parent[ia + ja]
+                ra = parent[sa]
                 if parent[ra] == ra:
-                    qa = parity[ia + ja]
+                    qa = parity[sa]
                 else:
-                    ra, qa = find(ia + ja)
-                rb = parent[ib + jb]
+                    ra, qa = find(sa)
+                rb = parent[sb]
                 if parent[rb] == rb:
-                    qb = parity[ib + jb]
+                    qb = parity[sb]
                 else:
-                    rb, qb = find(ib + jb)
+                    rb, qb = find(sb)
                 if ra != rb:
                     parent[rb] = ra
                     parity[rb] = qa ^ qb ^ flip
                 elif qa ^ qb != flip:
-                    odd.setdefault(ra, (ia + ja, ib + jb))
+                    odd.setdefault(ra, (sa, sb))
     for s in range(len(parent)):
         if parent[parent[s]] != parent[s]:
             parent[s], parity[s] = find(s)
@@ -211,10 +230,12 @@ def check_pseudomanifold(X):
     d = X.dim
     ix = X.incidence()
     # Pure: every simplex of dimension below d has a coface.
-    up = ix.coface_start
-    is_pure = all(map(lt, up[:ix.offsets[d]], up[1:ix.offsets[d] + 1]))
-    witness = next((ix.cells[f] for f in ix.ids(d - 1) if not 0 < ix.degree(f) <= 2), None)
-    boundary = complex_from_maximal(ix.cells[f] for f in ix.ids(d - 1) if ix.degree(f) == 1)
+    up, lo, top = ix.coface_start, ix.offsets[d - 1], ix.offsets[d]
+    is_pure = all(map(lt, up[:top], up[1:top + 1]))
+    degrees = list(map(sub, up[lo + 1:top + 1], up[lo:top]))
+    witness = next(compress(X.by_dim(d - 1), map(not_, map({1, 2}.__contains__, degrees))),
+                   None)
+    boundary = complex_from_maximal(compress(X.by_dim(d - 1), map((1).__eq__, degrees)))
     galleries = _fans(X, 0)
     components = len(set(galleries[0]))
     return PseudomanifoldReport(
@@ -255,11 +276,12 @@ def classify_link(L):
 
 
 def _classify_curves(L):
-    for v in L.by_dim(0):
-        if not any(v[0] in e for e in L.by_dim(1)):
-            return LinkClass(kind="NotManifold", dim=1, components=0,
-                             is_manifold=False, witness=v)
     adj = L.adjacency()
+    # The first vertex, in by_dim order, on no edge.
+    for v in L.vertices:
+        if not adj[v]:
+            return LinkClass(kind="NotManifold", dim=1, components=0,
+                             is_manifold=False, witness=(v,))
     for v, nbrs in adj.items():
         if len(nbrs) > 2:
             return LinkClass(kind="NotManifold", dim=1, components=0,
@@ -309,10 +331,13 @@ def _classify_surface(L):
     return _surface_fans(L, 0, boundary)[()]
 
 
+@lru_cache(maxsize=1024)
 def _surface_class(pieces):
-    """LinkClass of a surface whose components are given as (Euler
-    characteristic, boundary circles, orientable), by the classification of
-    surfaces (Rourke-Sanderson, ch. 2)."""
+    """LinkClass of a surface whose components are given as the sorted
+    tuple of their (Euler characteristic, boundary circles, orientable),
+    by the classification of surfaces (Rourke-Sanderson, ch. 2).  The class
+    is a function of that tuple, and a closed complex repeats a few classes
+    at thousands of vertices, so recent ones are kept."""
     kinds = []
     genus_total = boundary_total = 0
     orientable_all = True
@@ -328,11 +353,27 @@ def _surface_class(pieces):
     kind = kinds[0] if len(set(kinds)) == 1 else "Mixed"
     return LinkClass(kind=kind, dim=2, components=len(kinds), is_manifold=True,
                      orientable=orientable_all, genus=genus_total,
-                     boundary_components=boundary_total,
-                     pieces=tuple(sorted(map(tuple, pieces))))
+                     boundary_components=boundary_total, pieces=pieces)
 
 
-SPHERE = _surface_class([(2, 0, True)])
+SPHERE = _surface_class(((2, 0, True),))
+
+
+@cache
+def _corners(d, k):
+    """For a top simplex of d + 1 vertices, the (k+1)-face at
+    entry eg of the row of the facet at entry ef of the top's row: the
+    indices among the top's k-subsets of the face's k-subsets, as
+    ``_corners(d, k)[ef][eg]``."""
+    subsets = _lifts(d, k)[0]
+    index = {r: j for j, r in enumerate(subsets)}
+    table = []
+    for q in range(d, -1, -1):
+        facet = [x for x in range(d + 1) if x != q]
+        table.append(tuple(
+            tuple(index[r] for r in combinations([x for x in facet if x != p], k))
+            for p in facet[::-1]))
+    return tuple(table)
 
 
 def _surface_fans(X, k, boundary):
@@ -343,57 +384,52 @@ def _surface_fans(X, k, boundary):
 
     Then lk(r) is a surface and its components are the fans of
     ``_fans(X, k)`` around r.  Its triangles, edges and vertices are the
-    tops, facets and (k+1)-faces of X that contain r, so the Euler
-    characteristic of a fan is charged slot by slot: each top adds 1 to its
-    own slots, each (k+1)-face 1 once, through its first top by id, and
-    each facet -1 through its first top.  The boundary circles of lk(r) are
-    the fans of ``boundary`` around r, each charged through its facet's
-    unique top.
+    tops, facets and (k+1)-faces of X that contain r.  A fan's F triangles
+    are its slots.  Each of its V vertices is charged once: the link of a
+    (k+1)-face g is connected, so the slots of g's tops at a k-subset r of
+    g lie in one fan, and g is charged through its first coface's first
+    top.  Its E edges follow from the handshake identity 2E = 3F + B, B
+    the number of its boundary edges (facets with one top, charged through
+    that top), so chi = V - E + F = V - (F + B) / 2 and only the boundary
+    facets are walked.  The boundary circles of lk(r) are the fans of
+    ``boundary`` around r, each charged through its facet's unique top.
     """
     d = k + 2
     subsets, lifts = _lifts(d, k)
     w = len(subsets)
-    index = {r: j for j, r in enumerate(subsets)}
+    corners = _corners(d, k)
     ix = X.incidence()
-    top, row, row_start = ix.offsets[d], ix.facets, ix.facet_start
-    roots, _, odd = _fans(X, k)
-    chi = [1] * len(roots)
-    # The (k+1)-face of a top without its positions p < q is entry
-    # d - 1 - p of the row of its facet without q, entry d - q of its row.
-    ups = [(d - q, d - 1 - p, [index[r] for r in combinations(u, k)])
-           for p, q in combinations(range(d + 1), 2)
-           for u in [tuple(x for x in range(d + 1) if x not in (p, q))]]
-    charged = bytearray(len(ix.cells))
-    for t in ix.ids(d):
-        i, r = w * (t - top), row_start[t]
-        for jq, jp, js in ups:
-            g = row[row_start[row[r + jq]] + jp]
-            if not charged[g]:
-                charged[g] = 1
-                for j in js:
-                    chi[i + j] += 1
-    rim = []  # base slot and lifts of the one top of each boundary facet
+    top = ix.offsets[d]
     tops, entries, start = ix.cofaces, ix.entries, ix.coface_start
-    for f in ix.ids(d - 1):
+    roots, _, odd = _fans(X, k)
+    charge = [0] * len(roots)  # 2V - B, at the root of each fan
+    for g in ix.ids(d - 2):
+        a = start[g]
+        b = start[tops[a]]
+        i = w * (tops[b] - top)
+        for j in corners[entries[b]][entries[a]]:
+            charge[roots[i + j]] += 2
+    rim = []  # base slot and lifts of the one top of each boundary facet
+    lo = ix.offsets[d - 1]
+    for f in compress(ix.ids(d - 1), map((1).__eq__, map(sub, start[lo + 1:top + 1],
+                                                          start[lo:top]))):
         a = start[f]
-        i, lift = w * (tops[a] - top), lifts[d - entries[a]]
+        i, lift = w * (tops[a] - top), lifts[entries[a]]
         for j, _ in lift:
-            chi[i + j] -= 1
-        if start[f + 1] - a == 1:
-            rim.append((i, lift))
-    fans = {}  # root slot -> [Euler characteristic, boundary circles, orientable]
-    for s, r in enumerate(roots):
-        fans.setdefault(r, [0, 0, r not in odd])[0] += chi[s]
+            charge[roots[i + j]] -= 1
+        rim.append((i, lift))
+    circles = [0] * len(roots)
     if len(boundary):
         wb = len(lifts[0])
         for s in set(_fans(boundary, k)[0]):
             i, lift = rim[s // wb]
-            fans[roots[i + lift[s % wb][0]]][1] += 1
+            circles[roots[i + lift[s % wb][0]]] += 1
     by_face = {}
-    for r, fan in fans.items():
+    for r, n in Counter(roots).items():
         t = ix.cells[top + r // w]
-        by_face.setdefault(tuple(t[p] for p in subsets[r % w]), []).append(fan)
-    return {face: _surface_class(by_face[face]) for face in sorted(by_face)}
+        by_face.setdefault(tuple(t[p] for p in subsets[r % w]), []).append(
+            ((charge[r] - n) // 2, circles[r], r not in odd))
+    return {face: _surface_class(tuple(sorted(by_face[face]))) for face in sorted(by_face)}
 
 
 # -- isolated singularities -----------------------------------------------------

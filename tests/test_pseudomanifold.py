@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+from itertools import combinations
 
 import pytest
 
@@ -19,6 +20,7 @@ from plthick.homology import homology_groups
 from plthick.pseudomanifold import (
     LinkClass,
     _fans,
+    _surface_fans,
     check_isolated_singularities,
     check_pseudomanifold,
     classify_link,
@@ -38,6 +40,26 @@ def test_book_of_three_fails_facet_degrees():
     assert r.facet_witness == simplex("a", "b")
     # The three pages are one gallery through their common edge.
     assert r.gallery_components == 1
+
+
+@pytest.mark.parametrize("raw, witness", [
+    # A dangling edge (degree 0) sorting before the spine of a book (degree 3).
+    ([["b", "c", "x"], ["b", "c", "y"], ["b", "c", "z"], ["a", "b"]], ("a", "b")),
+    # A dangling edge sorting after it.
+    ([["b", "c", "x"], ["b", "c", "y"], ["b", "c", "z"], ["x", "y"]], ("b", "c")),
+    ([["a", "b", "c"], ["c", "d"]], ("c", "d")),
+    ([["a", "b", "c", "d"], ["a", "b", "e"]], ("a", "b", "e")),
+    ([["a", "b", "c"], ["b", "c", "d"]], None),
+])
+def test_facet_witness_is_the_first_bad_facet_in_id_order(raw, witness):
+    """The witness is the first (d-1)-simplex, in ``by_dim`` order, in no
+    top simplex or in more than two."""
+    X = validate_complex(raw)
+    r = check_pseudomanifold(X)
+    assert r.facet_witness == witness and r.facet_degrees_ok == (witness is None)
+    tops = X.by_dim(X.dim)
+    degree = {f: sum(set(f) <= set(t) for t in tops) for f in X.by_dim(X.dim - 1)}
+    assert witness == next((f for f, n in degree.items() if n not in (1, 2)), None)
 
 
 @pytest.mark.parametrize("raw, pure", [
@@ -361,6 +383,12 @@ def _vertex_link_oracle(X):
     return {v[0]: classify_link(link_of(X, v)) for v in X.by_dim(0)}
 
 
+def _independent_vertex_link_oracle(X):
+    """The per-vertex classification by ``_surface_oracle``, which does not
+    run ``_surface_fans``."""
+    return {v[0]: _surface_oracle(link_of(X, v)) for v in X.by_dim(0)}
+
+
 def test_one_pass_vertex_links_match_per_vertex_oracle():
     rng = random.Random(20261020)
     seen = {"non-orientable": 0, "several components": 0, "boundary": 0}
@@ -371,6 +399,7 @@ def test_one_pass_vertex_links_match_per_vertex_oracle():
             continue
         expect = _vertex_link_oracle(X)
         assert r.vertex_links == expect, X.maximal_simplices
+        assert r.vertex_links == _independent_vertex_link_oracle(X), X.maximal_simplices
         links = expect.values()
         seen["non-orientable"] += any(cls.orientable is False for cls in links)
         seen["several components"] += any(cls.components > 1 for cls in links)
@@ -381,6 +410,85 @@ def test_one_pass_vertex_links_match_per_vertex_oracle():
     for X in cones + [_two_spheres_sharing({"a"})]:
         r = check_isolated_singularities(X)
         assert r.positive_links_ok and r.vertex_links == _vertex_link_oracle(X)
+        assert r.vertex_links == _independent_vertex_link_oracle(X)
+
+
+def _euler_charge_oracle(X, k, boundary):
+    """The pieces of every k-vertex face's link, as ``_surface_fans`` finds
+    them, from a slot-by-slot Euler charge: each top adds 1 to its own
+    slots, each (k+1)-face 1 through its first top by id, and each facet -1
+    through its first top, so every vertex, edge and triangle of the link is
+    counted directly, with no handshake identity."""
+    d = k + 2
+    subsets = list(combinations(range(d + 1), k))
+    index = {r: j for j, r in enumerate(subsets)}
+    w = len(subsets)
+    # lifts[p]: the slots in a top of the k-subsets of its facet without p.
+    lifts = [[index[tuple(m + (m >= p) for m in r)] for r in combinations(range(d), k)]
+             for p in range(d + 1)]
+    ix = X.incidence()
+    top, row, row_start = ix.offsets[d], ix.facets, ix.facet_start
+    roots, _, odd = _fans(X, k)
+    chi = [1] * len(roots)
+    # The (k+1)-face of a top without its positions p < q is entry
+    # d - 1 - p of the row of its facet without q, entry d - q of its row.
+    ups = [(d - q, d - 1 - p, [index[r] for r in combinations(u, k)])
+           for p, q in combinations(range(d + 1), 2)
+           for u in [tuple(x for x in range(d + 1) if x not in (p, q))]]
+    charged = set()
+    for t in ix.ids(d):
+        i, r = w * (t - top), row_start[t]
+        for jq, jp, js in ups:
+            g = row[row_start[row[r + jq]] + jp]
+            if g not in charged:
+                charged.add(g)
+                for j in js:
+                    chi[i + j] += 1
+    rim = []
+    tops, entries, start = ix.cofaces, ix.entries, ix.coface_start
+    for f in ix.ids(d - 1):
+        a = start[f]
+        i, lift = w * (tops[a] - top), lifts[d - entries[a]]
+        for j in lift:
+            chi[i + j] -= 1
+        if start[f + 1] - a == 1:
+            rim.append((i, lift))
+    fans = {}
+    for s, r in enumerate(roots):
+        fans.setdefault(r, [0, 0, r not in odd])[0] += chi[s]
+    if len(boundary):
+        wb = len(lifts[0])
+        for s in set(_fans(boundary, k)[0]):
+            i, lift = rim[s // wb]
+            fans[roots[i + lift[s % wb]]][1] += 1
+    by_face = {}
+    for r, fan in fans.items():
+        t = ix.cells[top + r // w]
+        by_face.setdefault(tuple(t[p] for p in subsets[r % w]), []).append(tuple(fan))
+    return {face: tuple(sorted(pieces)) for face, pieces in by_face.items()}
+
+
+def _assert_euler_charge(X, k, boundary):
+    found = {face: cls.pieces for face, cls in _surface_fans(X, k, boundary).items()}
+    assert found == _euler_charge_oracle(X, k, boundary)
+
+
+@pytest.mark.parametrize("name", THICKENING_FIXTURES)
+def test_handshake_count_matches_euler_charge_on_thickenings(pipeline_cache, name):
+    out, _ = pipeline_cache(name, 0)
+    for X in (out.M, out.P):
+        r = check_isolated_singularities(X)
+        assert r.positive_links_ok
+        _assert_euler_charge(X, 1, r.boundary)
+
+
+def test_handshake_count_matches_euler_charge_on_closure_and_surfaces(octahedral_closure):
+    Q = octahedral_closure.Q.complex
+    _assert_euler_charge(Q, 1, octahedral_closure.report.boundary)
+    surfaces = [L for L in _random_surfaces() if classify_link(L).is_manifold]
+    assert len(surfaces) > 100
+    for L in surfaces:
+        _assert_euler_charge(L, 0, check_pseudomanifold(L).boundary)
 
 
 # -- orientation -----------------------------------------------------------------------
