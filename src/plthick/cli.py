@@ -11,13 +11,13 @@ import argparse
 import json
 import os
 import sys
+from collections import Counter
 from dataclasses import dataclass
 
 from . import fixtures
 from .complex_core import (
     barycentric_subdivision,
     link_of,
-    simplex_key,
     spine,
     validate_complex,
 )
@@ -136,6 +136,17 @@ def homology_obj(H):
     return {"betti": list(H.betti), "torsion": [list(t) for t in H.torsion]}
 
 
+def class_summary(local):
+    """The classes of a ``LocalLinkReport`` counted by tag and description.
+    The (tag, class) pairs are counted first and each distinct class is
+    described once; distinct classes with one description add up."""
+    tags = {}
+    for (tag, cls), n in Counter(local.classes.values()).items():
+        described = tags.setdefault(tag, {})
+        described[cls.describe()] = described.get(cls.describe(), 0) + n
+    return tags
+
+
 # -- pipeline -------------------------------------------------------------------------
 
 
@@ -166,13 +177,12 @@ def run_pipeline(config, X):
     artifacts = {}
     artifacts["input.json"] = canonical_json(complex_to_obj(X))
     artifacts["p_complex.json"] = canonical_json(complex_to_obj(P))
+    # P's ids run in by_dim order, which is simplex_key order.
+    origins = {("cone", v): w for v, w in out.cone_vertices.items()}
+    origins["M"] = "M"
     artifacts["provenance.json"] = canonical_json({
-        "simplices": [
-            {"simplex": list(s),
-             "origin": "M" if origin == "M" else out.cone_vertices[origin[1]]}
-            for s, origin in sorted(out.provenance.items(),
-                                    key=lambda item: simplex_key(item[0]))
-        ]})
+        "simplices": [{"simplex": list(s), "origin": origins[out.provenance[s]]}
+                      for s in P.incidence().cells]})
 
     report_obj = {
         "pseudomanifold": pseudomanifold_report_obj(rep.pseudomanifold),
@@ -211,15 +221,11 @@ def run_pipeline(config, X):
     if close_obj["mode"] in (None, "local"):
         local = verify_closed_locally(P, cone_vertices=out.cone_vertices.values(),
                                       report=rep.pseudomanifold)
-        tags = {}
-        for tau, (tag, cls) in local.classes.items():
-            tags.setdefault(tag, {}).setdefault(cls.describe(), 0)
-            tags[tag][cls.describe()] += 1
         close_obj.update({
             "mode": "local",
             "classes": len(local.classes),
             "all_closed_manifolds": local.all_closed_manifolds(),
-            "class_summary": tags,
+            "class_summary": class_summary(local),
         })
     report_obj["close"] = close_obj
     artifacts["report.json"] = canonical_json(report_obj)

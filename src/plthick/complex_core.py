@@ -35,6 +35,7 @@ from __future__ import annotations
 import itertools
 import operator
 from array import array
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -335,6 +336,24 @@ class Incidence:
         d = len(self.cells[f])
         return [d - j for j in self.entries[self.coface_start[f]:self.coface_start[f + 1]]]
 
+    def closure(self, ids):
+        """The subcomplex of the simplices with the given ids and all their
+        faces.  It is closed from the top down as ``complex_from_maximal``
+        closes, but on ids: layer k is the given k-simplices and the facet
+        rows of layer k + 1, sorted as integers.  Ids run in ``by_dim``
+        order, so each layer is the parent's layer filtered, already sorted
+        and face-closed, and no label is compared."""
+        cells, offsets = self.cells, self.offsets
+        given = sorted(set(ids))
+        by_dim, below = {}, set()
+        for k in range(len(offsets) - 2, -1, -1):
+            below.update(given[bisect_left(given, offsets[k]):bisect_left(given, offsets[k + 1])])
+            if below:
+                layer = sorted(below)
+                by_dim[k] = tuple(map(cells.__getitem__, layer))
+                below = set(itertools.chain.from_iterable(map(self.down, layer))) if k else ()
+        return Complex(_FaceClosed(by_dim))
+
 
 EMPTY_COMPLEX = Complex(())
 
@@ -412,14 +431,16 @@ def boundary_and_free_faces(X):
 def is_full_subcomplex(X, K):
     """True iff every X-simplex with all vertices in K lies in K.
 
-    Returns ``(flag, witness)`` where witness is an offending simplex.
+    Returns ``(flag, witness)`` where witness is the first offending
+    simplex in ``by_dim`` order.
     """
     if not K.is_subcomplex_of(X):
         raise ValidationError("K is not a subcomplex of X")
     kverts = set(K.vertices)
-    for s in X.simplices:
-        if kverts.issuperset(s) and s not in K:
-            return False, s
+    for k in range(X.dim + 1):
+        for s in X.by_dim(k):
+            if kverts.issuperset(s) and s not in K:
+                return False, s
     return True, None
 
 
@@ -463,20 +484,21 @@ def relative_barycentric_subdivision(X, K):
     outside = [s for s in X.simplices if s not in K]
     xverts = set(X.vertices)
 
-    bary = {}
+    # Scanned in by_dim order, so the first clash in simplex_key order is
+    # reported, and the owner of a shared label comes first.
+    bary = {(v,): v for v in X.vertices}
     owner = {}
-    for s in X.simplices:
-        if len(s) == 1:
-            bary[s] = s[0]
-        elif s not in K:
+    for k in range(1, X.dim + 1):
+        for s in X.by_dim(k):
+            if s in K:
+                continue
             lab = barycenter_label(s)
             if lab in xverts:
                 raise ValidationError(
                     "barycenter label %r collides with an existing vertex" % lab)
             if lab in owner:
-                a, b = sorted((owner[lab], s), key=simplex_key)
-                raise ValidationError(
-                    "barycenter label %r is shared by simplices %s and %s" % (lab, a, b))
+                raise ValidationError("barycenter label %r is shared by simplices %s and %s"
+                                      % (lab, owner[lab], s))
             owner[lab] = s
             bary[s] = lab
 

@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .complex_core import Complex, simplex_key
+from .complex_core import Complex
 from .errors import (
     GeneralPositionError,
     RejectionBudgetError,
@@ -364,14 +364,15 @@ def singular_set(m):
 
     Only pairs whose bounding boxes meet can intersect, and pairs sharing a
     vertex always do: ``_box_overlaps`` lists them in the order of the
-    sorted simplices, so they are visited as an all-pairs loop would.
+    positive-dimensional simplices in ``by_dim`` order, so they are visited
+    as an all-pairs loop would.
     """
     ok, witness = verify_general_position(m)
     if not ok:
         raise GeneralPositionError("map not in general position (witness %s)" % (witness,))
     X = m.domain
     n = m.n
-    simplices = sorted((s for s in X.simplices if len(s) > 1), key=simplex_key)
+    simplices = [s for k in range(1, X.dim + 1) for s in X.by_dim(k)]
     maximal = set(X.maximal_simplices)
     records = []
     global_bound = 2 * X.dim - n

@@ -28,7 +28,7 @@ from functools import cache, lru_cache
 from itertools import combinations, compress
 from operator import lt, not_, sub
 
-from .complex_core import Complex, complex_from_maximal, link_of
+from .complex_core import Complex, link_of
 from .errors import ValidationError
 
 
@@ -219,11 +219,27 @@ def _fans(X, k):
     return parent, parity, witnesses
 
 
+def _boundary(X):
+    """The boundary of X: its (d-1)-simplices in one top simplex, d = dim X,
+    and their faces, read off X's facet degrees and closed on X's
+    incidence index (``Incidence.closure``), so its layers are X's layers
+    filtered."""
+    ix = X.incidence()
+    facets, up = ix.ids(X.dim - 1), ix.coface_start
+    degrees = map(sub, up[facets.start + 1:facets.stop + 1], up[facets.start:facets.stop])
+    return ix.closure(compress(facets, map((1).__eq__, degrees)))
+
+
 def check_pseudomanifold(X):
     """Purity, facet degrees, boundary and gallery connectivity of X.
 
-    A disconnected X is not an error: ``gallery_components`` counts its
-    pieces and ``gallery_connected`` is false.
+    All of it is read off X's incidence index: purity and the facet degrees
+    off the cover counts, the boundary as the closure of the facets of
+    degree one on the same index (``_boundary``), and the galleries off the
+    fan forest ``_fans(X, 0)``.  The facet witness is the first facet, in id
+    order, of degree 0 or above 2.  A disconnected X is not an error:
+    ``gallery_components`` counts its pieces and ``gallery_connected`` is
+    false.
     """
     if X.dim < 1:
         raise ValidationError("pseudomanifold check needs dim >= 1")
@@ -232,17 +248,16 @@ def check_pseudomanifold(X):
     # Pure: every simplex of dimension below d has a coface.
     up, lo, top = ix.coface_start, ix.offsets[d - 1], ix.offsets[d]
     is_pure = all(map(lt, up[:top], up[1:top + 1]))
-    degrees = list(map(sub, up[lo + 1:top + 1], up[lo:top]))
+    degrees = map(sub, up[lo + 1:top + 1], up[lo:top])
     witness = next(compress(X.by_dim(d - 1), map(not_, map({1, 2}.__contains__, degrees))),
                    None)
-    boundary = complex_from_maximal(compress(X.by_dim(d - 1), map((1).__eq__, degrees)))
     galleries = _fans(X, 0)
     components = len(set(galleries[0]))
     return PseudomanifoldReport(
         dim=d,
         is_pure=is_pure,
         facet_degrees_ok=witness is None,
-        boundary=boundary,
+        boundary=_boundary(X),
         gallery_connected=components <= 1,
         gallery_components=components,
         galleries=galleries,
@@ -327,8 +342,7 @@ def _classify_surface(L):
     for v in L.by_dim(0):
         if fans[v[0]] != 1:
             return not_manifold(v)
-    boundary = complex_from_maximal(ix.cells[e] for e in edges if ix.degree(e) == 1)
-    return _surface_fans(L, 0, boundary)[()]
+    return _surface_fans(L, 0, _boundary(L))[()]
 
 
 @lru_cache(maxsize=1024)

@@ -23,12 +23,12 @@ from .complex_core import (
     complex_from_maximal,
     is_flag,
     link_of,
-    simplex_key,
 )
 from .errors import BudgetExceededError, ConstructionError, ValidationError
 from .homology import homology_groups
 from .pseudomanifold import (
     SPHERE,
+    _boundary,
     check_isolated_singularities,
     check_pseudomanifold,
     classify_link,
@@ -69,13 +69,13 @@ def boundary_mirror_structure(P):
     If the boundary is not flag the pseudomanifold is barycentrically
     subdivided once; flagness of the result is verified, not assumed.
     """
-    boundary = _boundary_complex(P)
+    boundary = _boundary(P)
     if len(boundary) == 0:
         raise ValidationError("pseudomanifold is already closed")
     flag, witness = is_flag(boundary)
     if not flag:
         P = barycentric_subdivision(P).child
-        boundary = _boundary_complex(P)
+        boundary = _boundary(P)
         flag, witness = is_flag(boundary)
         if not flag:
             raise ConstructionError(
@@ -90,11 +90,6 @@ def boundary_mirror_structure(P):
         else:
             Sof[y] = frozenset()
     return MirrorStructure(Y=Y, S=tuple(boundary.vertices), Sof=Sof, chamber_source=P)
-
-
-def _boundary_complex(P):
-    return complex_from_maximal(
-        f for f, tops in P.facet_cofaces().items() if len(tops) == 1)
 
 
 @dataclass(frozen=True)
@@ -186,8 +181,7 @@ class CloseUpResult:
 def close_up(P, budget=2_000_000):
     """Close a pseudomanifold with boundary into a boundaryless one and
     verify closedness, isolated singularities and orientability."""
-    boundary_vertices = {v for f, tops in P.facet_cofaces().items() if len(tops) == 1
-                         for v in f}
+    boundary_vertices = _boundary(P).vertices
     if not boundary_vertices:
         raise ValidationError("pseudomanifold is already closed")
     # |B(P)| >= |P|, so this lower bound lets huge inputs fail fast.
@@ -237,10 +231,17 @@ def verify_closed_locally(P, cone_vertices=(), report=None):
     vertex keeps its link.  A boundary vertex v lies on its own mirror
     only, Sof[v] = {v}, so its class has two copies of lk_P(v) glued along
     lk_dP(v), which is the boundary of lk_P(v): the double of lk_P(v)
-    (``LinkClass.doubled``).  Every simplex of positive dimension has a
-    sphere link.  Cone-vertex classes must produce closed surfaces,
-    everything else single spheres; for a boundary vertex that is the
-    condition that its link is a single disc.
+    (``LinkClass.doubled``).  Cone-vertex classes must produce closed
+    surfaces, everything else single spheres; for a boundary vertex that is
+    the condition that its link is a single disc.
+
+    Every simplex of positive dimension has a sphere link: the glued link
+    of tau is the reflected boundary of tau * lk_P(tau), a sphere, as
+    ``positive_links_ok`` certifies circle and arc edge links and the facet
+    degrees.  So only P's vertices are classified one by one; every other
+    simplex gets the one ``SPHERE`` class, checked once as it is the same
+    object for all of them, and its boundary or interior tag.  The classes
+    are keyed in P's id order (``by_dim``), which is ``simplex_key`` order.
     """
     if P.dim != 3:
         raise ValidationError("local closed-link verification expects dimension 3")
@@ -257,27 +258,30 @@ def verify_closed_locally(P, cone_vertices=(), report=None):
             "boundary is not flag (witness %s); subdivide first" % (witness,))
     cone_vertices = tuple(sorted(cone_vertices))
 
-    classes = {}
-    for tau in sorted(P.simplices, key=simplex_key):
-        v = tau[0]
-        on_boundary = tau in boundary.simplices
-        is_cone = on_boundary and len(tau) == 1 and v in cone_vertices
-        tag = "cone" if is_cone else "boundary" if on_boundary else "interior"
-        if len(tau) > 1:
-            # Glued link = reflected boundary of tau * lk_P(tau): a sphere, as
-            # positive_links_ok certifies circle/arc edge links and facet degrees.
-            cls = SPHERE
-        elif on_boundary:
-            cls = report.vertex_links[v].doubled()
-        else:
-            cls = report.vertex_links[v]
+    def check(tau, cls, is_cone):
         if not cls.closed():
             raise ConstructionError(
                 "class %s has a non-closed link: %s" % (tau, cls.describe()))
         if not is_cone and not (cls.kind == "Sphere" and cls.components == 1):
             raise ConstructionError(
                 "class %s should have a sphere link, got %s" % (tau, cls.describe()))
+
+    on_boundary = boundary.simplices.__contains__
+    classes = {}
+    for tau in P.by_dim(0):
+        v = tau[0]
+        if on_boundary(tau):
+            is_cone = v in cone_vertices
+            tag, cls = "cone" if is_cone else "boundary", report.vertex_links[v].doubled()
+        else:
+            is_cone, tag, cls = False, "interior", report.vertex_links[v]
+        check(tau, cls, is_cone)
         classes[tau] = (tag, cls)
+    check(P.by_dim(1)[0], SPHERE, False)
+    tags = (("interior", SPHERE), ("boundary", SPHERE))
+    for k in range(1, P.dim + 1):
+        layer = P.by_dim(k)
+        classes.update(zip(layer, map(tags.__getitem__, map(on_boundary, layer))))
     return LocalLinkReport(classes=classes, cone_vertices=cone_vertices)
 
 
@@ -290,7 +294,7 @@ def local_global_agreement(P):
     source = result.mirror_structure.chamber_source
     local = verify_closed_locally(source).classes if source.dim == 3 else {}
     mismatches = []
-    for tau in sorted(local, key=simplex_key):
+    for tau in local:
         cls_local = local[tau][1]
         y = tau[0] if len(tau) == 1 else barycenter_label(tau)
         cls_global = classify_link(link_of(cc.complex, (cc.chamber_vertex(0, y),)))

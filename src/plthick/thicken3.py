@@ -19,6 +19,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 
 from .complex_core import (
@@ -30,8 +31,6 @@ from .complex_core import (
     is_full_subcomplex,
     join,
     regular_neighborhood,
-    simplex_key,
-    simplicial_neighborhood,
     spine,
 )
 from .errors import ConstructionError, ValidationError
@@ -39,6 +38,7 @@ from .homology import homology_groups
 from .pseudomanifold import (
     SPHERE,
     PseudomanifoldReport,
+    _boundary,
     _fans,
     check_isolated_singularities,
     check_pseudomanifold,
@@ -352,8 +352,9 @@ def build_spine_thickening(sd, collar):
     # The collar copy inside the solid.
     L = _split_strips((set(s) for s in collar.N.simplices), X, names)
     if not L.is_subcomplex_of(M):
+        outside = (s for k in range(L.dim + 1) for s in L.by_dim(k) if s not in M)
         raise ConstructionError("collar copy not inside the solid: %s"
-                                % (sorted(L.simplices - M.simplices, key=simplex_key)[:4],))
+                                % (list(itertools.islice(outside, 4)),))
     ok, witness = is_full_subcomplex(M, L)
     if not ok:
         raise ConstructionError("collar copy not full in the solid (%s)" % (witness,))
@@ -441,6 +442,14 @@ def cone_boundary_neighborhoods(partial):
     closed star N_v, cone it off with a fresh vertex w_v, and derive P's
     pseudomanifold report from M's.
 
+    N_v is the closure of the stars of L_v's vertices in ∂M.  ∂M is a
+    surface, so the star of a vertex u is u, the edges at u and the
+    triangles at those edges, read off ∂M's incidence index, and each
+    closure is taken on that index (``Incidence.closure``): the pieces cost
+    their own size, not a scan of ∂M each.  L_v must be full in ∂M; it is
+    checked in N_v, which is the same check, since every simplex of ∂M
+    spanned by vertices of L_v lies in their star.
+
     The N_v are pairwise vertex-disjoint, which the overlap test below
     asserts.  Every L_v is nonempty, the link of a vertex of a pure
     2-complex.  A vertex of N_v is at most one edge from L_v, so two N_v
@@ -501,7 +510,10 @@ def cone_boundary_neighborhoods(partial):
       edges keep their links, so M's link flags carry over to P.
     - The free triangles of P are those of ∂M outside every N_v, which
       gained no tetrahedron, and the cones e + w_v over the rim edges e of
-      the N_v, so ∂P is the closure of these.
+      the N_v, so ∂P is the closure of these.  It is read off P's own
+      facet degrees (``_boundary``), which P's gallery forest needs the
+      index for anyway; the tests compare it with the closure of these
+      triangles.
 
     P is face-closed, so it is built without re-checking that, and each
     layer of its ``by_dim`` table is M's layer and that dimension's cones.
@@ -528,8 +540,19 @@ def cone_boundary_neighborhoods(partial):
     """
     surface = partial.report.boundary
     Lv = partial.Lv
-    neighborhoods = {v: simplicial_neighborhood(surface, piece)[0]
-                     for v, piece in Lv.items()}
+    ix, vertices = surface.incidence(), surface.by_dim(0)
+    neighborhoods = {}
+    for v, piece in Lv.items():
+        # Vertex ids are the positions in the sorted vertex layer.
+        star = [bisect_left(vertices, u) for u in piece.by_dim(0)]
+        edges = set(itertools.chain.from_iterable(map(ix.up, star)))
+        N = neighborhoods[v] = ix.closure(itertools.chain(
+            star, edges, itertools.chain.from_iterable(map(ix.up, edges))))
+        ok, witness = is_full_subcomplex(N, piece)
+        if not ok:
+            raise ConstructionError(
+                "frontier piece of %s is not full in the boundary surface (witness %s)"
+                % (v, witness))
     owner = {}
     for v, N in neighborhoods.items():
         for lab in N.vertices:
@@ -539,7 +562,6 @@ def cone_boundary_neighborhoods(partial):
                     "boundary neighborhoods of %s and %s share vertex %s" % (w, v, lab))
 
     links = dict(partial.report.vertex_links)
-    free = set(partial.report.boundary.by_dim(2))
     cone_vertices = {}
     provenance = dict.fromkeys(partial.M.simplices, "M")
     layers = {k: list(partial.M.by_dim(k)) for k in range(partial.M.dim + 1)}
@@ -550,13 +572,10 @@ def cone_boundary_neighborhoods(partial):
         if cls.pieces is None:
             raise ConstructionError(
                 "boundary neighborhood of %s is %s, not a surface" % (v, cls.describe()))
-        rim = [e for e, tops in N.facet_cofaces().items() if len(tops) == 1]
-        rim_vertices = {x for e in rim for x in e}
+        rim_vertices = set(_boundary(N).vertices)
         for x in N.vertices:
             if x not in rim_vertices:
                 links[x] = SPHERE
-        free.difference_update(N.by_dim(2))
-        free.update(join(e, (w,)) for e in rim)
         provenance[(w,)] = ("cone", v)
         layers[0].append((w,))
         for k in range(N.dim + 1):
@@ -568,7 +587,7 @@ def cone_boundary_neighborhoods(partial):
     galleries = _fans(P, 0)
     components = len(set(galleries[0]))
     report = replace(
-        partial.report, boundary=complex_from_maximal(free),
+        partial.report, boundary=_boundary(P),
         gallery_connected=components <= 1, gallery_components=components,
         galleries=galleries, vertex_links=links)
 

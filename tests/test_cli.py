@@ -3,6 +3,7 @@ import hashlib
 import json
 import os
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -11,6 +12,7 @@ from plthick.cli import (
     PipelineConfig,
     build_parser,
     canonical_json,
+    class_summary,
     complex_from_obj,
     complex_to_obj,
     geometric_map_from_obj,
@@ -19,11 +21,12 @@ from plthick.cli import (
     main,
     run_pipeline,
 )
-from plthick.complex_core import link_of
+from plthick.complex_core import link_of, validate_complex
 from plthick.errors import ValidationError
-from plthick.fixtures import FIXTURE_NAMES, fixture
+from plthick.fixtures import FIXTURE_NAMES, THICKENING_FIXTURES, fixture
 from plthick.geometry import format_rational, parse_rational, sample_general_position_map
 from plthick.pseudomanifold import check_isolated_singularities, classify_link
+from plthick.reflection import LocalLinkReport, verify_closed_locally
 from plthick.thicken3 import thicken
 from conftest import grid_torus
 
@@ -325,6 +328,33 @@ def test_close_local_only(capsys, pipeline_cache, tmp_path):
     code, obj = run_cli(capsys, "close", str(path), "--local-only")
     assert code == 0
     assert obj == {"mode": "local", "classes": 2219, "all_closed_manifolds": True}
+
+
+def _described_per_simplex(local):
+    """Oracle: the class summary with two descriptions made per simplex."""
+    tags = {}
+    for tau, (tag, cls) in local.classes.items():
+        tags.setdefault(tag, {}).setdefault(cls.describe(), 0)
+        tags[tag][cls.describe()] += 1
+    return tags
+
+
+@pytest.mark.parametrize("name", THICKENING_FIXTURES)
+def test_class_summary_matches_describing_every_simplex(pipeline_cache, name):
+    out, rep = pipeline_cache(name, 0)
+    local = verify_closed_locally(out.P, cone_vertices=out.cone_vertices.values(),
+                                  report=rep.pseudomanifold)
+    assert class_summary(local) == _described_per_simplex(local)
+
+
+def test_class_summary_adds_up_classes_with_one_description():
+    """Two disc classes with different witnesses describe alike."""
+    disc = classify_link(validate_complex([["a", "b", "c"]]))
+    other = replace(disc, witness=("a",))
+    local = LocalLinkReport(classes={("a",): ("interior", disc), ("b",): ("interior", other),
+                                     ("c",): ("cone", disc)}, cone_vertices=())
+    assert class_summary(local) == _described_per_simplex(local) == {
+        "interior": {disc.describe(): 2}, "cone": {disc.describe(): 1}}
 
 
 # -- pinned regression oracle ------------------------------------------------------

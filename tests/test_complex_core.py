@@ -32,7 +32,7 @@ from plthick.complex_core import (
 )
 from plthick.cli import complex_from_obj
 from plthick.errors import ValidationError
-from plthick.fixtures import FIXTURE_NAMES, fixture
+from plthick.fixtures import FIXTURE_NAMES, THICKENING_FIXTURES, fixture
 from plthick.homology import homology_groups
 from plthick.pseudomanifold import check_pseudomanifold
 
@@ -188,6 +188,63 @@ def test_boundary_of_edge_is_endpoints():
     assert set(boundary.simplices) == {simplex("a"), simplex("b")}
 
 
+# -- closures on the incidence index ----------------------------------------------
+
+def assert_closure_matches_oracle(X, ids):
+    """``Incidence.closure`` of the ids against ``complex_from_maximal`` of
+    their simplices: the same ``by_dim`` tuples in every dimension."""
+    ix = X.incidence()
+    got = ix.closure(ids)
+    oracle = complex_from_maximal(ix.cells[x] for x in ids)
+    assert got.dim == oracle.dim
+    assert all(got.by_dim(k) == oracle.by_dim(k) for k in range(-1, X.dim + 2))
+    assert got == Complex(got.simplices)
+    return got
+
+
+def random_pure_complex(rng, d):
+    """A pure d-complex on a few vertices, from random d-simplices."""
+    labels = ["v%d" % i for i in range(rng.randint(d + 1, d + 6))]
+    return complex_from_maximal(simplex(*rng.sample(labels, d + 1))
+                                for _ in range(rng.randint(1, 10)))
+
+
+def test_closure_matches_complex_from_maximal_on_random_pure_complexes():
+    """Random ids of every dimension, the facets of one top, the boundary
+    and no ids at all, on 60 random pure complexes of dimension 1 to 3."""
+    rng = random.Random(20261020)
+    for trial in range(60):
+        X = random_pure_complex(rng, 1 + trial % 3)
+        ix = X.incidence()
+        ids = rng.sample(range(len(ix.cells)), rng.randint(1, len(ix.cells)))
+        assert_closure_matches_oracle(X, ids)
+        top = ix.offsets[X.dim]
+        assert_closure_matches_oracle(X, list(ix.down(top)))
+        assert_closure_matches_oracle(X, [f for f in ix.ids(X.dim - 1) if ix.degree(f) == 1])
+        assert len(assert_closure_matches_oracle(X, [])) == 0
+
+
+def _facet_boundary_ids(X):
+    ix = X.incidence()
+    return [f for f in ix.ids(X.dim - 1) if ix.degree(f) == 1]
+
+
+@pytest.mark.parametrize("name", THICKENING_FIXTURES)
+def test_closure_matches_complex_from_maximal_on_boundaries_of_m_and_p(pipeline_cache, name):
+    out, rep = pipeline_cache(name, 0)
+    for X, boundary in ((out.M, out.boundary_surface), (out.P, rep.pseudomanifold.boundary)):
+        closed = assert_closure_matches_oracle(X, _facet_boundary_ids(X))
+        assert all(closed.by_dim(k) == boundary.by_dim(k) for k in range(3)), name
+
+
+def test_closure_matches_complex_from_maximal_on_the_boundary_of_q(octahedral_closure):
+    Q = octahedral_closure.Q.complex
+    assert len(assert_closure_matches_oracle(Q, _facet_boundary_ids(Q))) == 0
+    # Q is closed, so close the star of its first vertex instead.
+    ix = Q.incidence()
+    assert_closure_matches_oracle(Q, [x for x, s in enumerate(ix.cells) if s[0] == ix.cells[0][0]])
+
+
 # -- fullness -----------------------------------------------------------------
 
 def test_full_subcomplex_witness():
@@ -195,6 +252,13 @@ def test_full_subcomplex_witness():
     K = fixture("three_cycle")
     ok, witness = is_full_subcomplex(X, K)
     assert not ok and witness == simplex("a", "b", "c")
+
+
+def test_full_subcomplex_witness_is_the_first_in_by_dim_order():
+    """The edges ac and bc and the triangle abc all miss K; ac comes first."""
+    X = fixture("single_triangle")
+    K = complex_from_maximal([simplex("a", "b")] + [simplex("c")])
+    assert is_full_subcomplex(X, K) == (False, simplex("a", "c"))
 
 
 def test_full_subcomplex_edge():

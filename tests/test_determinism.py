@@ -62,3 +62,26 @@ def test_pickled_complex_loads_under_another_hash_seed(tmp_path):
             "print(Y == X, all(e in X and e in X.facet_cofaces() for e in edges))\n")
     run_python(["-c", dump, path], HASH_SEEDS[0])
     assert run_python(["-c", load, path], HASH_SEEDS[1]).split() == ["True", "True"]
+
+
+def test_error_witnesses_ignore_hash_seed():
+    """Two pairs of simplices share a barycenter label, (a|b|c) and
+    (p|q|r); the first clash in simplex_key order is reported.  The
+    fullness witness is likewise the first offending simplex in by_dim
+    order, here the edge ac before bc and abc."""
+    code = ("from plthick.complex_core import complex_from_maximal, is_full_subcomplex, "
+            "validate_complex\n"
+            "from plthick.errors import ValidationError\n"
+            "from plthick.thicken3 import thicken\n"
+            "X = validate_complex([['a|b', 'c', 'x'], ['a', 'b', 'c'], ['p|q', 'r', 'y'], "
+            "['p', 'q', 'r'], ['c', 'r', 'z']])\n"
+            "try:\n"
+            "    thicken(X)\n"
+            "except ValidationError as exc:\n"
+            "    print(exc)\n"
+            "T = validate_complex([['a', 'b', 'c']])\n"
+            "print(is_full_subcomplex(T, complex_from_maximal([('a', 'b'), ('c',)]))[1])\n")
+    expected = ["barycenter label '(a|b|c)' is shared by simplices ('a|b', 'c') and "
+                "('a', 'b', 'c')", "('a', 'c')"]
+    for hash_seed in HASH_SEEDS:
+        assert run_python(["-c", code], hash_seed).splitlines() == expected

@@ -75,7 +75,7 @@ def test_every_dataclass_field_is_read():
 # referenced only in the functions where that holds, so every caller is here.
 TRUSTED = {
     "_FaceClosed": {"complex_core.Complex.__init__", "complex_core.complex_from_maximal",
-                    "thicken3.cone_boundary_neighborhoods"},
+                    "complex_core.Incidence.closure", "thicken3.cone_boundary_neighborhoods"},
 }
 
 
@@ -102,6 +102,18 @@ def test_trusted_constructors_stay_in_their_callers():
                     and isinstance(node.ctx, ast.Load):
                 found["_FaceClosed"].add(scope)
     assert found == TRUSTED
+
+
+def test_no_sort_of_a_complex_simplices():
+    """``by_dim`` is already the sorted order of a complex, dimension first,
+    so no code sorts the set ``.simplices`` again: a pass in ``simplex_key``
+    order reads the layers, or the incidence index's ids."""
+    found = ["%s:%d" % (path.name, node.lineno) for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "sorted"
+             and node.args and any(isinstance(n, ast.Attribute) and n.attr == "simplices"
+                                   for n in ast.walk(node.args[0]))]
+    assert found == []
 
 
 # The integer kernels of geometry.py.  An integer ``/`` silently yields a

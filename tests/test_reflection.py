@@ -10,11 +10,13 @@ from plthick.complex_core import (
     complex_from_maximal,
     full_subcomplex,
     link_of,
+    simplex_key,
     validate_complex,
 )
 from plthick.errors import BudgetExceededError, ConstructionError, ValidationError
-from plthick.fixtures import fixture
+from plthick.fixtures import THICKENING_FIXTURES, fixture
 from plthick.pseudomanifold import (
+    SPHERE,
     check_isolated_singularities,
     check_pseudomanifold,
     classify_link,
@@ -195,6 +197,40 @@ def test_local_classification_of_thickened_sphere(pipeline_cache):
         ("boundary", "Sphere genus=0 orientable=True"): 2300,
         ("cone", "ClosedSurface genus=1 orientable=True"): 4}
     assert verify_closed_locally(out.P, cone_vertices=cones) == rep
+
+
+def _per_simplex_classes(P, cone_vertices, report):
+    """Oracle: the local classes as one loop over every simplex of P in
+    ``simplex_key`` order, each classified and checked on its own."""
+    boundary = report.boundary
+    classes = {}
+    for tau in sorted(P.simplices, key=simplex_key):
+        v = tau[0]
+        on_boundary = tau in boundary.simplices
+        is_cone = on_boundary and len(tau) == 1 and v in cone_vertices
+        tag = "cone" if is_cone else "boundary" if on_boundary else "interior"
+        if len(tau) > 1:
+            cls = SPHERE
+        elif on_boundary:
+            cls = report.vertex_links[v].doubled()
+        else:
+            cls = report.vertex_links[v]
+        assert cls.closed()
+        assert is_cone or (cls.kind == "Sphere" and cls.components == 1)
+        classes[tau] = (tag, cls)
+    return classes
+
+
+@pytest.mark.parametrize("name", THICKENING_FIXTURES)
+def test_local_classes_match_the_per_simplex_loop(pipeline_cache, name):
+    """The vertex pass plus one sphere class per positive-dimensional
+    simplex gives the per-simplex loop's map, in the same key order."""
+    out, thick = pipeline_cache(name, 0)
+    cones = tuple(out.cone_vertices.values())
+    rep = verify_closed_locally(out.P, cone_vertices=cones, report=thick.pseudomanifold)
+    oracle = _per_simplex_classes(out.P, cones, thick.pseudomanifold)
+    assert rep.classes == oracle
+    assert list(rep.classes) == list(oracle)
 
 
 def test_local_and_global_classifications_agree_on_octahedron_ball(octahedral_ball):

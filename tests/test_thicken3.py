@@ -1,5 +1,7 @@
 import functools
 import itertools
+import re
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -14,6 +16,7 @@ from plthick.complex_core import (
     join,
     link_of,
     simplex,
+    simplicial_neighborhood,
     validate_complex,
 )
 from plthick.errors import ConstructionError, GeneralPositionError, ValidationError
@@ -28,6 +31,7 @@ from plthick.pseudomanifold import (
 from plthick.thicken3 import (
     PartialThickening,
     _fan,
+    build_spine_thickening,
     cone_boundary_neighborhoods,
     extract_sheet_data,
     homology_by_collapse,
@@ -424,6 +428,44 @@ def test_cone_vertex_link_is_its_neighborhood(pipeline_cache, name):
     assert out.cone_vertices
     for v, w in out.cone_vertices.items():
         assert link_of(out.P, (w,)) == out.Nv[v]
+
+
+@pytest.mark.parametrize("name", THICKENING_FIXTURES)
+def test_neighborhoods_match_simplicial_neighborhoods(pipeline_cache, name):
+    """Each N_v, closed from the stars of L_v's vertices on the index of
+    ∂M, is the simplicial neighbourhood of L_v in ∂M, layer for layer."""
+    out, _ = pipeline_cache(name, 0)
+    for v, piece in out.Lv.items():
+        oracle = simplicial_neighborhood(out.boundary_surface, piece)[0]
+        assert all(out.Nv[v].by_dim(k) == oracle.by_dim(k) for k in range(3)), (name, v)
+
+
+@pytest.mark.parametrize("name", THICKENING_FIXTURES)
+def test_boundary_of_p_is_the_closure_of_the_free_triangles(pipeline_cache, name):
+    """∂P, read off P's facet degrees, is the closure of the free triangles
+    of ``cone_boundary_neighborhoods``'s docstring: the triangles of ∂M
+    outside every N_v and the cones over the rim edges of the N_v."""
+    out, rep = pipeline_cache(name, 0)
+    free = set(out.boundary_surface.by_dim(2))
+    for v, N in out.Nv.items():
+        free.difference_update(N.by_dim(2))
+        free.update(join(e, (out.cone_vertices[v],))
+                    for e, tops in N.facet_cofaces().items() if len(tops) == 1)
+    oracle = complex_from_maximal(free)
+    assert all(rep.pseudomanifold.boundary.by_dim(k) == oracle.by_dim(k) for k in range(3))
+
+
+def test_a_frontier_piece_that_is_not_full_is_a_construction_error():
+    """An edge of L_v taken out of it is still spanned by its vertices; the
+    fullness check on N_v names v."""
+    X = fixture("single_triangle")
+    partial = build_spine_thickening(extract_sheet_data(X), spine_collar(X))
+    piece = partial.Lv["a"]
+    edge = piece.by_dim(1)[0]
+    thinned = Complex(s for s in piece.simplices if s != edge)
+    with pytest.raises(ConstructionError, match=r"piece of a is not full .*%s" % re.escape(
+            str(edge))):
+        cone_boundary_neighborhoods(replace(partial, Lv={**partial.Lv, "a": thinned}))
 
 
 REPORT_FIELDS = ("dim", "vertex_links", "boundary", "is_pure", "facet_degrees_ok",
