@@ -204,7 +204,7 @@ def run_pipeline(config, X):
     close_obj = {"mode": None}
     if not config.local_only:
         try:
-            closed = close_up(P, budget=config.budget)
+            closed = close_up(P, budget=config.budget, report=rep.pseudomanifold)
             close_obj = {
                 "mode": "materialized",
                 "chambers": closed.Q.n_chambers,

@@ -657,26 +657,32 @@ def is_flag(X):
     """True iff every clique of the 1-skeleton spans a simplex.
 
     On failure returns a minimal empty simplex as witness: all its facets
-    are present but the simplex itself is missing.
+    are present but the simplex itself is missing.  It is the first s + v,
+    in dimension from the bottom up, s in ``by_dim`` order and v in label
+    order among the common neighbours of s's vertices, that X misses.
+
+    The cliques are counted, not listed.  Say every clique of at most
+    k + 1 vertices spans a simplex, as every one of two vertices does.
+    Then every facet of a (k+2)-clique is a k-simplex, and the pairs (s, v)
+    of a k-simplex s and a common neighbour v of its vertices count each
+    (k+2)-clique once per facet: k + 2 times.  The (k+1)-simplices of X
+    are among these cliques, so all of them span simplices exactly when
+    the common neighbourhoods of the k-simplices add up to k + 2 times the
+    number of (k+1)-simplices.  Dimension by dimension from k = 1 that
+    decides flagness, and below the first failing k every s + v missing
+    from X has its facets present: it is a witness.  Only at that k are the
+    candidates listed.
     """
     adj = X.adjacency()
-    seen = set()
-    # Scan bottom-up: any candidate with all facets present is a minimal
-    # empty simplex, and lower-dimensional ones are found first.
     for k in range(1, X.dim + 1):
-        for s in X.by_dim(k):
-            common = set(adj[s[0]])
-            for v in s[1:]:
-                common &= adj[v]
-            for v in sorted(common):
-                cand = tuple(sorted(s + (v,)))
-                if cand in seen:
-                    continue
-                seen.add(cand)
-                if cand in X.simplices:
-                    continue
-                if all(f in X.simplices for f in facets(cand)):
-                    return False, cand
+        layer = X.by_dim(k)
+        columns = [list(map(adj.__getitem__, column)) for column in zip(*layer)]
+        if sum(map(len, map(set.intersection, *columns))) != (k + 2) * len(X.by_dim(k + 1)):
+            for s, vs in zip(layer, map(set.intersection, *columns)):
+                for v in sorted(vs):
+                    candidate = join(s, (v,))
+                    if candidate not in X.simplices:
+                        return False, candidate
     return True, None
 
 

@@ -371,6 +371,7 @@ def _surface_class(pieces):
 
 
 SPHERE = _surface_class(((2, 0, True),))
+DISC = _surface_class(((1, 1, True),))
 
 
 @cache

@@ -62,14 +62,16 @@ class MirrorStructure:
                     % (y, sorted(self.Sof[y] - indices)))
 
 
-def boundary_mirror_structure(P):
+def boundary_mirror_structure(P, boundary=None):
     """Mirror structure on the subdivided chamber, indexed by the vertices
-    of the flag boundary triangulation.
+    of the flag boundary triangulation; ``boundary`` is ∂P when the caller
+    holds it, and is built otherwise.
 
     If the boundary is not flag the pseudomanifold is barycentrically
     subdivided once; flagness of the result is verified, not assumed.
     """
-    boundary = _boundary(P)
+    if boundary is None:
+        boundary = _boundary(P)
     if len(boundary) == 0:
         raise ValidationError("pseudomanifold is already closed")
     flag, witness = is_flag(boundary)
@@ -178,33 +180,38 @@ class CloseUpResult:
     mirror_structure: MirrorStructure
 
 
-def close_up(P, budget=2_000_000):
+def close_up(P, budget=2_000_000, report=None):
     """Close a pseudomanifold with boundary into a boundaryless one and
-    verify closedness, isolated singularities and orientability."""
-    boundary_vertices = _boundary(P).vertices
-    if not boundary_vertices:
+    verify closedness, isolated singularities and orientability.
+
+    ``report`` is P's pseudomanifold report when the caller holds one, as
+    for ``verify_closed_locally``; ∂P is then read off it.  Either way ∂P
+    is built at most once, and the budget pre-check and the mirror
+    structure share it."""
+    boundary = _boundary(P) if report is None else report.boundary
+    if not boundary.vertices:
         raise ValidationError("pseudomanifold is already closed")
     # |B(P)| >= |P|, so this lower bound lets huge inputs fail fast.
-    if (2 ** len(boundary_vertices)) * len(P.simplices) > budget:
+    if (2 ** len(boundary.vertices)) * len(P.simplices) > budget:
         raise BudgetExceededError(
             "basic construction needs more than %d simplices "
             "(use the local verifier)" % budget)
-    ms = boundary_mirror_structure(P)
+    ms = boundary_mirror_structure(P, boundary)
     cc = basic_construction(ms, budget=budget)
     Q = cc.complex
-    report = check_pseudomanifold(Q)
-    if not (report.is_pure and report.facet_degrees_ok):
+    q_report = check_pseudomanifold(Q)
+    if not (q_report.is_pure and q_report.facet_degrees_ok):
         raise ConstructionError("glued complex is not a pseudomanifold")
-    if len(report.boundary) != 0:
+    if len(q_report.boundary) != 0:
         raise ConstructionError("glued complex still has boundary")
     if Q.dim <= 3:
-        report = check_isolated_singularities(Q, report)
-        if not report.isolated_singularities:
+        q_report = check_isolated_singularities(Q, q_report)
+        if not q_report.isolated_singularities:
             raise ConstructionError("glued complex has non-isolated singularities")
-    res = orient(Q, report=report)
+    res = orient(Q, report=q_report)
     if not res.success:
         raise ConstructionError("glued complex is not orientable")
-    return CloseUpResult(Q=cc, report=report, orientation=res, homology=homology_groups(Q),
+    return CloseUpResult(Q=cc, report=q_report, orientation=res, homology=homology_groups(Q),
                          mirror_structure=ms)
 
 

@@ -8,10 +8,11 @@ Ball spheres are triangulated from X's rotation system: the pages around
 each edge in the cyclic order of ``facet_cofaces``, and each sheet's two
 normal sides named by the parity of the page's vertex order, so strips
 glue without twists.  Nothing is sampled: the spine, its collar and every
-label come from subdivisions of X.  Manifoldness, frontier placement and
-homology are verified on the output; what holds for every accepted input
-by construction, the solid being a handlebody among it, is proved in the
-docstrings instead, with the check kept in the tests as the oracle.
+label come from subdivisions of X.  Frontier placement, orientability
+and homology are verified on the output; what holds for every accepted
+input by construction, the solid's vertex links, boundary and handlebody
+type among it, is proved in the docstrings instead, with the check kept
+in the tests as the oracle.
 """
 
 from __future__ import annotations
@@ -36,12 +37,11 @@ from .complex_core import (
 from .errors import ConstructionError, ValidationError
 from .homology import homology_groups
 from .pseudomanifold import (
+    DISC,
     SPHERE,
     PseudomanifoldReport,
     _boundary,
     _fans,
-    check_isolated_singularities,
-    check_pseudomanifold,
     classify_link,
     orient,
 )
@@ -146,7 +146,23 @@ def extract_sheet_data(X):
 
 
 class _Namer:
-    """All structured labels of the thickening, derived from the collar."""
+    """All structured labels of the thickening, derived from the collar.
+
+    The labels are fresh: distinct keys get distinct labels.  The a, c and
+    centre labels are barycenters of the two subdivisions, which
+    ``relative_barycentric_subdivision`` checks against each other and the
+    vertices they subdivide; they all start with "(".  Every other label is
+    a prefix without ":" (w, n, h, z1, z2, r, lam, rN, rS, capN, capS, and
+    cone for P's cone vertices), ":", and the key's fields joined by ":",
+    so two families never share a label.  A label with one label field,
+    followed only by integer fields, gives its key back when split from the
+    right.  That leaves the page labels w, n and h, whose two label fields
+    ``ve[e]`` and ``vt[t]`` may themselves hold ":" when X's labels do; the
+    last field of n and h is a sign or an integer, so all three are fresh
+    exactly when the strings "ve[e]:vt[t]" of the (edge, page) pairs
+    differ.  That is checked here, one dict entry per pair, and a clash is
+    a ``ValidationError``.
+    """
 
     def __init__(self, collar):
         X = collar.X
@@ -160,10 +176,16 @@ class _Namer:
         for t in X.by_dim(2):
             for v in t:
                 self.a[(v, t)] = sub.barycenter_table[tuple(sorted((v, self.vt[t])))]
+        owner = {}
         for e, pages in X.facet_cofaces().items():
             for v in e:
                 self.a[(v, e)] = sub.barycenter_table[tuple(sorted((v, self.ve[e])))]
             for t in pages:
+                first = owner.setdefault("%s:%s" % (self.ve[e], self.vt[t]), (e, t))
+                if first != (e, t):
+                    raise ValidationError(
+                        "generated label %r is shared by the (edge, page) pairs %s and %s"
+                        % (self.u_label(e, t), first, (e, t)))
                 for v in e:
                     self.c[(v, e, t)] = sub.barycenter_table[
                         tuple(sorted((v, self.ve[e], self.vt[t])))]
@@ -222,8 +244,9 @@ def _annulus(outer, inner):
 @dataclass(frozen=True)
 class PartialThickening:
     """The solid with its traced collar, before coning; ``report`` is M's
-    full pseudomanifold and vertex-link report, with the boundary surface
-    ∂M."""
+    pseudomanifold and vertex-link report, with the boundary surface ∂M,
+    as ``build_spine_thickening`` proves it: no pass over M computes it,
+    and it carries no gallery forest."""
 
     M: Complex
     report: PseudomanifoldReport
@@ -236,16 +259,18 @@ class PartialThickening:
 
 
 def _edge_ball_sphere(names, sd, e):
-    """Sphere triangles around an edge barycenter: one marked octagon disc
-    per page, lunes with buffer rings in between; a single page gets a
-    dummy meridian so each lune boundary is a simple cycle."""
+    """Sphere triangles around an edge barycenter, as the pair (discs,
+    lunes): one marked octagon disc per page, and lunes with buffer rings
+    in between; a single page gets a dummy meridian so each lune boundary
+    is a simple cycle.  The discs are shared with the triangle balls, and
+    the lunes are the part of ∂M on this ball (``build_spine_thickening``)."""
     v, w = e
     p_v, p_w = names.a[(v, e)], names.a[(w, e)]
     dummy = ["z1:%s" % names.ve[e], "z2:%s" % names.ve[e]]
     pages = list(sd.pages_ccw[e])
-    tris = []
+    discs = []
     for t in pages:
-        tris.extend(_fan(names.u_label(e, t), names.octagon(e, t)))
+        discs.extend(_fan(names.u_label(e, t), names.octagon(e, t)))
     entries = [("page", t) for t in pages]
     if len(pages) == 1:
         entries.append(("dummy", None))
@@ -258,29 +283,34 @@ def _edge_ball_sphere(names, sd, e):
         plus = sd.plus_side_ccw[(e, t)]
         return names.side_path(e, t, v, plus if ccw_side else not plus)
 
+    lunes = []
     for i in range(m):
         left = flank(entries[i], True)
         right = flank(entries[(i + 1) % m], False)
         cycle = [p_v] + left + [p_w] + list(reversed(right))
         ring = ["r:%s:%d:%d" % (names.ve[e], i, k) for k in range(len(cycle))]
-        tris.extend(_annulus(cycle, ring))
-        tris.extend(_fan("lam:%s:%d" % (names.ve[e], i), ring))
-    return tris
+        lunes.extend(_annulus(cycle, ring))
+        lunes.extend(_fan("lam:%s:%d" % (names.ve[e], i), ring))
+    return discs, lunes
 
 
 def _triangle_ball_sphere(names, t):
-    """Sphere triangles around a triangle barycenter: the three shared
-    octagon discs plus buffered north and south caps over the link circle.
+    """Sphere triangles around a triangle barycenter, as the pair (discs,
+    caps): the three shared octagon discs, and buffered north and south
+    caps over the link circle, the part of ∂M on this ball.
 
     A cap's cycle is one side path per octagon, joined through the a(u, t);
     ``side_path(e, t, u, plus)`` runs from c(u, e, t) to the c of e's other
-    end by definition, so each piece starts where the last one stopped."""
+    end by definition, so each piece starts where the last one stopped.
+    The north cap takes the plus side of every octagon and the south cap
+    the minus side."""
     x, y, z = t
     e1, e2, e3 = (x, y), (x, z), (y, z)
-    tris = []
+    discs = []
     for e in (e1, e2, e3):
-        tris.extend(_fan(names.u_label(e, t), names.octagon(e, t)))
+        discs.extend(_fan(names.u_label(e, t), names.octagon(e, t)))
 
+    caps = []
     for plus, tag in ((True, "N"), (False, "S")):
         cycle = [names.c[(x, e1, t)], names.a[(x, t)]]
         cycle += names.side_path(e2, t, x, plus)
@@ -289,65 +319,123 @@ def _triangle_ball_sphere(names, t):
         cycle.append(names.a[(y, t)])
         cycle += names.side_path(e1, t, y, plus)[:-1]
         ring = ["r%s:%s:%d" % (tag, names.vt[t], k) for k in range(len(cycle))]
-        tris.extend(_annulus(cycle, ring))
-        tris.extend(_fan("cap%s:%s" % (tag, names.vt[t]), ring))
-    return tris
+        caps.extend(_annulus(cycle, ring))
+        caps.extend(_fan("cap%s:%s" % (tag, names.vt[t]), ring))
+    return discs, caps
 
 
 def build_spine_thickening(sd, collar):
-    """Assemble the solid, trace the collar copy through it and verify its
-    structural claims (manifoldness, frontier placement).
+    """Assemble the solid, trace the collar copy through it, and return it
+    with the pseudomanifold and vertex-link report its build proves.
 
-    Each ball is the cone from its centre over its sphere triangles, so the
-    link of the centre in M is exactly that sphere: the balls are certified
-    by the centres' links in M's own vertex-link report.  The frontier
-    piece of each input vertex is its link in the collar's own subdivision,
-    and ``frontier_pieces`` checks that these links partition the collar
-    frontier: the spine boundary identity of ``spine_boundary_check``.
-    This is the thickening's one full link pass: M's report, kept on the
-    result, is what ``cone_boundary_neighborhoods`` derives P's from.
+    The frontier piece of each input vertex is its link in the collar's own
+    subdivision, and ``frontier_pieces`` checks that these links partition
+    the collar frontier: the spine boundary identity of
+    ``spine_boundary_check``.  The collar copy L is checked to be a full
+    subcomplex of M, and each piece to lie on ∂M.
 
-    M is a handlebody on the spine by how it is glued, so nothing checks
-    that here.  M is the union of the balls B_c = c * S_c, one per spine
-    vertex c, since every tetrahedron holds its centre.  By the labels of
-    ``_Namer``, a vertex of B_e other than its centre is a pole a(v, e),
+    M is the union of the balls B_c = c * S_c, one per spine vertex c,
+    since every tetrahedron holds its centre, and each S_c is a 2-sphere
+    whose labels are fresh (``_Namer``):
+
+    - S_e is the octagon disc u(e, t) * octagon(e, t) of each page t and
+      one lune per gap between consecutive pages (``extract_sheet_data``).
+      A lune is an annulus from its boundary cycle to a ring of fresh
+      vertices, coned from a fresh centre: a disc, as the cycle is simple.
+      It runs through a pole, a side path of one page, the other pole and a
+      side path of another page, or the dummy meridian, all distinct.
+      Every side path bounds one octagon and one lune and every arc from a
+      pole to a corner two lunes, and the discs around each pole or corner
+      form one cycle, so S_e is a closed surface.  Its cells are the 2 + 2n
+      poles and corners, 4n arcs and 2n discs for n >= 2 pages, and 4, 5
+      and 3 for one page: χ = 2, and it is connected, so it is a sphere.
+    - S_t is its three octagon discs and two caps, discs like the lunes on
+      the cycle through the octagons' plus sides and the one through their
+      minus sides, each joined through a(x, t), a(y, t) and a(z, t)
+      (``_triangle_ball_sphere``): 9 vertices, 12 arcs and 5 discs, χ = 2.
+
+    No disc has a chord (an annulus joins its cycle only to its ring, a fan
+    only to its centre), so two discs of a sphere meet only along the arcs
+    they share.  A vertex of B_e other than its centre is a pole a(v, e),
     a corner c(v, e, t), a fresh label carrying e's barycenter (ring, lune
     centre, dummy), or one of the fan labels u, n, h of a page (e, t),
     which carry both barycenters; a vertex of B_t likewise is an a(v, t),
     a corner c(v, e, t), a ring or cap label of t, or a fan label of one
-    of its edges.  Barycenter labels are distinct, so:
+    of its edges.  As the labels are fresh:
 
     - no two edge balls meet, and no two triangle balls meet;
     - B_e and B_t share vertices only when e ⊂ t, and then exactly
       u(e, t) and octagon(e, t).  On these, both spheres hold only the fan
       u(e, t) * octagon(e, t): every lune and cap triangle holds a ring
       vertex, and a lune or cap cycle runs along the octagon through
-      consecutive side-path vertices.  So B_e ∩ B_t is that disc;
+      consecutive side-path vertices.  So B_e ∩ B_t is that disc, which
+      lies on exactly these two balls;
     - no three balls meet, by pigeonhole.
 
-    The balls are cones and the one kind of nonempty intersection is a
-    cone from u(e, t), all contractible, so by the nerve theorem (Björner,
-    "Topological methods", Handbook of Combinatorics, 1995, Thm. 10.6) M
-    is homotopy equivalent to the nerve of the cover, which is the spine
-    graph: M ≃ spine, component by component.  M is a compact 3-manifold
-    by its report, so for each component M_i, χ(∂M_i) = 2χ(M_i) = 2 − 2·b1,
-    b1 the first Betti number of the spine's component.  ∂M_i is
-    connected, since H_1(M_i, ∂M_i; Z/2) ≅ H^2(M_i; Z/2) = 0 (Lefschetz
-    duality) and H̃_0(M_i) = 0.  The tests keep the intersection pattern,
-    H_*(M) = H_*(spine) and the boundary law as the oracle.
+    M's report follows, and nothing computes it on M:
+
+    - Facets.  A tetrahedron at c is c * f for a triangle f of S_c, so a
+      triangle c + g, g an edge of S_c, lies in the two tetrahedra over the
+      two triangles of S_c at g.  A triangle f of a sphere lies in one
+      tetrahedron per sphere holding it: two for an octagon fan triangle,
+      one for a lune or cap triangle.  So M is pure, every triangle lies
+      in one or two tetrahedra, and ∂M is the closure of the lune and cap
+      triangles, which the sphere builders hand back.
+    - Vertex links.  A centre c lies on no sphere, so lk_M(c) = S_c, a
+      sphere.  A vertex x on one sphere S_c has lk_M(x) = c * lk_S_c(x),
+      a cone on a circle: a disc.  A vertex x on two spheres lies on
+      D = u(e, t) * octagon(e, t) = S_e ∩ S_t, and lk_M(x) is the union of
+      the discs c_e * lk_S_e(x) and c_t * lk_S_t(x), which meet in lk_D(x).
+      For x = u(e, t) that is the octagon, all of both circles, so lk_M(x)
+      is its suspension, a sphere.  For x on the octagon it is an arc
+      through u(e, t), so lk_M(x) is two discs glued along a boundary arc,
+      a disc.  Every other vertex lies on a lune or cap triangle (a vertex
+      on one sphere lies on no octagon, and every octagon vertex lies on a
+      lune or cap cycle), so the vertices of ∂M get the disc class and all
+      others the sphere class.
+    - Edge links.  An edge c + x has the link lk_S_c(x), a circle.  An edge
+      g of a sphere has, on each sphere S_c holding it, the arc c *
+      lk_S_c(g) through the two vertices opposite g: one arc on one
+      sphere, and on two, two arcs sharing lk_D(g), both ends (a circle)
+      for an edge u(e, t) + o inside D and the one end u(e, t) (an arc)
+      for an octagon edge.  So every edge link is one arc or circle: the
+      positive links, and with them the singularities, are as
+      ``check_isolated_singularities`` requires.
+    - Galleries.  The tetrahedra of one ball are gallery-connected, as its
+      sphere is a connected surface, B_e and B_t for e ⊂ t are joined
+      across their disc's triangles, and balls that do not meet share no
+      triangle.  So M's gallery components are the spine's components.
+
+    M is a handlebody on the spine by how it is glued.  The balls are cones
+    and the one kind of nonempty intersection is a cone from u(e, t), all
+    contractible, so by the nerve theorem (Björner, "Topological methods",
+    Handbook of Combinatorics, 1995, Thm. 10.6) M is homotopy equivalent to
+    the nerve of the cover, which is the spine graph: M ≃ spine, component
+    by component.  Every vertex link of M is a sphere or a disc (above), so
+    M is a compact 3-manifold with boundary, and for each component M_i,
+    χ(∂M_i) = 2χ(M_i) = 2 − 2·b1, b1 the first Betti number of the spine's
+    component.  ∂M_i is connected, since H_1(M_i, ∂M_i; Z/2) ≅ H^2(M_i;
+    Z/2) = 0 (Lefschetz duality) and H̃_0(M_i) = 0.
+
+    The tests keep the full pass ``check_isolated_singularities(M)`` and
+    ``_boundary(M)`` as the oracle of the report, field by field, and the
+    intersection pattern, H_*(M) = H_*(spine) and the boundary law as the
+    oracle of the handlebody.
     """
     X = collar.X
     names = _Namer(collar)
     Lv = frontier_pieces(collar.nbhd_sub.child, collar.frontier, X.vertices)
 
-    tets = []
-    for e in X.by_dim(1):
-        center = names.ve[e]
-        tets.extend(join(s, (center,)) for s in _edge_ball_sphere(names, sd, e))
-    for t in X.by_dim(2):
-        center = names.vt[t]
-        tets.extend(join(s, (center,)) for s in _triangle_ball_sphere(names, t))
+    balls = [(names.ve[e], _edge_ball_sphere(names, sd, e)) for e in X.by_dim(1)]
+    balls += [(names.vt[t], _triangle_ball_sphere(names, t)) for t in X.by_dim(2)]
+    # The discs lie on two balls each; the lunes and caps are a ball's own,
+    # and ∂M is their closure.
+    tets, free = [], []
+    for center, (discs, own) in balls:
+        tets.extend(join(s, (center,)) for s in itertools.chain(discs, own))
+        free += own
     M = complex_from_maximal(tets)
+    boundary = complex_from_maximal(free)
 
     # The collar copy inside the solid.
     L = _split_strips((set(s) for s in collar.N.simplices), X, names)
@@ -358,27 +446,17 @@ def build_spine_thickening(sd, collar):
     ok, witness = is_full_subcomplex(M, L)
     if not ok:
         raise ConstructionError("collar copy not full in the solid (%s)" % (witness,))
-
-    report = check_pseudomanifold(M)
-    if not (report.is_pure and report.facet_degrees_ok):
-        raise ConstructionError("solid fails pseudomanifold checks")
-    report = check_isolated_singularities(M, report)
-    for v, cls in report.vertex_links.items():
-        if not (cls.is_manifold and cls.components == 1 and cls.genus in (0, None)
-                and cls.kind in ("Sphere", "Disc")):
-            raise ConstructionError("vertex %s has link %s" % (v, cls.describe()))
-    for c in itertools.chain(names.ve.values(), names.vt.values()):
-        if report.vertex_links[c].kind != "Sphere":
-            raise ConstructionError("ball around %s is bounded by %s, not a 2-sphere"
-                                    % (c, report.vertex_links[c].describe()))
-    if not report.positive_links_ok:
-        raise ConstructionError("edge or triangle links of the solid are wrong")
-
-    boundary = report.boundary
     for v, piece in Lv.items():
         if not piece.is_subcomplex_of(boundary):
             raise ConstructionError("frontier piece of %s not on the boundary" % v)
 
+    links = dict.fromkeys(M.vertices, SPHERE)
+    links.update(dict.fromkeys(boundary.vertices, DISC))
+    components = len(collar.K.connected_components())
+    report = PseudomanifoldReport(
+        dim=3, is_pure=True, facet_degrees_ok=True, boundary=boundary,
+        gallery_connected=components <= 1, gallery_components=components, galleries=None,
+        isolated_singularities=True, positive_links_ok=True, vertex_links=links)
     return PartialThickening(
         M=M, report=report, L=L, Lv=Lv, spine=collar.K,
         collar=collar, sheet_data=sd, names=names)
@@ -478,12 +556,13 @@ def cone_boundary_neighborhoods(partial):
     Hence the least distance between two pieces is three edges when some
     edge has a single page and four otherwise, whatever the page order.
 
-    P's report is derived, not recomputed.  M's report makes M a
-    combinatorial 3-manifold: pure, every triangle in one or two
-    tetrahedra, every edge link one arc or circle, every vertex link a
-    sphere or a disc.  So ∂M is a closed surface, and for a vertex u of ∂M
-    the link lk_M(u) is a disc, not a sphere, as it holds the free edge
-    f - u of a triangle f of ∂M at u; lk_∂M(u) is its boundary circle.
+    P's report is derived, not recomputed, from M's, which
+    ``build_spine_thickening`` proves: M is a combinatorial 3-manifold,
+    pure, every triangle in one or two tetrahedra, every edge link one arc
+    or circle, every vertex link a sphere or a disc.  So ∂M is a closed
+    surface, and for a vertex u of ∂M the link lk_M(u) is a disc, not a
+    sphere, as it holds the free edge f - u of a triangle f of ∂M at u;
+    lk_∂M(u) is its boundary circle.
     Each frontier piece L_v stays off the rim of N_v: a triangle of ∂M at
     a vertex of L_v lies in the closed star N_v, and every edge of the
     closed surface ∂M lies in two triangles, so no edge of N_v at a vertex
@@ -524,7 +603,8 @@ def cone_boundary_neighborhoods(partial):
 
     Only the gallery forest ``_fans(P, 0)``, which ``orient`` reads, is
     computed on P itself.  ``check_isolated_singularities(P)`` stays in the
-    tests as the oracle of this derivation.
+    tests as the oracle of this derivation, and ``plthick check`` runs it
+    on the written P, printing the same block as ``report.json``.
 
     The retract copy X_copy is sd(Y rel K), Y = sd X and K the spine, with
     each input vertex v renamed w_v and the strips split as in L.  A
@@ -669,9 +749,10 @@ def verify_thickening(t, X):
     relative rank off the gallery forest (``orient``).
 
     P's pseudomanifold and vertex-link report is the one
-    ``cone_boundary_neighborhoods`` derived from M's full pass, with N_v
-    certified a surface by its own classification; P gets no second link
-    pass.  M gets no collapse: it is a handlebody on the spine by its
+    ``cone_boundary_neighborhoods`` derived from M's, which
+    ``build_spine_thickening`` proves, with N_v certified a surface by its
+    own classification; neither M nor P gets a full link pass, which
+    ``plthick check`` runs on the written P.  M gets no collapse: it is a handlebody on the spine by its
     build (``build_spine_thickening``), so ``spine_b1`` is read off the
     spine.
     """

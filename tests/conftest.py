@@ -74,6 +74,12 @@ def moore_thickening():
     return thicken(moore_space(3)[0])
 
 
+@pytest.fixture(scope="session")
+def moore6_thickening():
+    """The thickening of the mod-6 Moore space."""
+    return thicken(moore_space(6)[0])
+
+
 def grid_torus(n):
     """The n×n grid torus: vertices g<i>_<j> for i, j mod n, each unit
     square (i, j) cut along its diagonal into the triangles

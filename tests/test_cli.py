@@ -330,6 +330,20 @@ def test_close_local_only(capsys, pipeline_cache, tmp_path):
     assert obj == {"mode": "local", "classes": 2219, "all_closed_manifolds": True}
 
 
+@pytest.mark.parametrize("name", THICKENING_FIXTURES)
+def test_check_of_the_written_p_prints_the_reported_pseudomanifold_block(capsys, tmp_path,
+                                                                          name):
+    """The full pseudomanifold and link pass lives outside ``thicken``:
+    ``plthick check`` on the written ``p_complex.json`` prints exactly the
+    ``pseudomanifold`` block of the same run's ``report.json``, which
+    ``thicken`` derives from the solid's report by proof."""
+    code, _ = run_cli(capsys, "thicken", "fixture:" + name, "--out", str(tmp_path))
+    assert code == 0
+    block = json.loads((tmp_path / "report.json").read_bytes())["pseudomanifold"]
+    assert main(["check", str(tmp_path / "p_complex.json")]) == 0
+    assert capsys.readouterr().out == json.dumps(block, sort_keys=True, indent=1) + "\n"
+
+
 def _described_per_simplex(local):
     """Oracle: the class summary with two descriptions made per simplex."""
     tags = {}

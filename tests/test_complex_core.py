@@ -528,6 +528,72 @@ def test_empty_tetrahedron_detected():
     assert not flag and witness == simplex("a", "b", "c", "d")
 
 
+def is_flag_oracle(X):
+    """The former ``is_flag``, the oracle of the counting one: every
+    candidate s + v listed, with a ``sorted()`` per simplex and a set of
+    the candidates seen."""
+    adj = X.adjacency()
+    seen = set()
+    for k in range(1, X.dim + 1):
+        for s in X.by_dim(k):
+            common = set(adj[s[0]])
+            for v in s[1:]:
+                common &= adj[v]
+            for v in sorted(common):
+                cand = tuple(sorted(s + (v,)))
+                if cand in seen:
+                    continue
+                seen.add(cand)
+                if cand in X.simplices:
+                    continue
+                if all(f in X.simplices for f in facets(cand)):
+                    return False, cand
+    return True, None
+
+
+def clique_complex_missing_one(rng):
+    """The clique complex of a random graph on six vertices, and the one of
+    its simplices of dimension 2 or more taken out with its cofaces (its
+    proper faces stay), or None with nothing taken out.  The simplex taken
+    out is then the one minimal empty simplex; its size is drawn first."""
+    labels = ["w%d" % i for i in range(6)]
+    edges = {e for e in itertools.combinations(labels, 2) if rng.random() < 0.6}
+    cliques = [c for k in range(1, 7) for c in itertools.combinations(labels, k)
+               if edges.issuperset(itertools.combinations(c, 2))]
+    sizes = sorted({len(c) for c in cliques if len(c) > 2})
+    drop = None
+    if sizes and rng.random() < 0.8:
+        size = rng.choice(sizes)
+        drop = rng.choice([c for c in cliques if len(c) == size])
+    kept = [c for c in cliques if drop is None or not set(drop) <= set(c)]
+    return complex_from_maximal(kept), drop
+
+
+def test_is_flag_matches_the_listing_oracle(pipeline_cache, octahedral_ball):
+    """Same verdict and witness as the oracle on every fixture, each
+    thickening's ∂P, the octahedral ball and its boundary, 200 seeded
+    random complexes and 200 seeded clique complexes with one simplex taken
+    out, which is then the witness; flag inputs and witnesses of dimension
+    2 and 3 all occur."""
+    rng = random.Random(20261021)
+    inputs = [fixture(name) for name in FIXTURE_NAMES]
+    inputs += [pipeline_cache(name, 0)[1].pseudomanifold.boundary
+               for name in THICKENING_FIXTURES]
+    inputs += [octahedral_ball, check_pseudomanifold(octahedral_ball).boundary]
+    inputs += [random_face_closed(rng) for _ in range(200)]
+    seen = collections.Counter()
+    for X in inputs:
+        got = is_flag(X)
+        assert got == is_flag_oracle(X), X
+        seen[len(got[1]) if got[1] else 0] += 1
+    for _ in range(200):
+        X, drop = clique_complex_missing_one(rng)
+        got = is_flag(X)
+        assert got == is_flag_oracle(X) == (drop is None, drop), X
+        seen[len(drop) if drop else 0] += 1
+    assert seen[0] > 20 and seen[3] > 20 and seen[4] > 20
+
+
 @pytest.mark.parametrize("name", ["single_triangle", "boundary_delta3",
                                   "projective_plane_6", "torus_7",
                                   "two_triangles_shared_vertex"])

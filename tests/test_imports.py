@@ -116,6 +116,21 @@ def test_no_sort_of_a_complex_simplices():
     assert found == []
 
 
+# The full pseudomanifold and link passes.  ``build_spine_thickening`` proves
+# M's report and ``cone_boundary_neighborhoods`` derives P's from it, so the
+# thickening runs neither; the tests and ``plthick check`` keep them.
+FULL_PASSES = {"check_pseudomanifold", "check_isolated_singularities"}
+
+
+def test_thickening_runs_no_full_link_pass():
+    tree = ast.parse((SRC / "thicken3.py").read_text())
+    found = ["thicken3.py:%d" % node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and node.id in FULL_PASSES
+             or isinstance(node, ast.Attribute) and node.attr in FULL_PASSES
+             or isinstance(node, ast.alias) and node.name in FULL_PASSES]
+    assert found == []
+
+
 # The integer kernels of geometry.py.  An integer ``/`` silently yields a
 # float, so none of them may divide with ``/`` or hold a float constant.
 INTEGER_KERNELS = ("_content_free", "_integer_row", "solve_affine", "_box_overlaps")

@@ -4,6 +4,7 @@ from collections import Counter
 
 import pytest
 
+from plthick import reflection
 from plthick.complex_core import (
     Complex,
     barycentric_subdivision,
@@ -17,6 +18,7 @@ from plthick.errors import BudgetExceededError, ConstructionError, ValidationErr
 from plthick.fixtures import THICKENING_FIXTURES, fixture
 from plthick.pseudomanifold import (
     SPHERE,
+    _boundary,
     check_isolated_singularities,
     check_pseudomanifold,
     classify_link,
@@ -109,6 +111,37 @@ def test_budget_error():
 
 
 # -- close up ----------------------------------------------------------------------
+
+def test_close_up_builds_the_boundary_at_most_once(monkeypatch):
+    """Without a report ``close_up`` builds ∂P once, for the budget
+    pre-check and the mirror structure both; with P's report it builds
+    none, and the closure is the same."""
+    P = fixture("four_cycle_cone")
+    calls = []
+    monkeypatch.setattr(reflection, "_boundary", lambda X: calls.append(X) or _boundary(X))
+    res = close_up(P, budget=200_000)
+    assert calls == [P]
+    del calls[:]
+    with_report = close_up(P, budget=200_000, report=check_pseudomanifold(P))
+    assert calls == []
+    assert with_report.Q.complex == res.Q.complex
+    assert with_report.mirror_structure == res.mirror_structure
+
+
+def test_close_up_with_a_report_fails_alike(pipeline_cache):
+    """P's report changes no error: the budget pre-check of a thickening and
+    a closed input raise the same type and message either way."""
+    out, rep = pipeline_cache("single_triangle", 0)
+    closed = fixture("boundary_delta3")
+    for P, report, error in ((out.P, rep.pseudomanifold, BudgetExceededError),
+                             (closed, check_pseudomanifold(closed), ValidationError)):
+        messages = []
+        for given in (None, report):
+            with pytest.raises(error) as info:
+                close_up(P, report=given)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+
 
 def test_four_cycle_cone_closes_to_torus():
     res = close_up(fixture("four_cycle_cone"), budget=200_000)

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import random
 import re
 from dataclasses import replace
 from fractions import Fraction
@@ -24,6 +25,7 @@ from plthick.fixtures import THICKENING_FIXTURES, fixture
 from plthick.geometry import sample_general_position_map, vadd, vcross, vdot, vscale, vsub
 from plthick.homology import boundary_matrices, homology_groups
 from plthick.pseudomanifold import (
+    _boundary,
     check_isolated_singularities,
     check_pseudomanifold,
     classify_link,
@@ -38,7 +40,7 @@ from plthick.thicken3 import (
     spine_collar,
     thicken,
 )
-from conftest import moore_space
+from conftest import grid_torus
 from test_complex_core import carrier_violations
 from test_homology import boundary_squared
 
@@ -322,11 +324,11 @@ def handlebody_oracle(M, names, spine):
     return faults, law
 
 
-def test_odd_torsion_survives_the_thickening(moore_thickening):
+def test_odd_torsion_survives_the_thickening(moore_thickening, moore6_thickening):
     """The Moore spaces M(Z/3, 1) and M(Z/6, 1), whose circle edges lie in
     q triangles each: H_1(P) = Z/q from the collapse onto X_copy, and the
     solid is a handlebody of genus 2·9q - (12q + 3) + 1 = 6q - 2."""
-    for q, (out, rep) in ((3, moore_thickening), (6, thicken(moore_space(6)[0]))):
+    for q, (out, rep) in ((3, moore_thickening), (6, moore6_thickening)):
         assert rep.homology_P.betti == (1, 0, 0, 0)
         assert rep.homology_P.torsion[1] == (q,)
         assert rep.orientation.success and rep.pseudomanifold.isolated_singularities
@@ -484,6 +486,93 @@ def test_derived_report_matches_the_full_pass_on_p(pipeline_cache, name):
     full = check_isolated_singularities(out.P, check_pseudomanifold(out.P))
     for f in REPORT_FIELDS:
         assert getattr(out.report, f) == getattr(full, f), (name, f)
+
+
+# -- M's report by construction, the full pass as its oracle --------------------------
+
+def assert_solid_report_is_the_full_pass(partial):
+    """The report ``build_spine_thickening`` proves equals the full pass on
+    M, field by field, and its ∂M is ``_boundary(M)``, layer for layer."""
+    M = partial.M
+    full = check_isolated_singularities(M, check_pseudomanifold(M))
+    for f in REPORT_FIELDS:
+        assert getattr(partial.report, f) == getattr(full, f), f
+    boundary = _boundary(M)
+    assert all(partial.report.boundary.by_dim(k) == boundary.by_dim(k) for k in range(4))
+
+
+@pytest.mark.parametrize("name", THICKENING_FIXTURES)
+def test_solid_report_by_rule_matches_the_full_pass(pipeline_cache, name):
+    out, _ = pipeline_cache(name, 0)
+    assert_solid_report_is_the_full_pass(build_spine_thickening(out.sheet_data, out.collar))
+
+
+def test_solid_report_by_rule_matches_the_full_pass_beyond_the_fixtures(moore_thickening,
+                                                                       moore6_thickening):
+    """The 3×3 grid torus, the book of three and the Moore spaces M(Z/3, 1)
+    and M(Z/6, 1), whose circle edges lie in 3 and 6 pages."""
+    for out, _ in (moore_thickening, moore6_thickening):
+        assert_solid_report_is_the_full_pass(build_spine_thickening(out.sheet_data, out.collar))
+    for X in (grid_torus(3), fixture("book_of_three")):
+        assert_solid_report_is_the_full_pass(
+            build_spine_thickening(extract_sheet_data(X), spine_collar(X)))
+
+
+def random_pure_2_complexes(rng, count):
+    """``count`` connected pure 2-complexes, each 2 to 8 random triangles
+    on 4 to 6 vertices."""
+    out = []
+    while len(out) < count:
+        labels = ["v%d" % i for i in range(rng.randint(4, 6))]
+        X = validate_complex([rng.sample(labels, 3) for _ in range(rng.randint(2, 8))])
+        if X.is_connected():
+            out.append(X)
+    return out
+
+
+def test_solid_report_by_rule_matches_the_full_pass_on_a_random_corpus():
+    """A seeded corpus of small connected pure 2-complexes, many with an
+    edge in three or more triangles and some with a vertex whose link is
+    disconnected."""
+    corpus = random_pure_2_complexes(random.Random(3131), 25)
+    books = pinched = 0
+    for X in corpus:
+        sd = extract_sheet_data(X)
+        books += any(len(pages) > 2 for pages in sd.pages_ccw.values())
+        pinched += any(len(link_of(X, (v,)).connected_components()) > 1 for v in X.vertices)
+        assert_solid_report_is_the_full_pass(build_spine_thickening(sd, spine_collar(X)))
+    assert books >= 5 and pinched >= 5
+
+
+def test_thicken_builds_no_index_on_the_solid():
+    """M's report is proved, not computed, so a fresh ``thicken`` leaves M
+    without an incidence index."""
+    for name in ("single_triangle", "book_of_three"):
+        out, _ = thicken(fixture(name))
+        assert out.M._incidence is None, name
+
+
+def test_clashing_generated_labels_rejected():
+    """Input labels holding ":" can make two (edge, page) pairs spell one
+    page label "w:ve:vt", and with it the same n and h labels; the input
+    is rejected, naming the label and both pairs."""
+    X = validate_complex([["a", "b", "c):(a|b):(a|b|c|d"], ["a", "b):(a|b|c", "d"]])
+    with pytest.raises(ValidationError) as info:
+        thicken(X)
+    message = str(info.value)
+    label = "w:(a|b):(a|b|c):(a|b):(a|b|c|d)"
+    pairs = [(("a", "b"), ("a", "b", "c):(a|b):(a|b|c|d")),
+             (("a", "b):(a|b|c"), ("a", "b):(a|b|c", "d"))]
+    assert all(repr(x) in message for x in [label] + pairs), message
+
+
+def test_labels_with_colons_that_do_not_clash_thicken():
+    """Labels holding ":" are accepted when the page labels stay distinct:
+    the two pages on the edge (a:1, b) keep one waist label each."""
+    out, rep = thicken(validate_complex([["a:1", "b", "c:(x)"], ["a:1", "b", "d"]]))
+    assert rep.homology_P.betti == (1, 0, 0, 0) and rep.certificate.reaches_copy
+    waists = {"w:(a:1|b):(a:1|b|c:(x))", "w:(a:1|b):(a:1|b|d)"}
+    assert waists <= set(out.M.vertices)
 
 
 def test_frontier_pieces_match_second_derived_links(pipeline_cache):
