@@ -36,7 +36,7 @@ from .pseudomanifold import (
     classify_link,
     orient,
 )
-from .reflection import close_up, verify_closed_locally
+from .reflection import DEFAULT_BUDGET, close_up, verify_closed_locally
 from .thicken3 import thicken
 
 
@@ -157,7 +157,7 @@ class PipelineConfig:
     one."""
 
     seed: int = 0
-    budget: int = 2_000_000
+    budget: int = DEFAULT_BUDGET
     local_only: bool = False
 
     def __post_init__(self):
@@ -265,7 +265,7 @@ def _write_artifacts(artifacts, out_dir):
 _FLAGS = {
     "--seed": dict(type=int, default=0),
     "--denom-bound": dict(type=int, default=1000),
-    "--budget": dict(type=int, default=2_000_000),
+    "--budget": dict(type=int, default=DEFAULT_BUDGET),
     "--rel": dict(choices=["boundary"], default=None),
     "--local-only": dict(action="store_true"),
     "--out": dict(default="plthick_out"),

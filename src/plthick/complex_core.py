@@ -32,6 +32,7 @@ order of ids and rows fixes the order in which the forests join and
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import operator
 from array import array
@@ -686,6 +687,38 @@ def is_flag(X):
     return True, None
 
 
+def dsatur_colouring(X):
+    """A proper colouring of the 1-skeleton of X by DSATUR (Brélaz, CACM
+    1979): each vertex -> a colour 0, 1, .., with adjacent vertices apart.
+
+    The next vertex coloured is the uncoloured one seen by the most
+    distinct colours among its neighbours, then of highest degree, then of
+    least label; it takes the least colour none of its neighbours has.  A
+    heap holds (-saturation, -degree, label) and an entry is pushed each
+    time a saturation grows; an entry that is coloured or outdated when it
+    comes up is dropped.  So the colouring depends only on X, and it takes
+    O((V + E) log V).  DSATUR is exact on bipartite graphs.
+    """
+    adj = X.adjacency()
+    seen = {v: set() for v in X.vertices}
+    heap = [(0, -len(adj[v]), v) for v in X.vertices]
+    heapq.heapify(heap)
+    colour = {}
+    while heap:
+        saturation, degree, v = heapq.heappop(heap)
+        if v in colour or -saturation != len(seen[v]):
+            continue
+        c = 0
+        while c in seen[v]:
+            c += 1
+        colour[v] = c
+        for u in adj[v]:
+            if u not in colour and c not in seen[u]:
+                seen[u].add(c)
+                heapq.heappush(heap, (-len(seen[u]), -len(adj[u]), u))
+    return colour
+
+
 @dataclass(frozen=True)
 class Collapse:
     """A sequence of elementary collapses of a complex and what it leaves.
@@ -764,7 +797,8 @@ def greedy_collapse(X, keep=None):
     face-closed, so the facets of a removed pair are present.  A count
     dropping to 0 frees nothing: each facet h of that simplex f still has
     two present covers, f and the other facet of the removed cover that
-    contains h.
+    contains h.  So the remainder is taken as a trusted build: X's
+    ``by_dim`` layers, filtered to the live ids.
     """
     if keep is not None and not keep.is_subcomplex_of(X):
         raise ValidationError("the kept subcomplex is not contained in the complex")
@@ -773,5 +807,8 @@ def greedy_collapse(X, keep=None):
     kept = keep.simplices if keep is not None else ()
     alive, pairs = _pair_off((ix.coface_start, ix.cofaces), (ix.facet_start, ix.facets),
                              blocked={i for i, s in enumerate(cells) if s in kept})
-    return Collapse(remainder=Complex(itertools.compress(cells, alive)),
+    layers = (tuple(itertools.compress(cells[a:b], alive[a:b]))
+              for a, b in zip(ix.offsets, ix.offsets[1:]))
+    by_dim = {k: layer for k, layer in enumerate(layers) if layer}
+    return Collapse(remainder=Complex(_FaceClosed(by_dim)),
                     pairs=tuple((cells[s], cells[c]) for s, c in pairs))

@@ -1,26 +1,34 @@
 """Closing a pseudomanifold with boundary by reflecting it across a mirror
 structure on the boundary.
 
-The group is the right-angled reflection group on the vertices of the flag
-boundary triangulation; the materialized object is the quotient by the
-kernel of the sign map to (Z/2)^S, so chambers are indexed by bit vectors.
-That kernel is torsion free and of finite index, which makes the quotient a
-finite complex.  The one gluing rule is the table y -> S(y) of the mirrors
-through each chamber vertex (``chamber_label``).  Large inputs are handled
-by the local link verifier, which reads the link of every vertex class of
-the quotient off P's own vertex-link report: an interior vertex keeps its
-link and a boundary vertex gets the double of its link along the boundary.
+The group is the right-angled reflection group W on the vertices of the
+flag boundary triangulation.  Those vertices are properly coloured with c
+colours (``dsatur_colouring``), and the materialized object is the
+quotient by the kernel of the map W -> (Z/2)^c that sends each reflection
+to its colour, so chambers are indexed by c-bit vectors: the small cover of
+Davis and Januszkiewicz (Duke Math. J. 62, 1991).  The vertices of a
+boundary simplex have distinct colours, so the stabilizer of every simplex
+embeds in (Z/2)^c, the kernel is torsion free and of finite index, and
+every link is the one of the 2^|vertices| closure: one colour per vertex is
+the special case of the same construction.  The one gluing rule is the
+table y -> S(y) of the mirrors through each chamber vertex
+(``chamber_label``).  Large inputs are handled by the local link verifier,
+which reads the link of every vertex class of the quotient off P's own
+vertex-link report: an interior vertex keeps its link and a boundary vertex
+gets the double of its link along the boundary.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 
 from .complex_core import (
     Complex,
     barycentric_subdivision,
     barycenter_label,
     complex_from_maximal,
+    dsatur_colouring,
     is_flag,
     link_of,
 )
@@ -35,6 +43,10 @@ from .pseudomanifold import (
     orient,
 )
 
+# Simplices a closure may build before ``close_up`` refuses it; above this
+# the local verifier classifies the links instead.
+DEFAULT_BUDGET = 200_000
+
 
 @dataclass(frozen=True)
 class MirrorStructure:
@@ -43,7 +55,9 @@ class MirrorStructure:
 
     The mirror of s is the full subcomplex of Y on {y : s in Sof[y]}; the
     table determines the whole gluing (Davis, The Geometry and Topology of
-    Coxeter Groups, ch. 5).
+    Coxeter Groups, ch. 5).  On a boundary the indices are colours, and the
+    mirror of a colour is the union of the stars of the boundary vertices
+    of that colour in the subdivided boundary; no two of them meet.
     """
 
     Y: Complex
@@ -63,12 +77,17 @@ class MirrorStructure:
 
 
 def boundary_mirror_structure(P, boundary=None):
-    """Mirror structure on the subdivided chamber, indexed by the vertices
-    of the flag boundary triangulation; ``boundary`` is ∂P when the caller
-    holds it, and is built otherwise.
+    """Mirror structure on the subdivided chamber, indexed by the colours of
+    a proper colouring of the flag boundary triangulation's 1-skeleton;
+    ``boundary`` is ∂P when the caller holds it, and is built otherwise.
 
     If the boundary is not flag the pseudomanifold is barycentrically
-    subdivided once; flagness of the result is verified, not assumed.
+    subdivided once, and the subdivided boundary is the one coloured;
+    flagness of the result is verified, not assumed.  A chamber vertex lies
+    on the mirrors of the colours of its carrier's vertices when that
+    carrier is a boundary simplex, and on none otherwise.  The colouring is
+    certified: every boundary edge has two colours, so the vertices of
+    every boundary simplex have distinct ones.
     """
     if boundary is None:
         boundary = _boundary(P)
@@ -82,16 +101,21 @@ def boundary_mirror_structure(P, boundary=None):
         if not flag:
             raise ConstructionError(
                 "subdivided boundary still not flag (witness %s)" % (witness,))
+    colour = dsatur_colouring(boundary)
+    for a, b in boundary.by_dim(1):
+        if colour[a] == colour[b]:
+            raise ConstructionError("boundary edge %s has one colour" % ((a, b),))
     sub = barycentric_subdivision(P)
     Y = sub.child
     Sof = {}
     for y in Y.vertices:
         tau = sub.carrier_of_label(y)
         if tau in boundary.simplices:
-            Sof[y] = frozenset(tau)
+            Sof[y] = frozenset(map(colour.__getitem__, tau))
         else:
             Sof[y] = frozenset()
-    return MirrorStructure(Y=Y, S=tuple(boundary.vertices), Sof=Sof, chamber_source=P)
+    return MirrorStructure(Y=Y, S=tuple(range(max(colour.values()) + 1)), Sof=Sof,
+                           chamber_source=P)
 
 
 @dataclass(frozen=True)
@@ -137,7 +161,7 @@ def orbit_count_euler(ms):
     return chi
 
 
-def basic_construction(ms, budget=2_000_000):
+def basic_construction(ms, budget=DEFAULT_BUDGET):
     """Materialize the glued union of 2^|S| copies of the chamber.
 
     Vertices ``(w, y)`` and ``(w', y)`` are identified when ``w xor w'`` is
@@ -180,23 +204,46 @@ class CloseUpResult:
     mirror_structure: MirrorStructure
 
 
-def close_up(P, budget=2_000_000, report=None):
+def subdivision_size(X):
+    """The number of simplices of the barycentric subdivision of X, from
+    X's f-vector alone.  The simplices of sd X carried by a k-simplex are
+    the chains of faces ending at it, which are the ordered partitions of
+    its k + 1 vertices: Fubini(k + 1) of them (1, 3, 13, 75, ..)."""
+    fubini = [1]
+    for n in range(1, X.dim + 2):
+        fubini.append(sum(comb(n, i) * fubini[n - i] for i in range(1, n + 1)))
+    return sum(len(X.by_dim(k)) * fubini[k + 1] for k in range(X.dim + 1))
+
+
+def close_up(P, budget=DEFAULT_BUDGET, report=None):
     """Close a pseudomanifold with boundary into a boundaryless one and
     verify closedness, isolated singularities and orientability.
 
     ``report`` is P's pseudomanifold report when the caller holds one, as
     for ``verify_closed_locally``; ∂P is then read off it.  Either way ∂P
     is built at most once, and the budget pre-check and the mirror
-    structure share it."""
+    structure share it.
+
+    The pre-check reads P's f-vector only, so an input over the budget
+    fails before anything is subdivided or coloured.  The basic
+    construction counts 2^c copies of the chamber Y.  A (d-1)-simplex of
+    ∂P has d vertices of distinct colours, so c >= d = dim P, and Y is sd P
+    or, when ∂P is not flag, sd sd P, so |Y| >= |sd P|: 2^d |sd P| is a
+    lower bound of that count."""
     boundary = _boundary(P) if report is None else report.boundary
     if not boundary.vertices:
         raise ValidationError("pseudomanifold is already closed")
-    # |B(P)| >= |P|, so this lower bound lets huge inputs fail fast.
-    if (2 ** len(boundary.vertices)) * len(P.simplices) > budget:
+    if 2 ** P.dim * subdivision_size(P) > budget:
         raise BudgetExceededError(
             "basic construction needs more than %d simplices "
             "(use the local verifier)" % budget)
-    ms = boundary_mirror_structure(P, boundary)
+    return close_mirror_structure(boundary_mirror_structure(P, boundary), budget)
+
+
+def close_mirror_structure(ms, budget=DEFAULT_BUDGET):
+    """The basic construction on ``ms`` and every check of ``close_up``: Q
+    is a pseudomanifold without boundary, its singularities are isolated
+    when dim Q <= 3, and it is orientable; its homology is computed."""
     cc = basic_construction(ms, budget=budget)
     Q = cc.complex
     q_report = check_pseudomanifold(Q)
@@ -235,12 +282,14 @@ def verify_closed_locally(P, cone_vertices=(), report=None):
 
     The classes follow from the links of P (``report`` is P's
     isolated-singularity report, computed when missing).  An interior
-    vertex keeps its link.  A boundary vertex v lies on its own mirror
-    only, Sof[v] = {v}, so its class has two copies of lk_P(v) glued along
-    lk_dP(v), which is the boundary of lk_P(v): the double of lk_P(v)
-    (``LinkClass.doubled``).  Cone-vertex classes must produce closed
-    surfaces, everything else single spheres; for a boundary vertex that is
-    the condition that its link is a single disc.
+    vertex keeps its link.  A boundary vertex v lies on the mirror of its
+    own colour only, Sof[v] = {colour of v}, and near v that mirror is the
+    star of v in ∂P, since no neighbour of v shares its colour.  So its
+    class has two copies of lk_P(v) glued along lk_dP(v), which is the
+    boundary of lk_P(v): the double of lk_P(v) (``LinkClass.doubled``).
+    Cone-vertex classes must produce closed surfaces, everything else
+    single spheres; for a boundary vertex that is the condition that its
+    link is a single disc.
 
     Every simplex of positive dimension has a sphere link: the glued link
     of tau is the reflected boundary of tau * lk_P(tau), a sphere, as

@@ -2,11 +2,12 @@ import random
 
 import pytest
 
-from plthick.complex_core import cone_off, validate_complex
+from plthick.complex_core import barycentric_subdivision, cone_off, validate_complex
 from plthick.fixtures import FIXTURE_NAMES, fixture
 from plthick.geometry import sample_general_position_map
 from plthick.homology import homology_groups
-from plthick.reflection import close_up
+from plthick.pseudomanifold import check_pseudomanifold
+from plthick.reflection import MirrorStructure, close_mirror_structure, close_up
 from plthick.thicken3 import thicken
 
 from embedded_collar import choose_spine_barycenters, epsilon_neighborhood_embedding
@@ -165,6 +166,34 @@ def octahedral_ball():
     return cone_off(sphere, sphere, "o")
 
 
+def vertex_mirror_structure(P):
+    """The mirror structure with one mirror per vertex of ∂P, for P with a
+    flag boundary: the colouring of ∂P with one colour per vertex, on the
+    chamber sd P.  Its closure has 2^|∂P vertices| chambers."""
+    boundary = check_pseudomanifold(P).boundary
+    sub = barycentric_subdivision(P)
+    Sof = {}
+    for y in sub.child.vertices:
+        tau = sub.carrier_of_label(y)
+        Sof[y] = frozenset(tau) if tau in boundary.simplices else frozenset()
+    return MirrorStructure(Y=sub.child, S=boundary.vertices, Sof=Sof, chamber_source=P)
+
+
+@pytest.fixture(scope="session")
+def vertex_mirrors():
+    return vertex_mirror_structure
+
+
 @pytest.fixture(scope="session")
 def octahedral_closure(octahedral_ball):
-    return close_up(octahedral_ball, budget=2_000_000)
+    """The octahedral ball closed over one mirror per boundary vertex: 2^6
+    chambers and 53,504 simplices, the fixed complex that the kernel pins
+    (coreduction, fan forests, orientation signs) are taken on."""
+    return close_mirror_structure(vertex_mirror_structure(octahedral_ball))
+
+
+@pytest.fixture(scope="session")
+def coloured_octahedral_closure(octahedral_ball):
+    """``close_up``'s own closure of the octahedral ball: ∂P is the
+    octahedron, whose proper colourings pair antipodes, so 2^3 chambers."""
+    return close_up(octahedral_ball)

@@ -226,7 +226,7 @@ def test_c08_local_closed_links(pipeline_cache):
 # -- criterion 9: determinism -----------------------------------------------------------------------
 
 def test_c09_determinism():
-    config = PipelineConfig(seed=11, budget=2_000_000)
+    config = PipelineConfig(seed=11)
     a = run_pipeline(config, fixture("single_triangle"))
     b = run_pipeline(config, fixture("single_triangle"))
     assert sorted(a) == sorted(b)

@@ -271,7 +271,7 @@ def test_embed_subcommand_lists_singular_records(capsys):
 def test_close_subcommand_materializes_q(capsys):
     code, obj = run_cli(capsys, "close", "fixture:four_cycle_cone")
     assert code == 0
-    assert obj == {"mode": "materialized", "chambers": 16, "euler": 0, "closed": True,
+    assert obj == {"mode": "materialized", "chambers": 4, "euler": 0, "closed": True,
                    "orientable": True,
                    "homology": {"betti": [1, 2, 1], "torsion": [[], [], []]}}
 

@@ -14,6 +14,7 @@ from plthick.complex_core import (
     boundary_and_free_faces,
     complex_from_maximal,
     cone_off,
+    dsatur_colouring,
     faces,
     facets,
     full_subcomplex,
@@ -602,6 +603,58 @@ def test_barycentric_subdivisions_are_flag(name):
     assert is_flag(B.child) == (True, None)
 
 
+# -- colouring ------------------------------------------------------------------------
+
+def assert_proper(X, colour):
+    assert sorted(colour) == sorted(X.vertices)
+    assert all(colour[a] != colour[b] for a, b in X.by_dim(1))
+    assert set(colour.values()) == set(range(max(colour.values()) + 1))
+
+
+def colour_classes(X, colour):
+    return sorted(sorted(v for v in X.vertices if colour[v] == c)
+                  for c in set(colour.values()))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_dsatur_finds_the_forced_colourings(seed):
+    """Under 20 relabellings DSATUR colours the 4-cycle with 2 colours and
+    the octahedron with 3, and each has only one partition into that many
+    classes: opposite vertices, antipodes."""
+    rng = random.Random(seed)
+    square = [("a", "b"), ("b", "c"), ("c", "d"), ("a", "d")]
+    octahedron = [(x, y, z) for x in ("x+", "x-") for y in ("y+", "y-") for z in ("z+", "z-")]
+    for raw, forced in ((square, [["a", "c"], ["b", "d"]]),
+                        (octahedron, [["x+", "x-"], ["y+", "y-"], ["z+", "z-"]])):
+        old = sorted({v for s in raw for v in s})
+        new = ["v%d" % i for i in range(len(old))]
+        rng.shuffle(new)
+        perm = dict(zip(old, new))
+        X = validate_complex([[perm[v] for v in s] for s in raw])
+        colour = dsatur_colouring(X)
+        assert_proper(X, colour)
+        assert colour_classes(X, colour) == sorted(sorted(perm[v] for v in c) for c in forced)
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_dsatur_colouring_is_proper(pipeline_cache, name):
+    """On every fixture, its subdivision and, for a thickening fixture, the
+    boundary of P, which ``close_up`` would colour."""
+    inputs = [fixture(name), barycentric_subdivision(fixture(name)).child]
+    if name in THICKENING_FIXTURES:
+        inputs.append(pipeline_cache(name, 0)[1].pseudomanifold.boundary)
+    for X in inputs:
+        assert_proper(X, dsatur_colouring(X))
+
+
+def test_dsatur_breaks_ties_by_label():
+    """On the 5-cycle every choice is a tie broken by label: a, then b
+    before e, c before e, d before e; the odd cycle leaves e a third
+    colour."""
+    X = validate_complex([["a", "b"], ["b", "c"], ["c", "d"], ["d", "e"], ["a", "e"]])
+    assert dsatur_colouring(X) == {"a": 0, "b": 1, "c": 0, "d": 1, "e": 2}
+
+
 # -- greedy collapse ---------------------------------------------------------------
 
 def test_triangle_collapses_to_point():
@@ -674,9 +727,14 @@ ORACLE_SEEDS = (0, 1, 2, 5)
 
 
 def assert_collapse_matches_oracle(X):
+    """Same pairs and remainder as the oracle, whose remainder is built by
+    the checked constructor; the trusted remainder's layers are the same."""
     for seed in ORACLE_SEEDS:
         (Y,) = relabelled(X, seed)
-        assert greedy_collapse(Y) == simplex_keyed_greedy_collapse(Y)
+        got, want = greedy_collapse(Y), simplex_keyed_greedy_collapse(Y)
+        assert got == want
+        assert ([got.remainder.by_dim(k) for k in range(Y.dim + 2)]
+                == [want.remainder.by_dim(k) for k in range(Y.dim + 2)])
 
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)

@@ -85,3 +85,22 @@ def test_error_witnesses_ignore_hash_seed():
                 "('a', 'b', 'c')", "('a', 'c')"]
     for hash_seed in HASH_SEEDS:
         assert run_python(["-c", code], hash_seed).splitlines() == expected
+
+
+def test_closures_are_byte_identical_across_processes():
+    """The boundary colouring breaks its ties by label, so the closed-up Q,
+    its chamber count and its homology do not depend on the hash seed."""
+    close = ["-m", "plthick.cli", "close", "fixture:four_cycle_cone"]
+    digest = ("import hashlib\n"
+              "from plthick.cli import canonical_json, complex_to_obj\n"
+              "from plthick.complex_core import cone_off, validate_complex\n"
+              "from plthick.reflection import close_up\n"
+              "sphere = validate_complex([[x, y, z] for x in ('x+', 'x-') "
+              "for y in ('y+', 'y-') for z in ('z+', 'z-')])\n"
+              "res = close_up(cone_off(sphere, sphere, 'o'))\n"
+              "print(res.Q.n_chambers, res.mirror_structure.Sof['x-'], "
+              "hashlib.sha256(canonical_json(complex_to_obj(res.Q.complex))).hexdigest())\n")
+    for args in (close, ["-c", digest]):
+        outputs = [run_python(args, hash_seed) for hash_seed in HASH_SEEDS]
+        assert outputs[0] == outputs[1]
+        assert outputs[0]

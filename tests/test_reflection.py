@@ -24,12 +24,16 @@ from plthick.pseudomanifold import (
     classify_link,
 )
 from plthick.reflection import (
+    DEFAULT_BUDGET,
     MirrorStructure,
     basic_construction,
     boundary_mirror_structure,
+    chamber_label,
+    close_mirror_structure,
     close_up,
     local_global_agreement,
     orbit_count_euler,
+    subdivision_size,
     verify_closed_locally,
 )
 
@@ -42,31 +46,47 @@ def _mirror(ms, s):
     return full_subcomplex(ms.Y, [y for y in ms.Y.vertices if s in ms.Sof[y]])
 
 
-def _boundary_star(ms, s):
-    """The star of s in the subdivided boundary of the chamber source."""
+def _colour_stars(ms, s):
+    """The union of the stars, in the subdivided boundary of the chamber
+    source, of the boundary vertices of colour s.  A boundary vertex keeps
+    its label in the subdivision, and lies on its own colour's mirror
+    only."""
     boundary = check_pseudomanifold(ms.chamber_source).boundary
-    return complex_from_maximal(barycentric_subdivision(boundary).child.incident(s))
+    sub = barycentric_subdivision(boundary).child
+    assert all(len(ms.Sof[v]) == 1 for v in boundary.vertices)
+    return complex_from_maximal(t for v in boundary.vertices if ms.Sof[v] == {s}
+                                for t in sub.incident(v))
 
 
 def test_mirror_structure_of_triangle_disc():
     P = fixture("single_triangle")
     ms = boundary_mirror_structure(P)
     # The 3-cycle boundary is not flag, so the chamber gets subdivided:
-    # six boundary vertices afterwards.
-    assert len(ms.S) == 6
+    # a hexagon afterwards, with two colours.
+    assert len(check_pseudomanifold(ms.chamber_source).boundary.vertices) == 6
+    assert ms.S == (0, 1)
     for s in ms.S:
-        assert len(_mirror(ms, s)) > 0
-        assert _mirror(ms, s) == _boundary_star(ms, s)
+        # three stars of two edges each
+        assert len(_mirror(ms, s).by_dim(1)) == 6
+        assert _mirror(ms, s) == _colour_stars(ms, s)
 
 
 def test_mirror_structure_of_four_cycle_cone():
     P = fixture("four_cycle_cone")
     ms = boundary_mirror_structure(P)
-    assert len(ms.S) == 4
+    assert ms.S == (0, 1)
     for s in ms.S:
-        # star of a boundary vertex in the subdivided 4-cycle: two edges
-        assert len(_mirror(ms, s).by_dim(1)) == 2
-        assert _mirror(ms, s) == _boundary_star(ms, s)
+        # the stars of two opposite vertices of the subdivided 4-cycle
+        assert len(_mirror(ms, s).by_dim(1)) == 4
+        assert len(_mirror(ms, s).connected_components()) == 2
+        assert _mirror(ms, s) == _colour_stars(ms, s)
+
+
+def test_an_improper_colouring_is_refused(monkeypatch):
+    monkeypatch.setattr(reflection, "dsatur_colouring",
+                        lambda X: dict.fromkeys(X.vertices, 0))
+    with pytest.raises(ConstructionError, match="has one colour"):
+        boundary_mirror_structure(fixture("four_cycle_cone"))
 
 
 def test_mirror_table_rejects_unknown_indices():
@@ -150,14 +170,15 @@ def test_four_cycle_cone_closes_to_torus():
     assert res.homology.betti == (1, 2, 1)
     assert len(res.report.boundary) == 0
     assert res.orientation.success
-    assert res.Q.n_chambers == 16
+    assert res.Q.n_chambers == 4
 
 
-def test_octahedron_ball_closes_to_flat_three_manifold(octahedral_closure):
-    res = octahedral_closure
+def test_octahedron_ball_closes_to_flat_three_manifold(coloured_octahedral_closure):
+    res = coloured_octahedral_closure
     Q = res.Q.complex
     assert Q.euler_characteristic() == 0
-    assert res.Q.n_chambers == 64
+    assert res.homology.betti == (1, 3, 3, 1) and not any(res.homology.torsion)
+    assert res.Q.n_chambers == 8
     assert len(res.report.boundary) == 0
     assert res.report.isolated_singularities
     assert res.orientation.success
@@ -189,6 +210,63 @@ def test_closure_passes_the_checked_constructor(octahedral_closure):
     ms = res.mirror_structure
     for X in (res.Q.complex, res.Q.identity_chamber(), ms.Y):
         assert Complex(X.simplices) == X
+
+
+def _fold_onto_colours(vertex_closure, coloured):
+    """The image of each simplex of the closure over one mirror per
+    boundary vertex under (w, y) -> (lambda(w), y), where lambda sends the
+    bit of a vertex's mirror to the bit of its colour, counted."""
+    ms = vertex_closure.mirror_structure
+    bit = {i: 1 << min(coloured.mirror_structure.Sof[v]) for i, v in enumerate(ms.S)}
+
+    def fold(label):
+        w, y = label.split("#", 1)
+        w = int(w)
+        image = 0
+        for i, b in bit.items():
+            if w >> i & 1:
+                image ^= b
+        return chamber_label(image, coloured.Q.masks[y], y)
+
+    return Counter(tuple(sorted(map(fold, s))) for s in vertex_closure.Q.complex.simplices)
+
+
+def test_vertex_closure_folds_onto_the_coloured_closure(vertex_mirrors, octahedral_closure,
+                                                        coloured_octahedral_closure):
+    """The 2^|S| closure maps onto the 2^c one, every fibre of size
+    2^(|S| - c): the coloured closure is its quotient by the kernel of
+    lambda, which acts freely."""
+    disc = fixture("four_cycle_cone")
+    for vertex_closure, coloured in (
+            (close_mirror_structure(vertex_mirrors(disc)), close_up(disc)),
+            (octahedral_closure, coloured_octahedral_closure)):
+        assert vertex_closure.mirror_structure.Y == coloured.mirror_structure.Y
+        fibres = _fold_onto_colours(vertex_closure, coloured)
+        assert set(fibres) == coloured.Q.complex.simplices
+        k, c = (len(r.mirror_structure.S) for r in (vertex_closure, coloured))
+        assert set(fibres.values()) == {2 ** (k - c)}
+
+
+@pytest.mark.parametrize("name", ["single_triangle", "four_cycle_cone", "boundary_delta3",
+                                  "pinched_spheres", "two_triangles_shared_edge"])
+def test_subdivision_size_counts_the_subdivision(octahedral_ball, name):
+    for X in (fixture(name), octahedral_ball):
+        assert subdivision_size(X) == len(barycentric_subdivision(X).child)
+
+
+def test_budget_precheck_refuses_thickenings_before_subdividing(pipeline_cache, monkeypatch):
+    """At the default budget every thickening falls back to the local
+    verifier at once: the pre-check reads P's f-vector, and nothing is
+    subdivided or coloured."""
+    def refuse(*args):
+        raise AssertionError("the pre-check should have refused first")
+
+    monkeypatch.setattr(reflection, "barycentric_subdivision", refuse)
+    monkeypatch.setattr(reflection, "dsatur_colouring", refuse)
+    for name in THICKENING_FIXTURES:
+        out, _ = pipeline_cache(name, 0)
+        with pytest.raises(BudgetExceededError, match="more than %d " % DEFAULT_BUDGET):
+            close_up(out.P)
 
 
 def test_identity_chamber_embeds():
