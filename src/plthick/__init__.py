@@ -24,12 +24,6 @@ from .complex_core import (
     spine_boundary_check,
     validate_complex,
 )
-from .geometry import (
-    GeometricMap,
-    sample_general_position_map,
-    singular_set,
-    verify_general_position,
-)
 from .homology import HomologyResult, boundary_matrices, homology_groups, smith_normal_form
 from .pseudomanifold import (
     check_isolated_singularities,
@@ -71,10 +65,6 @@ __all__ = [
     "smith_normal_form",
     "homology_groups",
     "HomologyResult",
-    "GeometricMap",
-    "sample_general_position_map",
-    "verify_general_position",
-    "singular_set",
     "check_pseudomanifold",
     "check_isolated_singularities",
     "classify_link",

@@ -22,13 +22,6 @@ from .complex_core import (
     validate_complex,
 )
 from .errors import BudgetExceededError, ToolkitError, ValidationError
-from .geometry import (
-    GeometricMap,
-    format_rational,
-    parse_rational,
-    sample_general_position_map,
-    singular_set,
-)
 from .homology import homology_groups
 from .pseudomanifold import (
     check_isolated_singularities,
@@ -76,29 +69,6 @@ def complex_from_obj(obj):
             if v not in known:
                 raise ValidationError("simplex references undeclared vertex %r" % v)
     return validate_complex(list(raw) + [[v] for v in declared])
-
-
-def geometric_map_to_obj(m):
-    return {
-        "n": m.n,
-        "vertices": [{"id": v, "coords": [format_rational(x) for x in m.points[v]]}
-                     for v in m.domain.vertices],
-        "simplices": [list(s) for s in m.domain.maximal_simplices],
-    }
-
-
-def geometric_map_from_obj(obj):
-    X = complex_from_obj(obj)
-    n = obj.get("n")
-    if type(n) is not int or n < 1:
-        raise ValidationError("n must be a positive integer: %r" % (n,))
-    points = {}
-    for entry in obj["vertices"]:
-        coords = entry.get("coords")
-        if not isinstance(coords, list):
-            raise ValidationError("vertex %r needs a list of coords" % entry["id"])
-        points[entry["id"]] = tuple(parse_rational(c) for c in coords)
-    return GeometricMap(domain=X, n=n, points=points)
 
 
 def link_class_obj(cls):
@@ -152,9 +122,9 @@ def class_summary(local):
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Seed and budgets.  The pipeline samples nothing, so ``seed`` has no
-    effect on any artifact; it is still range-checked while callers pass
-    one."""
+    """Budgets, and a seed that has no effect on any artifact: the
+    pipeline samples nothing.  ``seed`` stays, range-checked, only for the
+    benchmark's call ``PipelineConfig(seed=seed)``."""
 
     seed: int = 0
     budget: int = DEFAULT_BUDGET
@@ -170,18 +140,23 @@ def run_pipeline(config, X):
 
     Returns a dict of artifact name -> canonical JSON bytes.  The outputs
     are a function of the input complex and the configuration only.
+
+    ``provenance.json`` gives each simplex of P its origin: the cone vertex
+    it contains, or "M" when it contains none.  There is at most one.  P is
+    M with the cones w_v * N_v, N_v a subcomplex of M; the cone labels are
+    fresh, so a simplex of M holds no cone vertex, and a cone simplex is
+    w_v or s + w_v for s in N_v, which holds the one cone vertex w_v.
     """
-    out, rep = thicken(X, seed=config.seed)
+    out, rep = thicken(X)
     P = out.P
 
     artifacts = {}
     artifacts["input.json"] = canonical_json(complex_to_obj(X))
     artifacts["p_complex.json"] = canonical_json(complex_to_obj(P))
     # P's ids run in by_dim order, which is simplex_key order.
-    origins = {("cone", v): w for v, w in out.cone_vertices.items()}
-    origins["M"] = "M"
+    cones = set(out.cone_vertices.values())
     artifacts["provenance.json"] = canonical_json({
-        "simplices": [{"simplex": list(s), "origin": origins[out.provenance[s]]}
+        "simplices": [{"simplex": list(s), "origin": next(filter(cones.__contains__, s), "M")}
                       for s in P.incidence().cells]})
 
     report_obj = {
@@ -263,8 +238,6 @@ def _write_artifacts(artifacts, out_dir):
 
 
 _FLAGS = {
-    "--seed": dict(type=int, default=0),
-    "--denom-bound": dict(type=int, default=1000),
     "--budget": dict(type=int, default=DEFAULT_BUDGET),
     "--rel": dict(choices=["boundary"], default=None),
     "--local-only": dict(action="store_true"),
@@ -283,13 +256,11 @@ def build_parser():
             ("validate", "check and normalize a complex", ""),
             ("subdivide", "barycentric subdivision", ""),
             ("spine", "spine of the punctured complex", ""),
-            ("embed", "sample a general-position map and its singular set",
-             "--seed --denom-bound"),
             ("check", "pseudomanifold report", ""),
             ("orient", "orientation assignment or odd-cycle witness", ""),
             ("homology", "integer homology, optionally relative to the boundary", "--rel"),
             ("thicken", "build and verify the pseudomanifold thickening",
-             "--seed --budget --local-only --out"),
+             "--budget --local-only --out"),
             ("close", "close a pseudomanifold with boundary by reflections",
              "--budget --local-only"),
             ("links", "classify every vertex link", ""),
@@ -331,22 +302,6 @@ def _dispatch(args):
         _emit({"spine": complex_to_obj(K), "components": len(comps),
                "first_betti": b1})
         return 0
-    if cmd == "embed":
-        n = 2 * X.dim - 1
-        m = sample_general_position_map(X, n, seed=args.seed,
-                                        denom_bound=args.denom_bound)
-        S = singular_set(m)
-        # The sampler returns only maps its verifier accepted.
-        _emit({"map": geometric_map_to_obj(m),
-               "general_position": True,
-               "singular_records": [
-                   {"pair": [list(r.simplex_i), list(r.simplex_j)],
-                    "kind": r.kind,
-                    "points": [[format_rational(x) for x in p] for p in r.ambient]}
-                   for r in S.records],
-               "singular_dim": S.dim(),
-               "coordinate_bits": m.bit_length_stats()})
-        return 0
     if cmd == "check":
         report = check_pseudomanifold(X)
         if X.dim <= 3 and report.pseudomanifold_ok():
@@ -380,8 +335,7 @@ def _dispatch(args):
         _emit({v: link_class_obj(c) for v, c in classes.items()})
         return 0
     if cmd == "thicken":
-        config = PipelineConfig(seed=args.seed, budget=args.budget,
-                                local_only=args.local_only)
+        config = PipelineConfig(budget=args.budget, local_only=args.local_only)
         artifacts = run_pipeline(config, X)
         _write_artifacts(artifacts, args.out)
         _emit({"artifacts": sorted(artifacts),

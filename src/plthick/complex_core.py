@@ -592,23 +592,6 @@ def regular_neighborhood(X, K):
     return N, Ndot, sub
 
 
-@dataclass(frozen=True)
-class SpineBoundaryReport:
-    """The frontier pieces of the spine's regular neighborhood."""
-
-    vertex_links: dict
-
-    def component_summary(self):
-        return {
-            v: {
-                "simplices": len(link.simplices),
-                "components": len(link.connected_components()),
-                "euler": link.euler_characteristic(),
-            }
-            for v, link in self.vertex_links.items()
-        }
-
-
 def frontier_pieces(Y, frontier, vertices):
     """The links in Y of the given vertices, after checking that they are
     pairwise disjoint and that their union is ``frontier``, simplex for
@@ -632,12 +615,13 @@ def spine_boundary_check(X):
     labels, the frontier is the set of chains s1 < .. < sk of X1-simplices
     outside K whose bottom s1 has a K-vertex, and the link of an original
     vertex v the set of chains of X1-simplices properly containing {v}.
+    Returns the links, keyed by original vertex.
     """
     if X.dim < 1:
         raise ValidationError("spine_boundary_check needs dim >= 1")
     B1, K = spine(X)
     _, Ndot, sub = regular_neighborhood(B1.child, K)
-    return SpineBoundaryReport(vertex_links=frontier_pieces(sub.child, Ndot, X.vertices))
+    return frontier_pieces(sub.child, Ndot, X.vertices)
 
 
 def cone_off(X, L, w):

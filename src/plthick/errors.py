@@ -20,18 +20,6 @@ class ValidationError(ToolkitError):
     stage = "validate"
 
 
-class GeneralPositionError(ToolkitError):
-    """A degeneracy was detected that general position rules out."""
-
-    stage = "embed"
-
-
-class RejectionBudgetError(ToolkitError):
-    """Rejection sampling did not find an admissible point in budget."""
-
-    stage = "embed"
-
-
 class ConstructionError(ToolkitError):
     """An internal verification failed while assembling an object (bug signal)."""
 

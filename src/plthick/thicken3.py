@@ -503,7 +503,6 @@ class ThickeningOutput:
     P: Complex
     report: PseudomanifoldReport  # P's, derived from M's
     X_copy: Complex
-    provenance: dict
     spine: Complex
     collar: SpineCollar
     sheet_data: SheetData
@@ -643,7 +642,6 @@ def cone_boundary_neighborhoods(partial):
 
     links = dict(partial.report.vertex_links)
     cone_vertices = {}
-    provenance = dict.fromkeys(partial.M.simplices, "M")
     layers = {k: list(partial.M.by_dim(k)) for k in range(partial.M.dim + 1)}
     for v in sorted(Lv):
         N = neighborhoods[v]
@@ -656,12 +654,9 @@ def cone_boundary_neighborhoods(partial):
         for x in N.vertices:
             if x not in rim_vertices:
                 links[x] = SPHERE
-        provenance[(w,)] = ("cone", v)
         layers[0].append((w,))
         for k in range(N.dim + 1):
-            cones = [join(s, (w,)) for s in N.by_dim(k)]
-            provenance.update(dict.fromkeys(cones, ("cone", v)))
-            layers[k + 1] += cones
+            layers[k + 1] += [join(s, (w,)) for s in N.by_dim(k)]
     # Each layer is M's sorted run followed by the cones, which sort merges.
     P = Complex(_FaceClosed({k: tuple(sorted(layer)) for k, layer in layers.items()}))
     galleries = _fans(P, 0)
@@ -680,8 +675,7 @@ def cone_boundary_neighborhoods(partial):
     return ThickeningOutput(
         M=partial.M, boundary_surface=surface, L=partial.L, Lv=Lv, Nv=neighborhoods,
         cone_vertices=cone_vertices, P=P, report=report, X_copy=X_copy,
-        provenance=provenance, spine=partial.spine,
-        collar=partial.collar, sheet_data=partial.sheet_data,
+        spine=partial.spine, collar=partial.collar, sheet_data=partial.sheet_data,
         names=partial.names)
 
 
@@ -791,8 +785,8 @@ def thicken(X, seed=None):
     off and verify.  Returns ``(output, report)``.
 
     The output is a function of X alone.  ``seed`` has no effect: nothing
-    is sampled, and the parameter stays only for callers that still pass
-    one.
+    is sampled, and the parameter stays only for the benchmark's call
+    ``thicken(X, seed)``.
     """
     if X.dim < 2:
         raise ValidationError("d >= 2 required: 1-dimensional inputs cannot thicken")

@@ -2,26 +2,43 @@ import random
 
 import pytest
 
-from plthick.complex_core import barycentric_subdivision, cone_off, validate_complex
+from plthick.complex_core import Complex, barycentric_subdivision, cone_off, validate_complex
 from plthick.fixtures import FIXTURE_NAMES, fixture
-from plthick.geometry import sample_general_position_map
 from plthick.homology import homology_groups
 from plthick.pseudomanifold import check_pseudomanifold
 from plthick.reflection import MirrorStructure, close_mirror_structure, close_up
 from plthick.thicken3 import thicken
 
 from embedded_collar import choose_spine_barycenters, epsilon_neighborhood_embedding
+from general_position import sample_general_position_map
+
+
+def relabelled(X, seed, *subcomplexes):
+    """X, and any subcomplexes of it, under one seeded permutation of X's
+    labels (the identity at seed 0).  Every pass in ``simplex_key`` order,
+    such as the greedy collapse's queue of free faces, meets the simplices
+    in another order."""
+    labels = list(X.vertices)
+    shuffled = list(labels)
+    if seed:
+        random.Random(seed).shuffle(shuffled)
+    perm = dict(zip(labels, shuffled))
+    return [Complex(tuple(sorted(perm[v] for v in s)) for s in Y.simplices)
+            for Y in (X, *subcomplexes)]
 
 
 _RUNS = {}
 
 
-def thickening_run(name, seed=0):
-    """Session-wide cache: the full construction for a fixture.  ``thicken``
-    samples nothing, so every seed shares the fixture's one run."""
-    if name not in _RUNS:
-        _RUNS[name] = thicken(fixture(name), seed=seed)
-    return _RUNS[name]
+def thickening_run(name, labelling=0):
+    """Session-wide cache: the full construction for a fixture, with its
+    labels permuted by ``relabelled`` at the seed ``labelling`` (kept as
+    they are at 0).  A permutation that leaves the complex as it is shares
+    its run."""
+    (X,) = relabelled(fixture(name), labelling)
+    if X.simplices not in _RUNS:
+        _RUNS[X.simplices] = thicken(X)
+    return _RUNS[X.simplices]
 
 
 @pytest.fixture(scope="session")

@@ -11,7 +11,7 @@ picks interior barycenters that make f embed K, and
 collar is the combinatorial one, so on every fixture the complex
 ``thicken`` thickens is realised in R^3 by the sampled map.
 
-Every predicate is decided exactly, as in ``plthick.geometry``.
+Every predicate is decided exactly, as in ``general_position``.
 """
 
 import math
@@ -20,11 +20,13 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from plthick.complex_core import Complex, regular_neighborhood, simplex_key, spine
-from plthick.errors import GeneralPositionError, RejectionBudgetError, ValidationError
-from plthick.geometry import (
+from plthick.errors import ValidationError
+from general_position import (
     ONE,
     ZERO,
+    GeneralPositionError,
     GeometricMap,
+    RejectionBudgetError,
     SingularSet,
     _bbox,
     _box_overlaps,

@@ -1,5 +1,10 @@
-"""Exact rational geometry: general-position maps and their singular sets,
-the paper's general-position lemma on its own (``plthick embed``).
+"""Exact rational geometry: general-position maps and their singular sets.
+
+The paper maps X into R^{2d-1} in general position; ``thicken`` reads
+X's rotation system instead and samples nothing.  This module keeps the
+general-position lemma as a test oracle: the embedded collar
+(``embedded_collar``) and the embedded rotation system are built on its
+sampled maps, and the singular-set bounds are checked on them.
 
 Every predicate is decided exactly: over rationals, or over integers
 after scaling by a common denominator; floating point appears nowhere.
@@ -16,12 +21,17 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .complex_core import Complex
-from .errors import (
-    GeneralPositionError,
-    RejectionBudgetError,
-    ValidationError,
-)
+from plthick.complex_core import Complex
+from plthick.errors import ValidationError
+
+
+class GeneralPositionError(Exception):
+    """A degeneracy was detected that general position rules out."""
+
+
+class RejectionBudgetError(Exception):
+    """Rejection sampling did not find an admissible point in budget."""
+
 
 # -- rational vectors ---------------------------------------------------------
 
@@ -181,14 +191,6 @@ class GeometricMap:
 
     def simplex_points(self, s):
         return [self.points[v] for v in s]
-
-    def bit_length_stats(self):
-        num = den = 0
-        for p in self.points.values():
-            for x in p:
-                num = max(num, x.numerator.bit_length())
-                den = max(den, x.denominator.bit_length())
-        return {"max_numerator_bits": num, "max_denominator_bits": den}
 
 
 def sample_general_position_map(X, n, seed, denom_bound=1000, max_attempts=200):

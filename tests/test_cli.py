@@ -15,8 +15,6 @@ from plthick.cli import (
     class_summary,
     complex_from_obj,
     complex_to_obj,
-    geometric_map_from_obj,
-    geometric_map_to_obj,
     link_class_obj,
     main,
     run_pipeline,
@@ -24,7 +22,6 @@ from plthick.cli import (
 from plthick.complex_core import link_of, validate_complex
 from plthick.errors import ValidationError
 from plthick.fixtures import FIXTURE_NAMES, THICKENING_FIXTURES, fixture
-from plthick.geometry import format_rational, parse_rational, sample_general_position_map
 from plthick.pseudomanifold import check_isolated_singularities, classify_link
 from plthick.reflection import LocalLinkReport, verify_closed_locally
 from plthick.thicken3 import thicken
@@ -40,22 +37,6 @@ def test_complex_round_trip_is_byte_exact(name):
     Y = complex_from_obj(json.loads(blob.decode()))
     assert Y == X
     assert canonical_json(complex_to_obj(Y)) == blob
-
-
-def test_geometric_map_round_trip():
-    X = fixture("boundary_delta3")
-    m = sample_general_position_map(X, 3, seed=5)
-    blob = canonical_json(geometric_map_to_obj(m))
-    m2 = geometric_map_from_obj(json.loads(blob.decode()))
-    assert m2.points == m.points
-    assert canonical_json(geometric_map_to_obj(m2)) == blob
-
-
-def test_non_reduced_rational_rejected_in_map():
-    obj = {"n": 1, "vertices": [{"id": "a", "coords": ["2/4"]}],
-           "simplices": [["a"]]}
-    with pytest.raises(ValidationError):
-        geometric_map_from_obj(obj)
 
 
 def test_missing_vertex_reference_rejected():
@@ -113,38 +94,6 @@ def test_loader_fuzz_raises_only_validation_error():
             complex_from_obj(obj)
 
 
-# Values of the wrong shape or form for the slots of a one-vertex map object.
-WRONG_MAP_SHAPES = {
-    "n": [None, 0, -1, True, 1.0, "1", [1]],
-    "coords": [None, "1", 1, [1], [None], [], ["1", "2"], ["x"], ["+3"], [" 3"],
-               ["03"], ["1_0"], ["-0"], ["1/02"], ["2/4"], ["3/1"], ["1/0"],
-               ["1/-2"], ["1.5"], ["1e3"]],
-}
-
-
-def test_map_loader_fuzz_raises_only_validation_error():
-    rng = random.Random(20261018)
-    for _ in range(200):
-        obj = {"n": 1, "vertices": [{"id": "a", "coords": ["-1/2"]}],
-               "simplices": [["a"]]}
-        for slot in rng.sample(sorted(WRONG_MAP_SHAPES), rng.randint(1, 2)):
-            bad = rng.choice(WRONG_MAP_SHAPES[slot])
-            if slot == "n":
-                obj["n"] = bad
-            else:
-                obj["vertices"][0]["coords"] = bad
-        with pytest.raises(ValidationError):
-            geometric_map_from_obj(obj)
-    # Random text parses only when it is the canonical form of its value.
-    for _ in range(2000):
-        text = "".join(rng.choice("0123456789/+-_ .e") for _ in range(rng.randint(0, 5)))
-        try:
-            x = parse_rational(text)
-        except ValidationError:
-            continue
-        assert format_rational(x) == text
-
-
 # -- CLI surface ------------------------------------------------------------------
 
 def run_cli(capsys, *argv):
@@ -162,15 +111,19 @@ def test_subcommands_register_only_the_flags_they_read(capsys):
     assert flags == {
         "validate": [], "subdivide": [], "spine": [], "check": [], "orient": [],
         "links": [],
-        "embed": ["--denom-bound", "--seed"],
         "homology": ["--rel"],
-        "thicken": ["--budget", "--local-only", "--out", "--seed"],
+        "thicken": ["--budget", "--local-only", "--out"],
         "close": ["--budget", "--local-only"],
     }
+    for command in ("validate", "thicken"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "fixture:single_triangle", "--seed", "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
     with pytest.raises(SystemExit) as exc:
-        main(["validate", "fixture:single_triangle", "--seed", "1"])
+        main(["embed", "fixture:single_triangle"])
     assert exc.value.code == 2
-    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+    assert "invalid choice: 'embed'" in capsys.readouterr().err
 
 
 def test_validate_subcommand(capsys):
@@ -241,7 +194,7 @@ def test_links_of_a_thickening_are_the_per_vertex_classes(capsys, monkeypatch, p
     """P is a 3-pseudomanifold, so ``links`` reads the classes off
     ``check_isolated_singularities``; they equal one ``classify_link`` per
     vertex link."""
-    out, _ = pipeline_cache("single_triangle", 0)
+    out, _ = pipeline_cache("single_triangle")
     path = tmp_path / "p_complex.json"
     path.write_bytes(canonical_json(complex_to_obj(out.P)))
     calls = []
@@ -251,21 +204,6 @@ def test_links_of_a_thickening_are_the_per_vertex_classes(capsys, monkeypatch, p
     assert code == 0 and len(calls) == 1
     want = {v: link_class_obj(classify_link(link_of(out.P, (v,)))) for v in out.P.vertices}
     assert obj == json.loads(json.dumps(want))
-
-
-def test_embed_subcommand(capsys):
-    code, obj = run_cli(capsys, "embed", "fixture:single_triangle", "--seed", "3")
-    assert code == 0
-    assert obj["general_position"] is True
-    assert obj["singular_dim"] == -1
-
-
-def test_embed_subcommand_lists_singular_records(capsys):
-    # The torus needs R^3, where its triangles cross along segments.
-    code, obj = run_cli(capsys, "embed", "fixture:torus_7", "--seed", "0")
-    assert code == 0
-    assert len(obj["singular_records"]) == 10
-    assert obj["singular_dim"] == 1
 
 
 def test_close_subcommand_materializes_q(capsys):
@@ -307,7 +245,7 @@ def test_subdivide_subcommand(capsys):
 
 
 def test_close_budget_error(capsys, pipeline_cache):
-    out, _ = pipeline_cache("single_triangle", 0)
+    out, _ = pipeline_cache("single_triangle")
     import tempfile
     with tempfile.NamedTemporaryFile("wb", suffix=".json", delete=False) as fh:
         fh.write(canonical_json(complex_to_obj(out.P)))
@@ -321,7 +259,7 @@ def test_close_budget_error(capsys, pipeline_cache):
 
 
 def test_close_local_only(capsys, pipeline_cache, tmp_path):
-    out, _ = pipeline_cache("single_triangle", 0)
+    out, _ = pipeline_cache("single_triangle")
     path = tmp_path / "p_complex.json"
     path.write_bytes(canonical_json(complex_to_obj(out.P)))
     # No report is passed in and the cone vertices are found by label.
@@ -355,7 +293,7 @@ def _described_per_simplex(local):
 
 @pytest.mark.parametrize("name", THICKENING_FIXTURES)
 def test_class_summary_matches_describing_every_simplex(pipeline_cache, name):
-    out, rep = pipeline_cache(name, 0)
+    out, rep = pipeline_cache(name)
     local = verify_closed_locally(out.P, cone_vertices=out.cone_vertices.values(),
                                   report=rep.pseudomanifold)
     assert class_summary(local) == _described_per_simplex(local)
@@ -381,12 +319,12 @@ def test_class_summary_adds_up_classes_with_one_description():
 # consistently; these digests can.  A change that moves them must say why,
 # and update them.
 PINNED_DIGESTS = {
-    ("single_triangle", 3): {
+    "single_triangle": {
         "p_complex.json": "d2b2b7c665180614ed449df5f2489d10fb90596882c785250992bfe0f4a00d35",
         "provenance.json": "f277641d179bfba801f3d412034de971dce969227ed045d817ad16365d1827f9",
         "report.json": "e27f8cab5a6c9bcaaf3c4a5f872ee0a1a9da4af785f7bf7deec519e0ad30640b",
     },
-    ("torus_7", 0): {
+    "torus_7": {
         "p_complex.json": "b988c67e8c86f32ea5e1d5bd7e9364720042501b4d9b74c903a6fcf245319656",
         "provenance.json": "fe702d0df0505043ec88d917eaf9afce5479536d7d22e27103c3da5cbc85b0e0",
         "report.json": "ed5389c3cc965c70d519effdcae47fc94ab2cdbe55b392ac31da48db0dea1443",
@@ -399,19 +337,19 @@ def sha256_of(blobs):
 
 
 def test_thicken_cli_artifacts_match_pinned_digests(capsys, tmp_path):
-    code, _ = run_cli(capsys, "thicken", "fixture:single_triangle", "--seed", "3",
+    code, _ = run_cli(capsys, "thicken", "fixture:single_triangle",
                       "--local-only", "--out", str(tmp_path))
     assert code == 0
-    want = PINNED_DIGESTS[("single_triangle", 3)]
+    want = PINNED_DIGESTS["single_triangle"]
     assert sha256_of({name: (tmp_path / name).read_bytes() for name in want}) == want
 
 
 def test_cached_pipeline_artifacts_match_pinned_digests(monkeypatch, pipeline_cache):
-    """The same digests for torus_7 at seed 0, with the cached thickening
+    """The same digests for torus_7, with the cached thickening
     standing in for the CLI's own."""
-    monkeypatch.setattr(cli, "thicken", lambda X, seed: pipeline_cache("torus_7", seed))
-    artifacts = run_pipeline(PipelineConfig(seed=0, local_only=True), fixture("torus_7"))
-    want = PINNED_DIGESTS[("torus_7", 0)]
+    monkeypatch.setattr(cli, "thicken", lambda X: pipeline_cache("torus_7"))
+    artifacts = run_pipeline(PipelineConfig(local_only=True), fixture("torus_7"))
+    want = PINNED_DIGESTS["torus_7"]
     assert sha256_of({name: artifacts[name] for name in want}) == want
 
 

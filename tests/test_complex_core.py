@@ -36,6 +36,7 @@ from plthick.errors import ValidationError
 from plthick.fixtures import FIXTURE_NAMES, THICKENING_FIXTURES, fixture
 from plthick.homology import homology_groups
 from plthick.pseudomanifold import check_pseudomanifold
+from conftest import relabelled
 
 
 def counts(X):
@@ -232,7 +233,7 @@ def _facet_boundary_ids(X):
 
 @pytest.mark.parametrize("name", THICKENING_FIXTURES)
 def test_closure_matches_complex_from_maximal_on_boundaries_of_m_and_p(pipeline_cache, name):
-    out, rep = pipeline_cache(name, 0)
+    out, rep = pipeline_cache(name)
     for X, boundary in ((out.M, out.boundary_surface), (out.P, rep.pseudomanifold.boundary)):
         closed = assert_closure_matches_oracle(X, _facet_boundary_ids(X))
         assert all(closed.by_dim(k) == boundary.by_dim(k) for k in range(3)), name
@@ -440,19 +441,17 @@ def test_regular_neighborhood_identity():
 # -- spine boundary identity ------------------------------------------------------
 
 def test_spine_boundary_check_triangle():
-    report = spine_boundary_check(fixture("single_triangle"))
-    summary = report.component_summary()
-    assert len(summary) == 3
-    for v, info in summary.items():
-        assert info["components"] == 1
-        link = report.vertex_links[v]
+    links = spine_boundary_check(fixture("single_triangle"))
+    assert len(links) == 3
+    for link in links.values():
+        assert len(link.connected_components()) == 1
         assert counts(link) == (5, 4)  # an arc: the twice-subdivided edge
 
 
 def test_spine_boundary_check_sphere():
-    report = spine_boundary_check(fixture("boundary_delta3"))
-    assert len(report.vertex_links) == 4
-    for link in report.vertex_links.values():
+    links = spine_boundary_check(fixture("boundary_delta3"))
+    assert len(links) == 4
+    for link in links.values():
         assert counts(link) == (12, 12)
         assert all(len(link.adjacency()[v]) == 2 for v in link.vertices)
 
@@ -470,14 +469,13 @@ def second_derived_frontier(X):
 def test_spine_boundary_check_matches_second_derived_oracle(spine_identity_inputs):
     for X in spine_identity_inputs:
         X2, frontier = second_derived_frontier(X)
-        links = spine_boundary_check(X).vertex_links
+        links = spine_boundary_check(X)
         assert links == {v: link_of(X2, simplex(v)) for v in X.vertices}
         assert set().union(*(link.simplices for link in links.values())) == frontier.simplices
 
 
 def test_spine_boundary_check_edge():
-    report = spine_boundary_check(fixture("single_edge"))
-    for link in report.vertex_links.values():
+    for link in spine_boundary_check(fixture("single_edge")).values():
         assert counts(link) == (1,)
 
 
@@ -578,7 +576,7 @@ def test_is_flag_matches_the_listing_oracle(pipeline_cache, octahedral_ball):
     2 and 3 all occur."""
     rng = random.Random(20261021)
     inputs = [fixture(name) for name in FIXTURE_NAMES]
-    inputs += [pipeline_cache(name, 0)[1].pseudomanifold.boundary
+    inputs += [pipeline_cache(name)[1].pseudomanifold.boundary
                for name in THICKENING_FIXTURES]
     inputs += [octahedral_ball, check_pseudomanifold(octahedral_ball).boundary]
     inputs += [random_face_closed(rng) for _ in range(200)]
@@ -642,7 +640,7 @@ def test_dsatur_colouring_is_proper(pipeline_cache, name):
     boundary of P, which ``close_up`` would colour."""
     inputs = [fixture(name), barycentric_subdivision(fixture(name)).child]
     if name in THICKENING_FIXTURES:
-        inputs.append(pipeline_cache(name, 0)[1].pseudomanifold.boundary)
+        inputs.append(pipeline_cache(name)[1].pseudomanifold.boundary)
     for X in inputs:
         assert_proper(X, dsatur_colouring(X))
 
@@ -671,19 +669,6 @@ def test_subdivided_triangle_collapses_to_point():
     B = barycentric_subdivision(fixture("single_triangle"))
     out = greedy_collapse(B.child).remainder
     assert counts(out) == (1,)
-
-
-def relabelled(X, seed, *subcomplexes):
-    """X, and any subcomplexes of it, under one seeded permutation of X's
-    labels (the identity at seed 0).  The greedy collapse queues free faces
-    in ``simplex_key`` order, so this varies the collapse order."""
-    labels = list(X.vertices)
-    shuffled = list(labels)
-    if seed:
-        random.Random(seed).shuffle(shuffled)
-    perm = dict(zip(labels, shuffled))
-    return [Complex(tuple(sorted(perm[v] for v in s)) for s in Y.simplices)
-            for Y in (X, *subcomplexes)]
 
 
 def test_greedy_collapse_deterministic():
@@ -743,7 +728,7 @@ def test_greedy_collapse_matches_oracle_on_subdivided_fixtures(name):
 
 
 def test_greedy_collapse_matches_oracle_on_thickening(pipeline_cache):
-    out, _ = pipeline_cache("projective_plane_6", 0)
+    out, _ = pipeline_cache("projective_plane_6")
     assert_collapse_matches_oracle(out.M)
 
 
@@ -800,7 +785,7 @@ def test_kept_subcomplex_must_lie_in_the_complex():
 
 @pytest.mark.parametrize("seed", ORACLE_SEEDS)
 def test_collapse_of_thickening_onto_its_retract_copy(pipeline_cache, seed):
-    out, rep = pipeline_cache("two_triangles_shared_vertex", 0)
+    out, rep = pipeline_cache("two_triangles_shared_vertex")
     P, X_copy = relabelled(out.P, seed, out.X_copy)
     collapse = assert_maximal_collapse(P, keep=X_copy)
     assert collapse.remainder == X_copy

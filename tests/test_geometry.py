@@ -9,17 +9,26 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from plthick.complex_core import facets, simplex, simplex_key, validate_complex
-from plthick.errors import (
-    GeneralPositionError,
-    RejectionBudgetError,
-    ValidationError,
-)
-from plthick import geometry
+from plthick.errors import ValidationError
 from plthick.fixtures import THICKENING_FIXTURES, fixture
-from plthick.geometry import (
+from plthick.thicken3 import spine_collar
+
+import embedded_collar
+import general_position
+from embedded_collar import (
+    _integer_points,
+    _meeting_far_pair,
+    _triangles_meet,
+    choose_spine_barycenters,
+    epsilon_neighborhood_embedding,
+    point_in_simplex,
+)
+from general_position import (
     EMPTY_INTERSECTION,
+    GeneralPositionError,
     GeometricMap,
     PairIntersection,
+    RejectionBudgetError,
     _bbox,
     _box_overlaps,
     affine_rank,
@@ -36,17 +45,6 @@ from plthick.geometry import (
     vscale,
     vsub,
     verify_general_position,
-)
-from plthick.thicken3 import spine_collar
-
-import embedded_collar
-from embedded_collar import (
-    _integer_points,
-    _meeting_far_pair,
-    _triangles_meet,
-    choose_spine_barycenters,
-    epsilon_neighborhood_embedding,
-    point_in_simplex,
 )
 
 F = Fraction
@@ -454,7 +452,7 @@ def test_touching_far_cells_resample_the_later_apex():
         return dict(zip(e, (F(2, 5), F(3, 5))))
 
     def at(s, w):
-        return geometry._combine(m.simplex_points(s), [w[v] for v in s])
+        return general_position._combine(m.simplex_points(s), [w[v] for v in s])
 
     # With these edge barycenters and the first top's centroid, one leg of
     # the first top's spine crosses the record at q.
@@ -769,7 +767,7 @@ def test_solve_affine_matches_fraction_oracle_on_thickening_calls(monkeypatch, n
         calls.append((rows, rhs, n))
         return solve_affine(rows, rhs, n)
 
-    monkeypatch.setattr(geometry, "solve_affine", recording)
+    monkeypatch.setattr(general_position, "solve_affine", recording)
     m = sample_general_position_map(fixture(name), 3, seed=0)
     assert singular_set(m).records
     # Both kinds of system: the rank of 4 points (3 unknowns) and the

@@ -286,7 +286,7 @@ def test_cleared_homology_matches_oracle_on_random_three_pseudomanifolds():
 
 @pytest.mark.parametrize("name", THICKENING_FIXTURES)
 def test_cleared_homology_matches_oracle_on_thickenings(pipeline_cache, name):
-    out, rep = pipeline_cache(name, 0)
+    out, rep = pipeline_cache(name)
     assert assert_matches_oracle(out.P) == rep.homology_P
     assert_matches_oracle(out.P, rel=rep.pseudomanifold.boundary)
 

@@ -132,13 +132,17 @@ def test_thickening_runs_no_full_link_pass():
     assert found == []
 
 
-# The integer kernels of geometry.py.  An integer ``/`` silently yields a
-# float, so none of them may divide with ``/`` or hold a float constant.
+# The general-position oracle the tests sample maps with.
+GENERAL_POSITION = TESTS / "general_position.py"
+
+# The integer kernels of the general-position oracle.  An integer ``/``
+# silently yields a float, so none of them may divide with ``/`` or hold a
+# float constant.
 INTEGER_KERNELS = ("_content_free", "_integer_row", "solve_affine", "_box_overlaps")
 
 
 def test_integer_kernels_have_no_true_division_or_float():
-    tree = ast.parse((SRC / "geometry.py").read_text())
+    tree = ast.parse(GENERAL_POSITION.read_text())
     functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
     assert set(INTEGER_KERNELS) <= set(functions)
     found = [name for name in INTEGER_KERNELS for node in ast.walk(functions[name])
@@ -153,36 +157,48 @@ def test_float_appears_nowhere():
     assert scopes == set()
 
 
-def test_thickening_imports_nothing_from_geometry():
-    """``thicken`` reads X's rotation system, not a map: no sampled
-    coordinates may reach the construction."""
-    tree = ast.parse((SRC / "thicken3.py").read_text())
-    modules = [name for node in ast.walk(tree)
-               if isinstance(node, (ast.Import, ast.ImportFrom))
-               for name in [getattr(node, "module", None) or ""] + [a.name for a in node.names]]
-    assert [m for m in modules if m.split(".")[-1] == "geometry"] == []
-
-
-# The function of geometry.py whose ``/`` operands are always Fractions:
-# the parameter-space bounds of ``solve_affine``'s output.  Every other
-# predicate may see integer coordinates.
-FRACTION_DIVISIONS = {"geometry.simplex_pair_intersection"}
+# The function of the general-position oracle whose ``/`` operands are
+# always Fractions: the parameter-space bounds of ``solve_affine``'s output.
+# Every other predicate may see integer coordinates.
+FRACTION_DIVISIONS = {"general_position.simplex_pair_intersection"}
 
 
 def test_geometry_divides_only_fractions():
-    scopes = {scope for scope, node in _references(SRC / "geometry.py")
+    scopes = {scope for scope, node in _references(GENERAL_POSITION)
               if isinstance(node, ast.Div)}
     assert scopes == FRACTION_DIVISIONS
 
 
+def test_thickening_imports_nothing_from_geometry():
+    """``thicken`` reads X's rotation system, not a map: no package module
+    imports the general-position oracle, so no sampled coordinates may
+    reach the construction."""
+    modules = [name for path in sorted(SRC.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, (ast.Import, ast.ImportFrom))
+               for name in [getattr(node, "module", None) or ""] + [a.name for a in node.names]]
+    assert [m for m in modules
+            if m.split(".")[-1] in ("geometry", "general_position")] == []
+
+
 def test_only_the_sampler_imports_random():
-    """The certified sampler of geometry.py is the one source of randomness;
-    every later stage is a function of its inputs."""
-    importers = {path.name for path in sorted(SRC.glob("*.py"))
+    """The certified sampler of the general-position oracle is the one
+    source of randomness of a map; every stage of the package is a function
+    of its inputs."""
+    importers = {path.name for path in sorted(SRC.glob("*.py")) + [GENERAL_POSITION]
                  for node in ast.walk(ast.parse(path.read_text()))
                  if isinstance(node, ast.Import) and any(a.name == "random" for a in node.names)
                  or isinstance(node, ast.ImportFrom) and node.module == "random"}
-    assert importers == {"geometry.py"}
+    assert importers == {"general_position.py"}
+
+
+def test_the_package_imports_no_fractions():
+    """The package computes over the integers: no rationals reach it."""
+    found = ["%s:%d" % (path.name, node.lineno) for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Import) and any(a.name == "fractions" for a in node.names)
+             or isinstance(node, ast.ImportFrom) and node.module == "fractions"]
+    assert found == []
 
 
 def test_no_assert_in_the_package():

@@ -475,7 +475,7 @@ def _assert_euler_charge(X, k, boundary):
 
 @pytest.mark.parametrize("name", THICKENING_FIXTURES)
 def test_handshake_count_matches_euler_charge_on_thickenings(pipeline_cache, name):
-    out, _ = pipeline_cache(name, 0)
+    out, _ = pipeline_cache(name)
     for X in (out.M, out.P):
         r = check_isolated_singularities(X)
         assert r.positive_links_ok
@@ -670,7 +670,7 @@ def test_orient_signs_on_closed_octahedral_ball_match_oracle(octahedral_closure)
 
 @pytest.mark.parametrize("name", THICKENING_FIXTURES)
 def test_orient_signs_on_thickenings_match_oracle(pipeline_cache, name):
-    out, rep = pipeline_cache(name, 0)
+    out, rep = pipeline_cache(name)
     assert rep.orientation.assignment.signs == _oracle_signs(out.P)
 
 
@@ -694,7 +694,7 @@ def test_fan_forests_are_pinned(pipeline_cache, octahedral_closure):
     and P, of the octahedral Q and of the cone C over projective_plane_6
     (whose forests hold witnesses), list for list: the order of joins and
     compressions fixes them, and ``orient`` and the link checks read them."""
-    out, _ = pipeline_cache("torus_7", 0)
+    out, _ = pipeline_cache("torus_7")
     rp2 = fixture("projective_plane_6")
     complexes = {"M": out.M, "P": out.P, "Q": octahedral_closure.Q.complex,
                  "C": cone_off(rp2, rp2, "w")}

@@ -151,7 +151,7 @@ def test_close_up_builds_the_boundary_at_most_once(monkeypatch):
 def test_close_up_with_a_report_fails_alike(pipeline_cache):
     """P's report changes no error: the budget pre-check of a thickening and
     a closed input raise the same type and message either way."""
-    out, rep = pipeline_cache("single_triangle", 0)
+    out, rep = pipeline_cache("single_triangle")
     closed = fixture("boundary_delta3")
     for P, report, error in ((out.P, rep.pseudomanifold, BudgetExceededError),
                              (closed, check_pseudomanifold(closed), ValidationError)):
@@ -264,7 +264,7 @@ def test_budget_precheck_refuses_thickenings_before_subdividing(pipeline_cache, 
     monkeypatch.setattr(reflection, "barycentric_subdivision", refuse)
     monkeypatch.setattr(reflection, "dsatur_colouring", refuse)
     for name in THICKENING_FIXTURES:
-        out, _ = pipeline_cache(name, 0)
+        out, _ = pipeline_cache(name)
         with pytest.raises(BudgetExceededError, match="more than %d " % DEFAULT_BUDGET):
             close_up(out.P)
 
@@ -283,7 +283,7 @@ def _tag_counts(rep):
 
 
 def test_local_classification_of_thickened_triangle(pipeline_cache):
-    out, thick = pipeline_cache("single_triangle", 0)
+    out, thick = pipeline_cache("single_triangle")
     cones = out.cone_vertices.values()
     rep = verify_closed_locally(out.P, cone_vertices=cones,
                                 report=thick.pseudomanifold)
@@ -297,7 +297,7 @@ def test_local_classification_of_thickened_triangle(pipeline_cache):
 
 
 def test_local_classification_of_thickened_sphere(pipeline_cache):
-    out, thick = pipeline_cache("boundary_delta3", 0)
+    out, thick = pipeline_cache("boundary_delta3")
     cones = out.cone_vertices.values()
     rep = verify_closed_locally(out.P, cone_vertices=cones,
                                 report=thick.pseudomanifold)
@@ -336,7 +336,7 @@ def _per_simplex_classes(P, cone_vertices, report):
 def test_local_classes_match_the_per_simplex_loop(pipeline_cache, name):
     """The vertex pass plus one sphere class per positive-dimensional
     simplex gives the per-simplex loop's map, in the same key order."""
-    out, thick = pipeline_cache(name, 0)
+    out, thick = pipeline_cache(name)
     cones = tuple(out.cone_vertices.values())
     rep = verify_closed_locally(out.P, cone_vertices=cones, report=thick.pseudomanifold)
     oracle = _per_simplex_classes(out.P, cones, thick.pseudomanifold)
@@ -387,7 +387,7 @@ def _assert_doubles_match_oracle(P):
                                   "two_triangles_shared_edge", "boundary_delta3",
                                   "pinched_spheres"])
 def test_doubled_links_match_built_doubles(pipeline_cache, name):
-    out, _ = pipeline_cache(name, 0)
+    out, _ = pipeline_cache(name)
     assert _assert_doubles_match_oracle(out.P) > 0
 
 
@@ -424,6 +424,6 @@ def test_doubled_needs_a_surface():
 def test_local_verifier_rejects_a_non_sphere_boundary_class(pipeline_cache):
     # Without its cone vertices declared, the thickened sphere's cone
     # classes (doubles of annuli, tori) break the sphere rule.
-    out, _ = pipeline_cache("boundary_delta3", 0)
+    out, _ = pipeline_cache("boundary_delta3")
     with pytest.raises(ConstructionError, match="should have a sphere link"):
         verify_closed_locally(out.P)

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import json
 import random
 import re
 from dataclasses import replace
@@ -20,9 +21,9 @@ from plthick.complex_core import (
     simplicial_neighborhood,
     validate_complex,
 )
-from plthick.errors import ConstructionError, GeneralPositionError, ValidationError
+from plthick import cli
+from plthick.errors import ConstructionError, ValidationError
 from plthick.fixtures import THICKENING_FIXTURES, fixture
-from plthick.geometry import sample_general_position_map, vadd, vcross, vdot, vscale, vsub
 from plthick.homology import boundary_matrices, homology_groups
 from plthick.pseudomanifold import (
     _boundary,
@@ -41,6 +42,15 @@ from plthick.thicken3 import (
     thicken,
 )
 from conftest import grid_torus
+from general_position import (
+    GeneralPositionError,
+    sample_general_position_map,
+    vadd,
+    vcross,
+    vdot,
+    vscale,
+    vsub,
+)
 from test_complex_core import carrier_violations
 from test_homology import boundary_squared
 
@@ -195,7 +205,7 @@ def test_rotation_oracle_sees_each_flipped_side_sign():
 # -- full runs (cached across the suite) ------------------------------------------
 
 def test_single_triangle_gives_a_ball(pipeline_cache):
-    out, rep = pipeline_cache("single_triangle", 0)
+    out, rep = pipeline_cache("single_triangle")
     assert rep.homology_P.betti == (1, 0, 0, 0)
     assert rep.gallery_components == 1
     faults, law = handlebody_oracle(out.M, out.names, out.spine)
@@ -205,7 +215,7 @@ def test_single_triangle_gives_a_ball(pipeline_cache):
 
 
 def test_sphere_gives_genus_three_handlebody(pipeline_cache):
-    out, rep = pipeline_cache("boundary_delta3", 0)
+    out, rep = pipeline_cache("boundary_delta3")
     faults, law = handlebody_oracle(out.M, out.names, out.spine)
     assert faults == [] and list(law.values()) == [(-4, 3)]
     assert rep.spine_b1 == 3
@@ -217,7 +227,7 @@ def test_sphere_gives_genus_three_handlebody(pipeline_cache):
 
 
 def test_shared_edge_ball(pipeline_cache):
-    out, rep = pipeline_cache("two_triangles_shared_edge", 0)
+    out, rep = pipeline_cache("two_triangles_shared_edge")
     assert rep.homology_P.betti == (1, 0, 0, 0)
     # The frontier has four arcs, one per input vertex.
     assert len(out.Lv) == 4
@@ -226,7 +236,7 @@ def test_shared_edge_ball(pipeline_cache):
 
 
 def test_shared_vertex_wedge(pipeline_cache):
-    out, rep = pipeline_cache("two_triangles_shared_vertex", 0)
+    out, rep = pipeline_cache("two_triangles_shared_vertex")
     assert rep.gallery_components == 2
     assert rep.homology_P.betti == (1, 0, 0, 0)
     faults, law = handlebody_oracle(out.M, out.names, out.spine)
@@ -240,7 +250,7 @@ def test_shared_vertex_wedge(pipeline_cache):
 
 
 def test_projective_plane_torsion_survives(pipeline_cache):
-    out, rep = pipeline_cache("projective_plane_6", 0)
+    out, rep = pipeline_cache("projective_plane_6")
     assert rep.homology_P.betti == (1, 0, 0, 0)
     assert rep.homology_P.torsion[1] == (2,)
     assert rep.orientation.success
@@ -249,7 +259,7 @@ def test_projective_plane_torsion_survives(pipeline_cache):
 
 
 def test_torus_input(pipeline_cache):
-    out, rep = pipeline_cache("torus_7", 0)
+    out, rep = pipeline_cache("torus_7")
     assert rep.homology_P.betti == (1, 2, 1, 0)
     faults, law = handlebody_oracle(out.M, out.names, out.spine)
     assert faults == [] and list(law.values()) == [(-14, 8)]
@@ -274,7 +284,7 @@ def handlebody_oracle(M, names, spine):
     - Per component, the boundary is connected with χ = 2 - 2·b1.
 
     ``test_acceptance.py::test_c06_handlebody_law`` runs it on the six
-    thickening fixtures at seeds 0-4.
+    thickening fixtures under five labellings each.
     """
     faults = []
     centres = set(names.ve.values()) | set(names.vt.values())
@@ -340,7 +350,7 @@ def test_odd_torsion_survives_the_thickening(moore_thickening, moore6_thickening
 def test_handlebody_oracle_sees_two_edge_balls_glued_along_a_triangle(pipeline_cache):
     """Identifying a boundary triangle of one edge ball with one of another
     makes the two balls meet and gives M a handle the spine lacks."""
-    out, _ = pipeline_cache("single_triangle", 0)
+    out, _ = pipeline_cache("single_triangle")
     names = out.names
     e1, e2 = names.X.by_dim(1)[:2]
 
@@ -360,7 +370,7 @@ def test_stuck_collapse_computes_homology_of_the_remainder(pipeline_cache):
     """A hollow tetrahedron wedged onto X_copy at one vertex has no free
     face, so the collapse stops short of X_copy and H_*(P) comes from the
     remainder; Smith normal form of the whole P is the oracle."""
-    out, _ = pipeline_cache("single_triangle", 0)
+    out, _ = pipeline_cache("single_triangle")
     v = out.X_copy.vertices[0]
     sphere = [simplex(*s) for s in ([v, "h1", "h2"], [v, "h1", "h3"],
                                     [v, "h2", "h3"], ["h1", "h2", "h3"])]
@@ -375,24 +385,21 @@ def test_retract_copy_is_expected_subdivision(pipeline_cache):
     """X_copy is built once, from sd(Y rel K); the union L ∪ w_v * L_v
     assembled from the collar copy and the cones is the oracle."""
     for name in THICKENING_FIXTURES:
-        for seed in range(5):
-            out, _ = pipeline_cache(name, seed)
-            assembled = set(out.L.simplices)
-            for v, w in out.cone_vertices.items():
-                assembled.add((w,))
-                assembled.update(join(s, (w,)) for s in out.Lv[v].simplices)
-            assert Complex(assembled) == out.X_copy, (name, seed)
-            assert out.X_copy.is_subcomplex_of(out.P)
+        out, _ = pipeline_cache(name)
+        assembled = set(out.L.simplices)
+        for v, w in out.cone_vertices.items():
+            assembled.add((w,))
+            assembled.update(join(s, (w,)) for s in out.Lv[v].simplices)
+        assert Complex(assembled) == out.X_copy, name
+        assert out.X_copy.is_subcomplex_of(out.P)
 
 
 @pytest.mark.parametrize("name", THICKENING_FIXTURES)
 def test_construction_facts_hold_on_every_run(pipeline_cache, name):
     """The oracles of the facts the construction proves instead of checking:
     monotone carriers of the spine and collar subdivisions, and ∂∂ = 0 on
-    the chains of X_copy and of P, absolute and relative to ∂P.  Seeds 0-4
-    share one run, so it is checked once."""
-    assert all(pipeline_cache(name, seed) is pipeline_cache(name, 0) for seed in range(5))
-    out, rep = pipeline_cache(name, 0)
+    the chains of X_copy and of P, absolute and relative to ∂P."""
+    out, rep = pipeline_cache(name)
     assert carrier_violations(out.collar.B) == []
     assert carrier_violations(out.collar.nbhd_sub) == []
     for X, rel in ((out.X_copy, None), (out.P, None), (out.P, rep.pseudomanifold.boundary)):
@@ -404,7 +411,7 @@ def test_outputs_pass_the_checked_constructor(pipeline_cache, name):
     """Complexes built by face closure, and P built as the union of M and
     the cones, skip the closure check; rebuilding each output through the
     checked constructor must succeed unchanged."""
-    out, rep = pipeline_cache(name, 0)
+    out, rep = pipeline_cache(name)
     built = [out.P, out.M, out.X_copy, out.L, out.boundary_surface,
              rep.pseudomanifold.boundary, *out.Nv.values()]
     for X in built:
@@ -415,7 +422,7 @@ def test_outputs_pass_the_checked_constructor(pipeline_cache, name):
 def test_p_by_dim_is_the_sorted_buckets(pipeline_cache, name):
     """P's table, M's sorted layers plus the cones, is the sorted buckets of
     its simplices, dimension by dimension."""
-    out, _ = pipeline_cache(name, 0)
+    out, _ = pipeline_cache(name)
     P = out.P
     assert P.dim == 3
     for k in range(-1, 5):
@@ -426,7 +433,7 @@ def test_p_by_dim_is_the_sorted_buckets(pipeline_cache, name):
 def test_cone_vertex_link_is_its_neighborhood(pipeline_cache, name):
     """lk_P(w) = N_v for the cone vertex w of v, so N_v's own class is w's
     class in P's derived report."""
-    out, _ = pipeline_cache(name, 0)
+    out, _ = pipeline_cache(name)
     assert out.cone_vertices
     for v, w in out.cone_vertices.items():
         assert link_of(out.P, (w,)) == out.Nv[v]
@@ -436,7 +443,7 @@ def test_cone_vertex_link_is_its_neighborhood(pipeline_cache, name):
 def test_neighborhoods_match_simplicial_neighborhoods(pipeline_cache, name):
     """Each N_v, closed from the stars of L_v's vertices on the index of
     ∂M, is the simplicial neighbourhood of L_v in ∂M, layer for layer."""
-    out, _ = pipeline_cache(name, 0)
+    out, _ = pipeline_cache(name)
     for v, piece in out.Lv.items():
         oracle = simplicial_neighborhood(out.boundary_surface, piece)[0]
         assert all(out.Nv[v].by_dim(k) == oracle.by_dim(k) for k in range(3)), (name, v)
@@ -447,7 +454,7 @@ def test_boundary_of_p_is_the_closure_of_the_free_triangles(pipeline_cache, name
     """∂P, read off P's facet degrees, is the closure of the free triangles
     of ``cone_boundary_neighborhoods``'s docstring: the triangles of ∂M
     outside every N_v and the cones over the rim edges of the N_v."""
-    out, rep = pipeline_cache(name, 0)
+    out, rep = pipeline_cache(name)
     free = set(out.boundary_surface.by_dim(2))
     for v, N in out.Nv.items():
         free.difference_update(N.by_dim(2))
@@ -478,10 +485,8 @@ REPORT_FIELDS = ("dim", "vertex_links", "boundary", "is_pure", "facet_degrees_ok
 @pytest.mark.parametrize("name", THICKENING_FIXTURES)
 def test_derived_report_matches_the_full_pass_on_p(pipeline_cache, name):
     """``cone_boundary_neighborhoods`` derives P's report from M's; the full
-    pseudomanifold and link pass on P is the oracle, field by field.  Seeds
-    0-4 share one run, so it is checked once."""
-    assert all(pipeline_cache(name, seed) is pipeline_cache(name, 0) for seed in range(5))
-    out, rep = pipeline_cache(name, 0)
+    pseudomanifold and link pass on P is the oracle, field by field."""
+    out, rep = pipeline_cache(name)
     assert rep.pseudomanifold is out.report
     full = check_isolated_singularities(out.P, check_pseudomanifold(out.P))
     for f in REPORT_FIELDS:
@@ -503,7 +508,7 @@ def assert_solid_report_is_the_full_pass(partial):
 
 @pytest.mark.parametrize("name", THICKENING_FIXTURES)
 def test_solid_report_by_rule_matches_the_full_pass(pipeline_cache, name):
-    out, _ = pipeline_cache(name, 0)
+    out, _ = pipeline_cache(name)
     assert_solid_report_is_the_full_pass(build_spine_thickening(out.sheet_data, out.collar))
 
 
@@ -576,7 +581,7 @@ def test_labels_with_colons_that_do_not_clash_thicken():
 
 
 def test_frontier_pieces_match_second_derived_links(pipeline_cache):
-    out, _ = pipeline_cache("boundary_delta3", 0)
+    out, _ = pipeline_cache("boundary_delta3")
     X = fixture("boundary_delta3")
     for v in X.vertices:
         piece = out.Lv[v]
@@ -600,35 +605,31 @@ def piece_distance(adj, sources, targets):
 
 def test_neighborhoods_pairwise_disjoint(pipeline_cache):
     """The argument of ``cone_boundary_neighborhoods``, checked on every
-    thickening fixture at the acceptance seeds 0-4, whose runs the session
-    cache shares: in the boundary surface the least distance between
+    thickening fixture: in the boundary surface the least distance between
     frontier pieces (on one component) is three edges when some edge has a
     single page and four otherwise, so their closed stars N_v are
     vertex-disjoint."""
     for name in THICKENING_FIXTURES:
-        for seed in range(5):
-            out, _ = pipeline_cache(name, seed)
-            adj = out.boundary_surface.adjacency()
-            pieces = {v: set(L.vertices) for v, L in out.Lv.items()}
-            single_page = any(len(p) == 1 for p in out.sheet_data.pages_ccw.values())
-            gaps = [piece_distance(adj, a, b)
-                    for a, b in itertools.combinations(pieces.values(), 2)]
-            gap = min(g for g in gaps if g is not None)
-            assert gap == (3 if single_page else 4), (name, seed)
-            stars = {v: ps.union(*(adj[x] for x in ps)) for v, ps in pieces.items()}
-            assert {v: set(N.vertices) for v, N in out.Nv.items()} == stars
-            assert sum(map(len, stars.values())) == len(set().union(*stars.values()))
+        out, _ = pipeline_cache(name)
+        adj = out.boundary_surface.adjacency()
+        pieces = {v: set(L.vertices) for v, L in out.Lv.items()}
+        single_page = any(len(p) == 1 for p in out.sheet_data.pages_ccw.values())
+        gaps = [piece_distance(adj, a, b)
+                for a, b in itertools.combinations(pieces.values(), 2)]
+        gap = min(g for g in gaps if g is not None)
+        assert gap == (3 if single_page else 4), name
+        stars = {v: ps.union(*(adj[x] for x in ps)) for v, ps in pieces.items()}
+        assert {v: set(N.vertices) for v, N in out.Nv.items()} == stars
+        assert sum(map(len, stars.values())) == len(set().union(*stars.values()))
 
 
 def test_frontier_pieces_stay_off_the_rim_inside_disc_links(pipeline_cache):
     """The two facts ``cone_boundary_neighborhoods`` proves rather than
     checks, on every thickening fixture: no rim edge of N_v touches its
     frontier piece L_v, and every vertex of N_v, a vertex of the boundary of
-    M, has a disc link in M.  Seeds 0-4 share one run per fixture, so each
-    is checked once."""
+    M, has a disc link in M."""
     for name in THICKENING_FIXTURES:
-        assert all(pipeline_cache(name, seed) is pipeline_cache(name, 0) for seed in range(5))
-        out, _ = pipeline_cache(name, 0)
+        out, _ = pipeline_cache(name)
         links = check_isolated_singularities(out.M).vertex_links
         for v, N in out.Nv.items():
             rim = [e for e, tops in N.facet_cofaces().items() if len(tops) == 1]
@@ -671,7 +672,7 @@ def test_pinched_neighborhood_is_a_construction_error():
 
 
 def test_interior_facets_have_degree_two(pipeline_cache):
-    out, _ = pipeline_cache("single_triangle", 0)
+    out, _ = pipeline_cache("single_triangle")
     P = out.P
     report = check_pseudomanifold(P)
     counts = {}
@@ -682,45 +683,51 @@ def test_interior_facets_have_degree_two(pipeline_cache):
         assert c == (1 if f in report.boundary else 2)
 
 
-def test_provenance_tags(pipeline_cache):
-    out, _ = pipeline_cache("single_triangle", 0)
-    tags = set(out.provenance.values())
-    assert "M" in tags
-    assert any(isinstance(t, tuple) and t[0] == "cone" for t in tags)
-    for s, origin in out.provenance.items():
-        if any(x.startswith("cone:") for x in s):
-            assert origin != "M"
+def test_provenance_tags(monkeypatch, pipeline_cache):
+    """``provenance.json`` gives the simplices of M the origin "M" and those
+    of the cone w_v * N_v the origin w_v, simplex for simplex of P."""
+    run = pipeline_cache("single_triangle")
+    out = run[0]
+    monkeypatch.setattr(cli, "thicken", lambda X: run)
+    artifacts = cli.run_pipeline(cli.PipelineConfig(local_only=True), fixture("single_triangle"))
+    written = {tuple(e["simplex"]): e["origin"]
+               for e in json.loads(artifacts["provenance.json"])["simplices"]}
+    oracle = dict.fromkeys(out.M.simplices, "M")
+    for v, w in out.cone_vertices.items():
+        oracle[(w,)] = w
+        oracle.update(dict.fromkeys((join(s, (w,)) for s in out.Nv[v].simplices), w))
+    assert written == oracle
 
 
 # -- rejections -------------------------------------------------------------------
 
 def test_one_dimensional_input_rejected():
     with pytest.raises(ValidationError, match="d >= 2 required"):
-        thicken(fixture("single_edge"), seed=0)
+        thicken(fixture("single_edge"))
 
 
 def test_impure_input_rejected():
     X = validate_complex([["a", "b", "c"], ["c", "d"]])
     with pytest.raises(ValidationError, match="pure"):
-        thicken(X, seed=0)
+        thicken(X)
 
 
 def test_disconnected_input_rejected():
     X = validate_complex([["a", "b", "c"], ["x", "y", "z"]])
     with pytest.raises(ValidationError, match="connected"):
-        thicken(X, seed=0)
+        thicken(X)
 
 
 def test_colliding_barycenter_labels_rejected():
     # Both a|b,c and a,b,c would get the barycenter label (a|b|c).
     X = validate_complex([["a|b", "c", "x"], ["a", "b", "c"]])
     with pytest.raises(ValidationError, match=r"\(a\|b\|c\)"):
-        thicken(X, 0)
+        thicken(X)
 
 
 def test_three_dimensional_input_rejected():
     with pytest.raises(ValidationError, match="dimension 2"):
-        thicken(fixture("boundary_delta4"), seed=0)
+        thicken(fixture("boundary_delta4"))
 
 
 # -- book of three (not a pseudomanifold, still thickens) ---------------------------
