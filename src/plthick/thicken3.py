@@ -20,7 +20,6 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 
 from .complex_core import (
@@ -30,7 +29,6 @@ from .complex_core import (
     frontier_pieces,
     greedy_collapse,
     is_full_subcomplex,
-    join,
     regular_neighborhood,
     spine,
 )
@@ -432,7 +430,7 @@ def build_spine_thickening(sd, collar):
     # and ∂M is their closure.
     tets, free = [], []
     for center, (discs, own) in balls:
-        tets.extend(join(s, (center,)) for s in itertools.chain(discs, own))
+        tets.extend(tuple(sorted(s + (center,))) for s in itertools.chain(discs, own))
         free += own
     M = complex_from_maximal(tets)
     boundary = complex_from_maximal(free)
@@ -514,18 +512,35 @@ def _cone_label(v):
     return "cone:%s" % v
 
 
+def _with_cones(X, cones):
+    """X and the cones w * A for the given pairs (w, A), each A a subcomplex
+    of X and each w a fresh label.  The union is face-closed, as a face of
+    w * A is w, a simplex of A or such a simplex plus w, so each layer of
+    its ``by_dim`` table is X's sorted layer and that dimension's cones,
+    sorted once (Timsort merges the sorted run)."""
+    layers = {k: list(X.by_dim(k)) for k in range(X.dim + 1)}
+    for w, A in cones:
+        layers[0].append((w,))
+        for k in range(A.dim + 1):
+            layers.setdefault(k + 1, []).extend(tuple(sorted(s + (w,))) for s in A.by_dim(k))
+    return Complex(_FaceClosed({k: tuple(sorted(layer)) for k, layer in layers.items()}))
+
+
 def cone_boundary_neighborhoods(partial):
     """Thicken each frontier piece L_v inside the boundary surface to its
-    closed star N_v, cone it off with a fresh vertex w_v, and derive P's
-    pseudomanifold report from M's.
+    closed star N_v, cone it off with a fresh vertex w_v, derive P's
+    pseudomanifold report from M's, and assemble the retract copy X_copy
+    from L and the cones w_v * L_v.
 
-    N_v is the closure of the stars of L_v's vertices in ∂M.  ∂M is a
-    surface, so the star of a vertex u is u, the edges at u and the
-    triangles at those edges, read off ∂M's incidence index, and each
-    closure is taken on that index (``Incidence.closure``): the pieces cost
-    their own size, not a scan of ∂M each.  L_v must be full in ∂M; it is
-    checked in N_v, which is the same check, since every simplex of ∂M
-    spanned by vertices of L_v lies in their star.
+    N_v is the closure (``complex_from_maximal``) of the triangles of ∂M
+    at L_v's vertices, read off one vertex → triangle table made from ∂M's
+    triangle layer.  ∂M is a closed pure surface, so every simplex at a
+    vertex u lies in a triangle at u, and this closure is the closed star
+    of L_v's vertices (Rourke and Sanderson, "Introduction to
+    piecewise-linear topology", ch. 2).  ∂M gets no incidence index, and
+    the pieces cost their own size, not a scan of ∂M each.  L_v must be
+    full in ∂M; it is checked in N_v, which is the same check, since every
+    simplex of ∂M spanned by vertices of L_v lies in their star.
 
     The N_v are pairwise vertex-disjoint, which the overlap test below
     asserts.  Every L_v is nonempty, the link of a vertex of a pure
@@ -593,12 +608,10 @@ def cone_boundary_neighborhoods(partial):
       index for anyway; the tests compare it with the closure of these
       triangles.
 
-    P is face-closed, so it is built without re-checking that, and each
-    layer of its ``by_dim`` table is M's layer and that dimension's cones.
-    M is face-closed by its own build, and each N_v is a closed star in ∂M,
-    a subcomplex of M.  A face of the cone w_v * N_v is w_v, a simplex r of
-    N_v or r + w_v, since N_v is face-closed, so it lies in M or in the
-    cone.  The tests keep the checked build as the oracle.
+    P is M with the cones w_v * N_v (``_with_cones``), built without
+    re-checking face closure: M is face-closed by its own build, and each
+    N_v is a closed star in ∂M, a subcomplex of M.  The tests keep the
+    checked build as the oracle.
 
     Only the gallery forest ``_fans(P, 0)``, which ``orient`` reads, is
     computed on P itself.  ``check_isolated_singularities(P)`` stays in the
@@ -614,19 +627,22 @@ def cone_boundary_neighborhoods(partial):
     ``frontier_pieces`` took it, and the others lie in the collar N (a
     child simplex whose chain starts at a simplex s1 of Y with K-vertex u
     spans a face of a child through u).  L_v meets no K-vertex and is not
-    split, so X_copy = L ∪ ⋃ w_v * L_v: one build, and only X_copy ⊂ P is
-    checked.  The assembled union stays in the tests as the oracle.
+    split, so it lies in L, and X_copy = L ∪ ⋃ w_v * L_v.  That union is
+    the build, as P is built from M: L's layers and the cones
+    (``_with_cones``), so sd(Y rel K) is not split a second time, and only
+    X_copy ⊂ P is checked.  The relabelled, strip-split sd(Y rel K) stays
+    in the tests as the oracle.
     """
     surface = partial.report.boundary
     Lv = partial.Lv
-    ix, vertices = surface.incidence(), surface.by_dim(0)
+    triangles_at = {}
+    for f in surface.by_dim(2):
+        for u in f:
+            triangles_at.setdefault(u, []).append(f)
     neighborhoods = {}
     for v, piece in Lv.items():
-        # Vertex ids are the positions in the sorted vertex layer.
-        star = [bisect_left(vertices, u) for u in piece.by_dim(0)]
-        edges = set(itertools.chain.from_iterable(map(ix.up, star)))
-        N = neighborhoods[v] = ix.closure(itertools.chain(
-            star, edges, itertools.chain.from_iterable(map(ix.up, edges))))
+        N = neighborhoods[v] = complex_from_maximal(
+            itertools.chain.from_iterable(map(triangles_at.__getitem__, piece.vertices)))
         ok, witness = is_full_subcomplex(N, piece)
         if not ok:
             raise ConstructionError(
@@ -641,11 +657,9 @@ def cone_boundary_neighborhoods(partial):
                     "boundary neighborhoods of %s and %s share vertex %s" % (w, v, lab))
 
     links = dict(partial.report.vertex_links)
-    cone_vertices = {}
-    layers = {k: list(partial.M.by_dim(k)) for k in range(partial.M.dim + 1)}
-    for v in sorted(Lv):
+    cone_vertices = {v: _cone_label(v) for v in sorted(Lv)}
+    for v, w in cone_vertices.items():
         N = neighborhoods[v]
-        w = cone_vertices[v] = _cone_label(v)
         links[w] = cls = classify_link(N)
         if cls.pieces is None:
             raise ConstructionError(
@@ -654,11 +668,7 @@ def cone_boundary_neighborhoods(partial):
         for x in N.vertices:
             if x not in rim_vertices:
                 links[x] = SPHERE
-        layers[0].append((w,))
-        for k in range(N.dim + 1):
-            layers[k + 1] += [join(s, (w,)) for s in N.by_dim(k)]
-    # Each layer is M's sorted run followed by the cones, which sort merges.
-    P = Complex(_FaceClosed({k: tuple(sorted(layer)) for k, layer in layers.items()}))
+    P = _with_cones(partial.M, ((w, neighborhoods[v]) for v, w in cone_vertices.items()))
     galleries = _fans(P, 0)
     components = len(set(galleries[0]))
     report = replace(
@@ -666,9 +676,7 @@ def cone_boundary_neighborhoods(partial):
         gallery_connected=components <= 1, gallery_components=components,
         galleries=galleries, vertex_links=links)
 
-    X_copy = _split_strips(({cone_vertices.get(x, x) for x in s}
-                            for s in partial.collar.nbhd_sub.child.simplices),
-                           partial.names.X, partial.names)
+    X_copy = _with_cones(partial.L, ((w, Lv[v]) for v, w in cone_vertices.items()))
     if not X_copy.is_subcomplex_of(P):
         raise ConstructionError("retract copy is not a subcomplex of the output")
 

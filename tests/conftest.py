@@ -98,6 +98,12 @@ def moore6_thickening():
     return thicken(moore_space(6)[0])
 
 
+@pytest.fixture(scope="session")
+def grid3_thickening():
+    """The thickening of the 3×3 grid torus."""
+    return thicken(grid_torus(3))
+
+
 def grid_torus(n):
     """The n×n grid torus: vertices g<i>_<j> for i, j mod n, each unit
     square (i, j) cut along its diagonal into the triangles

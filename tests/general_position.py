@@ -70,20 +70,6 @@ def format_rational(x):
     return str(x.numerator) if x.denominator == 1 else "%d/%d" % (x.numerator, x.denominator)
 
 
-def parse_rational(text):
-    """Parse a rational in the canonical form ``format_rational`` writes:
-    an integer, or p/q in lowest terms with q >= 2.  Anything else,
-    including a value that is not a string, is a ``ValidationError``."""
-    if isinstance(text, str):
-        try:
-            x = Fraction(text)
-        except (ValueError, ZeroDivisionError):
-            x = None
-        if x is not None and format_rational(x) == text:
-            return x
-    raise ValidationError("non-canonical rational %r" % (text,))
-
-
 def derive_seed(seed, tag):
     digest = hashlib.sha256(("%d:%s" % (seed, tag)).encode()).digest()
     return int.from_bytes(digest[:8], "big")

@@ -24,8 +24,6 @@ from plthick.errors import ValidationError
 from plthick.fixtures import FIXTURE_NAMES, THICKENING_FIXTURES, fixture
 from plthick.pseudomanifold import check_isolated_singularities, classify_link
 from plthick.reflection import LocalLinkReport, verify_closed_locally
-from plthick.thicken3 import thicken
-from conftest import grid_torus
 
 
 # -- serialization ------------------------------------------------------------
@@ -317,7 +315,8 @@ def test_class_summary_adds_up_classes_with_one_description():
 # `rejection_attempts_max` and `coordinate_bits`.  Same-run and
 # cross-process comparisons cannot see a change that moves every artifact
 # consistently; these digests can.  A change that moves them must say why,
-# and update them.
+# and update them.  The entries of the other four thickening fixtures were
+# taken at commit 993bc6a.
 PINNED_DIGESTS = {
     "single_triangle": {
         "p_complex.json": "d2b2b7c665180614ed449df5f2489d10fb90596882c785250992bfe0f4a00d35",
@@ -328,6 +327,26 @@ PINNED_DIGESTS = {
         "p_complex.json": "b988c67e8c86f32ea5e1d5bd7e9364720042501b4d9b74c903a6fcf245319656",
         "provenance.json": "fe702d0df0505043ec88d917eaf9afce5479536d7d22e27103c3da5cbc85b0e0",
         "report.json": "ed5389c3cc965c70d519effdcae47fc94ab2cdbe55b392ac31da48db0dea1443",
+    },
+    "two_triangles_shared_edge": {
+        "p_complex.json": "e88bde2c89ac567f8bc006a89b7982cfa987282e8b0d348f494c5c0e3d7bdc78",
+        "provenance.json": "fb1bb564f8fe77d8ff111f784bdf15e55f1382b10d1937df460871344e69601a",
+        "report.json": "953e1ff3b102c25c4ce1b5a6a28e15dc6e18a6e672d2d818c735bb5bdc7ba788",
+    },
+    "two_triangles_shared_vertex": {
+        "p_complex.json": "e6b2b2fb44af6ab19ba1846062a05da0c522561ff8a039b8c7463a3b6da9a47e",
+        "provenance.json": "050b80f420f1ce8077378894b4a0aee7e9458bf61d1e065f4db2f2a6cb085d71",
+        "report.json": "0086cd18c560884b070d090b2f86fc82d42919ed97b8e19f67a05feeb53bccc5",
+    },
+    "boundary_delta3": {
+        "p_complex.json": "4a08b08b227547b72c275a0cca3065cf6b0cb2b4d351f706f656e17c89f3f8af",
+        "provenance.json": "4ca9ad425ed41401020d4d1fffe2d295d108dd232a55b20d9591315b19ae4c76",
+        "report.json": "36c4be0bae75933ef65ef37c581c37376479f1820f82e9281de3928595303111",
+    },
+    "projective_plane_6": {
+        "p_complex.json": "777a3046cdbe3ccd675d37e0f94b074ceda3bc1cad2917911e4f96f6b432d9b7",
+        "provenance.json": "64c2d3539fa7e76d26f54b866ca7f21f89ee35e5a00a493202a923bf83affd29",
+        "report.json": "7a5bcfe10455f8b6dfb5bb63829fd829940759ddc3207e99e3d4e8a5a1b26348",
     },
 }
 
@@ -353,14 +372,24 @@ def test_cached_pipeline_artifacts_match_pinned_digests(monkeypatch, pipeline_ca
     assert sha256_of({name: artifacts[name] for name in want}) == want
 
 
+@pytest.mark.parametrize("name", sorted(set(PINNED_DIGESTS) - {"single_triangle", "torus_7"}))
+def test_fixture_pipeline_artifacts_match_pinned_digests(monkeypatch, pipeline_cache, name):
+    """The digests of the other thickening fixtures, from their cached
+    thickenings."""
+    monkeypatch.setattr(cli, "thicken", lambda X: pipeline_cache(name))
+    artifacts = run_pipeline(PipelineConfig(local_only=True), fixture(name))
+    assert sha256_of({key: artifacts[key] for key in PINNED_DIGESTS[name]}) == \
+        PINNED_DIGESTS[name]
+
+
 # p_complex.json of the 3×3 grid torus, whose edges each lie in two
 # triangles, as written when `thicken` still read its page order and side
 # signs off a sampled map (seed 0).
 GRID_TORUS_P_SHA256 = "5267b1b82dda6f0094a59ae14c2a28b0ea9598c6b249123e563c35002c86953a"
 
 
-def test_grid_torus_p_complex_matches_pinned_digest():
-    out, rep = thicken(grid_torus(3))
+def test_grid_torus_p_complex_matches_pinned_digest(grid3_thickening):
+    out, rep = grid3_thickening
     assert rep.certificate.reaches_copy and rep.homology_P.betti == (1, 2, 1, 0)
     assert hashlib.sha256(canonical_json(complex_to_obj(out.P))).hexdigest() == \
         GRID_TORUS_P_SHA256

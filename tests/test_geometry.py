@@ -34,7 +34,6 @@ from general_position import (
     affine_rank,
     format_rational,
     is_zero_vec,
-    parse_rational,
     sample_general_position_map,
     simplex_pair_intersection,
     singular_set,
@@ -56,16 +55,13 @@ def pt(*xs):
 
 # -- rational strings ---------------------------------------------------------
 
-def test_rational_round_trip():
-    for x in (F(1, 2), F(-3, 7), F(4), F(0), F(-5)):
-        assert parse_rational(format_rational(x)) == x
-
-
-def test_non_reduced_rational_rejected():
-    with pytest.raises(ValidationError):
-        parse_rational("2/4")
-    with pytest.raises(ValidationError):
-        parse_rational("3/1")
+def test_format_rational_canonical_strings():
+    """An integer is written bare and any other rational as p/q in lowest
+    terms with q >= 2, the sign on p: one string per value."""
+    cases = [(F(1, 2), "1/2"), (F(-3, 7), "-3/7"), (F(4), "4"), (F(0), "0"), (F(-5), "-5"),
+             (F(2, 4), "1/2"), (F(3, 1), "3"), (F(6, -4), "-3/2"), (7, "7")]
+    for x, text in cases:
+        assert format_rational(x) == text
 
 
 # -- general position ------------------------------------------------------------

@@ -76,7 +76,7 @@ def test_every_dataclass_field_is_read():
 TRUSTED = {
     "_FaceClosed": {"complex_core.Complex.__init__", "complex_core.complex_from_maximal",
                     "complex_core.Incidence.closure", "complex_core.greedy_collapse",
-                    "thicken3.cone_boundary_neighborhoods"},
+                    "thicken3._with_cones"},
 }
 
 

@@ -34,6 +34,7 @@ from plthick.pseudomanifold import (
 from plthick.thicken3 import (
     PartialThickening,
     _fan,
+    _split_strips,
     build_spine_thickening,
     cone_boundary_neighborhoods,
     extract_sheet_data,
@@ -381,16 +382,21 @@ def test_stuck_collapse_computes_homology_of_the_remainder(pipeline_cache):
     assert H.betti == (1, 0, 1, 0)
 
 
-def test_retract_copy_is_expected_subdivision(pipeline_cache):
-    """X_copy is built once, from sd(Y rel K); the union L ∪ w_v * L_v
-    assembled from the collar copy and the cones is the oracle."""
-    for name in THICKENING_FIXTURES:
-        out, _ = pipeline_cache(name)
-        assembled = set(out.L.simplices)
-        for v, w in out.cone_vertices.items():
-            assembled.add((w,))
-            assembled.update(join(s, (w,)) for s in out.Lv[v].simplices)
-        assert Complex(assembled) == out.X_copy, name
+def test_retract_copy_is_expected_subdivision(pipeline_cache, grid3_thickening,
+                                              moore_thickening):
+    """X_copy is built as L ∪ w_v * L_v from the collar copy and the cones;
+    sd(Y rel K) with each input vertex v renamed w_v and every strip split
+    at its waist, as the construction once built it, is the oracle, layer
+    by layer."""
+    runs = [(name, pipeline_cache(name)) for name in THICKENING_FIXTURES]
+    runs += [("grid_torus(3)", grid3_thickening), ("moore_space(3)", moore_thickening)]
+    for name, (out, _) in runs:
+        oracle = _split_strips(({out.cone_vertices.get(x, x) for x in s}
+                                for s in out.collar.nbhd_sub.child.simplices),
+                               out.names.X, out.names)
+        assert oracle.dim == out.X_copy.dim == 2, name
+        for k in range(3):
+            assert out.X_copy.by_dim(k) == oracle.by_dim(k), (name, k)
         assert out.X_copy.is_subcomplex_of(out.P)
 
 
@@ -441,8 +447,9 @@ def test_cone_vertex_link_is_its_neighborhood(pipeline_cache, name):
 
 @pytest.mark.parametrize("name", THICKENING_FIXTURES)
 def test_neighborhoods_match_simplicial_neighborhoods(pipeline_cache, name):
-    """Each N_v, closed from the stars of L_v's vertices on the index of
-    ∂M, is the simplicial neighbourhood of L_v in ∂M, layer for layer."""
+    """Each N_v, the closure of the triangles at L_v's vertices read off
+    ∂M's vertex → triangle table, is the simplicial neighbourhood of L_v in
+    ∂M, layer for layer."""
     out, _ = pipeline_cache(name)
     for v, piece in out.Lv.items():
         oracle = simplicial_neighborhood(out.boundary_surface, piece)[0]
@@ -550,11 +557,13 @@ def test_solid_report_by_rule_matches_the_full_pass_on_a_random_corpus():
 
 
 def test_thicken_builds_no_index_on_the_solid():
-    """M's report is proved, not computed, so a fresh ``thicken`` leaves M
-    without an incidence index."""
+    """M's report is proved, not computed, and the N_v are read off ∂M's
+    triangle table, so a fresh ``thicken`` leaves M and ∂M without an
+    incidence index."""
     for name in ("single_triangle", "book_of_three"):
         out, _ = thicken(fixture(name))
         assert out.M._incidence is None, name
+        assert out.boundary_surface._incidence is None, name
 
 
 def test_clashing_generated_labels_rejected():
