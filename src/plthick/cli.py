@@ -37,7 +37,17 @@ from .thicken3 import thicken
 
 
 def canonical_json(obj):
-    return (json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n").encode()
+    """The artifact bytes of ``obj``: JSON with sorted keys, the separators
+    ``,`` and ``:``, non-ASCII characters escaped and one trailing newline.
+    Tuples and lists are both written as arrays.
+
+    There is no cycle guard (``check_circular=False``): every caller
+    encodes a tree of fresh dicts, lists, tuples and strings that it has
+    just built, which cannot contain itself.  A cycle would still fail
+    loudly, with ``RecursionError``, instead of writing anything.
+    """
+    return (json.dumps(obj, sort_keys=True, separators=(",", ":"),
+                       check_circular=False) + "\n").encode()
 
 
 def complex_to_obj(X):
@@ -153,11 +163,14 @@ def run_pipeline(config, X):
     artifacts = {}
     artifacts["input.json"] = canonical_json(complex_to_obj(X))
     artifacts["p_complex.json"] = canonical_json(complex_to_obj(P))
-    # P's ids run in by_dim order, which is simplex_key order.
+    # P's ids run in by_dim order, which is simplex_key order; each cell is
+    # written as the tuple it is, and only a cone simplex is searched for
+    # its one cone vertex.
     cones = set(out.cone_vertices.values())
-    artifacts["provenance.json"] = canonical_json({
-        "simplices": [{"simplex": list(s), "origin": next(filter(cones.__contains__, s), "M")}
-                      for s in P.incidence().cells]})
+    artifacts["provenance.json"] = canonical_json({"simplices": [
+        {"simplex": s,
+         "origin": "M" if cones.isdisjoint(s) else next(filter(cones.__contains__, s))}
+        for s in P.incidence().cells]})
 
     report_obj = {
         "pseudomanifold": pseudomanifold_report_obj(rep.pseudomanifold),
@@ -231,10 +244,17 @@ def _emit(obj):
 
 
 def _write_artifacts(artifacts, out_dir):
-    os.makedirs(out_dir, exist_ok=True)
-    for name, data in sorted(artifacts.items()):
-        with open(os.path.join(out_dir, name), "wb") as fh:
-            fh.write(data)
+    """Write each artifact into ``out_dir``, made if missing; a directory
+    that cannot be made or a file that cannot be written is a
+    ``ValidationError`` naming the path."""
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        for name, data in sorted(artifacts.items()):
+            with open(os.path.join(out_dir, name), "wb") as fh:
+                fh.write(data)
+    except OSError as exc:
+        raise ValidationError("cannot write %s: %s"
+                              % (exc.filename or out_dir, exc.strerror or exc))
 
 
 _FLAGS = {

@@ -728,8 +728,9 @@ def homology_by_collapse(P, X_copy, H_copy):
     R = collapse.remainder
     reaches_copy = R == X_copy
     H = H_copy if reaches_copy else homology_groups(R)
-    # JSON writes tuples as arrays.
-    order = json.dumps(collapse.pairs, separators=(",", ":"))
+    # JSON writes tuples as arrays.  The pairs are a fresh tuple of tuples
+    # of strings, which cannot contain itself, so no cycle guard is kept.
+    order = json.dumps(collapse.pairs, separators=(",", ":"), check_circular=False)
     return H.padded(P.dim + 1), CollapseCertificate(
         pairs=len(collapse.pairs), reaches_copy=reaches_copy,
         order_sha256=hashlib.sha256(order.encode()).hexdigest())
@@ -754,9 +755,9 @@ def verify_thickening(t, X):
     ``cone_boundary_neighborhoods`` derived from M's, which
     ``build_spine_thickening`` proves, with N_v certified a surface by its
     own classification; neither M nor P gets a full link pass, which
-    ``plthick check`` runs on the written P.  M gets no collapse: it is a handlebody on the spine by its
-    build (``build_spine_thickening``), so ``spine_b1`` is read off the
-    spine.
+    ``plthick check`` runs on the written P.  M gets no collapse: it is a
+    handlebody on the spine by its build (``build_spine_thickening``), so
+    ``spine_b1`` is read off the spine.
     """
     P = t.P
     report = t.report

@@ -25,6 +25,8 @@ from plthick.fixtures import FIXTURE_NAMES, THICKENING_FIXTURES, fixture
 from plthick.pseudomanifold import check_isolated_singularities, classify_link
 from plthick.reflection import LocalLinkReport, verify_closed_locally
 
+from conftest import grid_torus, moore_space
+
 
 # -- serialization ------------------------------------------------------------
 
@@ -35,6 +37,17 @@ def test_complex_round_trip_is_byte_exact(name):
     Y = complex_from_obj(json.loads(blob.decode()))
     assert Y == X
     assert canonical_json(complex_to_obj(Y)) == blob
+
+
+def test_canonical_json_of_a_cycle_raises():
+    """The encoder keeps no cycle guard, yet a tree that contains itself
+    still fails loudly instead of writing bytes."""
+    loop, knot = [], {}
+    loop.append(loop)
+    knot["knot"] = knot
+    for obj in (loop, knot):
+        with pytest.raises(RecursionError):
+            canonical_json(obj)
 
 
 def test_missing_vertex_reference_rejected():
@@ -236,6 +249,19 @@ def test_unloadable_input_is_an_error_object(capsys, tmp_path, source, content):
     assert obj["error"]["stage"] == "validate"
 
 
+@pytest.mark.parametrize("below", [False, True], ids=["file", "below-a-file"])
+def test_unwritable_out_directory_is_an_error_object(capsys, tmp_path, below):
+    blocker = tmp_path / "blocker"
+    blocker.write_bytes(b"")
+    out = blocker / "sub" if below else blocker
+    code, obj = run_cli(capsys, "thicken", "fixture:single_triangle", "--local-only",
+                        "--out", str(out))
+    assert code == 1
+    assert obj["error"]["type"] == "ValidationError"
+    assert str(out) in obj["error"]["message"]
+    assert blocker.read_bytes() == b""
+
+
 def test_subdivide_subcommand(capsys):
     code, obj = run_cli(capsys, "subdivide", "fixture:single_edge")
     assert code == 0
@@ -393,3 +419,36 @@ def test_grid_torus_p_complex_matches_pinned_digest(grid3_thickening):
     assert rep.certificate.reaches_copy and rep.homology_P.betti == (1, 2, 1, 0)
     assert hashlib.sha256(canonical_json(complex_to_obj(out.P))).hexdigest() == \
         GRID_TORUS_P_SHA256
+
+
+def guarded_json(obj):
+    """``canonical_json`` as it was, with ``json.dumps``'s default cycle
+    guard."""
+    return (json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n").encode()
+
+
+def provenance_oracle(out):
+    """``provenance.json`` by the former rule: each simplex copied into a
+    list, and all its labels searched for a cone vertex."""
+    cones = set(out.cone_vertices.values())
+    return guarded_json({"simplices": [
+        {"simplex": list(s), "origin": next(filter(cones.__contains__, s), "M")}
+        for s in out.P.incidence().cells]})
+
+
+@pytest.mark.parametrize("thickening, make_input", [
+    ("grid3_thickening", lambda: grid_torus(3)),
+    ("moore_thickening", lambda: moore_space(3)[0]),
+], ids=["grid_torus_3", "moore_space_3"])
+def test_unpinned_artifacts_are_the_guarded_encoders_bytes(monkeypatch, request, thickening,
+                                                          make_input):
+    """On inputs that ``PINNED_DIGESTS`` does not cover, every artifact is
+    what the guarded encoder writes, and ``provenance.json`` is what the
+    former rule writes."""
+    run = request.getfixturevalue(thickening)
+    X = make_input()
+    monkeypatch.setattr(cli, "thicken", lambda X: run)
+    artifacts = run_pipeline(PipelineConfig(local_only=True), X)
+    assert artifacts["provenance.json"] == provenance_oracle(run[0])
+    monkeypatch.setattr(cli, "canonical_json", guarded_json)
+    assert run_pipeline(PipelineConfig(local_only=True), X) == artifacts

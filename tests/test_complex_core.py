@@ -676,18 +676,21 @@ def test_greedy_collapse_deterministic():
     assert greedy_collapse(X) == greedy_collapse(X)
 
 
-def simplex_keyed_greedy_collapse(X):
+def simplex_keyed_greedy_collapse(X, keep=EMPTY_COMPLEX):
     """A reference for ``greedy_collapse``, keyed on the simplices
     themselves: the simplices with one cover are queued in ``simplex_key``
     order, then each one whose covers drop to one as the collapse goes, and
     the queue is taken first in, first out.  A removed simplex visits its
-    facets in ``combinations`` order, the last vertex dropped first."""
+    facets in ``combinations`` order, the last vertex dropped first.  A
+    simplex of ``keep`` is never queued."""
     present = set(X.simplices)
+    kept = keep.simplices
     covers = {s: set() for s in present}
     for s in present:
         for f in facets(s):
             covers[f].add(s)
-    queue = collections.deque(sorted((s for s in present if len(covers[s]) == 1),
+    queue = collections.deque(sorted((s for s in present
+                                      if len(covers[s]) == 1 and s not in kept),
                                      key=simplex_key))
     pairs = []
 
@@ -695,7 +698,7 @@ def simplex_keyed_greedy_collapse(X):
         present.remove(x)
         for f in reversed(facets(x)):
             covers[f].discard(x)
-            if len(covers[f]) == 1:
+            if len(covers[f]) == 1 and f not in kept:
                 queue.append(f)
 
     while queue:
@@ -711,15 +714,19 @@ def simplex_keyed_greedy_collapse(X):
 ORACLE_SEEDS = (0, 1, 2, 5)
 
 
-def assert_collapse_matches_oracle(X):
+def assert_same_collapse(X, keep=EMPTY_COMPLEX):
     """Same pairs and remainder as the oracle, whose remainder is built by
     the checked constructor; the trusted remainder's layers are the same."""
+    got, want = greedy_collapse(X, keep=keep), simplex_keyed_greedy_collapse(X, keep)
+    assert got == want
+    assert ([got.remainder.by_dim(k) for k in range(X.dim + 2)]
+            == [want.remainder.by_dim(k) for k in range(X.dim + 2)])
+
+
+def assert_collapse_matches_oracle(X, keep=EMPTY_COMPLEX):
+    """``assert_same_collapse`` under each of the oracle seeds' labellings."""
     for seed in ORACLE_SEEDS:
-        (Y,) = relabelled(X, seed)
-        got, want = greedy_collapse(Y), simplex_keyed_greedy_collapse(Y)
-        assert got == want
-        assert ([got.remainder.by_dim(k) for k in range(Y.dim + 2)]
-                == [want.remainder.by_dim(k) for k in range(Y.dim + 2)])
+        assert_same_collapse(*relabelled(X, seed, keep))
 
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
@@ -730,6 +737,14 @@ def test_greedy_collapse_matches_oracle_on_subdivided_fixtures(name):
 def test_greedy_collapse_matches_oracle_on_thickening(pipeline_cache):
     out, _ = pipeline_cache("projective_plane_6")
     assert_collapse_matches_oracle(out.M)
+
+
+def test_kept_collapse_matches_oracle_on_thickening(pipeline_cache):
+    """The collapse whose pairs ``order_sha256`` digests: P keeping X_copy,
+    pair for pair."""
+    out, rep = pipeline_cache("projective_plane_6")
+    assert_same_collapse(out.P, out.X_copy)
+    assert len(greedy_collapse(out.P, keep=out.X_copy).pairs) == rep.certificate.pairs
 
 
 def replay_collapse(X, pairs, keep=EMPTY_COMPLEX):
@@ -839,6 +854,14 @@ def test_random_subdivision_is_flag(X):
 @given(small_complexes())
 def test_random_complex_collapse_matches_oracle(X):
     assert_collapse_matches_oracle(X)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(small_complexes(), st.data())
+def test_random_complex_kept_collapse_matches_oracle(X, data):
+    """Keeping the closure of a random set of simplices."""
+    picks = data.draw(st.sets(st.sampled_from(sorted(X.simplices, key=simplex_key))))
+    assert_collapse_matches_oracle(X, complex_from_maximal(picks))
 
 
 # -- maximal simplices and the dimension table ---------------------------------

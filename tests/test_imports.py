@@ -208,3 +208,16 @@ def test_no_assert_in_the_package():
     found = ["%s:%d" % (path.name, node.lineno) for path in sorted(SRC.glob("*.py"))
              for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Assert)]
     assert found == []
+
+
+# The JSON encoders: the artifact bytes, the CLI's printed objects and the
+# collapse certificate's digest each have one.
+JSON_ENCODERS = {"cli.canonical_json", "cli._emit", "thicken3.homology_by_collapse"}
+
+
+def test_json_is_encoded_only_by_the_named_encoders():
+    scopes = {scope for path in sorted(SRC.glob("*.py")) for scope, node in _references(path)
+              if isinstance(node, ast.Call) and (
+                  isinstance(node.func, ast.Attribute) and node.func.attr == "dumps"
+                  or isinstance(node.func, ast.Name) and node.func.id == "dumps")}
+    assert scopes == JSON_ENCODERS
